@@ -11,8 +11,11 @@ are counted at 64 bits.
 from __future__ import annotations
 
 import struct
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
+
+import numpy as np
 
 from . import opcount
 from .serial import DecodeError, pack_uints, read_stream, unpack_uints, write_stream
@@ -365,28 +368,36 @@ class VariableCellArray:
     def __init__(self, objects, block_size: int | None = None):
         """objects: iterable of (value, size_bits) with 0 <= value < 2**size."""
         objs = list(objects)
-        self.m = len(objs)
-        total = sum(s for _, s in objs)
-        self.total_bits = total
+        for value, size in objs:
+            if value >> size:
+                raise ValueError("object value wider than declared size")
+        sizes = [s for _, s in objs]
+        total = sum(sizes)
         if block_size is None:
             lg = _bitlen(total + 2)
             block_size = max(1, lg * lg)
+        # payload bit p is character p of the objects' MSB-first binary digits
+        digits = "".join(format(value, f"0{size}b") for value, size in objs if size)
+        payload = int(digits[::-1], 2) if digits else 0
+        words = array("Q")
+        words.frombytes(payload.to_bytes(8 * ((total + 63) // 64), "little"))
+        if sys.byteorder == "big":  # pragma: no cover
+            words.byteswap()
+        self._install(sizes, total, block_size, words)
+
+    def _install(self, sizes: list[int], total: int, block_size: int, words: array) -> None:
+        """Set the payload words and the two-level directory of object starts."""
+        m = len(sizes)
+        self.m = m
+        self.total_bits = total
         self.block_size = block_size
-        self._max_size = max((s for _, s in objs), default=0)
-        block_start = array("q")
-        local = array("q")
-        words = array("Q", [0]) * ((total + 63) // 64)
-        offset = 0
-        for idx, (value, size) in enumerate(objs):
-            if idx % block_size == 0:
-                block_start.append(offset)
-            local.append(offset - block_start[-1])
-            if value >> size:
-                raise ValueError("object value wider than declared size")
-            _write_bits(words, offset, value, size)
-            offset += size
-        self._block_start = block_start
-        self._local = local
+        self._max_size = max(sizes, default=0)
+        offsets = np.zeros(m, dtype=np.int64)
+        np.cumsum(sizes[:-1], out=offsets[1:])
+        block_start = offsets[::block_size]
+        local = offsets - np.repeat(block_start, block_size)[:m]
+        self._block_start = array("q", block_start.tolist())
+        self._local = array("q", local.tolist())
         self._words = words
 
     def start(self, i: int) -> int:
@@ -431,29 +442,27 @@ class VariableCellArray:
         words = array("Q", unpack_uints(sections[b"PAYL"], 8))
         if len(sizes) != m or sum(sizes) != total:
             raise DecodeError("variable-cell directory mismatch")
-        objs = []
-        offset = 0
-        for s in sizes:
-            objs.append((_read_bits(words, offset, s), s))
-            offset += s
-        return cls(objs, block_size=block_size)
-
-
-def _write_bits(words: array, offset: int, value: int, size: int) -> None:
-    """Write `size` bits of `value` MSB-first at bit `offset` (LSB-first words)."""
-    for b in range(size):
-        bit = (value >> (size - 1 - b)) & 1
-        if bit:
-            pos = offset + b
-            words[pos >> 6] |= 1 << (pos & 63)
+        if len(words) != (total + 63) // 64:
+            raise DecodeError("variable-cell payload length mismatch")
+        if m and block_size < 1:
+            raise DecodeError("variable-cell block size must be positive")
+        if total & 63:  # bits past the last object are not part of the array
+            words[-1] &= (1 << (total & 63)) - 1
+        vca = cls.__new__(cls)
+        vca._install(sizes, total, block_size, words)
+        return vca
 
 
 def _read_bits(words: array, offset: int, size: int) -> int:
-    value = 0
-    for b in range(size):
-        pos = offset + b
-        value = (value << 1) | ((words[pos >> 6] >> (pos & 63)) & 1)
-    return value
+    """The `size` bits at bit `offset` (LSB-first words), read MSB-first."""
+    if size == 0:
+        return 0
+    part = words[offset >> 6:(offset + size + 63) >> 6]
+    if sys.byteorder == "big":  # pragma: no cover
+        part.byteswap()
+    chunk = int.from_bytes(part.tobytes(), "little")
+    chunk = (chunk >> (offset & 63)) & ((1 << size) - 1)
+    return int(format(chunk, f"0{size}b")[::-1], 2)
 
 
 class PiecewiseConstantArray:

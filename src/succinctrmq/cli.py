@@ -108,7 +108,7 @@ def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
     failures = 0
     checked = 0
-    t0 = time.time()
+    t0 = time.perf_counter()
     arrays = []
     for trial in range(args.trials):
         n = rng.randint(1, args.n)
@@ -133,7 +133,7 @@ def cmd_verify(args) -> int:
             verify_decomposition(tree, B, decompose(tree, B))
     status = "pass" if failures == 0 else "FAIL"
     _emit(args, f"verify: {status} ({checked} queries, {len(arrays)} arrays, "
-                f"{time.time() - t0:.1f}s)",
+                f"{time.perf_counter() - t0:.1f}s)",
           {"status": status, "queries": checked, "failures": failures})
     return 0 if failures == 0 else 2
 
@@ -222,9 +222,9 @@ def cmd_lcp_ingest(args) -> int:
 def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     values = rng.permutation(args.n).tolist()
-    t0 = time.time()
+    t0 = time.perf_counter()
     index = RmqIndex.build(values, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
-    build_s = time.time() - t0
+    build_s = time.perf_counter() - t0
     r = random.Random(args.seed)
     queries = []
     for _ in range(args.queries):
@@ -233,10 +233,10 @@ def cmd_bench(args) -> int:
     for i, j in queries[:200]:  # warm the lazy tables
         index.query(i, j)
     opcount.reset()
-    t0 = time.time()
+    t0 = time.perf_counter()
     for i, j in queries:
         index.query(i, j)
-    query_s = time.time() - t0
+    query_s = time.perf_counter() - t0
     ops = opcount.snapshot() / max(1, len(queries))
     rep = index.space_report()
     _emit(args, f"bench n={args.n}: build {build_s:.2f}s, "

@@ -20,10 +20,11 @@ from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from . import opcount
 from .bits import CompressedBitVec, PiecewiseConstantArray, _bitlen
 from .microcodec import TypeRegistry
-from .treecode import zaks_bits
 from .trees import BinaryTree, EulerTourLca
 
 
@@ -57,78 +58,86 @@ class Decomposition:
         return len(self.roots)
 
 
-def _decompose_links(n: int, left, right, B: int) -> Decomposition:
-    """Bottom-up packing: merge open child components into the parent; close a
-    child when it already carries two external edges or when merging would
-    exceed 2B nodes (the heavier child closes first, so every weight-closed
-    component has >= B nodes)."""
+def _pack(n: int, left, right, B: int) -> bytearray:
+    """Bottom-up packing over a forest whose ids are preorder ranks: merge open
+    child components into the parent; close a child when it already carries
+    two external edges or when merging would exceed 2B nodes (the heavier
+    child closes first, so every weight-closed component has >= B nodes).
+    Returns a mark per node: 1 where a component closed at that root.  The
+    caller closes the forest roots."""
     cap = 2 * B
-    comp_of = array("i", [0]) * (n + 1)
-    pend_w = array("i", [0]) * (n + 1)
-    pend_e = array("i", [0]) * (n + 1)
-    close_roots = []
-
-    def close(r: int) -> None:
-        close_roots.append(r)
-        cid = len(close_roots)
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            comp_of[u] = cid
-            l, rr = left[u], right[u]
-            if l and not comp_of[l]:
-                stack.append(l)
-            if rr and not comp_of[rr]:
-                stack.append(rr)
-
+    closed = bytearray(n + 1)
+    pend_w = [0] * (n + 1)
+    pend_e = [0] * (n + 1)
     for v in range(n, 0, -1):  # reverse preorder = bottom-up
+        a = left[v]
+        b = right[v]
+        if not (a or b):
+            pend_w[v] = 1
+            continue
         e = 0
-        opens = []
-        for c in (left[v], right[v]):
-            if not c:
-                continue
-            if comp_of[c]:
-                e += 1
-            elif pend_e[c] >= 2:
-                close(c)
-                e += 1
+        if a and pend_e[a] >= 2:
+            closed[a] = 1
+            e = 1
+            a = 0
+        if b and pend_e[b] >= 2:
+            closed[b] = 1
+            e += 1
+            b = 0
+        wa = pend_w[a]
+        wb = pend_w[b]
+        total = 1 + wa + wb
+        if total > cap and a and b:
+            if wa > wb:
+                closed[a] = 1
+                total -= wa
+                a = 0
             else:
-                opens.append(c)
-        total = 1 + sum(pend_w[c] for c in opens)
-        while total > cap and opens:
-            if len(opens) == 2 and pend_w[opens[0]] > pend_w[opens[1]]:
-                big = opens.pop(0)
-            else:
-                big = opens.pop()
-            total -= pend_w[big]
-            close(big)
+                closed[b] = 1
+                total -= wb
+                b = 0
+            e += 1
+        if total > cap and (a or b):
+            closed[a or b] = 1
+            total = 1
+            a = b = 0
             e += 1
         pend_w[v] = total
-        pend_e[v] = e + sum(pend_e[c] for c in opens)
-    close(1)
+        pend_e[v] = e + pend_e[a] + pend_e[b]
+    return closed
 
-    # renumber components by root preorder
-    order = sorted(range(1, len(close_roots) + 1), key=lambda cid: close_roots[cid - 1])
-    remap = array("i", [0]) * (len(close_roots) + 1)
-    roots = []
-    for new_id, old_id in enumerate(order, start=1):
-        remap[old_id] = new_id
-        roots.append(close_roots[old_id - 1])
-    members = [[] for _ in range(len(roots) + 1)]
-    for v in range(1, n + 1):
-        comp_of[v] = remap[comp_of[v]]
-        members[comp_of[v]].append(v)
-    return Decomposition(n, B, comp_of, members, roots)
+
+def _components(closed, parent) -> np.ndarray:
+    """Component id of every node (slot 0 is 0): the rank, in preorder, of its
+    nearest closed ancestor-or-self, found by pointer doubling."""
+    marks = np.frombuffer(closed, dtype=np.uint8).astype(bool)
+    ids = np.cumsum(marks, dtype=np.intc)
+    up = np.where(marks, np.arange(len(marks), dtype=np.intc), parent)
+    while True:
+        nxt = up[up]
+        if np.array_equal(nxt, up):
+            break
+        up = nxt
+    return ids[up]
 
 
 def decompose(t: BinaryTree, B: int) -> Decomposition:
     """Decompose a binary tree into disjoint subtrees of <= 2B nodes with at
-    most three external connections each; deterministic and linear time."""
+    most three external connections each; deterministic, one linear packing
+    pass."""
     if t.n < 1:
         raise CoverError("decompose requires a non-empty tree")
     if B < 1:
         raise CoverError("B must be >= 1")
-    return _decompose_links(t.n, t.left, t.right, B)
+    n = t.n
+    closed = _pack(n, t.left, t.right, B)
+    closed[1] = 1
+    comp = _components(closed, np.frombuffer(t.parent, dtype=np.intc))
+    order = np.argsort(comp[1:], kind="stable") + 1
+    cuts = np.flatnonzero(np.diff(comp[order])) + 1
+    members = [[]] + [part.tolist() for part in np.split(order, cuts)]
+    roots = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8)).tolist()
+    return Decomposition(n, B, array("i", comp.tobytes()), members, roots)
 
 
 def verify_decomposition(t: BinaryTree, B: int, d: Decomposition) -> dict:
@@ -591,8 +600,82 @@ class TreeCover:
         self.tb = EulerTourLca(ell, children, root_k)
 
 
+def _rank_within(groups: np.ndarray) -> np.ndarray:
+    """1-based rank of each entry among the entries of its group, in index order."""
+    order = np.argsort(groups, kind="stable")
+    sg = groups[order]
+    first = np.flatnonzero(np.concatenate(([True], sg[1:] != sg[:-1])))
+    counts = np.diff(np.append(first, len(sg)))
+    rank = np.empty(len(groups), dtype=np.intc)
+    rank[order] = np.arange(1, len(sg) + 1) - np.repeat(first, counts)
+    return rank
+
+
+def _order_rank(key: np.ndarray):
+    """The sorting permutation of `key` (keys distinct) and its inverse."""
+    order = np.argsort(key)
+    rank = np.empty(len(key), dtype=np.int64)
+    rank[order] = np.arange(len(key))
+    return order, rank
+
+
+def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
+                  portal_node: np.ndarray, shape_size: np.ndarray):
+    """Shape preorder and inorder of every node (indices 0..n-1) and portal leaf
+    (n..), and the Zaks code of every micro shape, padded to whole bytes.
+
+    A micro shape is its members plus one portal leaf per micro root hanging
+    below it.  Restricting the global preorder (inorder) to those nodes, with
+    a portal leaf standing at its child's position, gives the shape preorder
+    (inorder).  The 1-bit of a shape node sits at pre + in - ls - 2 of the
+    shape's 2s+1 Zaks bits.
+    """
+    n = t.n
+    M = len(shape_size)
+    inorder = np.frombuffer(t.inorder_of, dtype=np.intc)
+    ls = np.frombuffer(t.ls, dtype=np.intc)
+    shape_start = np.zeros(M + 1, dtype=np.int64)
+    np.cumsum(shape_size, out=shape_start[1:])
+    ent_k = np.concatenate((k_of[1:], portal_k)).astype(np.int64)
+    ent_node = np.concatenate((np.arange(1, n + 1, dtype=np.intc), portal_node))
+    first = shape_start[ent_k - 1]
+    base = ent_k * (n + 1)
+    shape_pre = _order_rank(base + ent_node)[1] - first + 1
+    in_key = base + inorder[ent_node]
+    in_order, pos = _order_rank(in_key)
+    shape_in = pos - first + 1
+    del first, base, ent_node
+    # the shape left size of a member counts its micro's entries inside its
+    # global left range; portal leaves have none
+    zpos = shape_pre + shape_in - 2
+    zpos[:n] -= pos[:n] - np.searchsorted(in_key[in_order], in_key[:n] - ls[1:])
+    del in_key, in_order, pos
+    nbytes = (2 * shape_size + 8) // 8
+    byte_start = np.zeros(M + 1, dtype=np.int64)
+    np.cumsum(nbytes, out=byte_start[1:])
+    bits = np.zeros(8 * int(byte_start[-1]), dtype=np.uint8)
+    bits[8 * byte_start[ent_k - 1] + zpos] = 1
+    codes = np.packbits(bits).tobytes()
+    return shape_pre.astype(np.intc), shape_in.astype(np.intc), codes, byte_start.tolist()
+
+
+def _pca_runs(k, t3):
+    """Run starts (0-based) of the (micro, shape index) sequence: a run breaks
+    when the micro changes or the shape index fails to step by one."""
+    brk = np.ones(len(k), dtype=bool)
+    brk[1:] = (k[1:] != k[:-1]) | (t3[1:] != t3[:-1] + 1)
+    return np.flatnonzero(brk)
+
+
 def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = None) -> TreeCover:
-    """Build the two-tier cover of a binary tree."""
+    """Build the two-tier cover of a binary tree.
+
+    Each tier packs the whole tree in one pass, the second with the edges
+    between mini trees cut, and the per-node maps are then derived with numpy
+    from the tree's preorder/inorder numbering.  Micro trees get their ids k
+    in root preorder, which is the preorder of the micro-root tree with
+    children ordered by root preorder.
+    """
     n = t.n
     if n < 1:
         raise CoverError("build_cover requires a non-empty tree")
@@ -611,216 +694,123 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     registry = TypeRegistry()
     cov.registry = registry
 
-    left, right, st = t.left, t.right, t.st
+    idx = np.intc
+    left = np.frombuffer(t.left, dtype=idx)
+    right = np.frombuffer(t.right, dtype=idx)
+    parent = np.frombuffer(t.parent, dtype=idx)
+    st = np.frombuffer(t.st, dtype=idx)
+    ls = np.frombuffer(t.ls, dtype=idx)
 
-    tier1 = decompose(t, mini_b)
-    n_minis = tier1.count
+    # tier 1: t1[v] is v's mini tree, minis numbered by root preorder
+    closed = _pack(n, t.left.tolist(), t.right.tolist(), mini_b)
+    closed[1] = 1
+    t1 = _components(closed, parent)
+    is_mini_root = np.frombuffer(closed, dtype=np.uint8)
+    mini_root = np.flatnonzero(is_mini_root)
+    n_minis = len(mini_root)
+    # tier 2: the same packing inside every mini at once
+    closed2 = _pack(n, np.where(t1[left] == t1, left, 0).tolist(),
+                    np.where(t1[right] == t1, right, 0).tolist(), max(1, micro_b - 2))
+    for r in mini_root.tolist():
+        closed2[r] = 1
+    k_of = _components(closed2, parent)
+    micro_root = np.flatnonzero(np.frombuffer(closed2, dtype=np.uint8))
+    M = len(micro_root)
 
-    ld_global = array("i", [0]) * (n + 1)
-    for v in range(1, n + 1):
-        l = left[v]
-        if l:
-            ld_global[l] = ld_global[v] + 1
-        r = right[v]
-        if r:
-            ld_global[r] = ld_global[v]
+    # mini-local subtree sizes subtract the (at most two) child minis inside
+    child_minis = mini_root[1:]
+    owner = t1[parent[child_minis]]
+    if n_minis > 1 and np.bincount(owner).max() > 2:
+        raise CoverError("mini tree with more than two outgoing edges")
+    inner = np.zeros((2, n_minis + 1), dtype=idx)
+    for x, m in zip(child_minis.tolist(), owner.tolist()):
+        inner[1 if inner[0, m] else 0, m] = x
 
-    # transient per-node maps feeding the PCA passes
-    tau1_of = tier1.comp_of
-    tau2_of = array("i", [0]) * (n + 1)
-    shape_pre_of = array("i", [0]) * (n + 1)
-    shape_in_of = array("i", [0]) * (n + 1)
+    def st_local(v):
+        out = st[v].astype(idx)
+        for x in inner[:, t1[v]]:
+            out -= np.where((x > v) & (x < v + st[v]), st[x], 0)
+        return out
 
-    minis: list[_MiniInfo] = []
-    micros: list[list[_MicroInfo]] = []
-    micro_targets: list[list[tuple]] = []  # per (t1,t2): portal target descriptors
-    micro_effective_b = max(1, micro_b - 2)
+    # every micro root but the global one is a portal leaf of its parent's micro
+    pc = micro_root[1:]
+    pk = k_of[parent[pc]]
+    p_mini = is_mini_root[pc]
+    p_side = (right[parent[pc]] == pc).astype(idx)
+    p_smini = np.where(p_mini == 1, 0, st_local(pc))
+    n_members = np.bincount(k_of[1:], minlength=M + 1)[1:]
+    shape_size = n_members + np.bincount(pk, minlength=M + 1)[1:]
+    if micro_b >= 3 and shape_size.max() > 2 * micro_b:
+        raise CoverError(  # pragma: no cover - guards decomposition bugs
+            f"micro shape of {shape_size.max()} nodes exceeds 2*micro_b={2 * micro_b}")
+    shape_pre, shape_in, codes, byte_start = _micro_shapes(t, k_of, pk, pc, shape_size)
 
-    for m_id in range(1, n_minis + 1):
-        mem = tier1.members[m_id]
-        k_mem = len(mem)
-        loc_of = {g: i for i, g in enumerate(mem, start=1)}
-        lleft = array("i", [0]) * (k_mem + 1)
-        lright = array("i", [0]) * (k_mem + 1)
-        mini_portal_edges = {}  # (local id, side) -> target mini id
-        for i, g in enumerate(mem, start=1):
-            for side, c in ((0, left[g]), (1, right[g])):
-                if not c:
-                    continue
-                if tier1.comp_of[c] == m_id:
-                    if side == 0:
-                        lleft[i] = loc_of[c]
-                    else:
-                        lright[i] = loc_of[c]
-                else:
-                    mini_portal_edges[(i, side)] = tier1.comp_of[c]
-        if len(mini_portal_edges) > 2:
-            raise CoverError("mini tree with more than two outgoing edges")
+    # types are interned in (t1, t2) order
+    mt1 = t1[micro_root]
+    rows = np.argsort(mt1, kind="stable").tolist()
+    flags = np.zeros((2, M + 1), dtype=idx)
+    flags[p_side, pk] = 1
+    nbits = (2 * shape_size + 1).tolist()
+    fl, fr = flags[0, 1:].tolist(), flags[1, 1:].tolist()
+    type_of = [0] * M
+    for j in rows:
+        type_of[j] = registry.intern_key(
+            (codes[byte_start[j]:byte_start[j + 1]], nbits[j], fl[j], fr[j]))
 
-        st_loc = array("i", [0]) * (k_mem + 1)
-        ls_loc = array("i", [0]) * (k_mem + 1)
-        for i in range(k_mem, 0, -1):
-            s = 1
-            if lleft[i]:
-                s += st_loc[lleft[i]]
-                ls_loc[i] = st_loc[lleft[i]]
-            if lright[i]:
-                s += st_loc[lright[i]]
-            st_loc[i] = s
-        ld_loc = array("i", [0]) * (k_mem + 1)
-        for i in range(1, k_mem + 1):
-            if lleft[i]:
-                ld_loc[lleft[i]] = ld_loc[i] + 1
-            if lright[i]:
-                ld_loc[lright[i]] = ld_loc[i]
+    portals_of: list[list[_Portal]] = [[] for _ in range(M)]
+    portal_pos = shape_pre[n:]
+    porder = np.lexsort((portal_pos, pk))
+    for j, owner_k, spos, kind, smini in zip(
+            porder.tolist(), pk[porder].tolist(), portal_pos[porder].tolist(),
+            p_mini[porder].tolist(), p_smini[porder].tolist()):
+        portals_of[owner_k - 1].append(
+            _Portal(spos, PORTAL_MINI if kind else PORTAL_MICRO, smini, j + 2))
 
-        tier2 = _decompose_links(k_mem, lleft, lright, micro_effective_b)
+    loc = np.zeros(n + 1, dtype=idx)  # mini-local preorder
+    loc[1:] = _rank_within(t1[1:])
+    ld = np.arange(n + 1, dtype=idx) - np.frombuffer(t.inorder_of, dtype=idx) + ls
+    mt2 = _rank_within(mt1)
+    fields = zip(mt1.tolist(), mt2.tolist(), micro_root.tolist(), loc[micro_root].tolist(),
+                 n_members.tolist(), shape_size.tolist(),
+                 (ld[micro_root] - ld[mini_root[mt1 - 1]]).tolist())
+    by_k = [_MicroInfo(m1, m2, j + 1, rg, rml, nm, ss, ldm, type_of[j], portals_of[j])
+            for j, (m1, m2, rg, rml, nm, ss, ldm) in enumerate(fields)]
+    micros: list[list[_MicroInfo]] = [[] for _ in range(n_minis)]
+    for j in rows:
+        micros[by_k[j].t1 - 1].append(by_k[j])
 
-        mini_portal_records = []
-        for (i, side), target_mini in sorted(mini_portal_edges.items()):
-            c_before = i if side == 0 else i + ls_loc[i]
-            mini_portal_records.append(_MiniPortal(c_before, side, i, 0, target_mini))
-        minis.append(_MiniInfo(mem[0], ld_global[mem[0]], k_mem, mini_portal_records))
-
-        row: list[_MicroInfo] = []
-        row_targets: list[tuple] = []
-        for mu_id in range(1, tier2.count + 1):
-            mu_mem = tier2.members[mu_id]
-            mu_root = tier2.roots[mu_id - 1]
-            shape_left = [0, 0]
-            shape_right = [0, 0]
-            counter = 0
-            portals: list[_Portal] = []
-            targets: list[tuple] = []
-            flag_l = flag_r = 0
-            stack = [(mu_root, 0, 0)]  # (payload, parent shape id, side); portals < 0
-            while stack:
-                node, par, side = stack.pop()
-                counter += 1
-                sid = counter
-                if sid >= len(shape_left):
-                    shape_left.append(0)
-                    shape_right.append(0)
-                if par:
-                    if side == 0:
-                        shape_left[par] = sid
-                    else:
-                        shape_right[par] = sid
-                if node < 0:
-                    portals[-node - 1].shape_pos = sid
-                    continue
-                g = mem[node - 1]
-                shape_pre_of[g] = sid
-                tau2_of[g] = mu_id
-                # push right first so the left child pops first (preorder ids)
-                for child_side, c in ((1, lright[node]), (0, lleft[node])):
-                    if c:
-                        if tier2.comp_of[c] == mu_id:
-                            stack.append((c, sid, child_side))
-                        else:
-                            stack.append((-len(portals) - 1, sid, child_side))
-                            portals.append(_Portal(0, PORTAL_MICRO, st_loc[c], 0))
-                            targets.append(("micro", m_id, tier2.comp_of[c]))
-                            if child_side == 0:
-                                flag_l = 1
-                            else:
-                                flag_r = 1
-                    elif (node, child_side) in mini_portal_edges:
-                        stack.append((-len(portals) - 1, sid, child_side))
-                        portals.append(_Portal(0, PORTAL_MINI, 0, 0))
-                        targets.append(("mini", mini_portal_edges[(node, child_side)]))
-                        if child_side == 0:
-                            flag_l = 1
-                        else:
-                            flag_r = 1
-            shape_size = counter
-            if micro_b >= 3 and shape_size > 2 * micro_b:
-                raise CoverError(  # pragma: no cover - guards decomposition bugs
-                    f"micro shape of {shape_size} nodes exceeds 2*micro_b={2 * micro_b}")
-            shape = BinaryTree.from_links(shape_size, shape_left, shape_right, 1)
-            for lid in mu_mem:
-                g = mem[lid - 1]
-                shape_in_of[g] = shape.inorder_of[shape_pre_of[g]]
-            if portals:
-                paired = sorted(zip(portals, targets), key=lambda e: e[0].shape_pos)
-                portals = [p for p, _ in paired]
-                targets = [tg for _, tg in paired]
-            type_id = registry.intern(zaks_bits(shape), flag_l, flag_r)
-            row.append(_MicroInfo(
-                t1=m_id, t2=mu_id, k=0,
-                root_global=mem[mu_root - 1],
-                root_minilocal=mu_root,
-                n_members=len(mu_mem),
-                shape_size=shape_size,
-                ld_minilocal=ld_loc[mu_root],
-                type_id=type_id,
-                portals=portals,
-            ))
-            row_targets.append(targets)
-        micros.append(row)
-        micro_targets.append(row_targets)
-
-    # global subtree sizes of mini-portal targets
-    for mini in minis:
-        for q in mini.portals:
-            q.s_global = st[tier1.roots[q.child_mini - 1]]
-
-    # assign micro-root-tree preorder ids (k) and resolve portal child links
-    resolved: list[list[list[_MicroInfo]]] = []
-    for t1, row in enumerate(micros, start=1):
-        row_children = []
-        for t2, m in enumerate(row, start=1):
-            kids = []
-            for tgt in micro_targets[t1 - 1][t2 - 1]:
-                if tgt[0] == "micro":
-                    kids.append(micros[tgt[1] - 1][tgt[2] - 1])
-                else:
-                    kids.append(micros[tgt[1] - 1][0])
-            row_children.append(kids)
-        resolved.append(row_children)
-    counter = 0
-    stack = [micros[0][0]]
-    while stack:
-        m = stack.pop()
-        counter += 1
-        m.k = counter
-        kids = resolved[m.t1 - 1][m.t2 - 1]
-        for child in sorted(kids, key=lambda c: c.root_global, reverse=True):
-            stack.append(child)
-    if counter != sum(len(r) for r in micros):
-        raise CoverError("micro-root tree does not reach every micro tree")
-    for t1, row in enumerate(micros, start=1):
-        for t2, m in enumerate(row, start=1):
-            kids = resolved[t1 - 1][t2 - 1]
-            for p, child in zip(m.portals, kids):
-                p.child_k = child.k
-    cov.minis = minis
+    # mini portals, ordered by (mini-local parent, side)
+    mini_portals: list[list[_MiniPortal]] = [[] for _ in range(n_minis)]
+    mp = parent[child_minis]
+    m_side = (right[mp] == child_minis).astype(idx)
+    lchild = left[mp]
+    ls_loc = np.where((m_side == 1) & (lchild != 0) & (t1[lchild] == owner),
+                      st_local(lchild), 0)
+    m_loc = loc[mp]
+    morder = np.lexsort((m_side, m_loc, owner))
+    for m, i, side, ls_i, sg, cm in zip(
+            owner[morder].tolist(), m_loc[morder].tolist(), m_side[morder].tolist(),
+            ls_loc[morder].tolist(), st[child_minis[morder]].tolist(),
+            t1[child_minis[morder]].tolist()):
+        mini_portals[m - 1].append(_MiniPortal(i + ls_i if side else i, side, i, sg, cm))
+    mini_size = np.bincount(t1[1:], minlength=n_minis + 1)[1:].tolist()
+    cov.minis = [_MiniInfo(r, ldr, size, ports) for r, ldr, size, ports in zip(
+        mini_root.tolist(), ld[mini_root].tolist(), mini_size, mini_portals)]
     cov.micros = micros
-    flat = [m for row in micros for m in row]
-    flat.sort(key=lambda m: m.k)
-    cov.micros_by_k = flat
-    cov.type_ids = [m.type_id for m in flat]
+    cov.micros_by_k = by_k
+    cov.type_ids = type_of
 
-    # piecewise-constant arrays over both traversal orders; a run breaks when
-    # the (mini, micro) pair changes or the shape-local index fails to step
-    for order in ("pre", "in"):
-        starts = []
-        v1 = array("q")
-        v2 = array("q")
-        v3 = array("q")
-        pt1 = pt2 = pt3 = -1
-        for pos in range(1, n + 1):
-            g = pos if order == "pre" else t.id_at_inorder[pos]
-            t1 = tau1_of[g]
-            t2 = tau2_of[g]
-            t3 = shape_pre_of[g] if order == "pre" else shape_in_of[g]
-            if t1 != pt1 or t2 != pt2 or t3 != pt3 + 1:
-                starts.append(pos)
-                v1.append(t1)
-                v2.append(t2)
-                v3.append(t3)
-            pt1, pt2, pt3 = t1, t2, t3
-        cov._install_pcas(starts, (v1, v2, v3), order=order)
+    # piecewise-constant arrays over both traversal orders
+    node_t2 = mt2[k_of - 1]
+    for order, g, shape_pos in (
+            ("pre", np.arange(1, n + 1), shape_pre),
+            ("in", np.frombuffer(t.id_at_inorder, dtype=idx)[1:], shape_in)):
+        t3 = shape_pos[g - 1]
+        at = _pca_runs(k_of[g], t3)
+        g = g[at]
+        values = tuple(array("q", v.astype(np.int64).tobytes())
+                       for v in (t1[g], node_t2[g], t3[at]))
+        cov._install_pcas((at + 1).tolist(), values, order=order)
 
     cov._build_tb()
     return cov

@@ -19,9 +19,12 @@ import struct
 from array import array
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bits import VariableCellArray
 from .serial import DecodeError, bits_to_bytes, bytes_to_bits
-from .treecode import decode_body, encode_body, zaks_decode
+from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequence,
+                       zaks_decode, zaks_sizes)
 from .trees import BinaryTree, EulerTourLca
 
 MODE_FIXED = "fixed"
@@ -97,7 +100,10 @@ class TypeRegistry:
         self._tables: dict[int, ShapeTable] = {}
 
     def intern(self, zaks: list[int], flag_left: int, flag_right: int) -> int:
-        key = micro_type_key(zaks, flag_left, flag_right)
+        return self.intern_key(micro_type_key(zaks, flag_left, flag_right))
+
+    def intern_key(self, key: tuple) -> int:
+        """Type id of a canonical key (see `micro_type_key`), added if new."""
         idx = self._index.get(key)
         if idx is None:
             idx = len(self.keys)
@@ -334,11 +340,31 @@ class TypeArray:
         return {"payload": sp["payload"], "directory": sp["directory"]}
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 def _bits_to_object(bits: list[int]) -> tuple[int, int]:
-    value = 0
-    for b in bits:
-        value = (value << 1) | b
-    return value, len(bits)
+    """(value, size) of a 0/1 list read MSB-first."""
+    return (int(bytes(bits).translate(_BIT_CHARS), 2) if bits else 0), len(bits)
+
+
+def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
+                 codebook: Codebook | None) -> tuple[int, int]:
+    """(value, size) of one type's payload, read off its canonical key."""
+    if mode == MODE_HUFFMAN:
+        return codebook.codes[type_id]
+    data, nbits, fl, fr = registry.keys[type_id]
+    zaks = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
+    if mode == MODE_FIXED:
+        return (((fl << 1) | fr) << nbits) | zaks, nbits + 2
+    # entropy: the size code unless the Zaks code is shorter (as in encode_body)
+    st, ls = zaks_sizes(np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits))
+    code = encode_size_sequence(st, ls)
+    if len(code) <= nbits:
+        body, size, selector = _bits_to_object(code)[0], len(code), SELECTOR_SIZECODE
+    else:
+        body, size, selector = zaks, nbits, SELECTOR_ZAKS
+    return (((fl << 2) | (fr << 1) | selector) << size) | body, size + 3
 
 
 def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
@@ -356,18 +382,7 @@ def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
     for t in type_ids:
         obj = per_type.get(t)
         if obj is None:
-            if mode == MODE_FIXED:
-                fl, fr = registry.flags(t)
-                bits = [fl, fr] + registry.zaks_bits(t)
-            elif mode == MODE_ENTROPY:
-                fl, fr = registry.flags(t)
-                tree, _ = zaks_decode(registry.zaks_bits(t))
-                selector, body = encode_body(tree)
-                bits = [fl, fr, selector] + body
-            else:
-                bits = codebook.encode_bits(t)
-            obj = _bits_to_object(bits)
-            per_type[t] = obj
+            obj = per_type[t] = _encode_type(registry, t, mode, codebook)
         objects.append(obj)
     vca = VariableCellArray(objects)
     return TypeArray(mode, vca, registry, codebook)

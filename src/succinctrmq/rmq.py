@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
+
 from .bits import VariableCellArray
 from .cover import TreeCover, build_cover
 from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, encode_types
 from .serial import DecodeError, read_stream, write_stream
-from .trees import build_cartesian
+from .trees import build_cartesian, order_keys
 
 
 class RmqIndex:
@@ -30,17 +32,16 @@ class RmqIndex:
     @classmethod
     def build(cls, values, codec: str = MODE_ENTROPY, mini_b: int | None = None,
               micro_b: int | None = None, validate: bool = True) -> "RmqIndex":
-        vals = list(values)
-        if not vals:
+        keys = order_keys(values)
+        if not len(keys):
             raise ValueError("cannot build an RMQ index over an empty array")
         if codec not in MODES:
             raise ValueError(f"unknown codec {codec!r}")
-        tree = build_cartesian(vals)
-        cover = build_cover(tree, mini_b=mini_b, micro_b=micro_b)
+        cover = build_cover(build_cartesian(keys), mini_b=mini_b, micro_b=micro_b)
         type_array = encode_types(cover.type_ids, cover.registry, codec)
-        index = cls(len(vals), codec, cover, type_array)
+        index = cls(len(keys), codec, cover, type_array)
         if validate:
-            index._validate_sample(vals)
+            index._validate_sample(keys)
         return index
 
     def query(self, i: int, j: int) -> int:
@@ -52,8 +53,10 @@ class RmqIndex:
         v = c.nodeselect_inorder(j)
         return c.noderank_inorder(c.lca(u, v))
 
-    def _validate_sample(self, vals) -> None:
-        """Build-time spot check against the source array (then forget it)."""
+    def _validate_sample(self, keys) -> None:
+        """Build-time spot check against the source array (then forget it);
+        `keys` is the array from `order_keys`, whose argmin is the leftmost
+        minimum."""
         rng = random.Random(0xC0FFEE ^ self.n)
         n = self.n
         queries = [(1, 1), (1, n), (n, n)]
@@ -67,10 +70,7 @@ class RmqIndex:
             queries.append((i, j))
         for i, j in queries:
             got = self.query(i, j)
-            best = i
-            for k in range(i + 1, j + 1):
-                if vals[k - 1] < vals[best - 1]:
-                    best = k
+            best = i + int(np.argmin(keys[i - 1:j]))
             if got != best:
                 raise AssertionError(
                     f"build validation failed: rmq({i},{j}) = {got}, scan says {best}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .serial import DecodeError, bits_to_bytes, bytes_to_bits, decode_varint, encode_varint
 from .trees import BinaryTree
 
@@ -47,39 +49,51 @@ class RangeEncoder:
             self.pending = 0
 
     def encode(self, s: int, k: int) -> None:
-        if not 0 <= k < s:
-            raise ValueError(f"symbol {k} outside model range 0..{s - 1}")
-        if s == 1:
-            return
-        low, high = self.low, self.high
-        span = high - low + 1
-        if s > span:  # pragma: no cover - span >= 2^60 after renormalization
-            raise ValueError("model too large for coder precision")
-        q, r = divmod(span, s)
-        if k < r:
-            off = k * (q + 1)
-            width = q + 1
-        else:
-            off = r * (q + 1) + (k - r) * q
-            width = q
-        low += off
-        high = low + width - 1
-        while True:
-            if high < _HALF:
-                self._emit(0)
-            elif low >= _HALF:
-                self._emit(1)
-                low -= _HALF
-                high -= _HALF
-            elif low >= _QUARTER and high < _THREE_QUARTER:
-                self.pending += 1
-                low -= _QUARTER
-                high -= _QUARTER
-            else:
-                break
-            low <<= 1
-            high = (high << 1) | 1
-        self.low, self.high = low, high
+        self.encode_all((s,), (k,))
+
+    def encode_all(self, models, symbols) -> None:
+        """encode(s, k) for each (s, k) of zip(models, symbols), in order."""
+        low, high, pending = self.low, self.high, self.pending
+        out = self.bits
+        try:
+            for s, k in zip(models, symbols):
+                if not 0 <= k < s:
+                    raise ValueError(f"symbol {k} outside model range 0..{s - 1}")
+                if s == 1:
+                    continue
+                span = high - low + 1
+                if s > span:  # pragma: no cover - span >= 2^60 after renormalization
+                    raise ValueError("model too large for coder precision")
+                q, r = divmod(span, s)
+                if k < r:
+                    low += k * (q + 1)
+                    high = low + q
+                else:
+                    low += r * (q + 1) + (k - r) * q
+                    high = low + q - 1
+                while True:
+                    if high < _HALF:
+                        out.append(0)
+                        if pending:
+                            out.extend([1] * pending)
+                            pending = 0
+                    elif low >= _HALF:
+                        out.append(1)
+                        if pending:
+                            out.extend([0] * pending)
+                            pending = 0
+                        low -= _HALF
+                        high -= _HALF
+                    elif low >= _QUARTER and high < _THREE_QUARTER:
+                        pending += 1
+                        low -= _QUARTER
+                        high -= _QUARTER
+                    else:
+                        break
+                    low <<= 1
+                    high = (high << 1) | 1
+        finally:  # a rejected symbol leaves the state of the symbols before it
+            self.low, self.high, self.pending = low, high, pending
 
     def finish(self) -> list[int]:
         """Emit the shortest dyadic disambiguation and return all bits."""
@@ -243,14 +257,44 @@ def encode_zaks(t: BinaryTree) -> list[int]:
     return zaks_bits(t)
 
 
+def encode_size_sequence(st, ls) -> list[int]:
+    """Arithmetic-code a preorder sequence of (subtree size, left size) pairs."""
+    enc = RangeEncoder()
+    enc.encode_all(st, ls)
+    return enc.finish()
+
+
 def encode_left_sizes(t: BinaryTree) -> list[int]:
     """Arithmetic-coded preorder left-subtree sizes (no header)."""
-    enc = RangeEncoder()
-    st, ls = t.st, t.ls
-    encode = enc.encode
-    for v in range(1, t.n + 1):
-        encode(st[v], ls[v])
-    return enc.finish()
+    return encode_size_sequence(t.st[1:], t.ls[1:])
+
+
+def zaks_sizes(bits) -> tuple[list[int], list[int]]:
+    """Preorder subtree sizes and left-subtree sizes of the tree whose Zaks
+    sequence is `bits`, without building the tree.
+
+    With excess +1 per 1-bit and -1 per 0-bit, the extended subtree of the
+    node at position p ends at the first position q >= p after which the
+    excess is one below its value before p; the subtree then has (q - p) / 2
+    nodes.  A node's left child, if any, is the next node in preorder.
+    """
+    b = np.asarray(bits, dtype=np.int64)
+    if not len(b):
+        raise DecodeError("empty Zaks stream")
+    step = 2 * b - 1
+    after = np.cumsum(step)
+    if after[-1] != -1 or after[:-1].min(initial=0) < 0:
+        raise DecodeError("not a single complete Zaks sequence")
+    width = len(b)
+    nodes = np.flatnonzero(b)
+    order = np.argsort(after, kind="stable")
+    keys = (after[order] + 1) * width + order
+    end = order[np.searchsorted(keys, (after[nodes] - step[nodes]) * width + nodes)]
+    st = (end - nodes) // 2
+    ls = np.zeros(len(nodes), dtype=np.int64)
+    has_left = np.flatnonzero(b[nodes + 1])
+    ls[has_left] = st[has_left + 1]
+    return st.tolist(), ls.tolist()
 
 
 def decode_left_sizes(n: int, bits, pos: int = 0) -> BinaryTree:
@@ -280,12 +324,12 @@ def decode_left_sizes(n: int, bits, pos: int = 0) -> BinaryTree:
 
 
 def encode_body(t: BinaryTree) -> tuple[int, list[int]]:
-    """(selector, body): whichever of the two encodings is shorter."""
+    """(selector, body): whichever of the two encodings is shorter (the size
+    code on a tie).  The Zaks code always takes 2n + 1 bits."""
     a = encode_left_sizes(t)
-    z = zaks_bits(t)
-    if len(a) <= len(z):
+    if len(a) <= 2 * t.n + 1:
         return SELECTOR_SIZECODE, a
-    return SELECTOR_ZAKS, z
+    return SELECTOR_ZAKS, zaks_bits(t)
 
 
 def decode_body(selector: int, bits, n: int, pos: int = 0) -> BinaryTree:

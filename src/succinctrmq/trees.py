@@ -181,38 +181,113 @@ class BinaryTree:
         return f"BinaryTree(n={self.n})"
 
 
+def _int_array(values) -> array:
+    return array("i", np.asarray(values, dtype=np.intc).tobytes())
+
+
+def _chain_lengths(nxt: np.ndarray, end: int) -> np.ndarray:
+    """Steps from each i along i -> nxt[i] -> ... until `end`, by pointer doubling."""
+    jump = np.append(nxt, end)  # `end` maps to itself
+    dist = (jump != end).astype(np.intc)
+    live = np.flatnonzero(dist)
+    while live.size:
+        dist[live] += dist[jump[live]]
+        jump[live] = jump[jump[live]]
+        live = live[jump[live] != end]
+    return dist[:-1]
+
+
 def _cartesian_from_ranks(ranks) -> BinaryTree:
-    """Stack-based linear construction; positions (1-based) are inorder."""
+    """Cartesian tree of distinct ranks; positions (1-based) are inorder.
+
+    One stack pass finds each position's nearest smaller rank to the left (L)
+    and right (R).  The subtree of position i then spans L+1..R-1, its parent
+    is whichever of L and R has the larger rank, and its preorder id is
+    in - ls + ld, where the left depth ld counts the ancestors to the right
+    of i: the chain R, R(R), ...
+    """
     n = len(ranks)
     if n == 0:
         return BinaryTree()
-    left = array("i", [0]) * (n + 1)
-    right = array("i", [0]) * (n + 1)
-    stack = []
-    for pos in range(1, n + 1):
-        r = ranks[pos - 1]
-        last = 0
-        while stack and ranks[stack[-1] - 1] > r:
-            last = stack.pop()
-        if last:
-            left[pos] = last
-        if stack:
-            right[stack[-1]] = pos
-        stack.append(pos)
-    return BinaryTree.from_links(n, left, right, stack[0])
+    near_l = array("i", [0]) * (n + 1)
+    near_r = array("i", [n + 1]) * (n + 1)
+    stack_pos = [0]
+    stack_rank = [-1]  # sentinel below every rank
+    pos = 0
+    for r in ranks:
+        pos += 1
+        while stack_rank[-1] > r:
+            stack_rank.pop()
+            near_r[stack_pos.pop()] = pos
+        near_l[pos] = stack_pos[-1]
+        stack_pos.append(pos)
+        stack_rank.append(r)
+    del stack_pos, stack_rank
+    lo = np.frombuffer(near_l, dtype=np.intc)
+    hi = np.frombuffer(near_r, dtype=np.intc)
+    at = np.arange(n + 1, dtype=np.intc)
+    ls = at - lo - 1
+    st = hi - lo - 1
+    ls[0] = st[0] = 0
+    rk = np.full(n + 2, -1, dtype=np.int64)
+    rk[1:n + 1] = ranks
+    par = np.where(rk[lo] > rk[hi], lo, hi)
+    del rk
+    par[par == n + 1] = 0  # the root: no smaller rank on either side
+    pre = at - ls + _chain_lengths(hi, n + 1)
+    child = np.flatnonzero(par)
+    on_left = par[child] == hi[child]
+    left = np.zeros(n + 1, dtype=np.intc)
+    right = np.zeros(n + 1, dtype=np.intc)
+    left[pre[par[child[on_left]]]] = pre[child[on_left]]
+    right[pre[par[child[~on_left]]]] = pre[child[~on_left]]
+    del child, on_left, lo, hi
+    node = np.empty(n + 1, dtype=np.intc)
+    node[pre] = at  # inorder position of each preorder id
+    t = BinaryTree()
+    t.n = n
+    t.left, t.right = _int_array(left), _int_array(right)
+    t.parent = _int_array(pre[par[node]])
+    t.st, t.ls = _int_array(st[node]), _int_array(ls[node])
+    t.inorder_of, t.id_at_inorder = _int_array(node), _int_array(pre)
+    return t
+
+
+def order_keys(values) -> np.ndarray:
+    """`values` as a 1-d array whose numpy order is Python's order.
+
+    Integer and exactly representable float inputs stay numeric; anything
+    else (mixed types, integers beyond 64 bits, strings) becomes an object
+    array, which numpy orders with Python's comparisons.
+    """
+    if isinstance(values, np.ndarray):
+        if values.ndim == 1 and values.dtype.kind in "biufO":
+            return values
+        values = values.tolist()
+    vals = values if isinstance(values, list) else list(values)
+    try:
+        arr = np.asarray(vals)
+    except (OverflowError, ValueError):
+        arr = None
+    if arr is not None and arr.ndim == 1:
+        kind = arr.dtype.kind
+        if kind in "biu" or (kind == "f" and all(
+                isinstance(v, float) or -(1 << 53) <= v <= 1 << 53 for v in vals)):
+            return arr
+    keys = np.empty(len(vals), dtype=object)
+    keys[:] = vals
+    return keys
 
 
 def build_cartesian(values) -> BinaryTree:
     """Cartesian tree of `values`: root at the minimum, left/right subtrees on
     the subarrays.  Equal keys break ties to the leftmost minimum.  The node
     with inorder index i corresponds to values[i-1]."""
-    vals = list(values)
-    n = len(vals)
-    order = sorted(range(n), key=lambda i: (vals[i], i))
-    ranks = [0] * n
-    for r, idx in enumerate(order):
-        ranks[idx] = r
-    return _cartesian_from_ranks(ranks)
+    keys = order_keys(values)
+    n = len(keys)
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[np.argsort(keys, kind="stable")] = np.arange(n)
+    return _cartesian_from_ranks(ranks.tolist())
 
 
 def sample_random_bst(n: int, seed: int) -> BinaryTree:

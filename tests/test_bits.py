@@ -3,7 +3,7 @@ import random
 import pytest
 
 from succinctrmq.bits import BitVec, CompressedBitVec, PiecewiseConstantArray, VariableCellArray
-from succinctrmq.serial import DecodeError
+from succinctrmq.serial import DecodeError, read_stream, write_stream
 
 
 def naive_rank(bits, alpha, i):
@@ -187,6 +187,36 @@ class TestVariableCellArray:
         a = VariableCellArray(objs)
         b = VariableCellArray.from_bytes(a.to_bytes())
         assert [b.object_bits(i) for i in (1, 2, 3)] == [a.object_bits(i) for i in (1, 2, 3)]
+
+    def test_serialization_word_boundaries(self):
+        # empty objects, objects ending on and straddling 64-bit word
+        # boundaries, and objects longer than two words
+        rng = random.Random(17)
+        sizes = [0, 1, 63, 64, 65, 0, 127, 128, 129, 200, 0, 1000, 5, 64, 0, 130]
+        objs = [(rng.getrandbits(s) if s else 0, s) for s in sizes]
+        objs[-1] = ((1 << 130) - 1, 130)
+        for block_size in (1, 3, None):
+            a = VariableCellArray(objs, block_size=block_size)
+            blob = a.to_bytes()
+            b = VariableCellArray.from_bytes(blob)
+            assert (b.m, b.total_bits, b.block_size) == (a.m, a.total_bits, a.block_size)
+            assert [b.object_bits(i) for i in range(1, len(objs) + 1)] == objs
+            assert [b.start(i) for i in range(1, len(objs) + 1)] == \
+                [a.start(i) for i in range(1, len(objs) + 1)]
+            assert b.to_bytes() == blob
+
+    def test_empty_array_roundtrip(self):
+        b = VariableCellArray.from_bytes(VariableCellArray([]).to_bytes())
+        assert (b.m, b.total_bits) == (0, 0)
+
+    def test_payload_length_checked(self):
+        a = VariableCellArray([(5, 3), ((1 << 70) - 1, 70)])
+        _, sections = read_stream(a.to_bytes())
+        for payload in (sections[b"PAYL"][:-8], sections[b"PAYL"] + bytes(8)):
+            blob = write_stream(1, [(b"HEAD", sections[b"HEAD"]), (b"SIZE", sections[b"SIZE"]),
+                                    (b"PAYL", payload)])
+            with pytest.raises(DecodeError):
+                VariableCellArray.from_bytes(blob)
 
 
 class TestPiecewiseConstantArray:

@@ -31,6 +31,21 @@ class TestSuffixArray:
             for k in range(1, len(sa)):
                 assert text[sa[k - 1] - 1:] < text[sa[k] - 1:]
 
+    @pytest.mark.parametrize("text", [b"abcab" * 400, b"a" * 3000,
+                                      b"b" * 1500 + b"a" + b"b" * 1500],
+                             ids=["periodic", "single-letter", "run-split"])
+    def test_many_doubling_rounds(self, text):
+        # long repeats keep ranks tied for the most rounds
+        sa = suffix_array(text)
+        assert sa == sorted(range(1, len(text) + 1), key=lambda i: text[i - 1:])
+        lcp = lcp_array(text, sa)
+        for k in range(2, len(text) + 1, 97):
+            a, b = text[sa[k - 2] - 1:], text[sa[k - 1] - 1:]
+            h = 0
+            while h < min(len(a), len(b)) and a[h] == b[h]:
+                h += 1
+            assert lcp[k] == h
+
     def test_lcp_matches_naive(self):
         rng = random.Random(4)
         text = bytes(rng.choice(b"ab") for _ in range(300))

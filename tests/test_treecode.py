@@ -19,6 +19,7 @@ from succinctrmq.treecode import (
     encode_zaks,
     decode_left_sizes,
     zaks_decode,
+    zaks_sizes,
 )
 from succinctrmq.trees import (
     build_cartesian,
@@ -76,6 +77,13 @@ class TestRangeCoder:
         with pytest.raises(ValueError):
             enc.encode(3, 3)
 
+    def test_rejected_symbol_keeps_earlier_ones(self):
+        enc = RangeEncoder()
+        with pytest.raises(ValueError):
+            enc.encode_all([5, 7, 3, 2], [4, 6, 3, 1])
+        dec = RangeDecoder(enc.finish())
+        assert [dec.decode(5), dec.decode(7)] == [4, 6]
+
 
 class TestCountHeader:
     @pytest.mark.parametrize("n", list(range(0, 40)) + [63, 64, 65, 127, 128, 1000, 10**6])
@@ -111,6 +119,19 @@ class TestZaks:
     def test_truncated(self):
         with pytest.raises(DecodeError):
             zaks_decode([1, 1, 0])
+
+    def test_sizes_match_tree(self):
+        trees = [sample_random_bst(n, n) for n in (1, 2, 9, 50, 400)]
+        trees += [left_path(30), zigzag_path(31), *enumerate_shapes(4)]
+        for t in trees:
+            st, ls = zaks_sizes(encode_zaks(t))
+            assert st == list(t.st[1:])
+            assert ls == list(t.ls[1:])
+
+    @pytest.mark.parametrize("bits", [[1, 1, 0], [1, 0, 0, 0], [0, 1, 0], []])
+    def test_sizes_reject_malformed(self, bits):
+        with pytest.raises(DecodeError):
+            zaks_sizes(bits)
 
 
 class TestSubtreeSizeCode:
