@@ -340,7 +340,7 @@ class TreeCover:
         """Left-subtree size of the node in the whole tree: shape value, plus
         portal subtrees hanging inside the shape-left range, plus mini-portal
         subtrees hanging inside the mini-local left range."""
-        ls_shape = table.tree.ls[t3]
+        ls_shape = table.ls[t3]
         lo, hi = t3 + 1, t3 + ls_shape
         ls_mini = ls_shape
         for p in m.portals:

@@ -41,12 +41,19 @@ def suffix_array(text: bytes) -> list[int]:
     return (sa + 1).tolist()
 
 
-def lcp_array(text: bytes, sa: list[int]) -> list[int]:
-    """Kasai's algorithm; returns LCP[1..n] as a 1-based list (index 0 unused)."""
+def inverse_suffix_array(sa: list[int]) -> list[int]:
+    """ISA[SA[k]] = k; a 1-based list (index 0 unused)."""
+    isa = np.zeros(len(sa) + 1, dtype=np.int64)
+    isa[sa] = np.arange(1, len(sa) + 1)
+    return isa.tolist()
+
+
+def lcp_array(text: bytes, sa: list[int], isa: list[int] | None = None) -> list[int]:
+    """Kasai's algorithm; returns LCP[1..n] as a 1-based list (index 0 unused).
+    `isa` is the inverse of `sa` (see `inverse_suffix_array`), derived if not
+    given."""
     n = len(text)
-    rank = [0] * (n + 1)
-    for pos, start in enumerate(sa, start=1):
-        rank[start] = pos
+    rank = inverse_suffix_array(sa) if isa is None else isa
     lcp = [0] * (n + 1)
     h = 0
     for i in range(1, n + 1):
@@ -73,10 +80,8 @@ class LcpData:
     @classmethod
     def from_text(cls, text: bytes) -> "LcpData":
         sa = suffix_array(text)
-        isa = [0] * (len(text) + 1)
-        for pos, start in enumerate(sa, start=1):
-            isa[start] = pos
-        return cls(text=text, sa=sa, isa=isa, lcp=lcp_array(text, sa))
+        isa = inverse_suffix_array(sa)
+        return cls(text=text, sa=sa, isa=isa, lcp=lcp_array(text, sa, isa))
 
     def lce(self, i: int, j: int, rmq_query) -> int:
         """Longest common extension of suffixes i and j via an RMQ over the

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import heapq
 import struct
-from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import opcount
 from .bits import VariableCellArray
-from .serial import DecodeError, bits_to_bytes, bytes_to_bits
+from .serial import DecodeError, bits_to_bytes
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequence,
-                       zaks_decode, zaks_sizes)
-from .trees import BinaryTree, EulerTourLca
+                       zaks_arrays, zaks_decode, zaks_sizes)
+from .trees import _int_array
 
 MODE_FIXED = "fixed"
 MODE_ENTROPY = "entropy"
@@ -41,54 +41,74 @@ def micro_type_key(zaks: list[int], flag_left: int, flag_right: int) -> tuple:
 
 
 class ShapeTable:
-    """Per-type lookup tables: LCA pairs, inorder<->preorder, subtree sizes,
-    left sizes, and left depths, all addressed by shape-local preorder."""
+    """Per-type lookup tables addressed by shape-local preorder: inorder <->
+    preorder, left sizes, left depths and in-micro LCA.
 
-    __slots__ = ("tree", "ld", "_lca")
+    All arrays are 1-based (slot 0 unused).  The LCA of two nodes is the node
+    of smallest preorder in the inorder range between them: every node of
+    that range lies in the LCA's subtree, and the LCA comes first in it.  The
+    inorder sequence of preorder ids is cut into BLOCK-entry blocks whose
+    minima carry a sparse table, so a query scans at most two partial blocks
+    and its operation count is bounded independently of the shape size.
+    """
 
-    def __init__(self, tree: BinaryTree):
-        self.tree = tree
-        n = tree.n
-        ld = array("i", [0]) * (n + 1)
-        for v in range(1, n + 1):
-            l = tree.left[v]
-            if l:
-                ld[l] = ld[v] + 1
-            r = tree.right[v]
-            if r:
-                ld[r] = ld[v]
-        self.ld = ld
-        children = [[] for _ in range(n + 1)]
-        for v in range(1, n + 1):
-            if tree.left[v]:
-                children[v].append(tree.left[v])
-            if tree.right[v]:
-                children[v].append(tree.right[v])
-        self._lca = EulerTourLca(n, children, 1)
+    BLOCK = 32
+
+    __slots__ = ("n", "in2pre", "pre2in", "ls", "ld", "_sparse")
+
+    def __init__(self, ls: np.ndarray, ld: np.ndarray):
+        """ls, ld: left-subtree sizes and left depths in preorder."""
+        n = len(ls)
+        if n == 0:
+            raise DecodeError("an empty shape has no lookup table")
+        pre = np.arange(1, n + 1)
+        pre2in = pre + ls - ld  # inorder = preorder + left size - left depth
+        padded = np.full(-(-(n + 1) // self.BLOCK) * self.BLOCK, n + 1, dtype=np.int64)
+        padded[pre2in] = pre  # slot 0 and the tail keep n + 1, above every id
+        level = padded.reshape(-1, self.BLOCK).min(axis=1)
+        sparse = [_int_array(level)]
+        span = 1
+        while 2 * span <= len(sparse[0]):
+            level = np.minimum(level[:-span], level[span:])
+            sparse.append(_int_array(level))
+            span *= 2
+        padded[0] = 0
+        self.n = n
+        self.in2pre = _int_array(padded[:n + 1])
+        self.pre2in = _int_array(np.concatenate(([0], pre2in)))
+        self.ls = _int_array(np.concatenate(([0], ls)))
+        self.ld = _int_array(np.concatenate(([0], ld)))
+        self._sparse = sparse
 
     @classmethod
     def from_zaks(cls, bits) -> "ShapeTable":
-        tree, _ = zaks_decode(list(bits))
-        return cls(tree)
+        _, ls, ld = zaks_arrays(bits)
+        return cls(ls, ld)
 
     def lca(self, a: int, b: int) -> int:
-        return self._lca.lca(a, b)
-
-    @property
-    def in2pre(self):
-        return self.tree.id_at_inorder
-
-    @property
-    def pre2in(self):
-        return self.tree.inorder_of
+        ia, ib = self.pre2in[a], self.pre2in[b]
+        if ia > ib:
+            ia, ib = ib, ia
+        seq = self.in2pre
+        block = self.BLOCK
+        ba, bb = ia // block, ib // block
+        if ba == bb:
+            opcount.add(ib - ia + 2)
+            return min(seq[ia:ib + 1])
+        best = min(min(seq[ia:(ba + 1) * block]), min(seq[bb * block:ib + 1]))
+        opcount.add(2 * block + 2)
+        if bb > ba + 1:
+            k = (bb - ba - 1).bit_length() - 1
+            level = self._sparse[k]
+            best = min(best, level[ba + 1], level[bb - (1 << k)])
+            opcount.add(4)
+        return best
 
     def space_bits(self) -> int:
-        """Designed table footprint (reported, not asserted)."""
-        n = self.tree.n
-        w = max(1, (2 * n).bit_length())
-        arrays = 6 * (n + 1) * w  # left, right, st, ls, in2pre, pre2in
-        euler = 4 * (2 * n + 1) * w
-        return arrays + euler + (n + 1) * w  # + left depths
+        """Designed table footprint (reported, not asserted): the four
+        per-node arrays plus the block minima and their sparse table."""
+        w = self.n.bit_length()
+        return w * (4 * (self.n + 1) + sum(len(level) for level in self._sparse))
 
 
 class TypeRegistry:
@@ -114,26 +134,38 @@ class TypeRegistry:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def zaks_bits(self, type_id: int) -> list[int]:
+    def _key_bits(self, type_id: int) -> np.ndarray:
         data, nbits, _, _ = self.keys[type_id]
-        return bytes_to_bits(data, nbits)
+        if nbits > 8 * len(data):
+            raise DecodeError("bit payload shorter than declared length")
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
+
+    def zaks_bits(self, type_id: int) -> list[int]:
+        return self._key_bits(type_id).tolist()
 
     def flags(self, type_id: int) -> tuple[int, int]:
         _, _, fl, fr = self.keys[type_id]
         return fl, fr
 
     def table(self, type_id: int) -> ShapeTable:
+        """The type's lookup table, built on first use.  A table is complete
+        before it enters the cache, so concurrent readers at worst build the
+        same table twice."""
         tbl = self._tables.get(type_id)
         if tbl is None:
-            tbl = ShapeTable.from_zaks(self.zaks_bits(type_id))
+            tbl = ShapeTable.from_zaks(self._key_bits(type_id))
             self._tables[type_id] = tbl
         return tbl
 
     def tables_built(self) -> int:
         return len(self._tables)
 
+    def clear_tables(self) -> None:
+        """Drop every built table; later queries rebuild what they touch."""
+        self._tables = {}
+
     def tables_space_bits(self) -> int:
-        return sum(t.space_bits() for t in self._tables.values())
+        return sum(t.space_bits() for t in list(self._tables.values()))
 
     def to_bytes(self) -> bytes:
         out = bytearray(struct.pack("<I", len(self.keys)))
@@ -358,7 +390,7 @@ def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
     if mode == MODE_FIXED:
         return (((fl << 1) | fr) << nbits) | zaks, nbits + 2
     # entropy: the size code unless the Zaks code is shorter (as in encode_body)
-    st, ls = zaks_sizes(np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits))
+    st, ls = zaks_sizes(registry._key_bits(type_id))
     code = encode_size_sequence(st, ls)
     if len(code) <= nbits:
         body, size, selector = _bits_to_object(code)[0], len(code), SELECTOR_SIZECODE

@@ -42,6 +42,7 @@ class RmqIndex:
         index = cls(len(keys), codec, cover, type_array)
         if validate:
             index._validate_sample(keys)
+            cover.registry.clear_tables()  # a fresh index holds no decoded tables
         return index
 
     def query(self, i: int, j: int) -> int:

@@ -269,31 +269,44 @@ def encode_left_sizes(t: BinaryTree) -> list[int]:
     return encode_size_sequence(t.st[1:], t.ls[1:])
 
 
-def zaks_sizes(bits) -> tuple[list[int], list[int]]:
-    """Preorder subtree sizes and left-subtree sizes of the tree whose Zaks
-    sequence is `bits`, without building the tree.
+def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Preorder subtree sizes, left-subtree sizes and left depths (int64
+    arrays) of the tree whose Zaks sequence is `bits`, without building it.
 
     With excess +1 per 1-bit and -1 per 0-bit, the extended subtree of the
     node at position p ends at the first position q >= p after which the
     excess is one below its value before p; the subtree then has (q - p) / 2
-    nodes.  A node's left child, if any, is the next node in preorder.
+    nodes.  A node's left child, if any, is the next node in preorder.  The
+    excess before a node counts the left edges above it: a left child starts
+    right after its parent's 1-bit, a right child after the parent's 1-bit
+    and the balanced left subtree.
     """
     b = np.asarray(bits, dtype=np.int64)
     if not len(b):
         raise DecodeError("empty Zaks stream")
+    if ((b != 0) & (b != 1)).any():
+        raise DecodeError("Zaks stream holds a value other than 0 or 1")
     step = 2 * b - 1
     after = np.cumsum(step)
     if after[-1] != -1 or after[:-1].min(initial=0) < 0:
         raise DecodeError("not a single complete Zaks sequence")
     width = len(b)
     nodes = np.flatnonzero(b)
+    before = after[nodes] - 1
     order = np.argsort(after, kind="stable")
     keys = (after[order] + 1) * width + order
-    end = order[np.searchsorted(keys, (after[nodes] - step[nodes]) * width + nodes)]
+    end = order[np.searchsorted(keys, before * width + nodes)]
     st = (end - nodes) // 2
     ls = np.zeros(len(nodes), dtype=np.int64)
     has_left = np.flatnonzero(b[nodes + 1])
     ls[has_left] = st[has_left + 1]
+    return st, ls, before
+
+
+def zaks_sizes(bits) -> tuple[list[int], list[int]]:
+    """Preorder subtree sizes and left-subtree sizes of the tree whose Zaks
+    sequence is `bits` (see `zaks_arrays`)."""
+    st, ls, _ = zaks_arrays(bits)
     return st.tolist(), ls.tolist()
 
 

@@ -156,3 +156,5 @@ class TestBench:
         assert main(["bench", "--n", "3000", "--queries", "200", "--kv"]) == 0
         kv = kv_lines(capsys.readouterr().out)
         assert float(kv["ops_per_query"]) > 0
+        assert float(kv["cold_us_per_query"]) > 0
+        assert float(kv["us_per_query"]) > 0

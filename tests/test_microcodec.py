@@ -17,9 +17,11 @@ from succinctrmq.microcodec import (
     encode_types,
     micro_type_key,
 )
-from succinctrmq.serial import bits_to_bytes
-from succinctrmq.treecode import encode_zaks, zaks_decode
-from succinctrmq.trees import build_cartesian, left_path, sample_random_bst
+from succinctrmq import opcount
+from succinctrmq.serial import DecodeError, bits_to_bytes
+from succinctrmq.treecode import encode_zaks, zaks_decode, zaks_sizes
+from succinctrmq.trees import (build_cartesian, caterpillar, enumerate_shapes, left_path,
+                               right_path, sample_random_bst, zigzag_path)
 
 
 def build_fixture_cover(n=3000, seed=5, mini_b=60, micro_b=7):
@@ -55,15 +57,35 @@ class TestMicroTypeKey:
         assert back.keys == reg.keys
 
 
+def check_table(table, t, pairs):
+    """The table agrees with the BinaryTree reference on every per-node array
+    and on the LCA of each (a, b) in pairs."""
+    assert table.n == t.n
+    assert list(table.pre2in) == list(t.inorder_of)  # fixes the shape
+    assert list(table.in2pre) == list(t.id_at_inorder)
+    assert list(table.ls) == list(t.ls)
+    for a, b in pairs:
+        assert table.lca(a, b) == t.lca(a, b), (a, b)
+
+
+def left_depths(t):
+    ld = [0] * (t.n + 1)
+    for v in range(2, t.n + 1):  # parents come first in preorder
+        p = t.parent[v]
+        ld[v] = ld[p] + (t.left[p] == v)
+    return ld
+
+
 class TestShapeTable:
     @pytest.mark.parametrize("seed", range(6))
     def test_tables_match_direct_computation(self, seed):
         t = sample_random_bst(random.Random(seed).randint(1, 60), seed)
         table = ShapeTable.from_zaks(encode_zaks(t))
-        assert table.tree.same_shape(t)
+        assert list(table.pre2in) == list(t.inorder_of)  # same shape
         for v in range(1, t.n + 1):
-            assert table.tree.st[v] == t.st[v]
-            assert table.tree.ls[v] == t.ls[v]
+            # the subtree of v is the set of nodes whose LCA with v is v
+            assert sum(table.lca(v, u) == v for u in range(1, t.n + 1)) == t.st[v]
+            assert table.ls[v] == t.ls[v]
             assert table.pre2in[v] == t.inorder_of[v]
             assert table.in2pre[t.inorder_of[v]] == v
             # left depth by walking the parent chain
@@ -84,7 +106,74 @@ class TestShapeTable:
         for type_id in range(len(cov.registry)):
             table = cov.registry.table(type_id)
             shape, _ = zaks_decode(cov.registry.zaks_bits(type_id))
-            assert table.tree.same_shape(shape)
+            assert list(table.pre2in) == list(shape.inorder_of)
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_every_small_shape_all_pairs(self, size):
+        nodes = range(1, size + 1)
+        for t in enumerate_shapes(size):
+            table = ShapeTable.from_zaks(encode_zaks(t))
+            check_table(table, t, [(a, b) for a in nodes for b in nodes])
+            assert list(table.ld) == left_depths(t)
+
+    @pytest.mark.parametrize("shape", ["left_path", "right_path", "caterpillar",
+                                       "zigzag", "bst-1", "bst-2", "bst-3"])
+    def test_large_shapes_sampled_pairs(self, shape):
+        n = 2000
+        t = {"left_path": lambda: left_path(n), "right_path": lambda: right_path(n),
+             "caterpillar": lambda: caterpillar(n), "zigzag": lambda: zigzag_path(n),
+             "bst-1": lambda: sample_random_bst(n, 1), "bst-2": lambda: sample_random_bst(777, 2),
+             "bst-3": lambda: sample_random_bst(65, 3)}[shape]()
+        rng = random.Random(shape)
+        pairs = [(rng.randint(1, t.n), rng.randint(1, t.n)) for _ in range(400)]
+        pairs += [(1, t.n), (t.n, 1), (1, 1), (t.n, t.n)]
+        table = ShapeTable.from_zaks(encode_zaks(t))
+        check_table(table, t, pairs)
+        assert list(table.ld) == left_depths(t)
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 97, 500, 2000])
+    def test_lca_operation_bound(self, n):
+        bound = 2 * ShapeTable.BLOCK + 6
+        rng = random.Random(n)
+        for t in (left_path(n), right_path(n), caterpillar(n), sample_random_bst(n, n)):
+            table = ShapeTable.from_zaks(encode_zaks(t))
+            worst = 0
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)]
+            for a, b in pairs + [(1, n), (n, 1)]:
+                start = opcount.snapshot()
+                table.lca(a, b)
+                worst = max(worst, opcount.snapshot() - start)
+            assert 0 < worst <= bound
+
+    @pytest.mark.parametrize("bits", [[1, 0], [1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1],
+                                      [1, 0, 0, 1, 0, 0], [0], [0, 0], [], [1, 2, 0]],
+                             ids=["truncated", "truncated-deeper", "overlong", "overlong-1",
+                                  "two-trees", "empty-shape", "empty-overlong", "no-bits",
+                                  "not-a-bit"])
+    def test_malformed_zaks_rejected(self, bits):
+        with pytest.raises(DecodeError):
+            ShapeTable.from_zaks(bits)
+
+    def test_registry_tables_from_key_bytes(self):
+        t = sample_random_bst(300, 4)
+        reg = TypeRegistry()
+        tid = reg.intern(encode_zaks(t), 1, 0)
+        assert reg.zaks_bits(tid) == encode_zaks(t)
+        assert reg.tables_built() == 0
+        table = reg.table(tid)
+        assert reg.table(tid) is table and reg.tables_built() == 1
+        check_table(table, t, [(1, 300), (17, 250), (299, 3)])
+        assert reg.tables_space_bits() == table.space_bits()
+        reg.clear_tables()
+        assert reg.tables_built() == 0 and reg.tables_space_bits() == 0
+
+    def test_space_bits_counts_held_arrays(self):
+        t = sample_random_bst(1000, 6)
+        table = ShapeTable.from_zaks(encode_zaks(t))
+        entries = (len(table.in2pre) + len(table.pre2in) + len(table.ls) + len(table.ld)
+                   + sum(len(level) for level in table._sparse))
+        assert table.space_bits() == entries * (1000).bit_length()
+        assert len(table._sparse[0]) == -(-1001 // ShapeTable.BLOCK)
 
 
 class TestHuffman:
@@ -201,9 +290,8 @@ class TestTypeArray:
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         envelope = 0.0
         for m in cov.all_micros():
-            table = cov.registry.table(m.type_id)
-            envelope += sum(math.log2(table.tree.st[v]) + 2
-                            for v in range(1, m.shape_size + 1))
+            st, _ = zaks_sizes(cov.registry.zaks_bits(m.type_id))
+            envelope += sum(math.log2(s) + 2 for s in st)
         assert ta.total_payload_bits() <= envelope
 
     def test_entropy_worst_case_envelope(self):

@@ -1,5 +1,8 @@
 import random
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
@@ -49,6 +52,19 @@ class TestBuild:
         after = [idx.query(i, j) for i in range(1, 7) for j in range(i, 7)]
         assert before == after
         assert not hasattr(idx, "values")
+
+    def test_no_tables_left_after_validation(self):
+        arr = np.random.default_rng(11).permutation(20000).tolist()
+        idx = RmqIndex.build(arr)
+        assert idx.cover.registry.tables_built() == 0
+        assert idx.space_report()["aux_detail"]["lookup_tables_built"] == 0
+        oracle = OracleRmq(arr, "sparse")
+        rng = random.Random(12)
+        for _ in range(2000):
+            i = rng.randint(1, 20000)
+            j = rng.randint(i, 20000)
+            assert idx.query(i, j) == oracle.query(i, j)
+        assert idx.cover.registry.tables_built() > 0
 
     def test_range_errors(self):
         idx = RmqIndex.build([3, 1, 2])
@@ -101,8 +117,6 @@ class TestEquivalence:
             check_all_pairs(idx, arr)
 
     def test_sampled_large(self):
-        import numpy as np
-
         arr = np.random.default_rng(5).permutation(50000).tolist()
         idx = RmqIndex.build(arr)
         oracle = OracleRmq(arr, "sparse")
@@ -139,6 +153,45 @@ class TestSerialization:
             i = rng.randint(1, 700)
             j = rng.randint(i, 700)
             assert back.query(i, j) == idx.query(i, j)
+
+    def test_concurrent_readers_of_fresh_load(self):
+        # four threads share one just-loaded index, so they build its lookup
+        # tables while the others read them
+        n = 20000
+        arr = np.random.default_rng(13).permutation(n).tolist()
+        blob = RmqIndex.build(arr).to_bytes()
+        oracle = OracleRmq(arr, "sparse")
+        idx = RmqIndex.from_bytes(blob)
+        assert idx.cover.registry.tables_built() == 0
+        rng = random.Random(14)
+        batches = []
+        for _ in range(4):
+            batch = []
+            for _ in range(1500):
+                i = rng.randint(1, n)
+                batch.append((i, rng.randint(i, n)))
+            batches.append(batch)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def reader(k):
+            start.wait()
+            results[k] = [idx.query(i, j) for i, j in batches[k]]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, inside table builds too
+        try:
+            threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(4):
+            assert results[k] == [oracle.query(i, j) for i, j in batches[k]]
+        assert idx.cover.registry.tables_built() > 0
 
     def test_malformed(self):
         idx = RmqIndex.build([4, 2, 7])
