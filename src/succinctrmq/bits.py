@@ -119,14 +119,23 @@ class BitVec:
     def rank0(self, i: int) -> int:
         return self.rank(0, i)
 
+    def pred1(self, i: int) -> tuple[int, int]:
+        """(r, select1(r)) for r = rank1(i): the 1-bits up to i and the position
+        of the last of them."""
+        r = self.rank(1, i)
+        return r, self.select(1, r)
+
     def select(self, alpha: int, k: int) -> int:
-        """Smallest i with rank_alpha(i) = k.  O(log n) binary search."""
+        """Smallest i with rank_alpha(i) = k.  O(log n) binary search, charged
+        as two operations per search step and per word scanned, plus one per
+        halving inside the word."""
         total = self._ones if alpha else self.n - self._ones
         if k < 1 or k > total:
             raise ValueError(f"select: no {k}-th bit of value {alpha}")
         # largest superblock whose prefix count is < k; for alpha = 0 the
         # trailing phantom bits overcount, which only lands the search early
         # (the word scan below recovers).
+        ops = 0
         lo, hi = 0, len(self._super) - 1
         while lo < hi:
             mid = (lo + hi + 1) >> 1
@@ -135,18 +144,19 @@ class BitVec:
                 lo = mid
             else:
                 hi = mid - 1
-            opcount.add(2)
+            ops += 2
         sb = lo
         k_rem = k - (self._super[sb] if alpha else min(sb * _SUPER_WORDS * _WORD, self.n) - self._super[sb])
         w = sb * _SUPER_WORDS
         nw = len(self._words)
         while w < nw:
-            opcount.add(2)
+            ops += 2
             word = self._words[w] if alpha else ~self._words[w] & 0xFFFFFFFFFFFFFFFF
             if w == nw - 1 and self.n & 63:
                 word &= (1 << (self.n & 63)) - 1
             c = word.bit_count()
             if k_rem <= c:
+                opcount.add(ops + _SELECT_IN_WORD_OPS)
                 return (w << 6) + _select_in_word(word, k_rem) + 1
             k_rem -= c
             w += 1
@@ -180,13 +190,15 @@ class BitVec:
         return cls.from_words(n, words)
 
 
+_SELECT_IN_WORD_OPS = 6  # one per halving step of `_select_in_word`
+
+
 def _select_in_word(word: int, k: int) -> int:
     """0-based position of the k-th set bit of a 64-bit word."""
     pos = 0
     for shift in (32, 16, 8, 4, 2, 1):
         low = word & ((1 << shift) - 1)
         c = low.bit_count()
-        opcount.add(1)
         if k > c:
             k -= c
             word >>= shift
@@ -292,6 +304,20 @@ class CompressedBitVec:
 
     def rank0(self, i: int) -> int:
         return self.rank(0, i)
+
+    def pred1(self, i: int) -> tuple[int, int]:
+        """(r, select1(r)) for r = rank1(i), in one call that charges what
+        rank1 and select1 charge; ValueError if no 1-bit is at or before i."""
+        if self._mode == self.DENSE:
+            return self._bv.pred1(i)
+        if not 0 <= i <= self.n:
+            raise IndexError(f"rank index {i} out of range 0..{self.n}")
+        blk = i >> _SPARSE_BLOCK_SHIFT
+        r = bisect_right(self._pos, i, self._block_rank[blk], self._block_rank[blk + 1])
+        if not r:
+            raise ValueError("select: no 0-th 1-bit")
+        opcount.add(12)  # rank1's 11 plus select1's single read
+        return r, self._pos[r - 1]
 
     def select(self, alpha: int, k: int) -> int:
         if self._mode == self.DENSE:

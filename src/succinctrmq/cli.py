@@ -220,6 +220,8 @@ def cmd_lcp_ingest(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.queries < 1:
+        raise ValueError(f"--queries must be at least 1, got {args.queries}")
     rng = np.random.default_rng(args.seed)
     values = rng.permutation(args.n).tolist()
     t0 = time.perf_counter()
@@ -235,13 +237,13 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     for i, j in warm_up:  # builds the lookup tables these queries touch
         index.query(i, j)
-    cold_us = (time.perf_counter() - t0) / max(1, len(warm_up)) * 1e6
+    cold_us = (time.perf_counter() - t0) / len(warm_up) * 1e6
     opcount.reset()
     t0 = time.perf_counter()
     for i, j in queries:
         index.query(i, j)
     query_s = time.perf_counter() - t0
-    ops = opcount.snapshot() / max(1, len(queries))
+    ops = opcount.snapshot() / len(queries)
     rep = index.space_report()
     _emit(args, f"bench n={args.n}: build {build_s:.2f}s, "
                 f"{query_s / len(queries) * 1e6:.1f} us/query "

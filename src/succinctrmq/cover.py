@@ -204,6 +204,8 @@ class TauName(NamedTuple):
     t3: int
 
 
+_tau = tuple.__new__  # builds a TauName without its keyword-parsing __new__
+
 PORTAL_MICRO = 0  # edge to another micro inside the same mini
 PORTAL_MINI = 1  # edge to another mini
 
@@ -327,80 +329,121 @@ class TreeCover:
     def nodeselect_inorder(self, i: int) -> TauName:
         if not 1 <= i <= self.n:
             raise IndexError(f"inorder index {i} out of range 1..{self.n}")
-        r = self.c_in.rank1(i)
-        base = self.c_in.select1(r)
+        r, base = self.c_in.pred1(i)
         t1, t2 = self.v1_in[r - 1], self.v2_in[r - 1]
-        t3_in = self.v3_in[r - 1] + (i - base)
-        m = self._micro(t1, t2)
-        table = self.registry.table(m.type_id)
+        if not 1 <= t1 <= len(self.minis):
+            raise ValueError(f"no mini tree {t1}")
+        row = self.micros[t1 - 1]
+        if not 1 <= t2 <= len(row):
+            raise ValueError(f"no micro tree ({t1},{t2})")
+        type_id = row[t2 - 1].type_id
+        table = self.registry.tables.get(type_id) or self.registry.table(type_id)
         opcount.add(4)
-        return TauName(t1, t2, table.in2pre[t3_in])
-
-    def _ls_global(self, m: _MicroInfo, t3: int, loc: int, table) -> int:
-        """Left-subtree size of the node in the whole tree: shape value, plus
-        portal subtrees hanging inside the shape-left range, plus mini-portal
-        subtrees hanging inside the mini-local left range."""
-        ls_shape = table.ls[t3]
-        lo, hi = t3 + 1, t3 + ls_shape
-        ls_mini = ls_shape
-        for p in m.portals:
-            opcount.add(1)
-            if lo <= p.shape_pos <= hi:
-                ls_mini += p.s_mini - 1
-        ls_g = ls_mini
-        mini = self.minis[m.t1 - 1]
-        for q in mini.portals:
-            opcount.add(1)
-            w = q.parent_minilocal
-            if (w == loc and q.side == 0) or (loc < w <= loc + ls_mini):
-                ls_g += q.s_global
-        return ls_g
+        return _tau(TauName, (t1, t2, table.in2pre[self.v3_in[r - 1] + (i - base)]))
 
     def noderank_inorder(self, name: TauName) -> int:
+        """Global inorder rank = global preorder + left-subtree size - left
+        depth.  One walk over the micro's portals checks that t3 is a node and
+        finds its mini-local preorder and in-mini left size; one walk over the
+        mini's portals adds the subtrees of other minis hanging before it and
+        inside its left subtree."""
         t1, t2, t3 = name
-        m = self._micro(t1, t2)
-        self._check_t3(m, t3)
-        table = self.registry.table(m.type_id)
-        loc = self._minilocal(m, t3)
+        if not 1 <= t1 <= len(self.minis):
+            raise ValueError(f"no mini tree {t1}")
+        row = self.micros[t1 - 1]
+        if not 1 <= t2 <= len(row):
+            raise ValueError(f"no micro tree ({t1},{t2})")
+        m = row[t2 - 1]
+        if not 1 <= t3 <= m.shape_size:
+            raise ValueError(f"shape position {t3} out of range")
+        table = self.registry.tables.get(m.type_id) or self.registry.table(m.type_id)
+        ls_mini = table.ls[t3]
+        hi = t3 + ls_mini  # shape-left range is t3 + 1 .. hi
+        loc = m.root_minilocal - 1 + t3
+        for p in m.portals:  # a portal leaf stands for s_mini members
+            pos = p.shape_pos
+            if pos < t3:
+                loc += p.s_mini - 1
+            elif pos == t3:
+                raise ValueError(f"shape position {t3} is a portal copy, not a node")
+            elif pos <= hi:
+                ls_mini += p.s_mini - 1
         mini = self.minis[t1 - 1]
         g = mini.root_global - 1 + loc
+        ls_g = ls_mini
+        end = loc + ls_mini
         for q in mini.portals:
-            opcount.add(1)
             if q.c_before < loc:
                 g += q.s_global
-        ls_g = self._ls_global(m, t3, loc, table)
-        ld = mini.ld_global + m.ld_minilocal + table.ld[t3]
-        opcount.add(4)
-        return g + ls_g - ld
+            w = q.parent_minilocal
+            if loc < w <= end or (w == loc and q.side == 0):
+                ls_g += q.s_global
+        # the portal check, mini-local preorder and left size each read every
+        # micro portal; preorder and left size each read every mini portal
+        opcount.add(3 * len(m.portals) + 2 * len(mini.portals) + 4)
+        return g + ls_g - (mini.ld_global + m.ld_minilocal + table.ld[t3])
 
     def lca(self, u: TauName, v: TauName) -> TauName:
-        mu = self._micro(u.t1, u.t2)
-        self._check_t3(mu, u.t3)
-        mv = self._micro(v.t1, v.t2)
-        self._check_t3(mv, v.t3)
+        u1, u2, u3 = u
+        v1, v2, v3 = v
+        n_minis = len(self.minis)
+        if not 1 <= u1 <= n_minis:
+            raise ValueError(f"no mini tree {u1}")
+        row = self.micros[u1 - 1]
+        if not 1 <= u2 <= len(row):
+            raise ValueError(f"no micro tree ({u1},{u2})")
+        mu = row[u2 - 1]
+        if not 1 <= u3 <= mu.shape_size:
+            raise ValueError(f"shape position {u3} out of range")
+        for p in mu.portals:
+            if p.shape_pos == u3:
+                raise ValueError(f"shape position {u3} is a portal copy, not a node")
+        if not 1 <= v1 <= n_minis:
+            raise ValueError(f"no mini tree {v1}")
+        row = self.micros[v1 - 1]
+        if not 1 <= v2 <= len(row):
+            raise ValueError(f"no micro tree ({v1},{v2})")
+        mv = row[v2 - 1]
+        if not 1 <= v3 <= mv.shape_size:
+            raise ValueError(f"shape position {v3} out of range")
+        for p in mv.portals:
+            if p.shape_pos == v3:
+                raise ValueError(f"shape position {v3} is a portal copy, not a node")
+        ops = len(mu.portals) + len(mv.portals)  # the portal-copy checks
+        tables = self.registry.tables
         if mu.k == mv.k:
-            table = self.registry.table(mu.type_id)
-            return TauName(u.t1, u.t2, table.lca(u.t3, v.t3))
+            table = tables.get(mu.type_id) or self.registry.table(mu.type_id)
+            opcount.add(ops)
+            return _tau(TauName, (u1, u2, table.lca(u3, v3)))
         k = self.tb.lca(mu.k, mv.k)
         if k != mu.k and k != mv.k:
             # both entry points are portals of the meeting micro
             mk = self.micros_by_k[k - 1]
-            pu = self._portal_toward(mk, mu.k)
-            pv = self._portal_toward(mk, mv.k)
-            table = self.registry.table(mk.type_id)
-            return TauName(mk.t1, mk.t2, table.lca(pu.shape_pos, pv.shape_pos))
+            pos_u, ops_u = self._portal_toward(mk, mu.k)
+            pos_v, ops_v = self._portal_toward(mk, mv.k)
+            table = tables.get(mk.type_id) or self.registry.table(mk.type_id)
+            opcount.add(ops + ops_u + ops_v)
+            return _tau(TauName, (mk.t1, mk.t2, table.lca(pos_u, pos_v)))
         if k == mv.k:
-            u, v, mu, mv = v, u, mv, mu
+            u3, mu, mv = v3, mv, mu
         # mu's root is an ancestor of v: meet inside mu via the portal toward v
-        p = self._portal_toward(mu, mv.k)
-        table = self.registry.table(mu.type_id)
-        return TauName(mu.t1, mu.t2, table.lca(u.t3, p.shape_pos))
+        pos, ops_p = self._portal_toward(mu, mv.k)
+        table = tables.get(mu.type_id) or self.registry.table(mu.type_id)
+        opcount.add(ops + ops_p)
+        return _tau(TauName, (mu.t1, mu.t2, table.lca(u3, pos)))
 
-    def _portal_toward(self, m: _MicroInfo, k_target: int) -> _Portal:
+    def _portal_toward(self, m: _MicroInfo, k_target: int) -> tuple[int, int]:
+        """Shape position of m's portal whose child micro is k_target or one of
+        its ancestors, and the operations spent: a portal read and a two-read
+        ancestor test per portal tried."""
+        enter, exit_ = self.tb.enter, self.tb.exit
+        e, x = enter[k_target], exit_[k_target]
+        ops = 0
         for p in m.portals:
-            opcount.add(1)
-            if self.tb.is_ancestor(p.child_k, k_target):
-                return p
+            ops += 3
+            c = p.child_k
+            if enter[c] <= e and x <= exit_[c]:
+                return p.shape_pos, ops
         raise AssertionError("portal descent failed")  # pragma: no cover
 
     # ---- reporting ---------------------------------------------------------
@@ -435,7 +478,7 @@ class TreeCover:
             "per_mini_tables": per_mini,
             "pca_preorder": self._pca_space(self._pca_pre, self.c_pre),
             "pca_inorder": self._pca_space(self._pca_in, self.c_in),
-            "micro_root_tree": self._tb_space(),
+            "micro_root_tree": self.tb.space_bits(),
             "lookup_tables_built": self.registry.tables_space_bits(),
         }
 
@@ -446,14 +489,6 @@ class TreeCover:
         for p in pcas:
             total += p.space_bits()["values"]
         return total
-
-    def _tb_space(self) -> int:
-        ell = len(self.micros_by_k)
-        w = _bitlen(2 * ell + 1)
-        tour = 2 * (2 * ell + 1) * w  # euler node + depth entries
-        times = 3 * (ell + 1) * w  # first/enter/exit
-        blocks = (2 * ell // EulerTourLca.BLOCK + 2) * w * 2
-        return tour + times + blocks
 
     def dump(self) -> str:
         """Human-readable component listing."""

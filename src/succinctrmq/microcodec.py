@@ -96,12 +96,13 @@ class ShapeTable:
             opcount.add(ib - ia + 2)
             return min(seq[ia:ib + 1])
         best = min(min(seq[ia:(ba + 1) * block]), min(seq[bb * block:ib + 1]))
-        opcount.add(2 * block + 2)
         if bb > ba + 1:
             k = (bb - ba - 1).bit_length() - 1
             level = self._sparse[k]
             best = min(best, level[ba + 1], level[bb - (1 << k)])
-            opcount.add(4)
+            opcount.add(2 * block + 6)
+        else:
+            opcount.add(2 * block + 2)
         return best
 
     def space_bits(self) -> int:
@@ -117,7 +118,8 @@ class TypeRegistry:
     def __init__(self):
         self.keys: list[tuple] = []
         self._index: dict[tuple, int] = {}
-        self._tables: dict[int, ShapeTable] = {}
+        # built tables by type id; the query path reads it before `table`
+        self.tables: dict[int, ShapeTable] = {}
 
     def intern(self, zaks: list[int], flag_left: int, flag_right: int) -> int:
         return self.intern_key(micro_type_key(zaks, flag_left, flag_right))
@@ -151,21 +153,21 @@ class TypeRegistry:
         """The type's lookup table, built on first use.  A table is complete
         before it enters the cache, so concurrent readers at worst build the
         same table twice."""
-        tbl = self._tables.get(type_id)
+        tbl = self.tables.get(type_id)
         if tbl is None:
             tbl = ShapeTable.from_zaks(self._key_bits(type_id))
-            self._tables[type_id] = tbl
+            self.tables[type_id] = tbl
         return tbl
 
     def tables_built(self) -> int:
-        return len(self._tables)
+        return len(self.tables)
 
     def clear_tables(self) -> None:
         """Drop every built table; later queries rebuild what they touch."""
-        self._tables = {}
+        self.tables = {}
 
     def tables_space_bits(self) -> int:
-        return sum(t.space_bits() for t in list(self._tables.values()))
+        return sum(t.space_bits() for t in list(self.tables.values()))
 
     def to_bytes(self) -> bytes:
         out = bytearray(struct.pack("<I", len(self.keys)))

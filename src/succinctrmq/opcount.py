@@ -1,8 +1,11 @@
 """Global primitive-operation counter for query-cost accounting.
 
 A "primitive operation" is one directory/array read or one loop iteration
-inside a query structure.  Structures on the query path report their actual
-work through ``add``; the counter is cheap enough to stay always-on.
+inside a query structure.  Structures on the query path tally their work
+locally and report it with a single ``add`` per layer call (rank/select,
+inorder select, LCA, the micro-root-tree and in-micro LCA, inorder rank), so
+the totals are the per-read counts while a query makes only a handful of
+calls; the counter is cheap enough to stay always-on.
 """
 
 OPS = 0

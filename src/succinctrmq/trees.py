@@ -415,116 +415,93 @@ def complete_tree(levels: int) -> BinaryTree:
 class EulerTourLca:
     """Constant-time LCA and ancestor tests over a rooted ordinal tree.
 
-    Euler tour with depth minima over fixed 32-entry blocks plus a sparse
-    table over the block minima: queries scan at most two partial blocks,
-    so the operation count is bounded independently of the tree size.
+    The Euler tour is held as one packed key per entry, ``(depth << 32) |
+    node``, so the smallest key in a range names the shallowest node there.
+    The LCA of a and b is the shallowest node between their first visits;
+    keys are cut into BLOCK-entry blocks whose minima carry a sparse table, so
+    a query scans at most two partial blocks and its operation count is
+    bounded independently of the tree size.
     """
 
     BLOCK = 32
 
-    __slots__ = ("first", "enter", "exit", "_euler", "_edepth", "_bmin_pos", "_sparse", "_log")
+    __slots__ = ("first", "enter", "exit", "_keys", "_sparse")
 
     def __init__(self, size: int, children, root: int):
         """children: list of child-id lists, indexed 1..size."""
         euler = array("i")
-        edepth = array("i")
+        depth = array("i", [0]) * (size + 1)
         first = array("i", [0]) * (size + 1)
         enter = array("i", [0]) * (size + 1)
         exit_ = array("i", [0]) * (size + 1)
-        depth = array("i", [0]) * (size + 1)
-        timer = 0
-        stack = [(root, 0)]
+        timer = 1
+        enter[root] = 1
+        stack = [(root, iter(children[root]))]
         while stack:
-            v, ci = stack[-1]
-            if ci == 0:
-                timer += 1
-                enter[v] = timer
-                first[v] = len(euler)
+            v, kids = stack[-1]
             euler.append(v)
-            edepth.append(depth[v])
-            kids = children[v]
-            if ci < len(kids):
-                stack[-1] = (v, ci + 1)
-                c = kids[ci]
+            c = next(kids, 0)
+            if c:
+                timer += 1
+                enter[c] = timer
+                first[c] = len(euler)
                 depth[c] = depth[v] + 1
-                stack.append((c, 0))
+                stack.append((c, iter(children[c])))
             else:
                 timer += 1
                 exit_[v] = timer
                 stack.pop()
+        tour = np.frombuffer(euler, dtype=np.intc).astype(np.int64)
+        keys = (np.frombuffer(depth, dtype=np.intc).astype(np.int64)[tour] << 32) | tour
+        padded = np.full(-(-len(keys) // self.BLOCK) * self.BLOCK, np.iinfo(np.int64).max)
+        padded[:len(keys)] = keys
+        level = padded.reshape(-1, self.BLOCK).min(axis=1)
+        sparse = [array("q", level.tobytes())]
+        span = 1
+        while 2 * span <= len(sparse[0]):
+            level = np.minimum(level[:-span], level[span:])
+            sparse.append(array("q", level.tobytes()))
+            span *= 2
         self.first = first
         self.enter = enter
         self.exit = exit_
-        self._euler = euler
-        self._edepth = edepth
-        # block minima (position of minimum depth per block)
-        nb = (len(euler) + self.BLOCK - 1) // self.BLOCK
-        bpos = array("i")
-        for b in range(nb):
-            lo = b * self.BLOCK
-            hi = min(lo + self.BLOCK, len(euler))
-            best = lo
-            for i in range(lo + 1, hi):
-                if edepth[i] < edepth[best]:
-                    best = i
-            bpos.append(best)
-        self._bmin_pos = bpos
-        # sparse table of argmin positions over blocks
-        log = array("b", [0]) * (nb + 1)
-        for i in range(2, nb + 1):
-            log[i] = log[i >> 1] + 1
-        self._log = log
-        levels = [bpos]
-        span = 1
-        while 2 * span <= nb:
-            prev = levels[-1]
-            cur = array("i")
-            for i in range(nb - 2 * span + 1):
-                a, b = prev[i], prev[i + span]
-                cur.append(a if edepth[a] <= edepth[b] else b)
-            levels.append(cur)
-            span *= 2
-        self._sparse = levels
-
-    def _argmin_blocks(self, b1: int, b2: int) -> int:
-        """Euler position of the minimum depth across blocks b1..b2 inclusive."""
-        k = self._log[b2 - b1 + 1]
-        left = self._sparse[k][b1]
-        right = self._sparse[k][b2 - (1 << k) + 1]
-        opcount.add(4)
-        return left if self._edepth[left] <= self._edepth[right] else right
+        self._keys = keys.tolist()
+        self._sparse = sparse
 
     def lca(self, a: int, b: int) -> int:
         ia, ib = self.first[a], self.first[b]
         if ia > ib:
             ia, ib = ib, ia
-        edepth = self._edepth
-        ba, bb = ia // self.BLOCK, ib // self.BLOCK
-        best = ia
+        keys = self._keys
+        block = self.BLOCK
+        ba, bb = ia // block, ib // block
         if ba == bb:
-            for i in range(ia + 1, ib + 1):
-                if edepth[i] < edepth[best]:
-                    best = i
             opcount.add(ib - ia + 2)
+            return min(keys[ia:ib + 1]) & 0xFFFFFFFF
+        best = min(min(keys[ia:(ba + 1) * block]), min(keys[bb * block:ib + 1]))
+        if bb > ba + 1:
+            k = (bb - ba - 1).bit_length() - 1
+            level = self._sparse[k]
+            best = min(best, level[ba + 1], level[bb - (1 << k)])
+            opcount.add(2 * block + 6)
         else:
-            end_a = (ba + 1) * self.BLOCK
-            for i in range(ia + 1, end_a):
-                if edepth[i] < edepth[best]:
-                    best = i
-            for i in range(bb * self.BLOCK, ib + 1):
-                if edepth[i] < edepth[best]:
-                    best = i
-            opcount.add(2 * self.BLOCK + 2)
-            if bb > ba + 1:
-                mid = self._argmin_blocks(ba + 1, bb - 1)
-                if edepth[mid] < edepth[best]:
-                    best = mid
-        return self._euler[best]
+            opcount.add(2 * block + 2)
+        return best & 0xFFFFFFFF
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff a is an ancestor of b (or a == b)."""
         opcount.add(2)
         return self.enter[a] <= self.enter[b] and self.exit[b] <= self.exit[a]
+
+    def space_bits(self) -> int:
+        """Designed widths of the held arrays: the packed tour keys and their
+        block sparse table at depth + node bits per entry, and first/enter/exit
+        at the width of a tour position."""
+        size = len(self.first) - 1
+        key_w = max(1, (max(self._keys) >> 32).bit_length()) + max(1, size.bit_length())
+        keys = (len(self._keys) + sum(len(level) for level in self._sparse)) * key_w
+        times = 3 * (size + 1) * max(1, (2 * size).bit_length())
+        return keys + times
 
 
 def caterpillar(n: int) -> BinaryTree:

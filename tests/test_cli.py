@@ -158,3 +158,9 @@ class TestBench:
         assert float(kv["ops_per_query"]) > 0
         assert float(kv["cold_us_per_query"]) > 0
         assert float(kv["us_per_query"]) > 0
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_rejects_no_queries(self, count, capsys):
+        assert main(["bench", "--n", "1000", "--queries", count]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--queries" in err

@@ -1,8 +1,10 @@
-"""Golden bytes: the serialized index must not change unless the format does.
+"""Golden bytes and answers: the serialized index must not change unless the
+format does, and queries must keep their answers and operation counts.
 
-The digests were recorded from the index builder before its construction path
-was rewritten; a change to any of them means a different file, not just a
-different way of building the same one.
+The byte digests were recorded from the index builder before its construction
+path was rewritten; a change to any of them means a different file, not just a
+different way of building the same one.  The query digests were recorded from
+the query path before it was flattened.
 """
 
 import hashlib
@@ -10,6 +12,8 @@ import random
 
 import pytest
 
+from succinctrmq import opcount
+from succinctrmq.bits import CompressedBitVec
 from succinctrmq.rmq import RmqIndex
 
 
@@ -42,3 +46,59 @@ INPUTS = {"perm": seeded_permutation, "ties": many_ties}
 def test_index_bytes_unchanged(kind, n, codec, digest):
     blob = RmqIndex.build(INPUTS[kind](n), codec=codec).to_bytes()
     assert hashlib.sha1(blob).hexdigest() == digest
+
+
+def golden_queries(n: int) -> list[tuple[int, int]]:
+    """3000 seeded 1-based ranges: random, short (length <= 64), and full,
+    prefix and suffix ranges."""
+    rng = random.Random(2718)
+    out = []
+    for _ in range(1400):
+        i, j = rng.randint(1, n), rng.randint(1, n)
+        out.append((min(i, j), max(i, j)))
+    for _ in range(1400):
+        i = rng.randint(1, n)
+        out.append((i, min(n, i + rng.randint(0, 63))))
+    out.append((1, n))
+    for _ in range(99):
+        out.append((1, rng.randint(1, n)))
+    for _ in range(100):
+        out.append((rng.randint(1, n), n))
+    return out
+
+
+def answers_and_ops(index: RmqIndex, queries) -> tuple[list[int], list[int]]:
+    answers, ops = [], []
+    for i, j in queries:
+        start = opcount.snapshot()
+        answers.append(index.query(i, j))
+        ops.append(opcount.snapshot() - start)
+    return answers, ops
+
+
+def digest(values: list[int]) -> str:
+    return hashlib.sha1(",".join(map(str, values)).encode("ascii")).hexdigest()
+
+
+# SHA-1 of the answers and of the per-query operation counts; the DENSE case
+# takes select through the plain bit vector, the others through the sparse one.
+GOLDEN_QUERIES = [
+    ("perm", None, CompressedBitVec.SPARSE, "c6b2bc5ae1a1977f374dfe4a05c6c6ea1a9ef63e",
+     "ae64667f54926fd498a2e7a41976264490f89b2a"),
+    ("perm", 4, CompressedBitVec.DENSE, "c6b2bc5ae1a1977f374dfe4a05c6c6ea1a9ef63e",
+     "25f81d07e2c2d5c4f43c0a106a8bbe695d9f0966"),
+    ("ties", None, None, "cd95f6121e1013a98d6410d6a4d805ca06ce8885",
+     "1de91ee40ec7d4a6a244cc70b4846e925d5df13a"),
+]
+
+
+@pytest.mark.parametrize("kind,micro_b,c_in_mode,answers_sha,ops_sha", GOLDEN_QUERIES,
+                         ids=[f"{k}-micro_b={m}" for k, m, *_ in GOLDEN_QUERIES])
+def test_query_answers_and_ops_unchanged(kind, micro_b, c_in_mode, answers_sha, ops_sha):
+    n = 20000
+    index = RmqIndex.build(INPUTS[kind](n), micro_b=micro_b)
+    if c_in_mode is not None:
+        assert index.cover.c_in.mode == c_in_mode
+    answers, ops = answers_and_ops(index, golden_queries(n))
+    assert digest(answers) == answers_sha
+    assert digest(ops) == ops_sha

@@ -4,9 +4,11 @@ import random
 import numpy as np
 import pytest
 
+from succinctrmq import opcount
 from succinctrmq.trees import (
     BinaryTree,
     ENTROPY_RATE_LIMIT,
+    EulerTourLca,
     build_cartesian,
     caterpillar,
     complete_tree,
@@ -238,3 +240,92 @@ class TestShapeFactories:
         assert a.same_shape(left_path(5))
         b = build_cartesian([1, 2, 3])
         assert b.same_shape(right_path(3))
+
+
+def random_ordinal_tree(size: int, seed: int):
+    """Random recursive tree on shuffled labels 1..size: (children, root, parent).
+    Labels are not in preorder and children keep their random attach order."""
+    rng = random.Random(seed)
+    labels = list(range(1, size + 1))
+    rng.shuffle(labels)
+    parent = [0] * (size + 1)
+    children = [[] for _ in range(size + 1)]
+    for idx in range(1, size):
+        p = labels[rng.randrange(idx)]
+        parent[labels[idx]] = p
+        children[p].append(labels[idx])
+    return children, labels[0], parent
+
+
+def brute_lca(parent, a, b):
+    above = set()
+    while a:
+        above.add(a)
+        a = parent[a]
+    while b not in above:
+        b = parent[b]
+    return b
+
+
+def brute_is_ancestor(parent, a, b):
+    while b and b != a:
+        b = parent[b]
+    return b == a
+
+
+class TestEulerTourLca:
+    def check(self, size, children, root, parent, pairs):
+        tb = EulerTourLca(size, children, root)
+        bound = 2 * EulerTourLca.BLOCK + 6
+        for a, b in pairs:
+            start = opcount.snapshot()
+            got = tb.lca(a, b)
+            assert opcount.snapshot() - start <= bound
+            assert got == brute_lca(parent, a, b), (a, b)
+            assert tb.is_ancestor(a, b) == brute_is_ancestor(parent, a, b), (a, b)
+            assert tb.is_ancestor(b, a) == brute_is_ancestor(parent, b, a), (a, b)
+
+    @staticmethod
+    def pairs(size, seed, count=3000):
+        if size * size <= count:
+            return [(a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
+        rng = random.Random(seed)
+        return [(rng.randint(1, size), rng.randint(1, size)) for _ in range(count)]
+
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64, 65, 66, 1000])
+    def test_random_ordinal_trees(self, size):
+        for seed in range(3):
+            children, root, parent = random_ordinal_tree(size, 100 * size + seed)
+            self.check(size, children, root, parent, self.pairs(size, seed))
+
+    def test_path(self):
+        size = 3000
+        labels = list(range(1, size + 1))
+        random.Random(5).shuffle(labels)
+        parent = [0] * (size + 1)
+        children = [[] for _ in range(size + 1)]
+        for up, down in zip(labels, labels[1:]):
+            parent[down] = up
+            children[up].append(down)
+        pairs = self.pairs(size, 6)
+        pairs += [(labels[0], labels[-1]), (labels[-1], labels[0]), (labels[-1], labels[-1])]
+        self.check(size, children, labels[0], parent, pairs)
+
+    def test_star(self):
+        leaves = 500
+        size = leaves + 1
+        root = 250
+        others = [v for v in range(1, size + 1) if v != root]
+        parent = [0] * (size + 1)
+        for v in others:
+            parent[v] = root
+        children = [[] for _ in range(size + 1)]
+        children[root] = others[::-1]
+        self.check(size, children, root, parent, self.pairs(size, 7))
+
+    def test_space_counts_held_arrays(self):
+        # root 1 with child 2: tour 1 2 1, one block, so four packed keys of
+        # 1 depth bit + 2 node bits, and first/enter/exit for slots 0..2 at
+        # the 3 bits of a tour time up to 4
+        tb = EulerTourLca(2, [[], [2], []], 1)
+        assert tb.space_bits() == 4 * 3 + 3 * 3 * 3
