@@ -495,14 +495,12 @@ class PiecewiseConstantArray:
     """Run-compressed array with constant-time access and run-length queries.
 
     Stores the distinct run values densely plus a compressed change-position
-    bit vector C (C[1] = 1 always); access(i) = V[rank1(C, i)].  Several
-    arrays sharing identical run boundaries may share one C (pass ``shared_c``
-    to skip it in this array's space accounting).
+    bit vector C (C[1] = 1 always); access(i) = V[rank1(C, i)].
     """
 
-    __slots__ = ("n", "C", "values", "_width", "_c_shared")
+    __slots__ = ("n", "C", "values", "_width")
 
-    def __init__(self, values, run_starts=None, n=None, c=None, c_shared=False):
+    def __init__(self, values, run_starts=None, n=None, c=None):
         if run_starts is None:
             seq = list(values)
             self.n = len(seq)
@@ -516,7 +514,6 @@ class PiecewiseConstantArray:
                 prev = v
             self.values = vals
             self.C = CompressedBitVec.from_positions(self.n, starts)
-            self._c_shared = False
         else:
             if n is None:
                 raise ValueError("n required with explicit run starts")
@@ -526,7 +523,6 @@ class PiecewiseConstantArray:
                 self.C = c
             else:
                 self.C = CompressedBitVec.from_positions(n, list(run_starts))
-            self._c_shared = c_shared and c is not None
             if self.C.ones != len(self.values):
                 raise ValueError("run count must equal value count")
         mx = max((abs(int(v)) for v in self.values), default=0)
@@ -547,11 +543,9 @@ class PiecewiseConstantArray:
         return i - self.C.select1(r) + 1
 
     def space_bits(self) -> dict:
-        vbits = len(self.values) * self._width
-        if self._c_shared:
-            return {"values": vbits, "change_vector": 0}
         c = self.C.space_bits()
-        return {"values": vbits, "change_vector": c["payload"] + c["directory"]}
+        return {"values": len(self.values) * self._width,
+                "change_vector": c["payload"] + c["directory"]}
 
     def to_bytes(self) -> bytes:
         sections = [

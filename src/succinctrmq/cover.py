@@ -7,9 +7,10 @@ left subtree and one in its right subtree; outgoing edges materialize as
 edges surface as extra portal leaves inside whichever micro tree holds the
 source node, so a micro shape can carry up to four portals).  Nodes are
 addressed by tau-names (mini index, mini-local micro index, micro-local shape
-preorder); piecewise-constant arrays map global preorder/inorder positions to
-tau-names, portal-offset arithmetic maps them back, and cross-component LCA
-runs on the ordinal tree of all micro roots.
+preorder); a run-compressed map takes global inorder positions to tau-names
+(the preorder map, which RMQ never reads, is derived on first use),
+portal-offset arithmetic maps them back, and cross-component LCA runs on the
+ordinal tree of all micro roots.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opcount
-from .bits import CompressedBitVec, PiecewiseConstantArray, _bitlen
+from .bits import CompressedBitVec, _bitlen
 from .microcodec import TypeRegistry
+from .serial import DecodeError, Reader
 from .trees import BinaryTree, EulerTourLca
 
 
@@ -206,15 +208,11 @@ class TauName(NamedTuple):
 
 _tau = tuple.__new__  # builds a TauName without its keyword-parsing __new__
 
-PORTAL_MICRO = 0  # edge to another micro inside the same mini
-PORTAL_MINI = 1  # edge to another mini
-
 
 @dataclass(slots=True)
 class _Portal:
     shape_pos: int  # shape preorder of the portal leaf
-    kind: int
-    s_mini: int  # members below the edge within this mini (0 for mini portals)
+    s_mini: int  # members below the edge within this mini; 0 on an edge to another mini
     child_k: int  # micro-root-tree preorder of the child micro
 
 
@@ -222,11 +220,9 @@ class _Portal:
 class _MicroInfo:
     t1: int
     t2: int
-    k: int
-    root_global: int
+    k: int  # rank of the micro's root in global preorder
     root_minilocal: int
-    n_members: int
-    shape_size: int
+    shape_size: int  # members plus portal leaves
     ld_minilocal: int
     type_id: int
     portals: list
@@ -238,14 +234,12 @@ class _MiniPortal:
     side: int
     parent_minilocal: int
     s_global: int
-    child_mini: int
 
 
 @dataclass(slots=True)
 class _MiniInfo:
     root_global: int
     ld_global: int
-    n_members: int
     portals: list
 
 
@@ -265,8 +259,7 @@ class TreeCover:
 
     __slots__ = (
         "n", "mini_B", "micro_B", "minis", "micros", "micros_by_k", "registry",
-        "type_ids", "c_pre", "v1_pre", "v2_pre", "v3_pre", "c_in", "v1_in",
-        "v2_in", "v3_in", "tb", "_pca_pre", "_pca_in",
+        "type_ids", "c_in", "v1_in", "v2_in", "v3_in", "tb", "_preorder_runs",
     )
 
     def __init__(self):
@@ -274,7 +267,9 @@ class TreeCover:
 
     @classmethod
     def _new(cls) -> "TreeCover":
-        return object.__new__(cls)
+        cov = object.__new__(cls)
+        cov._preorder_runs = None
+        return cov
 
     # ---- queries ----------------------------------------------------------
 
@@ -297,34 +292,52 @@ class TreeCover:
     def nodeselect_preorder(self, p: int) -> TauName:
         if not 1 <= p <= self.n:
             raise IndexError(f"preorder index {p} out of range 1..{self.n}")
-        r = self.c_pre.rank1(p)
-        base = self.c_pre.select1(r)
+        c, v1, v2, v3 = self._preorder_runs or self._derive_preorder_runs()
+        r, base = c.pred1(p)
         opcount.add(3)
-        return TauName(self.v1_pre[r - 1], self.v2_pre[r - 1], self.v3_pre[r - 1] + (p - base))
+        return TauName(v1[r - 1], v2[r - 1], v3[r - 1] + (p - base))
 
-    def _minilocal(self, m: _MicroInfo, t3: int) -> int:
-        """Mini-local preorder of the member at shape position t3."""
-        before = 0
-        skipped = 0
-        for p in m.portals:
-            opcount.add(1)
+    def _derive_preorder_runs(self) -> tuple:
+        """The preorder position map, which RMQ never reads and files do not
+        store, derived on first use: the members between a micro's portal
+        leaves are consecutive in global preorder, so each such stretch is
+        one run, starting at the global preorder of its first member."""
+        rows = []
+        for m in self.micros_by_k:
+            mini = self.minis[m.t1 - 1]
+            ports = [p.shape_pos for p in m.portals]
+            for a in [1] + [x + 1 for x in ports]:
+                if a <= m.shape_size and a not in ports:
+                    rows.append((self._preorder(m, mini, a), m.t1, m.t2, a))
+        rows.sort()
+        starts, v1, v2, v3 = zip(*rows)
+        runs = (CompressedBitVec.from_positions(self.n, starts),
+                array("q", v1), array("q", v2), array("q", v3))
+        self._preorder_runs = runs
+        return runs
+
+    @staticmethod
+    def _preorder(m: _MicroInfo, mini: _MiniInfo, t3: int) -> int:
+        """Global preorder of the member at shape position t3: its mini-local
+        preorder counts the members under each micro portal before it, and
+        the subtrees of other minis hanging before it are added."""
+        loc = m.root_minilocal - 1 + t3
+        for p in m.portals:  # a portal leaf stands for s_mini members
             if p.shape_pos < t3:
-                before += 1
-                skipped += p.s_mini
-        return m.root_minilocal - 1 + (t3 - before) + skipped
+                loc += p.s_mini - 1
+        g = mini.root_global - 1 + loc
+        for q in mini.portals:
+            if q.c_before < loc:
+                g += q.s_global
+        return g
 
     def noderank_preorder(self, name: TauName) -> int:
         t1, t2, t3 = name
         m = self._micro(t1, t2)
         self._check_t3(m, t3)
-        loc = self._minilocal(m, t3)
         mini = self.minis[t1 - 1]
-        g = mini.root_global - 1 + loc
-        for q in mini.portals:
-            opcount.add(1)
-            if q.c_before < loc:
-                g += q.s_global
-        return g
+        opcount.add(len(m.portals) + len(mini.portals))
+        return self._preorder(m, mini, t3)
 
     def nodeselect_inorder(self, i: int) -> TauName:
         if not 1 <= i <= self.n:
@@ -359,6 +372,7 @@ class TreeCover:
         table = self.registry.tables.get(m.type_id) or self.registry.table(m.type_id)
         ls_mini = table.ls[t3]
         hi = t3 + ls_mini  # shape-left range is t3 + 1 .. hi
+        ld = hi - table.pre2in[t3]  # the shape left depth
         loc = m.root_minilocal - 1 + t3
         for p in m.portals:  # a portal leaf stands for s_mini members
             pos = p.shape_pos
@@ -381,7 +395,7 @@ class TreeCover:
         # the portal check, mini-local preorder and left size each read every
         # micro portal; preorder and left size each read every mini portal
         opcount.add(3 * len(m.portals) + 2 * len(mini.portals) + 4)
-        return g + ls_g - (mini.ld_global + m.ld_minilocal + table.ld[t3])
+        return g + ls_g - (mini.ld_global + m.ld_minilocal + ld)
 
     def lca(self, u: TauName, v: TauName) -> TauName:
         u1, u2, u3 = u
@@ -466,42 +480,36 @@ class TreeCover:
         per_micro = 0
         for m in self.micros_by_k:
             per_micro += 2 * lg_mini  # root_minilocal, left depth within mini
-            per_micro += 2 * lg_micro  # shape size, member count
-            per_micro += lg_k + lg_types + 3
-            per_micro += len(m.portals) * (lg_micro + 1 + lg_mini + lg_k)
+            per_micro += lg_micro + lg_k + lg_types + 3  # shape size, k, type, portal count
+            per_micro += len(m.portals) * (lg_micro + lg_mini + lg_k)
         per_mini = 0
         for mini in self.minis:
-            per_mini += 3 * lg_n + 2
-            per_mini += len(mini.portals) * (2 * lg_mini + 1 + 2 * lg_n)
+            per_mini += 2 * lg_n + 2  # root preorder, root left depth, portal count
+            per_mini += len(mini.portals) * (2 * lg_mini + 1 + lg_n)
+        c_in = self.c_in.space_bits()
+        values = (self.v1_in, self.v2_in, self.v3_in)
         return {
             "per_micro_tables": per_micro,
             "per_mini_tables": per_mini,
-            "pca_preorder": self._pca_space(self._pca_pre, self.c_pre),
-            "pca_inorder": self._pca_space(self._pca_in, self.c_in),
+            "pca_inorder": (c_in["payload"] + c_in["directory"]
+                            + sum(len(v) * _bitlen(max(v, default=0)) for v in values)),
             "micro_root_tree": self.tb.space_bits(),
             "lookup_tables_built": self.registry.tables_space_bits(),
         }
-
-    @staticmethod
-    def _pca_space(pcas, c) -> int:
-        csp = c.space_bits()
-        total = csp["payload"] + csp["directory"]
-        for p in pcas:
-            total += p.space_bits()["values"]
-        return total
 
     def dump(self) -> str:
         """Human-readable component listing."""
         out = [f"cover: n={self.n} minis={len(self.minis)} micros={len(self.micros_by_k)} "
                f"mini_B={self.mini_B} micro_B={self.micro_B} types={len(self.registry)}"]
         for t1, (mini, row) in enumerate(zip(self.minis, self.micros), start=1):
-            out.append(f"mini {t1}: root_pre={mini.root_global} members={mini.n_members} "
+            members = sum(m.shape_size - len(m.portals) for m in row)
+            out.append(f"mini {t1}: root_pre={mini.root_global} members={members} "
                        f"portals={len(mini.portals)}")
             for m in row:
                 ports = ",".join(f"@{p.shape_pos}->k{p.child_k}" for p in m.portals)
-                out.append(f"  micro ({t1},{m.t2}) k={m.k}: root_pre={m.root_global} "
-                           f"members={m.n_members} shape={m.shape_size} type={m.type_id} "
-                           f"portals=[{ports}]")
+                out.append(f"  micro ({t1},{m.t2}) k={m.k}: "
+                           f"members={m.shape_size - len(m.portals)} shape={m.shape_size} "
+                           f"type={m.type_id} portals=[{ports}]")
         return "\n".join(out)
 
     # ---- serialization ------------------------------------------------------
@@ -510,28 +518,22 @@ class TreeCover:
         meta = struct.pack("<QQQ", self.n, self.mini_B, self.micro_B)
         mini_blob = bytearray(struct.pack("<I", len(self.minis)))
         for mini in self.minis:
-            mini_blob += struct.pack("<QQQB", mini.root_global, mini.ld_global,
-                                     mini.n_members, len(mini.portals))
+            mini_blob += struct.pack("<QQB", mini.root_global, mini.ld_global, len(mini.portals))
             for q in mini.portals:
-                mini_blob += struct.pack("<QBQQI", q.c_before, q.side,
-                                         q.parent_minilocal, q.s_global, q.child_mini)
+                mini_blob += struct.pack("<QBQQ", q.c_before, q.side, q.parent_minilocal,
+                                         q.s_global)
         micro_blob = bytearray(struct.pack("<I", len(self.minis)))
         for row in self.micros:
             micro_blob += struct.pack("<I", len(row))
             for m in row:
-                micro_blob += struct.pack("<QQQQQQIB", m.k, m.root_global,
-                                          m.root_minilocal, m.n_members, m.shape_size,
+                micro_blob += struct.pack("<QQQQIB", m.k, m.root_minilocal, m.shape_size,
                                           m.ld_minilocal, m.type_id, len(m.portals))
                 for p in m.portals:
-                    micro_blob += struct.pack("<QBQQ", p.shape_pos, p.kind, p.s_mini, p.child_k)
-        pca_blob = bytearray()
-        for c, values in ((self.c_pre, (self.v1_pre, self.v2_pre, self.v3_pre)),
-                          (self.c_in, (self.v1_in, self.v2_in, self.v3_in))):
-            starts = c.positions()
-            pca_blob += struct.pack("<I", len(starts))
-            pca_blob += struct.pack(f"<{len(starts)}Q", *starts)
-            for varr in values:
-                pca_blob += struct.pack(f"<{len(varr)}Q", *varr)
+                    micro_blob += struct.pack("<QQQ", p.shape_pos, p.s_mini, p.child_k)
+        starts = self.c_in.positions()
+        pca_blob = bytearray(struct.pack("<I", len(starts)))
+        for arr in (starts, self.v1_in, self.v2_in, self.v3_in):
+            pca_blob += struct.pack(f"<{len(arr)}Q", *arr)
         return [
             (b"CMET", bytes(meta)),
             (b"MINI", bytes(mini_blob)),
@@ -542,84 +544,52 @@ class TreeCover:
 
     @classmethod
     def from_sections(cls, sections: dict[bytes, bytes]) -> "TreeCover":
+        for tag in (b"CMET", b"MINI", b"MICR", b"PCAS", b"TYPR"):
+            if tag not in sections:
+                raise DecodeError(f"missing cover section {tag.decode('ascii')}")
         cov = cls._new()
-        n, mini_b, micro_b = struct.unpack("<QQQ", sections[b"CMET"])
-        cov.n, cov.mini_B, cov.micro_B = n, mini_b, micro_b
-        blob = sections[b"MINI"]
-        (count,) = struct.unpack_from("<I", blob, 0)
-        pos = 4
+        r = Reader(sections[b"CMET"], "CMET")
+        cov.n, cov.mini_B, cov.micro_B = r.take("<QQQ")
+        r.end()
+        r = Reader(sections[b"MINI"], "MINI")
         minis = []
-        for _ in range(count):
-            rg, ld, nm, np_ = struct.unpack_from("<QQQB", blob, pos)
-            pos += 25
-            portals = []
-            for _ in range(np_):
-                cb, side, pm, sg, cm = struct.unpack_from("<QBQQI", blob, pos)
-                pos += 29
-                portals.append(_MiniPortal(cb, side, pm, sg, cm))
-            minis.append(_MiniInfo(rg, ld, nm, portals))
+        for _ in range(r.count("<I", 17)):
+            rg, ld, np_ = r.take("<QQB")
+            minis.append(_MiniInfo(rg, ld, [_MiniPortal(*r.take("<QBQQ")) for _ in range(np_)]))
+        r.end()
         cov.minis = minis
-        blob = sections[b"MICR"]
-        (count,) = struct.unpack_from("<I", blob, 0)
-        pos = 4
+        r = Reader(sections[b"MICR"], "MICR")
         micros: list[list[_MicroInfo]] = []
         flat: list[_MicroInfo] = []
-        for t1 in range(1, count + 1):
-            (row_len,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
+        for t1 in range(1, r.count("<I", 4) + 1):
             row = []
-            for t2 in range(1, row_len + 1):
-                k, rg, rml, nm, ss, ld, tid, np_ = struct.unpack_from("<QQQQQQIB", blob, pos)
-                pos += 53
-                portals = []
-                for _ in range(np_):
-                    sp, kind, sm, ck = struct.unpack_from("<QBQQ", blob, pos)
-                    pos += 25
-                    portals.append(_Portal(sp, kind, sm, ck))
-                row.append(_MicroInfo(t1, t2, k, rg, rml, nm, ss, ld, tid, portals))
+            for t2 in range(1, r.count("<I", 37) + 1):
+                k, rml, ss, ld, tid, np_ = r.take("<QQQQIB")
+                portals = [_Portal(*r.take("<QQQ")) for _ in range(np_)]
+                row.append(_MicroInfo(t1, t2, k, rml, ss, ld, tid, portals))
             micros.append(row)
             flat.extend(row)
+        r.end()
+        if len(micros) != len(minis):
+            raise DecodeError(f"MICR lists {len(micros)} minis, MINI {len(minis)}")
         cov.micros = micros
         flat.sort(key=lambda m: m.k)
         cov.micros_by_k = flat
-        blob = sections[b"PCAS"]
-        pos = 0
-        arrays = []
-        for _ in range(2):
-            (runs,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            starts = list(struct.unpack_from(f"<{runs}Q", blob, pos))
-            pos += 8 * runs
-            vals = []
-            for _ in range(3):
-                vals.append(array("q", struct.unpack_from(f"<{runs}Q", blob, pos)))
-                pos += 8 * runs
-            arrays.append((starts, vals))
+        r = Reader(sections[b"PCAS"], "PCAS")
+        runs = r.count("<I", 32)
+        starts = r.take(f"<{runs}Q")
+        cov.v1_in, cov.v2_in, cov.v3_in = (array("q", r.take(f"<{runs}q")) for _ in range(3))
+        r.end()
+        cov.c_in = CompressedBitVec.from_positions(cov.n, starts)
         cov.registry = TypeRegistry.from_bytes(sections[b"TYPR"])
         cov.type_ids = [m.type_id for m in cov.micros_by_k]
-        cov._install_pcas(arrays[0][0], arrays[0][1], order="pre")
-        cov._install_pcas(arrays[1][0], arrays[1][1], order="in")
         cov._build_tb()
         return cov
 
     # ---- shared assembly -----------------------------------------------------
 
-    def _install_pcas(self, starts, values, order: str) -> None:
-        c = CompressedBitVec.from_positions(self.n, starts)
-        pcas = tuple(
-            PiecewiseConstantArray(vals, run_starts=starts, n=self.n, c=c, c_shared=(idx > 0))
-            for idx, vals in enumerate(values)
-        )
-        if order == "pre":
-            self.c_pre = c
-            self.v1_pre, self.v2_pre, self.v3_pre = values
-            self._pca_pre = pcas
-        else:
-            self.c_in = c
-            self.v1_in, self.v2_in, self.v3_in = values
-            self._pca_in = pcas
-
     def _build_tb(self) -> None:
+        """The micro-root tree: children in k order, which is root preorder."""
         ell = len(self.micros_by_k)
         children: list[list[int]] = [[] for _ in range(ell + 1)]
         has_parent = [False] * (ell + 1)
@@ -629,7 +599,7 @@ class TreeCover:
                 has_parent[p.child_k] = True
         root_k = 0
         for m in self.micros_by_k:
-            children[m.k].sort(key=lambda k: self.micros_by_k[k - 1].root_global)
+            children[m.k].sort()
             if not has_parent[m.k]:
                 root_k = m.k
         self.tb = EulerTourLca(ell, children, root_k)
@@ -770,9 +740,8 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     # every micro root but the global one is a portal leaf of its parent's micro
     pc = micro_root[1:]
     pk = k_of[parent[pc]]
-    p_mini = is_mini_root[pc]
     p_side = (right[parent[pc]] == pc).astype(idx)
-    p_smini = np.where(p_mini == 1, 0, st_local(pc))
+    p_smini = np.where(is_mini_root[pc] == 1, 0, st_local(pc))
     n_members = np.bincount(k_of[1:], minlength=M + 1)[1:]
     shape_size = n_members + np.bincount(pk, minlength=M + 1)[1:]
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
@@ -795,21 +764,18 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     portals_of: list[list[_Portal]] = [[] for _ in range(M)]
     portal_pos = shape_pre[n:]
     porder = np.lexsort((portal_pos, pk))
-    for j, owner_k, spos, kind, smini in zip(
-            porder.tolist(), pk[porder].tolist(), portal_pos[porder].tolist(),
-            p_mini[porder].tolist(), p_smini[porder].tolist()):
-        portals_of[owner_k - 1].append(
-            _Portal(spos, PORTAL_MINI if kind else PORTAL_MICRO, smini, j + 2))
+    for j, owner_k, spos, smini in zip(porder.tolist(), pk[porder].tolist(),
+                                       portal_pos[porder].tolist(), p_smini[porder].tolist()):
+        portals_of[owner_k - 1].append(_Portal(spos, smini, j + 2))
 
     loc = np.zeros(n + 1, dtype=idx)  # mini-local preorder
     loc[1:] = _rank_within(t1[1:])
     ld = np.arange(n + 1, dtype=idx) - np.frombuffer(t.inorder_of, dtype=idx) + ls
     mt2 = _rank_within(mt1)
-    fields = zip(mt1.tolist(), mt2.tolist(), micro_root.tolist(), loc[micro_root].tolist(),
-                 n_members.tolist(), shape_size.tolist(),
+    fields = zip(mt1.tolist(), mt2.tolist(), loc[micro_root].tolist(), shape_size.tolist(),
                  (ld[micro_root] - ld[mini_root[mt1 - 1]]).tolist())
-    by_k = [_MicroInfo(m1, m2, j + 1, rg, rml, nm, ss, ldm, type_of[j], portals_of[j])
-            for j, (m1, m2, rg, rml, nm, ss, ldm) in enumerate(fields)]
+    by_k = [_MicroInfo(m1, m2, j + 1, rml, ss, ldm, type_of[j], portals_of[j])
+            for j, (m1, m2, rml, ss, ldm) in enumerate(fields)]
     micros: list[list[_MicroInfo]] = [[] for _ in range(n_minis)]
     for j in rows:
         micros[by_k[j].t1 - 1].append(by_k[j])
@@ -823,29 +789,24 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
                       st_local(lchild), 0)
     m_loc = loc[mp]
     morder = np.lexsort((m_side, m_loc, owner))
-    for m, i, side, ls_i, sg, cm in zip(
+    for m, i, side, ls_i, sg in zip(
             owner[morder].tolist(), m_loc[morder].tolist(), m_side[morder].tolist(),
-            ls_loc[morder].tolist(), st[child_minis[morder]].tolist(),
-            t1[child_minis[morder]].tolist()):
-        mini_portals[m - 1].append(_MiniPortal(i + ls_i if side else i, side, i, sg, cm))
-    mini_size = np.bincount(t1[1:], minlength=n_minis + 1)[1:].tolist()
-    cov.minis = [_MiniInfo(r, ldr, size, ports) for r, ldr, size, ports in zip(
-        mini_root.tolist(), ld[mini_root].tolist(), mini_size, mini_portals)]
+            ls_loc[morder].tolist(), st[child_minis[morder]].tolist()):
+        mini_portals[m - 1].append(_MiniPortal(i + ls_i if side else i, side, i, sg))
+    cov.minis = [_MiniInfo(r, ldr, ports) for r, ldr, ports in zip(
+        mini_root.tolist(), ld[mini_root].tolist(), mini_portals)]
     cov.micros = micros
     cov.micros_by_k = by_k
     cov.type_ids = type_of
 
-    # piecewise-constant arrays over both traversal orders
-    node_t2 = mt2[k_of - 1]
-    for order, g, shape_pos in (
-            ("pre", np.arange(1, n + 1), shape_pre),
-            ("in", np.frombuffer(t.id_at_inorder, dtype=idx)[1:], shape_in)):
-        t3 = shape_pos[g - 1]
-        at = _pca_runs(k_of[g], t3)
-        g = g[at]
-        values = tuple(array("q", v.astype(np.int64).tobytes())
-                       for v in (t1[g], node_t2[g], t3[at]))
-        cov._install_pcas((at + 1).tolist(), values, order=order)
+    # the inorder position map, run-compressed
+    g = np.frombuffer(t.id_at_inorder, dtype=idx)[1:]
+    t3 = shape_in[g - 1]
+    at = _pca_runs(k_of[g], t3)
+    g = g[at]
+    cov.c_in = CompressedBitVec.from_positions(n, (at + 1).tolist())
+    cov.v1_in, cov.v2_in, cov.v3_in = (array("q", v.astype(np.int64).tobytes())
+                                       for v in (t1[g], mt2[k_of[g] - 1], t3[at]))
 
     cov._build_tb()
     return cov

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import opcount
 from .bits import VariableCellArray
-from .serial import DecodeError, bits_to_bytes
+from .serial import DecodeError, Reader, bits_to_bytes
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequence,
                        zaks_arrays, zaks_decode, zaks_sizes)
 from .trees import _int_array
@@ -42,19 +42,21 @@ def micro_type_key(zaks: list[int], flag_left: int, flag_right: int) -> tuple:
 
 class ShapeTable:
     """Per-type lookup tables addressed by shape-local preorder: inorder <->
-    preorder, left sizes, left depths and in-micro LCA.
+    preorder, left sizes and in-micro LCA.
 
-    All arrays are 1-based (slot 0 unused).  The LCA of two nodes is the node
-    of smallest preorder in the inorder range between them: every node of
-    that range lies in the LCA's subtree, and the LCA comes first in it.  The
-    inorder sequence of preorder ids is cut into BLOCK-entry blocks whose
-    minima carry a sparse table, so a query scans at most two partial blocks
-    and its operation count is bounded independently of the shape size.
+    All arrays are 1-based (slot 0 unused).  Left depths are not held: since
+    inorder = preorder + left size - left depth, node v's left depth is
+    v + ls[v] - pre2in[v].  The LCA of two nodes is the node of smallest
+    preorder in the inorder range between them: every node of that range
+    lies in the LCA's subtree, and the LCA comes first in it.  The inorder
+    sequence of preorder ids is cut into BLOCK-entry blocks whose minima
+    carry a sparse table, so a query scans at most two partial blocks and
+    its operation count is bounded independently of the shape size.
     """
 
     BLOCK = 32
 
-    __slots__ = ("n", "in2pre", "pre2in", "ls", "ld", "_sparse")
+    __slots__ = ("n", "in2pre", "pre2in", "ls", "_sparse")
 
     def __init__(self, ls: np.ndarray, ld: np.ndarray):
         """ls, ld: left-subtree sizes and left depths in preorder."""
@@ -62,7 +64,7 @@ class ShapeTable:
         if n == 0:
             raise DecodeError("an empty shape has no lookup table")
         pre = np.arange(1, n + 1)
-        pre2in = pre + ls - ld  # inorder = preorder + left size - left depth
+        pre2in = pre + ls - ld
         padded = np.full(-(-(n + 1) // self.BLOCK) * self.BLOCK, n + 1, dtype=np.int64)
         padded[pre2in] = pre  # slot 0 and the tail keep n + 1, above every id
         level = padded.reshape(-1, self.BLOCK).min(axis=1)
@@ -77,7 +79,6 @@ class ShapeTable:
         self.in2pre = _int_array(padded[:n + 1])
         self.pre2in = _int_array(np.concatenate(([0], pre2in)))
         self.ls = _int_array(np.concatenate(([0], ls)))
-        self.ld = _int_array(np.concatenate(([0], ld)))
         self._sparse = sparse
 
     @classmethod
@@ -106,10 +107,10 @@ class ShapeTable:
         return best
 
     def space_bits(self) -> int:
-        """Designed table footprint (reported, not asserted): the four
+        """Designed table footprint (reported, not asserted): the three
         per-node arrays plus the block minima and their sparse table."""
         w = self.n.bit_length()
-        return w * (4 * (self.n + 1) + sum(len(level) for level in self._sparse))
+        return w * (3 * (self.n + 1) + sum(len(level) for level in self._sparse))
 
 
 class TypeRegistry:
@@ -180,18 +181,13 @@ class TypeRegistry:
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TypeRegistry":
         reg = cls()
-        (count,) = struct.unpack_from("<I", blob, 0)
-        pos = 4
-        for _ in range(count):
-            nbits, fl, fr = struct.unpack_from("<IBB", blob, pos)
-            pos += 6
-            (nb,) = struct.unpack_from("<I", blob, pos)
-            pos += 4
-            data = blob[pos : pos + nb]
-            pos += nb
-            key = (data, nbits, fl, fr)
+        r = Reader(blob, "TYPR")
+        for _ in range(r.count("<I", 10)):
+            nbits, fl, fr, nb = r.take("<IBBI")
+            key = (r.raw(nb), nbits, fl, fr)
             reg._index[key] = len(reg.keys)
             reg.keys.append(key)
+        r.end()
         return reg
 
 
@@ -308,13 +304,9 @@ class Codebook:
 
     @classmethod
     def from_bytes(cls, blob: bytes, registry: TypeRegistry) -> "Codebook":
-        (count,) = struct.unpack_from("<I", blob, 0)
-        pos = 4
-        lengths = {}
-        for _ in range(count):
-            type_id, length = struct.unpack_from("<IH", blob, pos)
-            pos += 6
-            lengths[type_id] = length
+        r = Reader(blob, "HUFF")
+        lengths = dict(r.take("<IH") for _ in range(r.count("<I", 6)))
+        r.end()
         return cls(mode=MODE_HUFFMAN, codes=_canonical_codes(lengths, registry))
 
 

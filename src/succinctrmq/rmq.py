@@ -17,6 +17,8 @@ from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, 
 from .serial import DecodeError, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
+FORMAT_VERSION = 2  # FORMAT.md, "RmqIndex"
+
 
 class RmqIndex:
     """Constant-time range-minimum queries in compressed space."""
@@ -82,17 +84,15 @@ class RmqIndex:
         cov = self.cover
         aux = cov.space_bits()
         ta_space = self.type_array.space_bits()
-        codebook_bits = 0
-        if self.codec == MODE_HUFFMAN and self.type_array.codebook is not None:
-            # codeword lengths plus the canonical keys needed to decode
-            codebook_bits = self.type_array.codebook.serialized_bits()
-            codebook_bits += len(cov.registry.to_bytes()) * 8
+        codebook = self.type_array.codebook
         breakdown = {
             "micro_payload": ta_space["payload"],
-            "codebook": codebook_bits,
+            "codebook": codebook.serialized_bits() if codebook is not None else 0,
+            # the interned shape keys every codec's queries build their tables from
+            "type_registry": len(cov.registry.to_bytes()) * 8,
             "type_directory": ta_space["directory"],
             "index_directories": (aux["per_micro_tables"] + aux["per_mini_tables"]
-                                  + aux["pca_preorder"] + aux["pca_inorder"]),
+                                  + aux["pca_inorder"]),
             "macro_tiers": aux["micro_root_tree"],
         }
         total = sum(breakdown.values())
@@ -117,16 +117,18 @@ class RmqIndex:
         sections.append((b"TARR", self.type_array.vca.to_bytes()))
         if self.type_array.codebook is not None:
             sections.append((b"HUFF", self.type_array.codebook.to_bytes()))
-        return write_stream(1, sections)
+        return write_stream(FORMAT_VERSION, sections)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "RmqIndex":
         version, sections = read_stream(data)
-        if version != 1:
-            raise DecodeError(f"unsupported index version {version}")
-        if b"RMET" not in sections:
-            raise DecodeError("missing index metadata")
-        codec = sections[b"RMET"].rstrip(b"\0").decode("ascii")
+        if version != FORMAT_VERSION:
+            raise DecodeError(f"unsupported index version {version}, "
+                              f"expected {FORMAT_VERSION}")
+        for tag in (b"RMET", b"TARR"):
+            if tag not in sections:
+                raise DecodeError(f"missing index section {tag.decode('ascii')}")
+        codec = sections[b"RMET"].rstrip(b"\0").decode("ascii", "replace")
         if codec not in MODES:
             raise DecodeError(f"unknown codec {codec!r} in index file")
         cover = TreeCover.from_sections(sections)

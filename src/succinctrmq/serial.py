@@ -80,6 +80,45 @@ def unpack_uints(data: bytes, width_bytes: int = 8) -> list[int]:
     return list(struct.unpack(f"<{count}{fmt}", data[: count * width_bytes]))
 
 
+class Reader:
+    """Bounds-checked little-endian reads over one section payload; every
+    shortfall, oversized count or leftover byte is a DecodeError naming the
+    section."""
+
+    __slots__ = ("blob", "pos", "what")
+
+    def __init__(self, blob: bytes, what: str):
+        self.blob = blob
+        self.pos = 0
+        self.what = what
+
+    def take(self, fmt: str) -> tuple:
+        size = struct.calcsize(fmt)
+        if self.pos + size > len(self.blob):
+            raise DecodeError(f"truncated {self.what} section")
+        out = struct.unpack_from(fmt, self.blob, self.pos)
+        self.pos += size
+        return out
+
+    def count(self, fmt: str, item_bytes: int) -> int:
+        """A count read with `fmt`, checked to fit the bytes left when each
+        item takes at least `item_bytes`."""
+        (value,) = self.take(fmt)
+        if value * item_bytes > len(self.blob) - self.pos:
+            raise DecodeError(f"{self.what} count {value} exceeds its section")
+        return value
+
+    def raw(self, size: int) -> bytes:
+        if self.pos + size > len(self.blob):
+            raise DecodeError(f"truncated {self.what} section")
+        self.pos += size
+        return self.blob[self.pos - size:self.pos]
+
+    def end(self) -> None:
+        if self.pos != len(self.blob):
+            raise DecodeError(f"{len(self.blob) - self.pos} stray bytes after {self.what} section")
+
+
 def write_stream(version: int, sections: list[tuple[bytes, bytes]]) -> bytes:
     out = bytearray()
     out += MAGIC

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from succinctrmq.cli import main
+from succinctrmq.serial import read_stream, write_stream
 
 from test_trees import FIG_ARRAY
 
@@ -82,6 +83,21 @@ class TestQueryCommand:
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"not an index")
         assert main(["query", str(bad), "1", "2"]) == 1
+
+    def test_truncated_index_file(self, tmp_path, capsys):
+        path = tmp_path / "idx.bin"
+        assert main(["build", "--random", "5000", "--seed", "3", "-o", str(path)]) == 0
+        blob = path.read_bytes()
+        _, sections = read_stream(blob)
+        cut_section = write_stream(2, [(tag, payload[:-1] if tag == b"MICR" else payload)
+                                       for tag, payload in sections.items()])
+        capsys.readouterr()
+        for data in (blob[:200], cut_section):
+            path.write_bytes(data)
+            assert main(["query", str(path), "1", "5000"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
 
 
 class TestVerifyCommand:

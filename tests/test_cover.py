@@ -5,6 +5,7 @@ import pytest
 from succinctrmq.cover import (
     CoverError,
     TauName,
+    TreeCover,
     build_cover,
     decompose,
     default_params,
@@ -245,13 +246,53 @@ class TestOracleEquivalence:
                     assert cov.noderank_preorder(cov.lca(ua, ub)) == t.lca(a, b)
 
 
+def reloaded(cov):
+    return TreeCover.from_sections(dict(cov.to_sections()))
+
+
+class TestLoadedCover:
+    """Files hold no preorder map: a loaded cover derives it on first use."""
+
+    def test_random_bst(self):
+        t = sample_random_bst(1500, 21)
+        cov = reloaded(build_cover(t, mini_b=40, micro_b=5))
+        sweep_maps(t, cov)
+        sweep_lca(t, cov, random.Random(21), 5000)
+
+    def test_right_path(self):
+        t = right_path(300)
+        cov = reloaded(build_cover(t, mini_b=32, micro_b=6))
+        sweep_maps(t, cov)
+        sweep_lca(t, cov, random.Random(300), 3000)
+
+    def test_fixture(self):
+        t = build_cartesian(FIG_ARRAY)
+        cov = reloaded(build_cover(t, mini_b=8, micro_b=3))
+        sweep_maps(t, cov)
+        sweep_lca(t, cov, random.Random(8), 2000)
+
+    def test_derived_runs_are_maximal(self):
+        t = sample_random_bst(3000, 22)
+        cov = reloaded(build_cover(t, mini_b=64, micro_b=8))
+        c, v1, v2, v3 = cov._derive_preorder_runs()
+        starts = c.positions()
+        assert len(starts) == len(v1) == len(v2) == len(v3)
+        # the stored inorder map names every node; a preorder run breaks exactly
+        # where the micro changes or the shape position fails to step by one
+        names = [cov.nodeselect_inorder(t.inorder_of[p]) for p in range(1, t.n + 1)]
+        assert names == [cov.nodeselect_preorder(p) for p in range(1, t.n + 1)]
+        breaks = [1] + [p for p in range(2, t.n + 1)
+                        if names[p - 1][:2] != names[p - 2][:2]
+                        or names[p - 1].t3 != names[p - 2].t3 + 1]
+        assert breaks == starts
+
+
 class TestSpaceAccounting:
     def test_components_present(self):
         t = sample_random_bst(5000, 9)
         cov = build_cover(t)
         sp = cov.space_bits()
-        for key in ("per_micro_tables", "per_mini_tables", "pca_preorder",
-                    "pca_inorder", "micro_root_tree"):
+        for key in ("per_micro_tables", "per_mini_tables", "pca_inorder", "micro_root_tree"):
             assert sp[key] > 0
 
     def test_index_shrinks_per_node_with_bigger_micros(self):

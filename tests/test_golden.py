@@ -1,10 +1,11 @@
 """Golden bytes and answers: the serialized index must not change unless the
 format does, and queries must keep their answers and operation counts.
 
-The byte digests were recorded from the index builder before its construction
-path was rewritten; a change to any of them means a different file, not just a
-different way of building the same one.  The query digests were recorded from
-the query path before it was flattened.
+The byte digests are of format version 2, which is version 1 without the
+preorder position map and the fields no query reads; a change to any of them
+means a different file, not just a different way of building the same one.
+The query digests were recorded from the query path before it was flattened,
+and hold for a built index and for the same index reloaded from its bytes.
 """
 
 import hashlib
@@ -29,13 +30,13 @@ def many_ties(n: int) -> list[int]:
 
 
 GOLDEN = [
-    ("perm", 1000, "fixed", "5ab020a457341d2a934632739d9ecda28e0fae4b"),
-    ("perm", 1000, "entropy", "61e2e7db36d3a61ff24c9c29abf16d0f603b4c4a"),
-    ("perm", 1000, "huffman", "6d00c766bae0c1a781244b48824a122e83fe6527"),
-    ("perm", 20000, "fixed", "47e96d83a9c866b4748db5869f5ee809455fe5c6"),
-    ("perm", 20000, "entropy", "16c8fabbb223217c70b9e18d77f7f468d2fb5bff"),
-    ("perm", 20000, "huffman", "9404e0289955705b8d9e258a188d72a1b8a7c534"),
-    ("ties", 20000, "entropy", "b9f0bb187900481285605e7338f5f179b465a707"),
+    ("perm", 1000, "fixed", "b737df17a788b3ef275bbcaf18b3762dde4cb6d0"),
+    ("perm", 1000, "entropy", "91794933832a314d4f3d58cdbfe2e773d8218915"),
+    ("perm", 1000, "huffman", "4a30c2ecc6e96a03b2b82ab3dfb6e1d53f5fa89a"),
+    ("perm", 20000, "fixed", "0f836d52370971c3a64be0af486aeb0e1fd43ce5"),
+    ("perm", 20000, "entropy", "9720b9d80c84d886dc79cc9172c6153d1b509035"),
+    ("perm", 20000, "huffman", "3ab3931d06ffa7b0b92e7a7fb261d77ec41f479b"),
+    ("ties", 20000, "entropy", "d5f6b1c86c7b7394f3e1c738087bd61501a98eb3"),
 ]
 
 INPUTS = {"perm": seeded_permutation, "ties": many_ties}
@@ -92,13 +93,28 @@ GOLDEN_QUERIES = [
 ]
 
 
-@pytest.mark.parametrize("kind,micro_b,c_in_mode,answers_sha,ops_sha", GOLDEN_QUERIES,
-                         ids=[f"{k}-micro_b={m}" for k, m, *_ in GOLDEN_QUERIES])
-def test_query_answers_and_ops_unchanged(kind, micro_b, c_in_mode, answers_sha, ops_sha):
+def check_queries(kind, micro_b, c_in_mode, answers_sha, ops_sha, reload):
     n = 20000
     index = RmqIndex.build(INPUTS[kind](n), micro_b=micro_b)
+    if reload:
+        index = RmqIndex.from_bytes(index.to_bytes())
     if c_in_mode is not None:
         assert index.cover.c_in.mode == c_in_mode
     answers, ops = answers_and_ops(index, golden_queries(n))
     assert digest(answers) == answers_sha
     assert digest(ops) == ops_sha
+
+
+QUERY_IDS = [f"{k}-micro_b={m}" for k, m, *_ in GOLDEN_QUERIES]
+
+
+@pytest.mark.parametrize("kind,micro_b,c_in_mode,answers_sha,ops_sha", GOLDEN_QUERIES,
+                         ids=QUERY_IDS)
+def test_query_answers_and_ops_unchanged(kind, micro_b, c_in_mode, answers_sha, ops_sha):
+    check_queries(kind, micro_b, c_in_mode, answers_sha, ops_sha, reload=False)
+
+
+@pytest.mark.parametrize("kind,micro_b,c_in_mode,answers_sha,ops_sha", GOLDEN_QUERIES,
+                         ids=QUERY_IDS)
+def test_loaded_query_answers_and_ops_unchanged(kind, micro_b, c_in_mode, answers_sha, ops_sha):
+    check_queries(kind, micro_b, c_in_mode, answers_sha, ops_sha, reload=True)

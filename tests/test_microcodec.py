@@ -68,6 +68,11 @@ def check_table(table, t, pairs):
         assert table.lca(a, b) == t.lca(a, b), (a, b)
 
 
+def table_left_depths(table):
+    """Left depths as the table implies them: preorder + left size - inorder."""
+    return [0] + [v + table.ls[v] - table.pre2in[v] for v in range(1, table.n + 1)]
+
+
 def left_depths(t):
     ld = [0] * (t.n + 1)
     for v in range(2, t.n + 1):  # parents come first in preorder
@@ -96,7 +101,7 @@ class TestShapeTable:
                 if t.left[p] == u:
                     ld += 1
                 u = p
-            assert table.ld[v] == ld
+            assert v + table.ls[v] - table.pre2in[v] == ld
         for a in range(1, t.n + 1):
             for b in range(a, t.n + 1):
                 assert table.lca(a, b) == t.lca(a, b)
@@ -114,7 +119,7 @@ class TestShapeTable:
         for t in enumerate_shapes(size):
             table = ShapeTable.from_zaks(encode_zaks(t))
             check_table(table, t, [(a, b) for a in nodes for b in nodes])
-            assert list(table.ld) == left_depths(t)
+            assert table_left_depths(table) == left_depths(t)
 
     @pytest.mark.parametrize("shape", ["left_path", "right_path", "caterpillar",
                                        "zigzag", "bst-1", "bst-2", "bst-3"])
@@ -129,7 +134,7 @@ class TestShapeTable:
         pairs += [(1, t.n), (t.n, 1), (1, 1), (t.n, t.n)]
         table = ShapeTable.from_zaks(encode_zaks(t))
         check_table(table, t, pairs)
-        assert list(table.ld) == left_depths(t)
+        assert table_left_depths(table) == left_depths(t)
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 97, 500, 2000])
     def test_lca_operation_bound(self, n):
@@ -170,7 +175,7 @@ class TestShapeTable:
     def test_space_bits_counts_held_arrays(self):
         t = sample_random_bst(1000, 6)
         table = ShapeTable.from_zaks(encode_zaks(t))
-        entries = (len(table.in2pre) + len(table.pre2in) + len(table.ls) + len(table.ld)
+        entries = (len(table.in2pre) + len(table.pre2in) + len(table.ls)
                    + sum(len(level) for level in table._sparse))
         assert table.space_bits() == entries * (1000).bit_length()
         assert len(table._sparse[0]) == -(-1001 // ShapeTable.BLOCK)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
-from succinctrmq.serial import DecodeError
+from succinctrmq.serial import DecodeError, read_stream, write_stream
 
 from test_trees import FIG_ARRAY
 
@@ -139,6 +139,20 @@ class TestSpaceReport:
         assert RmqIndex.build(arr, codec="entropy").space_report()["breakdown"]["codebook"] == 0
         assert RmqIndex.build(arr, codec="huffman").space_report()["breakdown"]["codebook"] > 0
 
+    @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
+    def test_type_registry_counted_for_every_codec(self, codec):
+        arr = np.random.default_rng(8).permutation(3000).tolist()
+        idx = RmqIndex.build(arr, codec=codec)
+        rep = idx.space_report()
+        parts = rep["breakdown"]
+        assert sum(parts.values()) == rep["total_bits"]
+        assert parts["type_registry"] == 8 * len(idx.cover.registry.to_bytes()) > 0
+        if codec == "huffman":
+            assert parts["codebook"] == 8 * len(idx.type_array.codebook.to_bytes()) > 0
+        else:
+            assert parts["codebook"] == 0
+        assert "pca_preorder" not in rep["aux_detail"]
+
 
 class TestSerialization:
     @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
@@ -200,3 +214,55 @@ class TestSerialization:
             RmqIndex.from_bytes(data[: len(data) // 2])
         with pytest.raises(DecodeError):
             RmqIndex.from_bytes(b"JUNK" + data[4:])
+
+
+class TestMalformedSections:
+    """Every cut of a cover section, a missing section and a stream of another
+    format version raise DecodeError (n = 5000, default parameters)."""
+
+    @pytest.fixture(scope="class")
+    def sections(self):
+        arr = np.random.default_rng(17).permutation(5000).tolist()
+        version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
+        assert version == 2
+        return sections
+
+    @staticmethod
+    def stream(sections, version=2, drop=None, **replace):
+        return write_stream(version, [(tag, replace.get(tag.decode("ascii"), payload))
+                                      for tag, payload in sections.items()
+                                      if tag.decode("ascii") != drop])
+
+    def test_intact_stream_loads(self, sections):
+        idx = RmqIndex.from_bytes(self.stream(sections))
+        assert idx.n == 5000 and idx.query(1, 5000) >= 1
+
+    @pytest.mark.parametrize("tag", ["CMET", "MINI", "MICR", "PCAS", "TYPR", "HUFF"])
+    def test_every_truncation(self, sections, tag):
+        payload = sections[tag.encode("ascii")]
+        for cut in range(len(payload)):
+            with pytest.raises(DecodeError):
+                RmqIndex.from_bytes(self.stream(sections, **{tag: payload[:cut]}))
+
+    @pytest.mark.parametrize("tag", ["CMET", "MINI", "MICR", "PCAS", "TYPR"])
+    def test_trailing_bytes(self, sections, tag):
+        payload = sections[tag.encode("ascii")]
+        with pytest.raises(DecodeError, match="stray bytes"):
+            RmqIndex.from_bytes(self.stream(sections, **{tag: payload + b"\0"}))
+
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
+                                     "HUFF"])
+    def test_missing_section(self, sections, tag):
+        with pytest.raises(DecodeError):
+            RmqIndex.from_bytes(self.stream(sections, drop=tag))
+
+    def test_oversized_counts(self, sections):
+        for tag in ("MINI", "MICR", "PCAS", "TYPR", "HUFF"):
+            payload = sections[tag.encode("ascii")]
+            with pytest.raises(DecodeError, match="exceeds its section"):
+                RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_other_versions_rejected(self, sections, version):
+        with pytest.raises(DecodeError, match="version"):
+            RmqIndex.from_bytes(self.stream(sections, version=version))
