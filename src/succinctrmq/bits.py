@@ -1,4 +1,5 @@
-"""Bit vectors with rank/select, variable-cell arrays, piecewise-constant arrays.
+"""Bit vectors with rank/select, variable-cell arrays, piecewise-constant arrays
+and fixed-width packed integer columns.
 
 Logical indices are 1-based throughout; raw bit offsets inside payloads are
 0-based.  rank(alpha, i) accepts i = 0 and returns 0.
@@ -18,7 +19,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from . import opcount
-from .serial import DecodeError, pack_uints, read_stream, unpack_uints, write_stream
+from .serial import DecodeError, Reader, pack_uints, read_stream, unpack_uints, write_stream
 
 _WORD = 64
 _SUPER_WORDS = 8  # 512-bit superblocks for the plain rank directory
@@ -27,6 +28,68 @@ _SPARSE_BLOCK_SHIFT = 9  # 512-bit blocks for the sparse rank directory
 
 def _bitlen(x: int) -> int:
     return max(1, int(x).bit_length())
+
+
+# ---------------------------------------------------------------------------
+# fixed-width packed integer columns (int_vector<w> of Gog et al., SEA 2014)
+# ---------------------------------------------------------------------------
+
+def column_width(values) -> int:
+    """Bits per entry of a packed column: max(1, ceil(lg(max + 1)))."""
+    return _bitlen(np.max(values)) if len(values) else 1
+
+
+def pack_column(values) -> bytes:
+    """count (u32) | width w (u8) | entry i in bits [i*w, (i+1)*w) of an
+    LSB-first bit string (bit j is bit j mod 8 of byte j div 8), zero-padded
+    to a whole byte.  Entries must lie in 0 .. 2^63 - 1."""
+    v = np.asarray(values, dtype=np.int64).ravel()
+    if len(v) and v.min() < 0:
+        raise ValueError("packed columns hold non-negative integers")
+    w = column_width(v)
+    as_bytes = v.astype("<u8").view(np.uint8).reshape(-1, 8)
+    bits = np.unpackbits(as_bytes, axis=1, count=w, bitorder="little")
+    return struct.pack("<IB", len(v), w) + np.packbits(bits, bitorder="little").tobytes()
+
+
+def read_column(r: Reader) -> np.ndarray:
+    """The next `pack_column` column of a section, as int64; a width outside
+    1..63, a count that overruns the section or nonzero padding is a
+    DecodeError."""
+    count, w = r.take("<IB")
+    if not 1 <= w <= 63:
+        raise DecodeError(f"{r.what} column width {w} out of range 1..63")
+    nbits = count * w
+    if (nbits + 7) // 8 > len(r.blob) - r.pos:
+        raise DecodeError(f"{r.what} count {count} exceeds its section")
+    raw = r.raw((nbits + 7) // 8)
+    if nbits & 7 and raw[-1] >> (nbits & 7):
+        raise DecodeError(f"nonzero padding after a {r.what} column")
+    # entries 8q + j start at byte q*w + (j*w div 8), bit j*w mod 8: for each
+    # j, one strided read of unaligned 64-bit windows (and of the ninth byte
+    # when an entry can straddle it)
+    rows = -(-count // 8)
+    buf = np.zeros(rows * w + 9, dtype=np.uint8)
+    buf[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
+    windows = np.ndarray((rows * w + 2,), dtype="<u8", buffer=buf, strides=(1,))
+    out = np.empty((rows, 8), dtype=np.uint64)
+    for j in range(8):
+        b, shift = divmod(j * w, 8)
+        col = windows[b:b + rows * w:w] >> np.uint64(shift)
+        if shift + w > 64:
+            col |= buf[b + 8:b + 8 + rows * w:w].astype(np.uint64) << np.uint64(64 - shift)
+        out[:, j] = col
+    out &= np.uint64((1 << w) - 1)
+    return out.ravel()[:count].view(np.int64)
+
+
+def compact_array(values) -> array:
+    """Non-negative integers as an owning array of the narrowest of the
+    typecodes B, H, I and q that holds them."""
+    v = np.asarray(values, dtype=np.int64)
+    top = int(v.max()) if len(v) else 0
+    code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "I" if top < 1 << 32 else "q"
+    return array(code, v.astype(np.dtype(code)).tobytes())
 
 
 class BitVec:
@@ -70,23 +133,15 @@ class BitVec:
         return v
 
     def _build_directory(self) -> None:
-        nw = len(self._words)
-        sup = array("q")
-        rel = array("H")
-        total = 0
-        within = 0
-        for w in range(nw + 1):
-            if w % _SUPER_WORDS == 0:
-                sup.append(total)
-                within = 0
-            rel.append(within)
-            if w < nw:
-                ones = self._words[w].bit_count()
-                total += ones
-                within += ones
-        self._super = sup
-        self._rel = rel
-        self._ones = total
+        words = np.asarray(self._words, dtype=np.uint64)
+        before = np.zeros(len(words) + 1, dtype=np.int64)  # 1-bits before each word
+        np.cumsum(np.unpackbits(words.view(np.uint8)).reshape(-1, 64).sum(axis=1),
+                  out=before[1:])
+        sup = before[::_SUPER_WORDS]
+        self._super = array("q", sup.tobytes())
+        self._rel = array("H", (before - np.repeat(sup, _SUPER_WORDS)[:len(before)])
+                          .astype(np.uint16).tobytes())
+        self._ones = int(before[-1])
 
     def __len__(self) -> int:
         return self.n
@@ -234,39 +289,36 @@ class CompressedBitVec:
 
     @classmethod
     def from_positions(cls, n: int, positions) -> "CompressedBitVec":
+        """From the sorted 1-based positions of the 1-bits (any sequence or
+        integer numpy array)."""
         v = cls.__new__(cls)
-        v._init_from(n, list(positions))
+        v._init_from(n, positions)
         return v
 
-    def _init_from(self, n: int, positions: list) -> None:
-        self.n = n
-        m = len(positions)
-        self._ones = m
-        for idx in range(1, m):
-            if positions[idx - 1] >= positions[idx]:
-                raise ValueError("positions must be strictly increasing")
-        if m and (positions[0] < 1 or positions[-1] > n):
+    def _init_from(self, n: int, positions) -> None:
+        pos = np.asarray(positions, dtype=np.int64)
+        m = len(pos)
+        if m > 1 and (pos[1:] <= pos[:-1]).any():
+            raise ValueError("positions must be strictly increasing")
+        if m and (pos[0] < 1 or pos[-1] > n):
             raise ValueError("positions out of range")
+        self.n = n
+        self._ones = m
         if m * _bitlen(n) * 2 <= n:
             self._mode = self.SPARSE
-            self._pos = array("q", positions)
-            nb = (n >> _SPARSE_BLOCK_SHIFT) + 2
-            br = array("q")
-            j = 0
-            for blk in range(nb):
-                limit = blk << _SPARSE_BLOCK_SHIFT
-                while j < m and positions[j] <= limit:
-                    j += 1
-                br.append(j)
-            self._block_rank = br
+            self._pos = compact_array(pos)
+            limits = np.arange((n >> _SPARSE_BLOCK_SHIFT) + 2) << _SPARSE_BLOCK_SHIFT
+            self._block_rank = compact_array(np.searchsorted(pos, limits, side="right"))
             self._bv = None
         else:
             self._mode = self.DENSE
             self._pos = None
             self._block_rank = None
-            words = array("Q", [0]) * ((n + 63) // 64)
-            for p in positions:
-                words[(p - 1) >> 6] |= 1 << ((p - 1) & 63)
+            bits = np.zeros(64 * ((n + 63) // 64), dtype=np.uint8)
+            bits[pos - 1] = 1
+            words = array("Q", np.packbits(bits, bitorder="little").tobytes())
+            if sys.byteorder == "big":  # pragma: no cover
+                words.byteswap()
             self._bv = BitVec.from_words(n, words)
 
     def __len__(self) -> int:

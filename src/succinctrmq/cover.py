@@ -18,13 +18,12 @@ from __future__ import annotations
 import math
 import struct
 from array import array
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from . import opcount
-from .bits import CompressedBitVec, _bitlen
+from .bits import CompressedBitVec, column_width, compact_array, pack_column, read_column
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
 from .trees import BinaryTree, EulerTourLca
@@ -209,15 +208,9 @@ class TauName(NamedTuple):
 _tau = tuple.__new__  # builds a TauName without its keyword-parsing __new__
 
 
-@dataclass(slots=True)
-class _Portal:
-    shape_pos: int  # shape preorder of the portal leaf
-    s_mini: int  # members below the edge within this mini; 0 on an edge to another mini
-    child_k: int  # micro-root-tree preorder of the child micro
+class MicroView(NamedTuple):
+    """One micro tree's entries in the cover columns, for reports and tests."""
 
-
-@dataclass(slots=True)
-class _MicroInfo:
     t1: int
     t2: int
     k: int  # rank of the micro's root in global preorder
@@ -225,22 +218,24 @@ class _MicroInfo:
     shape_size: int  # members plus portal leaves
     ld_minilocal: int
     type_id: int
-    portals: list
+    portals: tuple  # (shape position, members under the edge in the mini, child k) each
 
 
-@dataclass(slots=True)
-class _MiniPortal:
-    c_before: int  # members of the mini visited before diving into the edge
-    side: int
-    parent_minilocal: int
-    s_global: int
-
-
-@dataclass(slots=True)
-class _MiniInfo:
-    root_global: int
-    ld_global: int
-    portals: list
+# The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
+# (version 3)", says what each holds.
+_SECTIONS = (
+    (b"MINI", ("mini_root", "mini_ld", "q_count", "q_before", "q_side", "q_parent", "q_size")),
+    (b"MICR", ("m_t1", "root_minilocal", "shape_size", "ld_minilocal", "type_of", "p_count",
+               "p_pos", "p_smini", "p_child")),
+    (b"PCAS", ("run_start", "run_k", "run_t3")),
+)
+# held 1-based (slot 0 unused), per mini tree or per micro tree
+_ONE_BASED = ("mini_root", "mini_ld", "m_t1", "root_minilocal", "shape_size", "ld_minilocal",
+              "type_of")
+# held as offsets: the portals of mini t1 (micro k) are q_off[t1]..q_off[t1 + 1] - 1
+_OFFSETS = {"q_count": "q_off", "p_count": "p_off"}
+# held as lists: there are few minis, and a list read is the cheapest scalar read
+_LISTS = ("mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size")
 
 
 def default_params(n: int) -> tuple[int, int]:
@@ -255,47 +250,52 @@ def default_params(n: int) -> tuple[int, int]:
 
 
 class TreeCover:
-    """Queryable two-tier cover; immutable after construction."""
+    """Queryable two-tier cover; immutable after construction.
+
+    Every field is a column, per mini tree or per micro tree (both 1-based),
+    or per portal or run: an owning `array` of the narrowest integer type, or
+    a list for the few per-mini columns.  Micro trees are numbered k = 1.. in
+    root preorder, which is also the preorder of the micro-root tree."""
 
     __slots__ = (
-        "n", "mini_B", "micro_B", "minis", "micros", "micros_by_k", "registry",
-        "type_ids", "c_in", "v1_in", "v2_in", "v3_in", "tb", "_preorder_runs",
+        "n", "mini_B", "micro_B", "registry", "n_minis", "tb", "c_in", "_preorder_runs",
+        # per mini tree t1, and its portals q_off[t1] .. q_off[t1 + 1] - 1
+        "mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size",
+        # per micro tree k, and its portals p_off[k] .. p_off[k + 1] - 1
+        "m_t1", "m_t2", "root_minilocal", "shape_size", "ld_minilocal", "type_of",
+        "p_off", "p_pos", "p_smini", "p_child",
+        # micro tree (t1, t2) is k_at[first[t1] + t2]
+        "first", "k_at",
+        # per run of the inorder position map, whose starts are c_in's 1-bits
+        "run_k", "run_t3",
     )
 
     def __init__(self):
         raise TypeError("use build_cover or TreeCover.from_sections")
 
-    @classmethod
-    def _new(cls) -> "TreeCover":
-        cov = object.__new__(cls)
-        cov._preorder_runs = None
-        return cov
-
     # ---- queries ----------------------------------------------------------
 
-    def _micro(self, t1: int, t2: int) -> _MicroInfo:
-        if not 1 <= t1 <= len(self.minis):
+    def _k(self, name) -> int:
+        """The micro tree k of a tau-name, checking that each part is in range."""
+        t1, t2, t3 = name
+        if not 1 <= t1 <= self.n_minis:
             raise ValueError(f"no mini tree {t1}")
-        row = self.micros[t1 - 1]
-        if not 1 <= t2 <= len(row):
+        base = self.first[t1]
+        if not 1 <= t2 <= self.first[t1 + 1] - base:
             raise ValueError(f"no micro tree ({t1},{t2})")
-        return row[t2 - 1]
-
-    def _check_t3(self, m: _MicroInfo, t3: int) -> None:
-        if not 1 <= t3 <= m.shape_size:
+        k = self.k_at[base + t2]
+        if not 1 <= t3 <= self.shape_size[k]:
             raise ValueError(f"shape position {t3} out of range")
-        for p in m.portals:
-            opcount.add(1)
-            if p.shape_pos == t3:
-                raise ValueError(f"shape position {t3} is a portal copy, not a node")
+        return k
 
     def nodeselect_preorder(self, p: int) -> TauName:
         if not 1 <= p <= self.n:
             raise IndexError(f"preorder index {p} out of range 1..{self.n}")
-        c, v1, v2, v3 = self._preorder_runs or self._derive_preorder_runs()
+        c, run_k, run_t3 = self._preorder_runs or self._derive_preorder_runs()
         r, base = c.pred1(p)
         opcount.add(3)
-        return TauName(v1[r - 1], v2[r - 1], v3[r - 1] + (p - base))
+        k = run_k[r - 1]
+        return TauName(self.m_t1[k], self.m_t2[k], run_t3[r - 1] + (p - base))
 
     def _derive_preorder_runs(self) -> tuple:
         """The preorder position map, which RMQ never reads and files do not
@@ -303,210 +303,206 @@ class TreeCover:
         leaves are consecutive in global preorder, so each such stretch is
         one run, starting at the global preorder of its first member."""
         rows = []
-        for m in self.micros_by_k:
-            mini = self.minis[m.t1 - 1]
-            ports = [p.shape_pos for p in m.portals]
+        for k in range(1, self.micro_count() + 1):
+            ports = self.p_pos[self.p_off[k]:self.p_off[k + 1]].tolist()
             for a in [1] + [x + 1 for x in ports]:
-                if a <= m.shape_size and a not in ports:
-                    rows.append((self._preorder(m, mini, a), m.t1, m.t2, a))
-        rows.sort()
-        starts, v1, v2, v3 = zip(*rows)
-        runs = (CompressedBitVec.from_positions(self.n, starts),
-                array("q", v1), array("q", v2), array("q", v3))
-        self._preorder_runs = runs
-        return runs
+                if a <= self.shape_size[k] and a not in ports:
+                    rows.append((self._preorder(k, a), k, a))
+        starts, run_k, run_t3 = zip(*sorted(rows))
+        self._preorder_runs = (CompressedBitVec.from_positions(self.n, starts),
+                               compact_array(run_k), compact_array(run_t3))
+        return self._preorder_runs
 
-    @staticmethod
-    def _preorder(m: _MicroInfo, mini: _MiniInfo, t3: int) -> int:
-        """Global preorder of the member at shape position t3: its mini-local
-        preorder counts the members under each micro portal before it, and
-        the subtrees of other minis hanging before it are added."""
-        loc = m.root_minilocal - 1 + t3
-        for p in m.portals:  # a portal leaf stands for s_mini members
-            if p.shape_pos < t3:
-                loc += p.s_mini - 1
-        g = mini.root_global - 1 + loc
-        for q in mini.portals:
-            if q.c_before < loc:
-                g += q.s_global
+    def _preorder(self, k: int, t3: int) -> int:
+        """Global preorder of the member at shape position t3 of micro k: its
+        mini-local preorder counts the members under each micro portal before
+        it, and the subtrees of other minis hanging before it are added."""
+        t1 = self.m_t1[k]
+        loc = self.root_minilocal[k] - 1 + t3
+        for j in range(self.p_off[k], self.p_off[k + 1]):  # a portal stands for s_mini members
+            if self.p_pos[j] < t3:
+                loc += self.p_smini[j] - 1
+        g = self.mini_root[t1] - 1 + loc
+        for j in range(self.q_off[t1], self.q_off[t1 + 1]):
+            if self.q_before[j] < loc:
+                g += self.q_size[j]
         return g
 
     def noderank_preorder(self, name: TauName) -> int:
-        t1, t2, t3 = name
-        m = self._micro(t1, t2)
-        self._check_t3(m, t3)
-        mini = self.minis[t1 - 1]
-        opcount.add(len(m.portals) + len(mini.portals))
-        return self._preorder(m, mini, t3)
+        k = self._k(name)
+        t1, _, t3 = name
+        a, b = self.p_off[k], self.p_off[k + 1]
+        if t3 in self.p_pos[a:b]:
+            raise ValueError(f"shape position {t3} is a portal copy, not a node")
+        # the portal-copy check and the mini-local preorder each read every
+        # micro portal; the preorder reads every mini portal
+        opcount.add(2 * (b - a) + self.q_off[t1 + 1] - self.q_off[t1])
+        return self._preorder(k, t3)
+
+    # The RMQ path works on (micro k, shape position) pairs, which its own
+    # layers produce; the tau-name methods check and translate at the edge.
 
     def nodeselect_inorder(self, i: int) -> TauName:
+        k, t3 = self.select_inorder(i)
+        return _tau(TauName, (self.m_t1[k], self.m_t2[k], t3))
+
+    def lca(self, u: TauName, v: TauName) -> TauName:
+        k, t3 = self.lca_k(self._k(u), u[2], self._k(v), v[2])
+        return _tau(TauName, (self.m_t1[k], self.m_t2[k], t3))
+
+    def noderank_inorder(self, name: TauName) -> int:
+        return self.rank_inorder(self._k(name), name[2])
+
+    def select_inorder(self, i: int) -> tuple[int, int]:
+        """(micro k, shape preorder) of the node of inorder rank i."""
         if not 1 <= i <= self.n:
             raise IndexError(f"inorder index {i} out of range 1..{self.n}")
         r, base = self.c_in.pred1(i)
-        t1, t2 = self.v1_in[r - 1], self.v2_in[r - 1]
-        if not 1 <= t1 <= len(self.minis):
-            raise ValueError(f"no mini tree {t1}")
-        row = self.micros[t1 - 1]
-        if not 1 <= t2 <= len(row):
-            raise ValueError(f"no micro tree ({t1},{t2})")
-        type_id = row[t2 - 1].type_id
+        k = self.run_k[r - 1]
+        type_id = self.type_of[k]
         table = self.registry.tables.get(type_id) or self.registry.table(type_id)
         opcount.add(4)
-        return _tau(TauName, (t1, t2, table.in2pre[self.v3_in[r - 1] + (i - base)]))
+        return k, table.in2pre[self.run_t3[r - 1] + (i - base)]
 
-    def noderank_inorder(self, name: TauName) -> int:
-        """Global inorder rank = global preorder + left-subtree size - left
-        depth.  One walk over the micro's portals checks that t3 is a node and
-        finds its mini-local preorder and in-mini left size; one walk over the
-        mini's portals adds the subtrees of other minis hanging before it and
-        inside its left subtree."""
-        t1, t2, t3 = name
-        if not 1 <= t1 <= len(self.minis):
-            raise ValueError(f"no mini tree {t1}")
-        row = self.micros[t1 - 1]
-        if not 1 <= t2 <= len(row):
-            raise ValueError(f"no micro tree ({t1},{t2})")
-        m = row[t2 - 1]
-        if not 1 <= t3 <= m.shape_size:
-            raise ValueError(f"shape position {t3} out of range")
-        table = self.registry.tables.get(m.type_id) or self.registry.table(m.type_id)
+    def rank_inorder(self, k: int, t3: int) -> int:
+        """Global inorder rank of node t3 of micro k: global preorder +
+        left-subtree size - left depth.  One walk over the micro's portals
+        checks that t3 is a node and finds its mini-local preorder and in-mini
+        left size; one walk over the mini's portals adds the subtrees of other
+        minis hanging before it and inside its left subtree."""
+        type_id = self.type_of[k]
+        table = self.registry.tables.get(type_id) or self.registry.table(type_id)
         ls_mini = table.ls[t3]
         hi = t3 + ls_mini  # shape-left range is t3 + 1 .. hi
         ld = hi - table.pre2in[t3]  # the shape left depth
-        loc = m.root_minilocal - 1 + t3
-        for p in m.portals:  # a portal leaf stands for s_mini members
-            pos = p.shape_pos
-            if pos < t3:
-                loc += p.s_mini - 1
-            elif pos == t3:
+        loc = self.root_minilocal[k] - 1 + t3
+        j = a = self.p_off[k]
+        b = self.p_off[k + 1]
+        pos, s_mini = self.p_pos, self.p_smini
+        while j < b:  # a portal leaf stands for s_mini members
+            p = pos[j]
+            if p < t3:
+                loc += s_mini[j] - 1
+            elif p == t3:
                 raise ValueError(f"shape position {t3} is a portal copy, not a node")
-            elif pos <= hi:
-                ls_mini += p.s_mini - 1
-        mini = self.minis[t1 - 1]
-        g = mini.root_global - 1 + loc
+            elif p <= hi:
+                ls_mini += s_mini[j] - 1
+            j += 1
+        t1 = self.m_t1[k]
+        g = self.mini_root[t1] - 1 + loc
         ls_g = ls_mini
         end = loc + ls_mini
-        for q in mini.portals:
-            if q.c_before < loc:
-                g += q.s_global
-            w = q.parent_minilocal
-            if loc < w <= end or (w == loc and q.side == 0):
-                ls_g += q.s_global
+        j = qa = self.q_off[t1]
+        qb = self.q_off[t1 + 1]
+        while j < qb:
+            if self.q_before[j] < loc:
+                g += self.q_size[j]
+            w = self.q_parent[j]
+            if loc < w <= end or (w == loc and self.q_side[j] == 0):
+                ls_g += self.q_size[j]
+            j += 1
         # the portal check, mini-local preorder and left size each read every
         # micro portal; preorder and left size each read every mini portal
-        opcount.add(3 * len(m.portals) + 2 * len(mini.portals) + 4)
-        return g + ls_g - (mini.ld_global + m.ld_minilocal + ld)
+        opcount.add(3 * (b - a) + 2 * (qb - qa) + 4)
+        return g + ls_g - (self.mini_ld[t1] + self.ld_minilocal[k] + ld)
 
-    def lca(self, u: TauName, v: TauName) -> TauName:
-        u1, u2, u3 = u
-        v1, v2, v3 = v
-        n_minis = len(self.minis)
-        if not 1 <= u1 <= n_minis:
-            raise ValueError(f"no mini tree {u1}")
-        row = self.micros[u1 - 1]
-        if not 1 <= u2 <= len(row):
-            raise ValueError(f"no micro tree ({u1},{u2})")
-        mu = row[u2 - 1]
-        if not 1 <= u3 <= mu.shape_size:
-            raise ValueError(f"shape position {u3} out of range")
-        for p in mu.portals:
-            if p.shape_pos == u3:
-                raise ValueError(f"shape position {u3} is a portal copy, not a node")
-        if not 1 <= v1 <= n_minis:
-            raise ValueError(f"no mini tree {v1}")
-        row = self.micros[v1 - 1]
-        if not 1 <= v2 <= len(row):
-            raise ValueError(f"no micro tree ({v1},{v2})")
-        mv = row[v2 - 1]
-        if not 1 <= v3 <= mv.shape_size:
-            raise ValueError(f"shape position {v3} out of range")
-        for p in mv.portals:
-            if p.shape_pos == v3:
-                raise ValueError(f"shape position {v3} is a portal copy, not a node")
-        ops = len(mu.portals) + len(mv.portals)  # the portal-copy checks
-        tables = self.registry.tables
-        if mu.k == mv.k:
-            table = tables.get(mu.type_id) or self.registry.table(mu.type_id)
+    def lca_k(self, ku: int, u3: int, kv: int, v3: int) -> tuple[int, int]:
+        """(micro k, shape preorder) of the LCA of node u3 of micro ku and
+        node v3 of micro kv; ValueError if either is a portal leaf."""
+        off, pos = self.p_off, self.p_pos
+        a, b = off[ku], off[ku + 1]
+        c, d = off[kv], off[kv + 1]
+        for t3, lo, hi in ((u3, a, b), (v3, c, d)):
+            if lo < hi and t3 in pos[lo:hi]:
+                raise ValueError(f"shape position {t3} is a portal copy, not a node")
+        ops = b - a + d - c  # the portal-copy checks
+        registry = self.registry
+        if ku == kv:
+            type_id = self.type_of[ku]
+            table = registry.tables.get(type_id) or registry.table(type_id)
             opcount.add(ops)
-            return _tau(TauName, (u1, u2, table.lca(u3, v3)))
-        k = self.tb.lca(mu.k, mv.k)
-        if k != mu.k and k != mv.k:
+            return ku, table.lca(u3, v3)
+        k = self.tb.lca(ku, kv)
+        if k != ku and k != kv:
             # both entry points are portals of the meeting micro
-            mk = self.micros_by_k[k - 1]
-            pos_u, ops_u = self._portal_toward(mk, mu.k)
-            pos_v, ops_v = self._portal_toward(mk, mv.k)
-            table = tables.get(mk.type_id) or self.registry.table(mk.type_id)
+            pos_u, ops_u = self._portal_toward(k, ku)
+            pos_v, ops_v = self._portal_toward(k, kv)
+            type_id = self.type_of[k]
+            table = registry.tables.get(type_id) or registry.table(type_id)
             opcount.add(ops + ops_u + ops_v)
-            return _tau(TauName, (mk.t1, mk.t2, table.lca(pos_u, pos_v)))
-        if k == mv.k:
-            u3, mu, mv = v3, mv, mu
-        # mu's root is an ancestor of v: meet inside mu via the portal toward v
-        pos, ops_p = self._portal_toward(mu, mv.k)
-        table = tables.get(mu.type_id) or self.registry.table(mu.type_id)
+            return k, table.lca(pos_u, pos_v)
+        if k == kv:
+            u3, ku, kv = v3, kv, ku
+        # ku's root is an ancestor of kv: meet inside ku via the portal toward kv
+        p, ops_p = self._portal_toward(ku, kv)
+        type_id = self.type_of[ku]
+        table = registry.tables.get(type_id) or registry.table(type_id)
         opcount.add(ops + ops_p)
-        return _tau(TauName, (mu.t1, mu.t2, table.lca(u3, pos)))
+        return ku, table.lca(u3, p)
 
-    def _portal_toward(self, m: _MicroInfo, k_target: int) -> tuple[int, int]:
-        """Shape position of m's portal whose child micro is k_target or one of
-        its ancestors, and the operations spent: a portal read and a two-read
-        ancestor test per portal tried."""
+    def _portal_toward(self, k: int, k_target: int) -> tuple[int, int]:
+        """Shape position of micro k's portal whose child micro is k_target or
+        one of its ancestors, and the operations spent: a portal read and a
+        two-read ancestor test per portal tried."""
         enter, exit_ = self.tb.enter, self.tb.exit
         e, x = enter[k_target], exit_[k_target]
-        ops = 0
-        for p in m.portals:
-            ops += 3
-            c = p.child_k
+        child = self.p_child
+        j = a = self.p_off[k]
+        b = self.p_off[k + 1]
+        while j < b:
+            c = child[j]
             if enter[c] <= e and x <= exit_[c]:
-                return p.shape_pos, ops
+                return self.p_pos[j], 3 * (j - a + 1)
+            j += 1
         raise AssertionError("portal descent failed")  # pragma: no cover
 
     # ---- reporting ---------------------------------------------------------
 
     def micro_count(self) -> int:
-        return len(self.micros_by_k)
+        return len(self.m_t1) - 1
 
-    def all_micros(self):
-        return self.micros_by_k
+    @property
+    def type_ids(self) -> list[int]:
+        """The type id of every micro tree, in k order."""
+        return self.type_of[1:].tolist()
+
+    @property
+    def micros_by_k(self) -> list[MicroView]:
+        """A read-only row view of every micro tree, in k order."""
+        off = self.p_off
+        ports = [tuple(zip(self.p_pos[a:b], self.p_smini[a:b], self.p_child[a:b]))
+                 for a, b in zip(off[1:], off[2:])]
+        return [MicroView(*row) for row in zip(
+            self.m_t1[1:], self.m_t2[1:], range(1, len(ports) + 1), self.root_minilocal[1:],
+            self.shape_size[1:], self.ld_minilocal[1:], self.type_of[1:], ports)]
 
     def space_bits(self) -> dict:
-        """Designed widths of every index structure, in bits.  Lazily built
-        lookup tables are reported but belong to a separate budget."""
-        n = self.n
-        lg_n = _bitlen(n)
-        lg_mini = _bitlen(2 * self.mini_B)
-        lg_micro = _bitlen(2 * max(1, self.micro_B))
-        lg_k = _bitlen(len(self.micros_by_k))
-        lg_types = _bitlen(max(1, len(self.registry)))
-        per_micro = 0
-        for m in self.micros_by_k:
-            per_micro += 2 * lg_mini  # root_minilocal, left depth within mini
-            per_micro += lg_micro + lg_k + lg_types + 3  # shape size, k, type, portal count
-            per_micro += len(m.portals) * (lg_micro + lg_mini + lg_k)
-        per_mini = 0
-        for mini in self.minis:
-            per_mini += 2 * lg_n + 2  # root preorder, root left depth, portal count
-            per_mini += len(mini.portals) * (2 * lg_mini + 1 + lg_n)
-        c_in = self.c_in.space_bits()
-        values = (self.v1_in, self.v2_in, self.v3_in)
+        """Designed widths, in bits: each stored column at its packed width,
+        plus what a load rebuilds (the run starts' rank directory, the
+        micro-root tree).  Built lookup tables have a separate budget."""
+        cols = self._columns()
+        packed = {tag: sum(len(cols[x]) * column_width(cols[x]) for x in names)
+                  for tag, names in _SECTIONS}
         return {
-            "per_micro_tables": per_micro,
-            "per_mini_tables": per_mini,
-            "pca_inorder": (c_in["payload"] + c_in["directory"]
-                            + sum(len(v) * _bitlen(max(v, default=0)) for v in values)),
+            "per_micro_tables": packed[b"MICR"],
+            "per_mini_tables": packed[b"MINI"],
+            "pca_inorder": packed[b"PCAS"] + self.c_in.space_bits()["directory"],
             "micro_root_tree": self.tb.space_bits(),
             "lookup_tables_built": self.registry.tables_space_bits(),
         }
 
     def dump(self) -> str:
         """Human-readable component listing."""
-        out = [f"cover: n={self.n} minis={len(self.minis)} micros={len(self.micros_by_k)} "
+        out = [f"cover: n={self.n} minis={self.n_minis} micros={self.micro_count()} "
                f"mini_B={self.mini_B} micro_B={self.micro_B} types={len(self.registry)}"]
-        for t1, (mini, row) in enumerate(zip(self.minis, self.micros), start=1):
+        micros = self.micros_by_k
+        for t1 in range(1, self.n_minis + 1):
+            row = [micros[k - 1] for k in self.k_at[self.first[t1] + 1:self.first[t1 + 1] + 1]]
             members = sum(m.shape_size - len(m.portals) for m in row)
-            out.append(f"mini {t1}: root_pre={mini.root_global} members={members} "
-                       f"portals={len(mini.portals)}")
+            out.append(f"mini {t1}: root_pre={self.mini_root[t1]} members={members} "
+                       f"portals={self.q_off[t1 + 1] - self.q_off[t1]}")
             for m in row:
-                ports = ",".join(f"@{p.shape_pos}->k{p.child_k}" for p in m.portals)
+                ports = ",".join(f"@{pos}->k{child}" for pos, _, child in m.portals)
                 out.append(f"  micro ({t1},{m.t2}) k={m.k}: "
                            f"members={m.shape_size - len(m.portals)} shape={m.shape_size} "
                            f"type={m.type_id} portals=[{ports}]")
@@ -514,95 +510,112 @@ class TreeCover:
 
     # ---- serialization ------------------------------------------------------
 
+    def _columns(self) -> dict[str, np.ndarray]:
+        """The stored columns (see `_SECTIONS`)."""
+        cols = {"run_start": np.asarray(self.c_in.positions())}
+        for name in (x for _, names in _SECTIONS for x in names if x != "run_start"):
+            col = np.asarray(getattr(self, _OFFSETS.get(name, name)))
+            if name in _OFFSETS:
+                col = np.diff(col)
+            cols[name] = col[1:] if name in _ONE_BASED or name in _OFFSETS else col
+        return cols
+
     def to_sections(self) -> list[tuple[bytes, bytes]]:
-        meta = struct.pack("<QQQ", self.n, self.mini_B, self.micro_B)
-        mini_blob = bytearray(struct.pack("<I", len(self.minis)))
-        for mini in self.minis:
-            mini_blob += struct.pack("<QQB", mini.root_global, mini.ld_global, len(mini.portals))
-            for q in mini.portals:
-                mini_blob += struct.pack("<QBQQ", q.c_before, q.side, q.parent_minilocal,
-                                         q.s_global)
-        micro_blob = bytearray(struct.pack("<I", len(self.minis)))
-        for row in self.micros:
-            micro_blob += struct.pack("<I", len(row))
-            for m in row:
-                micro_blob += struct.pack("<QQQQIB", m.k, m.root_minilocal, m.shape_size,
-                                          m.ld_minilocal, m.type_id, len(m.portals))
-                for p in m.portals:
-                    micro_blob += struct.pack("<QQQ", p.shape_pos, p.s_mini, p.child_k)
-        starts = self.c_in.positions()
-        pca_blob = bytearray(struct.pack("<I", len(starts)))
-        for arr in (starts, self.v1_in, self.v2_in, self.v3_in):
-            pca_blob += struct.pack(f"<{len(arr)}Q", *arr)
-        return [
-            (b"CMET", bytes(meta)),
-            (b"MINI", bytes(mini_blob)),
-            (b"MICR", bytes(micro_blob)),
-            (b"PCAS", bytes(pca_blob)),
-            (b"TYPR", self.registry.to_bytes()),
-        ]
+        cols = self._columns()
+        return [(b"CMET", struct.pack("<QQQ", self.n, self.mini_B, self.micro_B))] + [
+            (tag, b"".join(pack_column(cols[name]) for name in names)) for tag, names in _SECTIONS
+        ] + [(b"TYPR", self.registry.to_bytes())]
 
     @classmethod
     def from_sections(cls, sections: dict[bytes, bytes]) -> "TreeCover":
         for tag in (b"CMET", b"MINI", b"MICR", b"PCAS", b"TYPR"):
             if tag not in sections:
                 raise DecodeError(f"missing cover section {tag.decode('ascii')}")
-        cov = cls._new()
+        cov = object.__new__(cls)
         r = Reader(sections[b"CMET"], "CMET")
         cov.n, cov.mini_B, cov.micro_B = r.take("<QQQ")
         r.end()
-        r = Reader(sections[b"MINI"], "MINI")
-        minis = []
-        for _ in range(r.count("<I", 17)):
-            rg, ld, np_ = r.take("<QQB")
-            minis.append(_MiniInfo(rg, ld, [_MiniPortal(*r.take("<QBQQ")) for _ in range(np_)]))
-        r.end()
-        cov.minis = minis
-        r = Reader(sections[b"MICR"], "MICR")
-        micros: list[list[_MicroInfo]] = []
-        flat: list[_MicroInfo] = []
-        for t1 in range(1, r.count("<I", 4) + 1):
-            row = []
-            for t2 in range(1, r.count("<I", 37) + 1):
-                k, rml, ss, ld, tid, np_ = r.take("<QQQQIB")
-                portals = [_Portal(*r.take("<QQQ")) for _ in range(np_)]
-                row.append(_MicroInfo(t1, t2, k, rml, ss, ld, tid, portals))
-            micros.append(row)
-            flat.extend(row)
-        r.end()
-        if len(micros) != len(minis):
-            raise DecodeError(f"MICR lists {len(micros)} minis, MINI {len(minis)}")
-        cov.micros = micros
-        flat.sort(key=lambda m: m.k)
-        cov.micros_by_k = flat
-        r = Reader(sections[b"PCAS"], "PCAS")
-        runs = r.count("<I", 32)
-        starts = r.take(f"<{runs}Q")
-        cov.v1_in, cov.v2_in, cov.v3_in = (array("q", r.take(f"<{runs}q")) for _ in range(3))
-        r.end()
-        cov.c_in = CompressedBitVec.from_positions(cov.n, starts)
+        cols = {}
+        for tag, names in _SECTIONS:
+            r = Reader(sections[tag], tag.decode("ascii"))
+            for name in names:
+                cols[name] = read_column(r)
+            r.end()
         cov.registry = TypeRegistry.from_bytes(sections[b"TYPR"])
-        cov.type_ids = [m.type_id for m in cov.micros_by_k]
-        cov._build_tb()
+        _check_columns(cov.n, cols, cov.registry)
+        try:
+            cov._install(cols)
+        except ValueError as exc:  # the micro-root tree's ids are not its preorder
+            raise DecodeError(f"cover columns: {exc}") from exc
         return cov
 
     # ---- shared assembly -----------------------------------------------------
 
-    def _build_tb(self) -> None:
-        """The micro-root tree: children in k order, which is root preorder."""
-        ell = len(self.micros_by_k)
-        children: list[list[int]] = [[] for _ in range(ell + 1)]
-        has_parent = [False] * (ell + 1)
-        for m in self.micros_by_k:
-            for p in m.portals:
-                children[m.k].append(p.child_k)
-                has_parent[p.child_k] = True
-        root_k = 0
-        for m in self.micros_by_k:
-            children[m.k].sort()
-            if not has_parent[m.k]:
-                root_k = m.k
-        self.tb = EulerTourLca(ell, children, root_k)
+    def _install(self, cols: dict[str, np.ndarray]) -> None:
+        """Hold the stored columns as compact arrays and derive the rest: the
+        portal offsets, each micro's t2, the (t1, t2) -> k directory, the rank
+        directory of the run starts and the micro-root tree."""
+        for name, col in cols.items():
+            if name in _ONE_BASED:
+                col = np.append(0, col)
+            elif name in _OFFSETS:
+                name, col = _OFFSETS[name], np.append((0, 0), np.cumsum(col))
+            elif name == "run_start":
+                continue
+            setattr(self, name, col.tolist() if name in _LISTS else compact_array(col))
+        m_t1 = cols["m_t1"]
+        self._preorder_runs = None
+        self.n_minis = len(cols["mini_root"])
+        self.m_t2 = compact_array(np.append(0, _rank_within(m_t1)))
+        per_mini = np.bincount(m_t1, minlength=self.n_minis + 1)[1:]
+        self.first = np.append((0, 0), np.cumsum(per_mini)).tolist()
+        self.k_at = compact_array(np.append(0, np.argsort(m_t1, kind="stable") + 1))
+        self.c_in = CompressedBitVec.from_positions(self.n, cols["run_start"])
+        parent = np.zeros(len(m_t1) + 1, dtype=np.int64)
+        parent[cols["p_child"]] = np.repeat(np.arange(1, len(m_t1) + 1), cols["p_count"])
+        self.tb = EulerTourLca.from_preorder(parent)
+
+
+def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> None:
+    """Value checks on loaded cover columns, in O(#micros + #runs) numpy
+    passes; a failure is a DecodeError saying what is inconsistent."""
+    def need(ok, what: str) -> None:
+        if not ok:
+            raise DecodeError(f"cover columns: {what}")
+
+    for tag, names in _SECTIONS:
+        # a count column ends the per-mini (per-micro) columns; the per-portal
+        # columns after it have as many entries as the counts add up to
+        cut = next((i + 1 for i, x in enumerate(names) if x in _OFFSETS), len(names))
+        rows, items = names[:cut], names[cut:]
+        need(all(len(c[x]) == len(c[rows[0]]) for x in rows)
+             and all(len(c[x]) == len(c[names[-1]]) for x in items)
+             and (not items or ((c[rows[-1]] <= len(c[items[0]])).all()
+                                and c[rows[-1]].sum() == len(c[items[0]]))),
+             f"{tag.decode('ascii')} columns differ in length")
+    micros = len(c["m_t1"])
+    size, ports = c["shape_size"], c["p_count"]
+    need(micros and ((c["m_t1"] >= 1) & (c["m_t1"] <= len(c["mini_root"]))).all(),
+         "a micro names no mini tree")
+    need((c["type_of"] < len(registry)).all()
+         and (registry.shape_bits()[c["type_of"]] == 2 * size + 1).all(),
+         "a micro's type is not in the registry with the micro's shape size")
+    need((ports < size).all() and (size - ports <= n).all() and (size - ports).sum() == n,
+         "micro member counts do not sum to n")
+    owner = np.repeat(np.arange(1, micros + 1), ports)
+    child = c["p_child"]
+    need(((owner < child) & (child <= micros)).all()
+         and (np.bincount(child, minlength=micros + 1)[2:] == 1).all(),
+         "every micro but the root needs exactly one parent portal, before it in k order")
+    need(((c["p_pos"] >= 1) & (c["p_pos"] <= size[owner - 1])).all(),
+         "a portal lies outside its shape")
+    start, run_k, run_t3 = c["run_start"], c["run_k"], c["run_t3"]
+    need(len(start) and start[0] == 1 and (start[1:] > start[:-1]).all() and start[-1] <= n,
+         "run starts do not rise from 1 within 1..n")
+    need(((run_k >= 1) & (run_k <= micros)).all(), "a run names no micro")
+    length = np.diff(np.append(start, n + 1))
+    need(((run_t3 >= 1) & (run_t3 - 1 <= size[run_k - 1] - length)).all(),
+         "a run does not fit in its micro's shape")
 
 
 def _rank_within(groups: np.ndarray) -> np.ndarray:
@@ -692,7 +705,7 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     if micro_b < 1 or mini_b < micro_b:
         raise CoverError("need 1 <= micro_b <= mini_b")
 
-    cov = TreeCover._new()
+    cov = object.__new__(TreeCover)
     cov.n = n
     cov.mini_B = mini_b
     cov.micro_B = micro_b
@@ -742,8 +755,8 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     pk = k_of[parent[pc]]
     p_side = (right[parent[pc]] == pc).astype(idx)
     p_smini = np.where(is_mini_root[pc] == 1, 0, st_local(pc))
-    n_members = np.bincount(k_of[1:], minlength=M + 1)[1:]
-    shape_size = n_members + np.bincount(pk, minlength=M + 1)[1:]
+    p_count = np.bincount(pk, minlength=M + 1)[1:]
+    shape_size = np.bincount(k_of[1:], minlength=M + 1)[1:] + p_count
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
         raise CoverError(  # pragma: no cover - guards decomposition bugs
             f"micro shape of {shape_size.max()} nodes exceeds 2*micro_b={2 * micro_b}")
@@ -761,27 +774,14 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
         type_of[j] = registry.intern_key(
             (codes[byte_start[j]:byte_start[j + 1]], nbits[j], fl[j], fr[j]))
 
-    portals_of: list[list[_Portal]] = [[] for _ in range(M)]
-    portal_pos = shape_pre[n:]
-    porder = np.lexsort((portal_pos, pk))
-    for j, owner_k, spos, smini in zip(porder.tolist(), pk[porder].tolist(),
-                                       portal_pos[porder].tolist(), p_smini[porder].tolist()):
-        portals_of[owner_k - 1].append(_Portal(spos, smini, j + 2))
-
     loc = np.zeros(n + 1, dtype=idx)  # mini-local preorder
     loc[1:] = _rank_within(t1[1:])
     ld = np.arange(n + 1, dtype=idx) - np.frombuffer(t.inorder_of, dtype=idx) + ls
-    mt2 = _rank_within(mt1)
-    fields = zip(mt1.tolist(), mt2.tolist(), loc[micro_root].tolist(), shape_size.tolist(),
-                 (ld[micro_root] - ld[mini_root[mt1 - 1]]).tolist())
-    by_k = [_MicroInfo(m1, m2, j + 1, rml, ss, ldm, type_of[j], portals_of[j])
-            for j, (m1, m2, rml, ss, ldm) in enumerate(fields)]
-    micros: list[list[_MicroInfo]] = [[] for _ in range(n_minis)]
-    for j in rows:
-        micros[by_k[j].t1 - 1].append(by_k[j])
-
-    # mini portals, ordered by (mini-local parent, side)
-    mini_portals: list[list[_MiniPortal]] = [[] for _ in range(n_minis)]
+    # micro portals in (owning micro, shape position) order; the child of
+    # portal j of `pc` is micro j + 2
+    portal_pos = shape_pre[n:]
+    porder = np.lexsort((portal_pos, pk))
+    # mini portals in (mini, mini-local source, side) order
     mp = parent[child_minis]
     m_side = (right[mp] == child_minis).astype(idx)
     lchild = left[mp]
@@ -789,24 +789,19 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
                       st_local(lchild), 0)
     m_loc = loc[mp]
     morder = np.lexsort((m_side, m_loc, owner))
-    for m, i, side, ls_i, sg in zip(
-            owner[morder].tolist(), m_loc[morder].tolist(), m_side[morder].tolist(),
-            ls_loc[morder].tolist(), st[child_minis[morder]].tolist()):
-        mini_portals[m - 1].append(_MiniPortal(i + ls_i if side else i, side, i, sg))
-    cov.minis = [_MiniInfo(r, ldr, ports) for r, ldr, ports in zip(
-        mini_root.tolist(), ld[mini_root].tolist(), mini_portals)]
-    cov.micros = micros
-    cov.micros_by_k = by_k
-    cov.type_ids = type_of
-
     # the inorder position map, run-compressed
     g = np.frombuffer(t.id_at_inorder, dtype=idx)[1:]
     t3 = shape_in[g - 1]
     at = _pca_runs(k_of[g], t3)
-    g = g[at]
-    cov.c_in = CompressedBitVec.from_positions(n, (at + 1).tolist())
-    cov.v1_in, cov.v2_in, cov.v3_in = (array("q", v.astype(np.int64).tobytes())
-                                       for v in (t1[g], mt2[k_of[g] - 1], t3[at]))
-
-    cov._build_tb()
+    cov._install({
+        "mini_root": mini_root, "mini_ld": ld[mini_root],
+        "q_count": np.bincount(owner, minlength=n_minis + 1)[1:],
+        "q_before": (m_loc + m_side * ls_loc)[morder], "q_side": m_side[morder],
+        "q_parent": m_loc[morder], "q_size": st[child_minis[morder]],
+        "m_t1": mt1, "root_minilocal": loc[micro_root], "shape_size": shape_size,
+        "ld_minilocal": ld[micro_root] - ld[mini_root[mt1 - 1]],
+        "type_of": np.asarray(type_of), "p_count": p_count,
+        "p_pos": portal_pos[porder], "p_smini": p_smini[porder], "p_child": porder + 2,
+        "run_start": at + 1, "run_k": k_of[g[at]], "run_t3": t3[at],
+    })
     return cov

@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import heapq
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import opcount
-from .bits import VariableCellArray
+from .bits import VariableCellArray, pack_column, read_column
 from .serial import DecodeError, Reader, bits_to_bytes
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequence,
                        zaks_arrays, zaks_decode, zaks_sizes)
@@ -114,11 +115,18 @@ class ShapeTable:
 
 
 class TypeRegistry:
-    """Interned micro-tree types with lazily built lookup tables."""
+    """Interned micro-tree types with lazily built lookup tables.
+
+    The types are held as columns: a header per type, ``nbits << 2 |
+    flag_left << 1 | flag_right`` (nbits = Zaks bit length of the shape), and
+    one blob of every type's key bytes (ceil(nbits / 8) each) in type order.
+    """
 
     def __init__(self):
-        self.keys: list[tuple] = []
-        self._index: dict[tuple, int] = {}
+        self._head = array("q")
+        self._start = array("q", [0])  # type t's key is _blob[_start[t]:_start[t + 1]]
+        self._blob = bytearray()
+        self._index: dict[tuple, int] | None = {}  # canonical key -> type id
         # built tables by type id; the query path reads it before `table`
         self.tables: dict[int, ShapeTable] = {}
 
@@ -127,28 +135,48 @@ class TypeRegistry:
 
     def intern_key(self, key: tuple) -> int:
         """Type id of a canonical key (see `micro_type_key`), added if new."""
+        if self._index is None:  # a loaded registry keeps no key dictionary
+            self._index = {self.key(t): t for t in range(len(self))}
         idx = self._index.get(key)
         if idx is None:
-            idx = len(self.keys)
-            self.keys.append(key)
+            data, nbits, fl, fr = key
+            if len(data) != (nbits + 7) // 8:
+                raise ValueError("key bytes must hold exactly the shape's bits")
+            idx = len(self._head)
+            self._head.append(nbits << 2 | fl << 1 | fr)
+            self._blob += data
+            self._start.append(len(self._blob))
             self._index[key] = idx
         return idx
 
     def __len__(self) -> int:
-        return len(self.keys)
+        return len(self._head)
+
+    def key(self, type_id: int) -> tuple:
+        """The canonical key (key bytes, nbits, flag_left, flag_right)."""
+        h = self._head[type_id]
+        data = bytes(self._blob[self._start[type_id]:self._start[type_id + 1]])
+        return data, h >> 2, h >> 1 & 1, h & 1
+
+    @property
+    def keys(self) -> list[tuple]:
+        return [self.key(t) for t in range(len(self))]
+
+    def shape_bits(self) -> np.ndarray:
+        """The Zaks bit length (2s + 1 for an s-node shape) of every type."""
+        return np.asarray(self._head, dtype=np.int64) >> 2
 
     def _key_bits(self, type_id: int) -> np.ndarray:
-        data, nbits, _, _ = self.keys[type_id]
-        if nbits > 8 * len(data):
-            raise DecodeError("bit payload shorter than declared length")
-        return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=nbits)
+        start, end = self._start[type_id], self._start[type_id + 1]
+        data = np.frombuffer(self._blob[start:end], dtype=np.uint8)
+        return np.unpackbits(data, count=self._head[type_id] >> 2)
 
     def zaks_bits(self, type_id: int) -> list[int]:
         return self._key_bits(type_id).tolist()
 
     def flags(self, type_id: int) -> tuple[int, int]:
-        _, _, fl, fr = self.keys[type_id]
-        return fl, fr
+        h = self._head[type_id]
+        return h >> 1 & 1, h & 1
 
     def table(self, type_id: int) -> ShapeTable:
         """The type's lookup table, built on first use.  A table is complete
@@ -171,23 +199,24 @@ class TypeRegistry:
         return sum(t.space_bits() for t in list(self.tables.values()))
 
     def to_bytes(self) -> bytes:
-        out = bytearray(struct.pack("<I", len(self.keys)))
-        for data, nbits, fl, fr in self.keys:
-            out += struct.pack("<IBB", nbits, fl, fr)
-            out += struct.pack("<I", len(data))
-            out += data
-        return bytes(out)
+        return pack_column(self._head) + bytes(self._blob)
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TypeRegistry":
-        reg = cls()
         r = Reader(blob, "TYPR")
-        for _ in range(r.count("<I", 10)):
-            nbits, fl, fr, nb = r.take("<IBBI")
-            key = (r.raw(nb), nbits, fl, fr)
-            reg._index[key] = len(reg.keys)
-            reg.keys.append(key)
+        head = read_column(r)
+        key_bytes = ((head >> 2) + 7) // 8
+        left = len(blob) - r.pos
+        if (key_bytes > left).any():
+            raise DecodeError("truncated TYPR section")
+        start = np.zeros(len(head) + 1, dtype=np.int64)
+        np.cumsum(key_bytes, out=start[1:])
+        reg = cls()
+        reg._blob = r.raw(int(start[-1]))
         r.end()
+        reg._head = array("q", head.tobytes())
+        reg._start = array("q", start.tobytes())
+        reg._index = None
         return reg
 
 
@@ -247,7 +276,7 @@ def _package_merge_lengths(weights: list[int], limit: int) -> list[int]:
 
 def _canonical_codes(lengths: dict[int, int], registry: TypeRegistry) -> dict[int, tuple[int, int]]:
     """Assign canonical codes ordered by (length, canonical key)."""
-    symbols = sorted(lengths, key=lambda s: (lengths[s], registry.keys[s]))
+    symbols = sorted(lengths, key=lambda s: (lengths[s], registry.key(s)))
     codes = {}
     code = 0
     prev_len = 0
@@ -307,6 +336,8 @@ class Codebook:
         r = Reader(blob, "HUFF")
         lengths = dict(r.take("<IH") for _ in range(r.count("<I", 6)))
         r.end()
+        if any(t >= len(registry) for t in lengths):
+            raise DecodeError("HUFF names a type the registry does not hold")
         return cls(mode=MODE_HUFFMAN, codes=_canonical_codes(lengths, registry))
 
 
@@ -316,7 +347,7 @@ def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
     deterministic tie-breaking (frequency, then canonical key)."""
     if not type_counts:
         raise ValueError("huffman codebook needs at least one micro tree")
-    symbols = sorted(type_counts, key=lambda s: (type_counts[s], registry.keys[s]))
+    symbols = sorted(type_counts, key=lambda s: (type_counts[s], registry.key(s)))
     weights = [type_counts[s] for s in symbols]
     lens = _huffman_lengths(weights)
     if max(lens) > limit:
@@ -326,14 +357,26 @@ def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
 
 
 class TypeArray:
-    """Encoded micro-tree types in micro-tree order, in a variable-cell array."""
+    """Encoded micro-tree types in micro-tree order, in a variable-cell array.
 
-    def __init__(self, mode: str, vca: VariableCellArray, registry: TypeRegistry,
+    `vca` is the array or its serialized stream; a stream, which no query
+    reads, is parsed on first use."""
+
+    def __init__(self, mode: str, vca: VariableCellArray | bytes, registry: TypeRegistry,
                  codebook: Codebook | None = None):
         self.mode = mode
-        self.vca = vca
+        self._vca = vca
         self.registry = registry
         self.codebook = codebook
+
+    @property
+    def vca(self) -> VariableCellArray:
+        if isinstance(self._vca, bytes):
+            self._vca = VariableCellArray.from_bytes(self._vca)
+        return self._vca
+
+    def to_bytes(self) -> bytes:
+        return self._vca if isinstance(self._vca, bytes) else self._vca.to_bytes()
 
     def total_payload_bits(self) -> int:
         return self.vca.total_bits
@@ -379,7 +422,7 @@ def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
     """(value, size) of one type's payload, read off its canonical key."""
     if mode == MODE_HUFFMAN:
         return codebook.codes[type_id]
-    data, nbits, fl, fr = registry.keys[type_id]
+    data, nbits, fl, fr = registry.key(type_id)
     zaks = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
     if mode == MODE_FIXED:
         return (((fl << 1) | fr) << nbits) | zaks, nbits + 2

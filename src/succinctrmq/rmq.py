@@ -11,13 +11,12 @@ import random
 
 import numpy as np
 
-from .bits import VariableCellArray
 from .cover import TreeCover, build_cover
 from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, encode_types
 from .serial import DecodeError, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 2  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 3  # FORMAT.md, "RmqIndex"
 
 
 class RmqIndex:
@@ -52,9 +51,9 @@ class RmqIndex:
         if not 1 <= i <= j <= self.n:
             raise IndexError(f"invalid range ({i},{j}) for n={self.n}")
         c = self.cover
-        u = c.nodeselect_inorder(i)
-        v = c.nodeselect_inorder(j)
-        return c.noderank_inorder(c.lca(u, v))
+        ku, u3 = c.select_inorder(i)
+        kv, v3 = c.select_inorder(j)
+        return c.rank_inorder(*c.lca_k(ku, u3, kv, v3))
 
     def _validate_sample(self, keys) -> None:
         """Build-time spot check against the source array (then forget it);
@@ -105,7 +104,7 @@ class RmqIndex:
             "breakdown": breakdown,
             "aux_detail": aux,
             "micro_trees": cov.micro_count(),
-            "mini_trees": len(cov.minis),
+            "mini_trees": cov.n_minis,
             "distinct_types": len(cov.registry),
         }
 
@@ -114,7 +113,7 @@ class RmqIndex:
     def to_bytes(self) -> bytes:
         sections = [(b"RMET", self.codec.encode("ascii").ljust(8, b"\0"))]
         sections += self.cover.to_sections()
-        sections.append((b"TARR", self.type_array.vca.to_bytes()))
+        sections.append((b"TARR", self.type_array.to_bytes()))
         if self.type_array.codebook is not None:
             sections.append((b"HUFF", self.type_array.codebook.to_bytes()))
         return write_stream(FORMAT_VERSION, sections)
@@ -132,13 +131,13 @@ class RmqIndex:
         if codec not in MODES:
             raise DecodeError(f"unknown codec {codec!r} in index file")
         cover = TreeCover.from_sections(sections)
-        vca = VariableCellArray.from_bytes(sections[b"TARR"])
         codebook = None
         if codec == MODE_HUFFMAN:
             if b"HUFF" not in sections:
                 raise DecodeError("huffman index without codebook section")
             codebook = Codebook.from_bytes(sections[b"HUFF"], cover.registry)
-        type_array = TypeArray(codec, vca, cover.registry, codebook)
+        # no query reads the type payload: it is parsed on first use
+        type_array = TypeArray(codec, sections[b"TARR"], cover.registry, codebook)
         return cls(cover.n, codec, cover, type_array)
 
 

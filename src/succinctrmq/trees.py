@@ -453,6 +453,47 @@ class EulerTourLca:
                 stack.pop()
         tour = np.frombuffer(euler, dtype=np.intc).astype(np.int64)
         keys = (np.frombuffer(depth, dtype=np.intc).astype(np.int64)[tour] << 32) | tour
+        self._install(first, enter, exit_, keys)
+
+    @classmethod
+    def from_preorder(cls, parent: np.ndarray) -> "EulerTourLca":
+        """The structure for a tree whose ids 1..size are its preorder with
+        children in id order, from its parent ids (slot 0 and the root's
+        parent are 0), in a few numpy passes; ValueError if the ids are not
+        such a preorder.
+
+        Node k has depth d_k; its balanced-parenthesis open sits at 2k - 1 -
+        d_k, and d_k + 1 - d_{k+1} closes follow it.  The i-th open and the
+        i-th close at each depth match.  A tour entry is the node on top after
+        each parenthesis but the root's close."""
+        par = np.asarray(parent, dtype=np.int64)
+        size = len(par) - 1
+        k = np.arange(1, size + 1)
+        if size < 1 or par[0] or par[1] or not (par[2:] >= 1).all() or not (par[2:] < k[1:]).all():
+            raise ValueError("parent ids are not a preorder")
+        depth = _chain_lengths(par, 0)[1:].astype(np.int64)
+        closes = depth + 1 - np.append(depth[1:], 0)
+        if (closes < 0).any():
+            raise ValueError("parent ids are not a preorder")
+        enter = 2 * k - 1 - depth
+        owner = np.repeat(np.arange(size), closes)
+        step = np.arange(size) - np.repeat(np.cumsum(closes) - closes, closes)
+        close_at = enter[owner] + 1 + step
+        exit_ = np.empty(size, dtype=np.int64)
+        exit_[np.argsort(depth, kind="stable")] = close_at[np.argsort(depth[owner] - step,
+                                                                      kind="stable")]
+        up = par[2:] - 1
+        if not ((enter[up] < enter[1:]) & (exit_[1:] < exit_[up])).all():
+            raise ValueError("parent ids are not a preorder")
+        tour = np.empty(2 * size, dtype=np.int64)
+        tour[enter - 1] = (depth << 32) | k
+        tour[exit_ - 1] = ((depth - 1) << 32) | par[1:]
+        self = cls.__new__(cls)
+        self._install(*(_int_array(np.append(0, x)) for x in (enter - 1, enter, exit_)),
+                      tour[:-1])
+        return self
+
+    def _install(self, first: array, enter: array, exit_: array, keys: np.ndarray) -> None:
         padded = np.full(-(-len(keys) // self.BLOCK) * self.BLOCK, np.iinfo(np.int64).max)
         padded[:len(keys)] = keys
         level = padded.reshape(-1, self.BLOCK).min(axis=1)

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from succinctrmq import opcount
-from succinctrmq.bits import BitVec, CompressedBitVec, PiecewiseConstantArray, VariableCellArray
-from succinctrmq.serial import DecodeError, read_stream, write_stream
+from succinctrmq.bits import (BitVec, CompressedBitVec, PiecewiseConstantArray, VariableCellArray,
+                              compact_array, pack_column, read_column)
+from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
 
 
 def naive_rank(bits, alpha, i):
@@ -242,6 +244,40 @@ class TestVariableCellArray:
                                     (b"PAYL", payload)])
             with pytest.raises(DecodeError):
                 VariableCellArray.from_bytes(blob)
+
+
+class TestPackedColumn:
+    @pytest.mark.parametrize("width", [1, 3, 8, 13, 20, 32, 33, 57, 58, 63])
+    def test_roundtrip_at_every_width(self, width):
+        rng = np.random.default_rng(width)
+        for count in (0, 1, 7, 8, 9, 100):
+            values = rng.integers(0, 1 << (width - 1), count, dtype=np.int64) * 2 + 1
+            if count:
+                values[-1] = (1 << width) - 1
+            blob = pack_column(values)
+            assert blob[4] == (width if count else 1)
+            assert len(blob) == 5 + (count * blob[4] + 7) // 8
+            r = Reader(blob, "T")
+            assert read_column(r).tolist() == values.tolist()
+            r.end()
+
+    def test_layout_is_lsb_first(self):
+        # 3-bit entries 1, 2, 7: bits 100 010 111 -> bytes 0b11010001, 0b1
+        assert pack_column([1, 2, 7]) == bytes([3, 0, 0, 0, 3, 0b11010001, 0b1])
+
+    def test_malformed(self):
+        blob = pack_column([1, 2, 7])
+        for bad in (blob[:-1], blob[:4] + b"\x00" + blob[5:], blob[:4] + b"\x40" + blob[5:],
+                    blob[:-1] + b"\x03"):
+            with pytest.raises(DecodeError):
+                read_column(Reader(bad, "T"))
+        with pytest.raises(ValueError):
+            pack_column([-1])
+
+    def test_compact_array_typecodes(self):
+        for top, code in ((255, "B"), (256, "H"), (1 << 16, "I"), (1 << 32, "q")):
+            arr = compact_array(np.array([0, top]))
+            assert arr.typecode == code and arr.tolist() == [0, top]
 
 
 class TestPiecewiseConstantArray:

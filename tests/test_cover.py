@@ -101,7 +101,7 @@ class TestBuildCoverBasics:
         t = sample_random_bst(40, 1)
         cov = build_cover(t, mini_b=100, micro_b=100)
         assert cov.micro_count() == 1
-        assert len(cov.minis) == 1
+        assert cov.n_minis == 1
         sweep_maps(t, cov)
 
     def test_root_leads_every_numbering(self):
@@ -115,7 +115,7 @@ class TestBuildCoverBasics:
         cov = build_cover(t, mini_b=32, micro_b=6)
         name = cov.nodeselect_preorder(300)
         assert cov.noderank_preorder(name) == 300
-        assert name.t1 == len(cov.minis)
+        assert name.t1 == cov.n_minis
 
     def test_random_2000_all_nodes_reachable(self):
         t = sample_random_bst(2000, 11)
@@ -145,12 +145,11 @@ class TestBuildCoverBasics:
         t = sample_random_bst(400, 3)
         cov = build_cover(t, mini_b=20, micro_b=5)
         hit = False
-        for row in cov.micros:
-            for m in row:
-                for p in m.portals:
-                    hit = True
-                    with pytest.raises(ValueError):
-                        cov.noderank_preorder(TauName(m.t1, m.t2, p.shape_pos))
+        for m in cov.micros_by_k:
+            for pos, _, _ in m.portals:
+                hit = True
+                with pytest.raises(ValueError):
+                    cov.noderank_preorder(TauName(m.t1, m.t2, pos))
         assert hit
 
     def test_param_validation(self):
@@ -274,9 +273,9 @@ class TestLoadedCover:
     def test_derived_runs_are_maximal(self):
         t = sample_random_bst(3000, 22)
         cov = reloaded(build_cover(t, mini_b=64, micro_b=8))
-        c, v1, v2, v3 = cov._derive_preorder_runs()
+        c, run_k, run_t3 = cov._derive_preorder_runs()
         starts = c.positions()
-        assert len(starts) == len(v1) == len(v2) == len(v3)
+        assert len(starts) == len(run_k) == len(run_t3)
         # the stored inorder map names every node; a preorder run breaks exactly
         # where the micro changes or the shape position fails to step by one
         names = [cov.nodeselect_inorder(t.inorder_of[p]) for p in range(1, t.n + 1)]

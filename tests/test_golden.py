@@ -1,9 +1,10 @@
 """Golden bytes and answers: the serialized index must not change unless the
 format does, and queries must keep their answers and operation counts.
 
-The byte digests are of format version 2, which is version 1 without the
-preorder position map and the fields no query reads; a change to any of them
-means a different file, not just a different way of building the same one.
+The byte digests are of format version 3, which holds the fields of version
+2 as bit-packed columns (and the micro ids implicitly, as column order); a
+change to any of them means a different file, not just a different way of
+building the same one.
 The query digests were recorded from the query path before it was flattened,
 and hold for a built index and for the same index reloaded from its bytes.
 """
@@ -30,13 +31,13 @@ def many_ties(n: int) -> list[int]:
 
 
 GOLDEN = [
-    ("perm", 1000, "fixed", "b737df17a788b3ef275bbcaf18b3762dde4cb6d0"),
-    ("perm", 1000, "entropy", "91794933832a314d4f3d58cdbfe2e773d8218915"),
-    ("perm", 1000, "huffman", "4a30c2ecc6e96a03b2b82ab3dfb6e1d53f5fa89a"),
-    ("perm", 20000, "fixed", "0f836d52370971c3a64be0af486aeb0e1fd43ce5"),
-    ("perm", 20000, "entropy", "9720b9d80c84d886dc79cc9172c6153d1b509035"),
-    ("perm", 20000, "huffman", "3ab3931d06ffa7b0b92e7a7fb261d77ec41f479b"),
-    ("ties", 20000, "entropy", "d5f6b1c86c7b7394f3e1c738087bd61501a98eb3"),
+    ("perm", 1000, "fixed", "7e4ec7d315010eb9bf12777ec916d6d7503b8f93"),
+    ("perm", 1000, "entropy", "56db1f8eaf240d051ac9a7794d99c82eb2368a67"),
+    ("perm", 1000, "huffman", "43268d2a24990714e29194e4bd35a528c98d6951"),
+    ("perm", 20000, "fixed", "41c65dbb5c88767e15b74453f7c1cf466019c704"),
+    ("perm", 20000, "entropy", "4a13ea5a825d73b50d967e688cfe45eb1bc3a93e"),
+    ("perm", 20000, "huffman", "e826986e699bdcc5cdc25bcae725937771f4afa5"),
+    ("ties", 20000, "entropy", "975d8d8018e0b6dc8b7d37fada3785fccc8df6b2"),
 ]
 
 INPUTS = {"perm": seeded_permutation, "ties": many_ties}

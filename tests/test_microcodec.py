@@ -267,7 +267,7 @@ class TestTypeArray:
     def test_roundtrip_each_micro(self, mode):
         _, cov = build_fixture_cover()
         ta = encode_types(cov.type_ids, cov.registry, mode)
-        for i, m in enumerate(cov.all_micros(), start=1):
+        for i, m in enumerate(cov.micros_by_k, start=1):
             tree, fl, fr = ta.decode_type(i, shape_size=m.shape_size)
             shape, _ = zaks_decode(cov.registry.zaks_bits(m.type_id))
             assert tree.same_shape(shape)
@@ -276,7 +276,7 @@ class TestTypeArray:
     def test_fixed_mode_lengths(self):
         _, cov = build_fixture_cover(n=800, seed=2)
         ta = encode_types(cov.type_ids, cov.registry, MODE_FIXED)
-        expect = sum(2 * m.shape_size + 3 for m in cov.all_micros())
+        expect = sum(2 * m.shape_size + 3 for m in cov.micros_by_k)
         assert ta.total_payload_bits() == expect
 
     def test_huffman_dominates(self):
@@ -294,7 +294,7 @@ class TestTypeArray:
         t, cov = build_fixture_cover(n=5000, seed=4)
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         envelope = 0.0
-        for m in cov.all_micros():
+        for m in cov.micros_by_k:
             st, _ = zaks_sizes(cov.registry.zaks_bits(m.type_id))
             envelope += sum(math.log2(s) + 2 for s in st)
         assert ta.total_payload_bits() <= envelope
@@ -304,7 +304,7 @@ class TestTypeArray:
         for n, seed in ((2000, 6), (20000, 7)):
             t, cov = build_fixture_cover(n=n, seed=seed)
             ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
-            shape_nodes = sum(m.shape_size for m in cov.all_micros())
+            shape_nodes = sum(m.shape_size for m in cov.micros_by_k)
             total = ta.total_payload_bits()
             assert total <= 2 * shape_nodes + 8 * n / math.log2(n)
 

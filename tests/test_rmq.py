@@ -1,12 +1,17 @@
+import gc
 import random
+import struct
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
 
+from succinctrmq.bits import pack_column, read_column
+from succinctrmq.cover import _SECTIONS
 from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
-from succinctrmq.serial import DecodeError, read_stream, write_stream
+from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
 
 from test_trees import FIG_ARRAY
 
@@ -153,6 +158,51 @@ class TestSpaceReport:
             assert parts["codebook"] == 0
         assert "pca_preorder" not in rep["aux_detail"]
 
+    @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
+    def test_design_matches_file(self, codec):
+        """The file holds the designed bits, less what a load rebuilds, plus
+        the container overhead that FORMAT.md ("Design and file") bounds."""
+        arr = np.random.default_rng(20).permutation(20000).tolist()
+        idx = RmqIndex.build(arr, codec=codec)
+        blob = idx.to_bytes()
+        rep = idx.space_report()
+        parts = rep["breakdown"]
+        rebuilt = (parts["macro_tiers"] + parts["type_directory"]
+                   + idx.cover.c_in.space_bits()["directory"])
+        sections = len(read_stream(blob)[1])
+        container = (64 + 96 * sections + 8 * (8 + 24) + 47 * 19
+                     + 544 + 64 * rep["micro_trees"] + 63)
+        assert 0 <= 8 * len(blob) - (rep["total_bits"] - rebuilt) <= container
+
+
+def deep_size(root) -> int:
+    """Bytes held by every object reachable from `root`: sys.getsizeof of each
+    object once, following gc.get_referents; classes, modules and functions
+    are not counted."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen: set[int] = set()
+    stack = [root]
+    total = 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        assert not (isinstance(obj, np.ndarray) and obj.base is not None), \
+            "a numpy view hides the buffer it reads from this walk"
+        total += sys.getsizeof(obj)
+        stack.extend(gc.get_referents(obj))
+    return total
+
+
+def test_loaded_footprint(index_1e6):
+    """A fresh load holds its columns in owning arrays and no per-micro
+    objects: at most 8 bits per element before any query."""
+    loaded = RmqIndex.from_bytes(index_1e6.to_bytes())
+    gc.collect()
+    bits = deep_size(loaded) * 8 / loaded.n
+    assert bits <= 8.0, f"{bits:.2f} bits/elem resident after load"
+
 
 class TestSerialization:
     @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
@@ -207,6 +257,18 @@ class TestSerialization:
             assert results[k] == [oracle.query(i, j) for i, j in batches[k]]
         assert idx.cover.registry.tables_built() > 0
 
+    def test_type_payload_parsed_on_first_use(self):
+        # queries never read TARR: a load keeps its bytes, and a damaged
+        # payload shows when something reads it
+        arr = np.random.default_rng(4).permutation(2000).tolist()
+        idx = RmqIndex.build(arr)
+        _, sections = read_stream(idx.to_bytes())
+        sections[b"TARR"] = sections[b"TARR"][:-8]
+        back = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
+        assert back.query(1, 2000) == idx.query(1, 2000)
+        with pytest.raises(DecodeError):
+            back.space_report()
+
     def test_malformed(self):
         idx = RmqIndex.build([4, 2, 7])
         data = idx.to_bytes()
@@ -224,11 +286,11 @@ class TestMalformedSections:
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
         version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == 2
+        assert version == 3
         return sections
 
     @staticmethod
-    def stream(sections, version=2, drop=None, **replace):
+    def stream(sections, version=3, drop=None, **replace):
         return write_stream(version, [(tag, replace.get(tag.decode("ascii"), payload))
                                       for tag, payload in sections.items()
                                       if tag.decode("ascii") != drop])
@@ -262,7 +324,54 @@ class TestMalformedSections:
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 3])
+    @pytest.mark.parametrize("version", [1, 2, 4])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
+
+
+class TestValueChecks:
+    """Well-formed sections whose values break the cover are rejected at
+    load: each case rewrites one entry of one column (n = 300)."""
+
+    @pytest.fixture(scope="class")
+    def sections(self):
+        arr = np.random.default_rng(300).permutation(300).tolist()
+        return read_stream(RmqIndex.build(arr, micro_b=4).to_bytes())[1]
+
+    @staticmethod
+    def rewrite(sections, column, index, value):
+        tag, names = next((t, names) for t, names in _SECTIONS if column in names)
+        r = Reader(sections[tag], tag.decode("ascii"))
+        cols = [read_column(r) for _ in names]
+        cols[names.index(column)][index] = value
+        out = dict(sections)
+        out[tag] = b"".join(pack_column(c) for c in cols)
+        return write_stream(3, list(out.items()))
+
+    def test_rewrite_to_the_same_value_loads(self, sections):
+        loaded = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
+        blob = self.rewrite(sections, "type_of", 0, loaded.cover.type_of[1])
+        assert RmqIndex.from_bytes(blob).query(1, 300) == loaded.query(1, 300)
+
+    def test_members_must_sum_to_n(self, sections):
+        out = dict(sections)
+        out[b"CMET"] = struct.pack("<Q", 301) + sections[b"CMET"][8:]
+        with pytest.raises(DecodeError, match="sum to n"):
+            RmqIndex.from_bytes(write_stream(3, list(out.items())))
+
+    @pytest.mark.parametrize("column,index,value", [
+        ("p_child", 0, 10**9),  # a child micro that does not exist
+        ("p_child", 1, 2),  # micro 2 gets two parents
+        ("type_of", 0, 10**6),  # a type the registry does not hold
+        ("run_start", 0, 5),  # inorder ranks 1..4 in no run
+        ("run_start", 1, 1),  # run starts that do not rise
+        ("p_pos", 0, 10**4),  # a portal outside its shape
+        ("shape_size", 0, 10**4),  # a shape size its type does not have
+        ("m_t1", 0, 10**3),  # a micro in no mini tree
+        ("run_k", 0, 10**4),  # a run in no micro
+        ("run_t3", -1, 10**4),  # a run past its micro's shape
+    ])
+    def test_bad_value_rejected(self, sections, column, index, value):
+        with pytest.raises(DecodeError):
+            RmqIndex.from_bytes(self.rewrite(sections, column, index, value))

@@ -323,6 +323,38 @@ class TestEulerTourLca:
         children[root] = others[::-1]
         self.check(size, children, root, parent, self.pairs(size, 7))
 
+    @staticmethod
+    def preorder_parents(children, root):
+        """Parent ids of the tree renumbered in preorder, children in order."""
+        order, stack = [], [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            stack.extend(reversed(children[v]))
+        new = {v: i for i, v in enumerate(order, start=1)}
+        parent = [0] * (len(order) + 1)
+        for v in order:
+            for c in children[v]:
+                parent[new[c]] = new[v]
+        return parent
+
+    @pytest.mark.parametrize("size", [1, 2, 33, 1000])
+    def test_from_preorder_matches_tour(self, size):
+        children, root, _ = random_ordinal_tree(size, size)
+        parent = self.preorder_parents(children, root)
+        kids = [[] for _ in range(size + 1)]
+        for k in range(2, size + 1):
+            kids[parent[k]].append(k)
+        walked = EulerTourLca(size, kids, 1)
+        direct = EulerTourLca.from_preorder(np.array(parent))
+        for name in ("first", "enter", "exit", "_keys", "_sparse"):
+            assert getattr(direct, name) == getattr(walked, name), name
+
+    @pytest.mark.parametrize("parent", [[0, 0, 1, 2, 1, 3], [0, 1, 0], [0, 0, 2], [0, 0, 0]])
+    def test_from_preorder_rejects_other_numberings(self, parent):
+        with pytest.raises(ValueError):
+            EulerTourLca.from_preorder(np.array(parent))
+
     def test_space_counts_held_arrays(self):
         # root 1 with child 2: tour 1 2 1, one block, so four packed keys of
         # 1 depth bit + 2 node bits, and first/enter/exit for slots 0..2 at
