@@ -416,29 +416,24 @@ class TreeCover:
             if lo < hi and t3 in pos[lo:hi]:
                 raise ValueError(f"shape position {t3} is a portal copy, not a node")
         ops = b - a + d - c  # the portal-copy checks
-        registry = self.registry
         if ku == kv:
-            type_id = self.type_of[ku]
-            table = registry.tables.get(type_id) or registry.table(type_id)
-            opcount.add(ops)
-            return ku, table.lca(u3, v3)
-        k = self.tb.lca(ku, kv)
-        if k != ku and k != kv:
-            # both entry points are portals of the meeting micro
-            pos_u, ops_u = self._portal_toward(k, ku)
-            pos_v, ops_v = self._portal_toward(k, kv)
-            type_id = self.type_of[k]
-            table = registry.tables.get(type_id) or registry.table(type_id)
-            opcount.add(ops + ops_u + ops_v)
-            return k, table.lca(pos_u, pos_v)
-        if k == kv:
-            u3, ku, kv = v3, kv, ku
-        # ku's root is an ancestor of kv: meet inside ku via the portal toward kv
-        p, ops_p = self._portal_toward(ku, kv)
-        type_id = self.type_of[ku]
-        table = registry.tables.get(type_id) or registry.table(type_id)
-        opcount.add(ops + ops_p)
-        return ku, table.lca(u3, p)
+            k, x, y = ku, u3, v3
+        else:
+            k = self.tb.lca(ku, kv)
+            if k == ku or k == kv:
+                # k's root is an ancestor of the other micro: meet inside k,
+                # at the portal toward the other
+                x, other = (u3, kv) if k == ku else (v3, ku)
+                y, ops_y = self._portal_toward(k, other)
+                ops += ops_y
+            else:  # both entry points are portals of the meeting micro
+                x, ops_x = self._portal_toward(k, ku)
+                y, ops_y = self._portal_toward(k, kv)
+                ops += ops_x + ops_y
+        type_id = self.type_of[k]
+        table = self.registry.tables.get(type_id) or self.registry.table(type_id)
+        opcount.add(ops)
+        return k, table.lca(x, y)
 
     def _portal_toward(self, k: int, k_target: int) -> tuple[int, int]:
         """Shape position of micro k's portal whose child micro is k_target or

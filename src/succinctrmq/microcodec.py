@@ -17,16 +17,14 @@ from __future__ import annotations
 import heapq
 import struct
 from array import array
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import opcount
-from .bits import VariableCellArray, pack_column, read_column
+from .bits import VariableCellArray, compact_array, pack_column, read_column
 from .serial import DecodeError, Reader, bits_to_bytes
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequence,
                        zaks_arrays, zaks_decode, zaks_sizes)
-from .trees import _int_array
+from .trees import BlockMinLca
 
 MODE_FIXED = "fixed"
 MODE_ENTROPY = "entropy"
@@ -41,71 +39,44 @@ def micro_type_key(zaks: list[int], flag_left: int, flag_right: int) -> tuple:
     return (bits_to_bytes(zaks), len(zaks), flag_left, flag_right)
 
 
-class ShapeTable:
+class ShapeTable(BlockMinLca):
     """Per-type lookup tables addressed by shape-local preorder: inorder <->
     preorder, left sizes and in-micro LCA.
 
-    All arrays are 1-based (slot 0 unused).  Left depths are not held: since
-    inorder = preorder + left size - left depth, node v's left depth is
+    All arrays are 1-based (slot 0 unused), of item type 'H' when the shape
+    has fewer than 65535 nodes and 'i' otherwise.  Left depths are not held:
+    since inorder = preorder + left size - left depth, node v's left depth is
     v + ls[v] - pre2in[v].  The LCA of two nodes is the node of smallest
     preorder in the inorder range between them: every node of that range
-    lies in the LCA's subtree, and the LCA comes first in it.  The inorder
-    sequence of preorder ids is cut into BLOCK-entry blocks whose minima
-    carry a sparse table, so a query scans at most two partial blocks and
-    its operation count is bounded independently of the shape size.
+    lies in the LCA's subtree, and the LCA comes first in it.  So the table
+    is a `BlockMinLca` with positions pre2in over the sequence in2pre.
     """
 
-    BLOCK = 32
-
-    __slots__ = ("n", "in2pre", "pre2in", "ls", "_sparse")
+    __slots__ = ("n", "ls")
+    pre2in, in2pre = BlockMinLca.pos, BlockMinLca.seq  # other names for the same slots
 
     def __init__(self, ls: np.ndarray, ld: np.ndarray):
         """ls, ld: left-subtree sizes and left depths in preorder."""
         n = len(ls)
         if n == 0:
             raise DecodeError("an empty shape has no lookup table")
+        code = "H" if n < 0xFFFF else "i"
         pre = np.arange(1, n + 1)
-        pre2in = pre + ls - ld
-        padded = np.full(-(-(n + 1) // self.BLOCK) * self.BLOCK, n + 1, dtype=np.int64)
-        padded[pre2in] = pre  # slot 0 and the tail keep n + 1, above every id
-        level = padded.reshape(-1, self.BLOCK).min(axis=1)
-        sparse = [_int_array(level)]
-        span = 1
-        while 2 * span <= len(sparse[0]):
-            level = np.minimum(level[:-span], level[span:])
-            sparse.append(_int_array(level))
-            span *= 2
-        padded[0] = 0
+        inorder = pre + ls - ld
+        # slot 0 holds 0 and lies before every position: no scan reaches it, and
+        # block 0's minimum is never read (the sparse table serves inner blocks)
+        pre2in, in2pre, left = np.zeros((3, n + 1), dtype=code)
+        pre2in[1:] = inorder
+        in2pre[inorder] = pre
+        left[1:] = ls
         self.n = n
-        self.in2pre = _int_array(padded[:n + 1])
-        self.pre2in = _int_array(np.concatenate(([0], pre2in)))
-        self.ls = _int_array(np.concatenate(([0], ls)))
-        self._sparse = sparse
+        self.ls = array(code, left.tobytes())
+        super().__init__(array(code, pre2in.tobytes()), array(code, in2pre.tobytes()), in2pre)
 
     @classmethod
     def from_zaks(cls, bits) -> "ShapeTable":
         _, ls, ld = zaks_arrays(bits)
         return cls(ls, ld)
-
-    def lca(self, a: int, b: int) -> int:
-        ia, ib = self.pre2in[a], self.pre2in[b]
-        if ia > ib:
-            ia, ib = ib, ia
-        seq = self.in2pre
-        block = self.BLOCK
-        ba, bb = ia // block, ib // block
-        if ba == bb:
-            opcount.add(ib - ia + 2)
-            return min(seq[ia:ib + 1])
-        best = min(min(seq[ia:(ba + 1) * block]), min(seq[bb * block:ib + 1]))
-        if bb > ba + 1:
-            k = (bb - ba - 1).bit_length() - 1
-            level = self._sparse[k]
-            best = min(best, level[ba + 1], level[bb - (1 << k)])
-            opcount.add(2 * block + 6)
-        else:
-            opcount.add(2 * block + 2)
-        return best
 
     def space_bits(self) -> int:
         """Designed table footprint (reported, not asserted): the three
@@ -274,62 +245,75 @@ def _package_merge_lengths(weights: list[int], limit: int) -> list[int]:
     return lengths
 
 
-def _canonical_codes(lengths: dict[int, int], registry: TypeRegistry) -> dict[int, tuple[int, int]]:
-    """Assign canonical codes ordered by (length, canonical key)."""
-    symbols = sorted(lengths, key=lambda s: (lengths[s], registry.key(s)))
-    codes = {}
-    code = 0
-    prev_len = 0
-    for s in symbols:
-        code <<= lengths[s] - prev_len
-        prev_len = lengths[s]
-        codes[s] = (code, lengths[s])
-        code += 1
-    return codes
-
-
-@dataclass
 class Codebook:
-    """Prefix-free code over micro-tree types."""
+    """Canonical, prefix-free code over micro-tree types, held as arrays.
 
-    mode: str
-    codes: dict[int, tuple[int, int]] = field(default_factory=dict)  # type_id -> (code, len)
-    _decode: dict[tuple[int, int], int] = field(default_factory=dict)
+    Codewords are assigned in (length, canonical key) order, so each type's
+    codeword length fixes the code.  The book keeps that length per type id
+    (0 for a type without a codeword), the types in canonical order, and per
+    length L the first codeword and the index of the first type in that
+    order (`_first[L]`, `_start[L]`; `_start[L + 1]` ends the run).
+    """
 
-    def __post_init__(self):
-        self._decode = {cl: s for s, cl in self.codes.items()}
+    __slots__ = ("_length", "_symbols", "_first", "_start")
+
+    def __init__(self, lengths: dict[int, int], registry: TypeRegistry):
+        """lengths: type id -> codeword length, for types of `registry`."""
+        symbols = sorted(lengths, key=lambda s: (lengths[s], registry.key(s)))
+        top = max(lengths.values(), default=0)
+        count = [0] * (top + 1)
+        length = array("B", bytes(len(registry)))
+        for s, l in lengths.items():
+            length[s] = l
+            count[l] += 1
+        first, start = [0, 0], [0, 0]
+        for l in range(1, top + 1):
+            first.append((first[l] + count[l]) << 1)
+            start.append(start[l] + count[l])
+        self._length, self._symbols = length, compact_array(symbols)
+        self._first, self._start = first[:top + 1], start  # no codeword is longer than top
 
     def length(self, type_id: int) -> int:
-        return self.codes[type_id][1]
+        return self._length[type_id]
+
+    def code(self, type_id: int) -> tuple[int, int]:
+        """(codeword, length) of a type; ValueError if it has none."""
+        l = self._length[type_id]
+        a = self._start[l]
+        return self._first[l] + self._symbols.index(type_id, a, self._start[l + 1]) - a, l
+
+    @property
+    def codes(self) -> dict[int, tuple[int, int]]:
+        """type id -> (codeword, length), built on request."""
+        ln, first, start = self._length, self._first, self._start
+        return {s: (first[ln[s]] + i - start[ln[s]], ln[s]) for i, s in enumerate(self._symbols)}
 
     def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for _, l in self.codes.values())
+        return sum(2.0 ** -l for l in self._length if l)
 
     def encode_bits(self, type_id: int) -> list[int]:
-        code, length = self.codes[type_id]
+        code, length = self.code(type_id)
         return [(code >> (length - 1 - j)) & 1 for j in range(length)]
 
     def decode_prefix(self, bits, pos: int = 0) -> tuple[int, int]:
-        """Return (type_id, next_pos)."""
+        """Return (type_id, next_pos).  A canonical codeword of length L is
+        at least the first one of that length, and an unmatched prefix of
+        length L reads at least the first codeword of length L + 1."""
+        first, start = self._first, self._start
         code = 0
-        length = 0
-        while length < HUFFMAN_LENGTH_LIMIT and pos + length < len(bits):
-            code = (code << 1) | bits[pos + length]
-            length += 1
-            sym = self._decode.get((code, length))
-            if sym is not None:
-                return sym, pos + length
+        for length in range(1, min(len(first), len(bits) - pos + 1)):
+            code = (code << 1) | bits[pos + length - 1]
+            i = start[length] + code - first[length]
+            if i < start[length + 1]:
+                return self._symbols[i], pos + length
         raise DecodeError("invalid Huffman prefix")
 
     def serialized_bits(self) -> int:
         return len(self.to_bytes()) * 8
 
     def to_bytes(self) -> bytes:
-        out = bytearray(struct.pack("<I", len(self.codes)))
-        for type_id in sorted(self.codes):
-            _, length = self.codes[type_id]
-            out += struct.pack("<IH", type_id, length)
-        return bytes(out)
+        entries = [(t, l) for t, l in enumerate(self._length) if l]
+        return struct.pack("<I", len(entries)) + b"".join(struct.pack("<IH", *e) for e in entries)
 
     @classmethod
     def from_bytes(cls, blob: bytes, registry: TypeRegistry) -> "Codebook":
@@ -338,7 +322,11 @@ class Codebook:
         r.end()
         if any(t >= len(registry) for t in lengths):
             raise DecodeError("HUFF names a type the registry does not hold")
-        return cls(mode=MODE_HUFFMAN, codes=_canonical_codes(lengths, registry))
+        top = HUFFMAN_LENGTH_LIMIT
+        if not all(1 <= l <= top for l in lengths.values()) or \
+                sum(1 << (top - l) for l in lengths.values()) > 1 << top:
+            raise DecodeError("HUFF lengths are not those of a prefix code")
+        return cls(lengths, registry)
 
 
 def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
@@ -352,8 +340,7 @@ def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
     lens = _huffman_lengths(weights)
     if max(lens) > limit:
         lens = _package_merge_lengths(weights, limit)
-    lengths = {s: l for s, l in zip(symbols, lens)}
-    return Codebook(mode=MODE_HUFFMAN, codes=_canonical_codes(lengths, registry))
+    return Codebook(dict(zip(symbols, lens)), registry)
 
 
 class TypeArray:
@@ -421,7 +408,7 @@ def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
                  codebook: Codebook | None) -> tuple[int, int]:
     """(value, size) of one type's payload, read off its canonical key."""
     if mode == MODE_HUFFMAN:
-        return codebook.codes[type_id]
+        return codebook.code(type_id)
     data, nbits, fl, fr = registry.key(type_id)
     zaks = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
     if mode == MODE_FIXED:
@@ -446,7 +433,7 @@ def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
         for t in type_ids:
             counts[t] = counts.get(t, 0) + 1
         codebook = build_huffman_codebook(counts, registry)
-    per_type: dict[int, tuple[int, int]] = {}
+    per_type = codebook.codes if mode == MODE_HUFFMAN else {}
     objects = []
     for t in type_ids:
         obj = per_type.get(t)

@@ -32,7 +32,7 @@ class RmqIndex:
 
     @classmethod
     def build(cls, values, codec: str = MODE_ENTROPY, mini_b: int | None = None,
-              micro_b: int | None = None, validate: bool = True) -> "RmqIndex":
+              micro_b: int | None = None) -> "RmqIndex":
         keys = order_keys(values)
         if not len(keys):
             raise ValueError("cannot build an RMQ index over an empty array")
@@ -41,9 +41,8 @@ class RmqIndex:
         cover = build_cover(build_cartesian(keys), mini_b=mini_b, micro_b=micro_b)
         type_array = encode_types(cover.type_ids, cover.registry, codec)
         index = cls(len(keys), codec, cover, type_array)
-        if validate:
-            index._validate_sample(keys)
-            cover.registry.clear_tables()  # a fresh index holds no decoded tables
+        index._validate_sample(keys)
+        cover.registry.clear_tables()  # a fresh index holds no decoded tables
         return index
 
     def query(self, i: int, j: int) -> int:

@@ -412,20 +412,64 @@ def complete_tree(levels: int) -> BinaryTree:
     return BinaryTree.from_links(n, left, right, 1) if n else BinaryTree()
 
 
-class EulerTourLca:
-    """Constant-time LCA and ancestor tests over a rooted ordinal tree.
+class BlockMinLca:
+    """Constant-time LCA as a range minimum over a sequence.
 
-    The Euler tour is held as one packed key per entry, ``(depth << 32) |
-    node``, so the smallest key in a range names the shallowest node there.
-    The LCA of a and b is the shallowest node between their first visits;
-    keys are cut into BLOCK-entry blocks whose minima carry a sparse table, so
-    a query scans at most two partial blocks and its operation count is
-    bounded independently of the tree size.
+    Node a sits at position ``pos[a]`` of ``seq``, and the LCA of a and b is
+    the smallest entry of seq between their positions, masked to its low 32
+    bits (an entry may carry a sort key above them).  The sequence is cut into
+    BLOCK-entry blocks whose minima carry a sparse table, so a query scans at
+    most two partial blocks and its operation count is bounded independently
+    of the sequence length (Bender & Farach-Colton, LATIN 2000).
     """
 
     BLOCK = 32
 
-    __slots__ = ("first", "enter", "exit", "_keys", "_sparse")
+    __slots__ = ("pos", "seq", "_sparse")
+
+    def __init__(self, pos, seq, keys: np.ndarray):
+        """keys: seq as a numpy array, whose item type the sparse table keeps."""
+        level = np.minimum.reduceat(keys, np.arange(0, len(keys), self.BLOCK))
+        sparse = [array(level.dtype.char, level.tobytes())]
+        span = 1
+        while 2 * span <= len(sparse[0]):
+            level = np.minimum(level[:-span], level[span:])
+            sparse.append(array(level.dtype.char, level.tobytes()))
+            span *= 2
+        self.pos, self.seq, self._sparse = pos, seq, sparse
+
+    def lca(self, a: int, b: int) -> int:
+        ia, ib = self.pos[a], self.pos[b]
+        if ia > ib:
+            ia, ib = ib, ia
+        seq = self.seq
+        block = self.BLOCK
+        ba, bb = ia // block, ib // block
+        if ba == bb:
+            opcount.add(ib - ia + 2)
+            return min(seq[ia:ib + 1]) & 0xFFFFFFFF
+        best = min(min(seq[ia:(ba + 1) * block]), min(seq[bb * block:ib + 1]))
+        if bb > ba + 1:
+            k = (bb - ba - 1).bit_length() - 1
+            level = self._sparse[k]
+            best = min(best, level[ba + 1], level[bb - (1 << k)])
+            opcount.add(2 * block + 6)
+        else:
+            opcount.add(2 * block + 2)
+        return best & 0xFFFFFFFF
+
+
+class EulerTourLca(BlockMinLca):
+    """Constant-time LCA and ancestor tests over a rooted ordinal tree.
+
+    The sequence is the Euler tour, one packed key ``(depth << 32) | node``
+    per entry and held as a list (a list slice scans faster than an array
+    slice), so the smallest key in a range names the shallowest node there;
+    a node's position is its first visit.
+    """
+
+    __slots__ = ("enter", "exit")
+    first = BlockMinLca.pos  # another name for the same slot
 
     def __init__(self, size: int, children, root: int):
         """children: list of child-id lists, indexed 1..size."""
@@ -494,40 +538,9 @@ class EulerTourLca:
         return self
 
     def _install(self, first: array, enter: array, exit_: array, keys: np.ndarray) -> None:
-        padded = np.full(-(-len(keys) // self.BLOCK) * self.BLOCK, np.iinfo(np.int64).max)
-        padded[:len(keys)] = keys
-        level = padded.reshape(-1, self.BLOCK).min(axis=1)
-        sparse = [array("q", level.tobytes())]
-        span = 1
-        while 2 * span <= len(sparse[0]):
-            level = np.minimum(level[:-span], level[span:])
-            sparse.append(array("q", level.tobytes()))
-            span *= 2
-        self.first = first
+        super().__init__(first, keys.tolist(), keys)
         self.enter = enter
         self.exit = exit_
-        self._keys = keys.tolist()
-        self._sparse = sparse
-
-    def lca(self, a: int, b: int) -> int:
-        ia, ib = self.first[a], self.first[b]
-        if ia > ib:
-            ia, ib = ib, ia
-        keys = self._keys
-        block = self.BLOCK
-        ba, bb = ia // block, ib // block
-        if ba == bb:
-            opcount.add(ib - ia + 2)
-            return min(keys[ia:ib + 1]) & 0xFFFFFFFF
-        best = min(min(keys[ia:(ba + 1) * block]), min(keys[bb * block:ib + 1]))
-        if bb > ba + 1:
-            k = (bb - ba - 1).bit_length() - 1
-            level = self._sparse[k]
-            best = min(best, level[ba + 1], level[bb - (1 << k)])
-            opcount.add(2 * block + 6)
-        else:
-            opcount.add(2 * block + 2)
-        return best & 0xFFFFFFFF
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff a is an ancestor of b (or a == b)."""
@@ -539,8 +552,8 @@ class EulerTourLca:
         block sparse table at depth + node bits per entry, and first/enter/exit
         at the width of a tour position."""
         size = len(self.first) - 1
-        key_w = max(1, (max(self._keys) >> 32).bit_length()) + max(1, size.bit_length())
-        keys = (len(self._keys) + sum(len(level) for level in self._sparse)) * key_w
+        key_w = max(1, (max(self.seq) >> 32).bit_length()) + max(1, size.bit_length())
+        keys = (len(self.seq) + sum(len(level) for level in self._sparse)) * key_w
         times = 3 * (size + 1) * max(1, (2 * size).bit_length())
         return keys + times
 

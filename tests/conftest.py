@@ -8,4 +8,4 @@ from succinctrmq.rmq import RmqIndex
 def index_1e6():
     """One shared million-element index for the expensive checks."""
     values = np.random.default_rng(1_000_003).permutation(1_000_000).tolist()
-    return RmqIndex.build(values, codec="entropy", validate=False)
+    return RmqIndex.build(values, codec="entropy")

@@ -39,7 +39,7 @@ def test_criterion_1_oracle_equivalence():
         n = rng.randint(1, 512)
         arr = list(range(1, n + 1))
         rng.shuffle(arr)
-        idx = RmqIndex.build(arr, validate=False)
+        idx = RmqIndex.build(arr)
         for i in range(1, n + 1):
             best = i
             for j in range(i, n + 1):
@@ -49,7 +49,7 @@ def test_criterion_1_oracle_equivalence():
                 checked += 1
     for size in (512, 257):  # 5 adversarial kinds x 2 sizes = 10 arrays
         for name, arr in adversarial_arrays(size, seed=1).items():
-            idx = RmqIndex.build(arr, validate=False)
+            idx = RmqIndex.build(arr)
             n = len(arr)
             for i in range(1, n + 1):
                 best = i
@@ -59,7 +59,7 @@ def test_criterion_1_oracle_equivalence():
                     assert idx.query(i, j) == best, (name, i, j)
                     checked += 1
     big = np.random.default_rng(2).permutation(100000).tolist()
-    idx = RmqIndex.build(big, validate=False)
+    idx = RmqIndex.build(big)
     oracle = OracleRmq(big, "sparse")
     mismatches = 0
     for _ in range(100000):
@@ -236,7 +236,7 @@ def _max_ops(idx, spans, rng):
 def test_criterion_9_constant_time_query(index_1e6):
     rng = random.Random(9)
     small_vals = np.random.default_rng(99).permutation(1000).tolist()
-    small = RmqIndex.build(small_vals, validate=False)
+    small = RmqIndex.build(small_vals)
     # warm the lazy lookup tables so steady-state work is measured
     for idx in (small, index_1e6):
         for _ in range(2000):

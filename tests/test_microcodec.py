@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -150,6 +151,18 @@ class TestShapeTable:
                 worst = max(worst, opcount.snapshot() - start)
             assert 0 < worst <= bound
 
+    @pytest.mark.parametrize("n, code", [(65534, "H"), (65535, "i")])
+    @pytest.mark.parametrize("shape", ["bst", "right_path"])
+    def test_item_type_boundary(self, n, code, shape):
+        """A shape below 65535 nodes holds 'H' arrays, a larger one 'i' arrays."""
+        t = sample_random_bst(n, 11) if shape == "bst" else right_path(n)
+        table = ShapeTable.from_zaks(encode_zaks(t))
+        assert {a.typecode for a in (table.pre2in, table.in2pre, table.ls, *table._sparse)} \
+            == {code}
+        rng = random.Random(n)
+        pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(100)]
+        check_table(table, t, pairs + [(1, n), (n, 1), (n, n)])
+
     @pytest.mark.parametrize("bits", [[1, 0], [1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1],
                                       [1, 0, 0, 1, 0, 0], [0], [0, 0], [], [1, 2, 0]],
                              ids=["truncated", "truncated-deeper", "overlong", "overlong-1",
@@ -252,6 +265,44 @@ class TestHuffman:
         book = build_huffman_codebook({a: 3, b: 1}, reg)
         back = Codebook.from_bytes(book.to_bytes(), reg)
         assert back.codes == book.codes
+
+    def test_codes_are_canonical(self):
+        rng = random.Random(10)
+        reg = TypeRegistry()
+        counts = {}
+        for i in range(40):
+            tid = reg.intern(encode_zaks(sample_random_bst(rng.randint(1, 9), 200 + i)), 0, 0)
+            counts[tid] = counts.get(tid, 0) + rng.randint(1, 300)
+        book = build_huffman_codebook(counts, reg)
+        code = length = 0
+        for tid in sorted(counts, key=lambda s: (book.length(s), reg.key(s))):
+            code <<= book.length(tid) - length
+            length = book.length(tid)
+            assert book.code(tid) == book.codes[tid] == (code, length)
+            code += 1
+        assert len(book.codes) == len(counts)
+
+    @pytest.mark.parametrize("lengths", [{0: 0, 1: 1}, {0: 129, 1: 1}, {0: 1, 1: 1, 2: 1}],
+                             ids=["zero", "over-limit", "kraft"])
+    def test_codebook_rejects_bad_lengths(self, lengths):
+        reg = TypeRegistry()
+        for k in range(3):
+            reg.intern(encode_zaks(left_path(k + 1)), 0, 0)
+        blob = struct.pack("<I", len(lengths)) + b"".join(
+            struct.pack("<IH", t, l) for t, l in lengths.items())
+        with pytest.raises(DecodeError):
+            Codebook.from_bytes(blob, reg)
+
+    def test_decode_rejects_unused_codeword(self):
+        reg = TypeRegistry()
+        ids = [reg.intern(encode_zaks(left_path(k)), 0, 0) for k in (1, 2, 3)]
+        book = Codebook({ids[0]: 1, ids[1]: 2}, reg)  # codewords 0 and 10; 11 is unused
+        assert book.decode_prefix([1, 0, 1]) == (ids[1], 2)
+        assert book.decode_prefix([1, 0, 0], 2) == (ids[0], 3)
+        with pytest.raises(DecodeError):
+            book.decode_prefix([1, 1, 0])
+        with pytest.raises(ValueError):
+            book.code(ids[2])
 
     def test_deterministic(self):
         reg = TypeRegistry()

@@ -204,6 +204,32 @@ def test_loaded_footprint(index_1e6):
     assert bits <= 8.0, f"{bits:.2f} bits/elem resident after load"
 
 
+def test_warm_footprint(index_1e6):
+    """After a query stream has built most lookup tables, their 16-bit
+    entries keep the whole index within 80 bits per element."""
+    loaded = RmqIndex.from_bytes(index_1e6.to_bytes())
+    rng = random.Random(20)
+    n = loaded.n
+    for _ in range(20000):
+        i = rng.randint(1, n)
+        loaded.query(i, rng.randint(i, n))
+    gc.collect()
+    bits = deep_size(loaded) * 8 / n
+    assert bits <= 80.0, f"{bits:.2f} bits/elem resident after 20000 queries"
+
+
+def test_huffman_load_no_larger_than_entropy():
+    """The huffman codebook is held as arrays, so a fresh huffman load, whose
+    file is the smallest, is no larger in memory than an entropy load."""
+    values = np.random.default_rng(1_000_003).permutation(10**5).tolist()
+    bits = {}
+    for codec in ("entropy", "huffman"):
+        loaded = RmqIndex.from_bytes(RmqIndex.build(values, codec=codec).to_bytes())
+        gc.collect()
+        bits[codec] = deep_size(loaded) * 8 / loaded.n
+    assert bits["huffman"] <= bits["entropy"], bits
+
+
 class TestSerialization:
     @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
     def test_roundtrip(self, codec):

@@ -347,7 +347,7 @@ class TestEulerTourLca:
             kids[parent[k]].append(k)
         walked = EulerTourLca(size, kids, 1)
         direct = EulerTourLca.from_preorder(np.array(parent))
-        for name in ("first", "enter", "exit", "_keys", "_sparse"):
+        for name in ("first", "enter", "exit", "seq", "_sparse"):
             assert getattr(direct, name) == getattr(walked, name), name
 
     @pytest.mark.parametrize("parent", [[0, 0, 1, 2, 1, 3], [0, 1, 0], [0, 0, 2], [0, 0, 0]])
