@@ -17,7 +17,7 @@ from . import opcount
 from .cover import decompose, verify_decomposition
 from .lcp import LcpData
 from .microcodec import MODES
-from .rmq import OracleRmq, RmqIndex, adversarial_arrays
+from .rmq import RmqIndex, adversarial_arrays
 from .treecode import TreeCode, decode_tree, encode_hybrid
 from .trees import build_cartesian, model_entropy
 
@@ -118,7 +118,6 @@ def cmd_verify(args) -> int:
     for name, arr in arrays:
         n = len(arr)
         index = RmqIndex.build(arr, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
-        oracle = OracleRmq(arr, "naive")
         for i in range(1, n + 1):
             best = i
             for j in range(i, n + 1):

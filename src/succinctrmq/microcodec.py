@@ -22,8 +22,7 @@ import numpy as np
 
 from .bits import VariableCellArray, compact_array, pack_column, read_column
 from .serial import DecodeError, Reader, bits_to_bytes
-from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequence,
-                       zaks_arrays, zaks_decode, zaks_sizes)
+from .treecode import decode_body, encode_body, zaks_arrays
 from .trees import BlockMinLca
 
 MODE_FIXED = "fixed"
@@ -318,8 +317,11 @@ class Codebook:
     @classmethod
     def from_bytes(cls, blob: bytes, registry: TypeRegistry) -> "Codebook":
         r = Reader(blob, "HUFF")
-        lengths = dict(r.take("<IH") for _ in range(r.count("<I", 6)))
+        count = r.count("<I", 6)
+        lengths = dict(r.take("<IH") for _ in range(count))
         r.end()
+        if len(lengths) != count:
+            raise DecodeError("HUFF names a type twice")
         if any(t >= len(registry) for t in lengths):
             raise DecodeError("HUFF names a type the registry does not hold")
         top = HUFFMAN_LENGTH_LIMIT
@@ -347,19 +349,23 @@ class TypeArray:
     """Encoded micro-tree types in micro-tree order, in a variable-cell array.
 
     `vca` is the array or its serialized stream; a stream, which no query
-    reads, is parsed on first use."""
+    reads, is parsed on first use and must hold one object per micro tree."""
 
     def __init__(self, mode: str, vca: VariableCellArray | bytes, registry: TypeRegistry,
-                 codebook: Codebook | None = None):
+                 codebook: Codebook | None, micros: int):
         self.mode = mode
         self._vca = vca
         self.registry = registry
         self.codebook = codebook
+        self.micros = micros
 
     @property
     def vca(self) -> VariableCellArray:
         if isinstance(self._vca, bytes):
-            self._vca = VariableCellArray.from_bytes(self._vca)
+            vca = VariableCellArray.from_bytes(self._vca)
+            if vca.m != self.micros:
+                raise DecodeError(f"TARR holds {vca.m} objects for {self.micros} micro trees")
+            self._vca = vca
         return self._vca
 
     def to_bytes(self) -> bytes:
@@ -370,26 +376,26 @@ class TypeArray:
 
     def type_bits(self, i: int) -> list[int]:
         value, size = self.vca.object_bits(i)
-        return [(value >> (size - 1 - j)) & 1 for j in range(size)]
+        data = np.frombuffer(value.to_bytes((size + 7) // 8, "big"), dtype=np.uint8)
+        return np.unpackbits(data)[8 * len(data) - size:].tolist()
 
-    def decode_type(self, i: int, shape_size: int | None = None):
-        """Reconstruct (tree, flag_left, flag_right) for the i-th micro tree."""
+    def decode_type(self, i: int, shape_size: int) -> tuple[ShapeTable, int, int]:
+        """(lookup table, flag_left, flag_right) of the i-th micro tree, whose
+        shape has `shape_size` nodes, read from its payload alone."""
         bits = self.type_bits(i)
-        if self.mode == MODE_FIXED:
-            tree, _ = zaks_decode(bits, 2)
-            return tree, bits[0], bits[1]
-        if self.mode == MODE_ENTROPY:
-            if shape_size is None:
-                raise ValueError("entropy mode needs the shape size")
-            selector = bits[2]
-            tree = decode_body(selector, bits, shape_size, 3)
-            return tree, bits[0], bits[1]
         if self.mode == MODE_HUFFMAN:
-            type_id, _ = self.codebook.decode_prefix(bits)
-            tree, _ = zaks_decode(self.registry.zaks_bits(type_id))
-            fl, fr = self.registry.flags(type_id)
-            return tree, fl, fr
-        raise ValueError(f"unknown mode {self.mode}")
+            type_id, end = self.codebook.decode_prefix(bits)
+            zaks = self.registry._key_bits(type_id)
+            if end != len(bits) or len(zaks) != 2 * shape_size + 1:
+                raise DecodeError(f"micro {i}: codeword does not name a {shape_size}-node type")
+            return (ShapeTable.from_zaks(zaks), *self.registry.flags(type_id))
+        if self.mode == MODE_FIXED:
+            if len(bits) != 2 * shape_size + 3:
+                raise DecodeError(f"micro {i}: {len(bits)} bits for a {shape_size}-node shape")
+            return ShapeTable.from_zaks(bits[2:]), bits[0], bits[1]
+        if not 3 <= len(bits) <= 2 * shape_size + 4:
+            raise DecodeError(f"micro {i}: {len(bits)} bits for a {shape_size}-node shape")
+        return ShapeTable(*decode_body(bits[2], bits, shape_size, 3)), bits[0], bits[1]
 
     def space_bits(self) -> dict:
         sp = self.vca.space_bits()
@@ -409,18 +415,14 @@ def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
     """(value, size) of one type's payload, read off its canonical key."""
     if mode == MODE_HUFFMAN:
         return codebook.code(type_id)
-    data, nbits, fl, fr = registry.key(type_id)
-    zaks = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
     if mode == MODE_FIXED:
-        return (((fl << 1) | fr) << nbits) | zaks, nbits + 2
-    # entropy: the size code unless the Zaks code is shorter (as in encode_body)
-    st, ls = zaks_sizes(registry._key_bits(type_id))
-    code = encode_size_sequence(st, ls)
-    if len(code) <= nbits:
-        body, size, selector = _bits_to_object(code)[0], len(code), SELECTOR_SIZECODE
-    else:
-        body, size, selector = zaks, nbits, SELECTOR_ZAKS
-    return (((fl << 2) | (fr << 1) | selector) << size) | body, size + 3
+        data, nbits, fl, fr = registry.key(type_id)
+        zaks = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
+        return (fl << 1 | fr) << nbits | zaks, nbits + 2
+    zaks = registry._key_bits(type_id)
+    st, ls, _ = zaks_arrays(zaks)
+    selector, body = encode_body(st.tolist(), ls.tolist(), zaks.tolist())
+    return _bits_to_object([*registry.flags(type_id), selector, *body])
 
 
 def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
@@ -440,5 +442,4 @@ def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
         if obj is None:
             obj = per_type[t] = _encode_type(registry, t, mode, codebook)
         objects.append(obj)
-    vca = VariableCellArray(objects)
-    return TypeArray(mode, vca, registry, codebook)
+    return TypeArray(mode, VariableCellArray(objects), registry, codebook, len(type_ids))

@@ -136,7 +136,8 @@ class RmqIndex:
                 raise DecodeError("huffman index without codebook section")
             codebook = Codebook.from_bytes(sections[b"HUFF"], cover.registry)
         # no query reads the type payload: it is parsed on first use
-        type_array = TypeArray(codec, sections[b"TARR"], cover.registry, codebook)
+        type_array = TypeArray(codec, sections[b"TARR"], cover.registry, codebook,
+                               cover.micro_count())
         return cls(cover.n, codec, cover, type_array)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .serial import DecodeError, bits_to_bytes, bytes_to_bits, decode_varint, encode_varint
-from .trees import BinaryTree
+from .trees import BinaryTree, _cartesian_from_ranks
 
 _P = 62
 _FULL = 1 << _P
@@ -206,55 +206,29 @@ def decode_count(bits, pos: int = 0) -> tuple[int, int]:
     return m + 1, pos + u
 
 
-def zaks_bits(t: BinaryTree) -> list[int]:
-    """Preorder emission: 1 per node, 0 per empty child; length 2n+1."""
-    out = []
-    stack = [t.root]
-    left, right = t.left, t.right
-    while stack:
-        v = stack.pop()
-        if v:
-            out.append(1)
-            stack.append(right[v])
-            stack.append(left[v])
-        else:
-            out.append(0)
-    return out
-
-
-def zaks_decode(bits, pos: int = 0) -> tuple[BinaryTree, int]:
-    """Parse one Zaks sequence starting at pos; returns (tree, next_pos)."""
-    if pos >= len(bits):
-        raise DecodeError("empty Zaks stream")
-    if bits[pos] == 0:
-        return BinaryTree(), pos + 1
-    pos += 1
-    left = [0, 0]
-    right = [0, 0]
-    count = 1
-    stack = [(1, 1), (1, 0)]  # (parent, side); side 0 = left, popped first
-    while stack:
-        parent, side = stack.pop()
-        if pos >= len(bits):
-            raise DecodeError("truncated Zaks stream")
-        b = bits[pos]
-        pos += 1
-        if b:
-            count += 1
-            left.append(0)
-            right.append(0)
-            if side == 0:
-                left[parent] = count
-            else:
-                right[parent] = count
-            stack.append((count, 1))
-            stack.append((count, 0))
-    return BinaryTree.from_links(count, left, right, 1), pos
-
-
 def encode_zaks(t: BinaryTree) -> list[int]:
-    """Raw Zaks sequence of the tree (no header)."""
-    return zaks_bits(t)
+    """Raw Zaks sequence of the tree (no header): in preorder, 1 per node and
+    0 per empty child; length 2n+1.  The excess before node v is its left
+    depth ld(v) (see `zaks_arrays`), so v - 1 ones and v - 1 - ld(v) zeros
+    come before v's 1."""
+    pre = np.arange(t.n)
+    ls = np.frombuffer(t.ls, dtype=np.intc)[1:]
+    ld = pre + 1 + ls - np.frombuffer(t.inorder_of, dtype=np.intc)[1:]
+    bits = np.zeros(2 * t.n + 1, dtype=np.int64)
+    bits[2 * pre - ld] = 1
+    return bits.tolist()
+
+
+def zaks_decode(bits, pos: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """Preorder left-subtree sizes and left depths of the one Zaks sequence
+    that starts at bits[pos] (see `zaks_arrays`), and the position after it.
+    The sequence ends where its excess first drops below zero."""
+    below = np.flatnonzero(np.cumsum(2 * np.asarray(bits[pos:], dtype=np.int64) - 1) < 0)
+    if not len(below):
+        raise DecodeError("empty or truncated Zaks stream")
+    end = pos + int(below[0]) + 1
+    _, ls, ld = zaks_arrays(bits[pos:end])
+    return ls, ld, end
 
 
 def encode_size_sequence(st, ls) -> list[int]:
@@ -303,54 +277,43 @@ def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return st, ls, before
 
 
-def zaks_sizes(bits) -> tuple[list[int], list[int]]:
-    """Preorder subtree sizes and left-subtree sizes of the tree whose Zaks
-    sequence is `bits` (see `zaks_arrays`)."""
-    st, ls, _ = zaks_arrays(bits)
-    return st.tolist(), ls.tolist()
-
-
-def decode_left_sizes(n: int, bits, pos: int = 0) -> BinaryTree:
-    """Rebuild a tree from its subtree-size code; n must be known."""
-    if n == 0:
-        return BinaryTree()
-    dec = RangeDecoder(bits, pos)
-    left = [0] * (n + 1)
-    right = [0] * (n + 1)
-    count = 0
-    stack = [(0, 0, n)]
+def decode_left_sizes(n: int, bits, pos: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder left-subtree sizes and left depths (int64 arrays) of the
+    n-node tree whose subtree-size code starts at bits[pos].  Any bits decode
+    to some tree: the range decoder always yields a symbol of its model."""
+    decode = RangeDecoder(bits, pos).decode
+    ls, ld = [], []
+    stack = [(n, 0)] if n else []  # (subtree size, left depth) in preorder
     while stack:
-        parent, side, size = stack.pop()
-        if size == 0:
-            continue
-        count += 1
-        node = count
-        if parent:
-            if side == 0:
-                left[parent] = node
-            else:
-                right[parent] = node
-        lsize = dec.decode(size)
-        stack.append((node, 1, size - 1 - lsize))
-        stack.append((node, 0, lsize))
-    return BinaryTree.from_links(n, left, right, 1)
+        size, depth = stack.pop()
+        left = decode(size)
+        ls.append(left)
+        ld.append(depth)
+        if left + 1 < size:
+            stack.append((size - 1 - left, depth))
+        if left:
+            stack.append((left, depth + 1))
+    return np.array(ls, dtype=np.int64), np.array(ld, dtype=np.int64)
 
 
-def encode_body(t: BinaryTree) -> tuple[int, list[int]]:
-    """(selector, body): whichever of the two encodings is shorter (the size
-    code on a tie).  The Zaks code always takes 2n + 1 bits."""
-    a = encode_left_sizes(t)
-    if len(a) <= 2 * t.n + 1:
+def encode_body(st, ls, zaks: list[int]) -> tuple[int, list[int]]:
+    """(selector, body) for the shape with preorder subtree sizes `st`, left
+    sizes `ls` and Zaks sequence `zaks`: the subtree-size code unless the
+    Zaks code (2n + 1 bits) is shorter."""
+    a = encode_size_sequence(st, ls)
+    if len(a) <= len(zaks):
         return SELECTOR_SIZECODE, a
-    return SELECTOR_ZAKS, zaks_bits(t)
+    return SELECTOR_ZAKS, zaks
 
 
-def decode_body(selector: int, bits, n: int, pos: int = 0) -> BinaryTree:
+def decode_body(selector: int, bits, n: int, pos: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder left sizes and left depths of the n-node shape whose body
+    starts at bits[pos]."""
     if selector == SELECTOR_ZAKS:
-        tree, end = zaks_decode(bits, pos)
-        if tree.n != n:
-            raise DecodeError(f"Zaks body decodes to {tree.n} nodes, expected {n}")
-        return tree
+        ls, ld, _ = zaks_decode(bits, pos)
+        if len(ls) != n:
+            raise DecodeError(f"Zaks body decodes to {len(ls)} nodes, expected {n}")
+        return ls, ld
     if selector == SELECTOR_SIZECODE:
         return decode_left_sizes(n, bits, pos)
     raise DecodeError(f"unknown selector {selector}")
@@ -400,7 +363,7 @@ def encode_hybrid(t: BinaryTree) -> TreeCode:
     header = encode_count(t.n)
     if t.n == 0:
         return TreeCode(n=0, selector=None, bits=header, header_len=len(header), body_len=0)
-    sel, body = encode_body(t)
+    sel, body = encode_body(t.st[1:], t.ls[1:], encode_zaks(t))
     return TreeCode(
         n=t.n,
         selector=sel,
@@ -433,5 +396,9 @@ def decode_tree(code) -> BinaryTree:
         return BinaryTree()
     if pos >= len(bits):
         raise DecodeError("missing selector bit")
-    selector = bits[pos]
-    return decode_body(selector, bits, n, pos + 1)
+    ls, ld = decode_body(bits[pos], bits, n, pos + 1)
+    # node v (0-based preorder) sits at inorder position v + ls - ld, and the
+    # tree is the Cartesian tree of its inorder -> preorder sequence
+    in2pre = np.empty(n, dtype=np.int64)
+    in2pre[np.arange(n) + ls - ld] = np.arange(n)
+    return _cartesian_from_ranks(in2pre.tolist())

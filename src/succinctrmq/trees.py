@@ -43,96 +43,24 @@ class BinaryTree:
         return 1 if self.n else 0
 
     @classmethod
-    def from_links(cls, n: int, left, right, root: int) -> "BinaryTree":
-        """Build from child arrays in any 1-based id space; ids are renumbered
-        to preorder ranks."""
-        t = cls()
-        if n == 0:
-            return t
-        order = array("i", [0]) * (n + 1)
-        newid = array("i", [0]) * (n + 1)
-        stack = [root]
-        k = 0
-        while stack:
-            v = stack.pop()
-            k += 1
-            order[k] = v
-            newid[v] = k
-            r = right[v]
-            if r:
-                stack.append(r)
-            l = left[v]
-            if l:
-                stack.append(l)
-        if k != n:
-            raise ValueError("child links do not form a single tree with n nodes")
-        nleft = array("i", [0]) * (n + 1)
-        nright = array("i", [0]) * (n + 1)
-        nparent = array("i", [0]) * (n + 1)
-        for v in range(1, n + 1):
-            old = order[v]
-            l, r = left[old], right[old]
-            if l:
-                nleft[v] = newid[l]
-                nparent[newid[l]] = v
-            if r:
-                nright[v] = newid[r]
-                nparent[newid[r]] = v
-        st = array("i", [0]) * (n + 1)
-        ls = array("i", [0]) * (n + 1)
-        for v in range(n, 0, -1):  # reverse preorder is bottom-up
-            s = 1
-            l, r = nleft[v], nright[v]
-            if l:
-                s += st[l]
-                ls[v] = st[l]
-            if r:
-                s += st[r]
-            st[v] = s
-        inorder_of = array("i", [0]) * (n + 1)
-        id_at_inorder = array("i", [0]) * (n + 1)
-        stack = []
-        cur = 1
-        k = 0
-        while stack or cur:
-            while cur:
-                stack.append(cur)
-                cur = nleft[cur]
-            cur = stack.pop()
-            k += 1
-            inorder_of[cur] = k
-            id_at_inorder[k] = cur
-            cur = nright[cur]
-        t.n = n
-        t.left, t.right, t.parent = nleft, nright, nparent
-        t.st, t.ls = st, ls
-        t.inorder_of, t.id_at_inorder = inorder_of, id_at_inorder
-        return t
-
-    @classmethod
     def from_shape(cls, shape) -> "BinaryTree":
-        """Build from nested (left, right) tuples; None is the empty tree."""
-        if shape is None:
-            return cls()
-        left = array("i", [0, 0])
-        right = array("i", [0, 0])
-        n = 1
-        stack = [(1, shape)]
-        while stack:
-            v, (l, r) = stack.pop()
-            if l is not None:
-                n += 1
-                left.append(0)
-                right.append(0)
-                left[v] = n
-                stack.append((n, l))
-            if r is not None:
-                n += 1
-                left.append(0)
-                right.append(0)
-                right[v] = n
-                stack.append((n, r))
-        return cls.from_links(n, left, right, 1)
+        """Build from nested (left, right) tuples; None is the empty tree.
+
+        An inorder walk meets the nodes for the first time in preorder, so it
+        lists each node's preorder id in inorder: the ranks whose Cartesian
+        tree has this shape."""
+        in2pre = []
+        stack = []
+        count = 0
+        while stack or shape is not None:
+            while shape is not None:
+                count += 1
+                stack.append((shape, count))
+                shape = shape[0]
+            shape, pre = stack.pop()
+            in2pre.append(pre)
+            shape = shape[1]
+        return _cartesian_from_ranks(in2pre)
 
     def depth(self, v: int) -> int:
         if self._depth is None:
@@ -374,42 +302,24 @@ def enumerate_shapes(n: int):
 
 
 def left_path(n: int) -> BinaryTree:
-    if n == 0:
-        return BinaryTree()
-    left = array("i", [0] + [v + 1 if v < n else 0 for v in range(1, n + 1)])
-    right = array("i", [0]) * (n + 1)
-    return BinaryTree.from_links(n, left, right, 1)
+    return _cartesian_from_ranks(range(n, 0, -1))
 
 
 def right_path(n: int) -> BinaryTree:
-    if n == 0:
-        return BinaryTree()
-    right = array("i", [0] + [v + 1 if v < n else 0 for v in range(1, n + 1)])
-    left = array("i", [0]) * (n + 1)
-    return BinaryTree.from_links(n, left, right, 1)
+    return _cartesian_from_ranks(range(1, n + 1))
 
 
 def zigzag_path(n: int) -> BinaryTree:
-    left = array("i", [0]) * (n + 1)
-    right = array("i", [0]) * (n + 1)
-    for v in range(1, n):
-        if v % 2:
-            right[v] = v + 1
-        else:
-            left[v] = v + 1
-    return BinaryTree.from_links(n, left, right, 1) if n else BinaryTree()
+    """Path whose odd nodes have a right child and even nodes a left child:
+    inorder lists the odd nodes going down, then the even ones coming up."""
+    return _cartesian_from_ranks([*range(1, n + 1, 2), *range(n - n % 2, 0, -2)])
 
 
 def complete_tree(levels: int) -> BinaryTree:
-    n = (1 << levels) - 1
-    left = array("i", [0]) * (n + 1)
-    right = array("i", [0]) * (n + 1)
-    for v in range(1, n + 1):
-        if 2 * v <= n:
-            left[v] = 2 * v
-        if 2 * v + 1 <= n:
-            right[v] = 2 * v + 1
-    return BinaryTree.from_links(n, left, right, 1) if n else BinaryTree()
+    shape = None
+    for _ in range(levels):
+        shape = (shape, shape)
+    return BinaryTree.from_shape(shape)
 
 
 class BlockMinLca:
@@ -559,18 +469,6 @@ class EulerTourLca(BlockMinLca):
 
 
 def caterpillar(n: int) -> BinaryTree:
-    """Right spine whose nodes each carry one left leaf."""
-    left = array("i", [0]) * (n + 1)
-    right = array("i", [0]) * (n + 1)
-    v = 1
-    nxt = 2
-    while nxt <= n:
-        left[v] = nxt
-        nxt += 1
-        if nxt <= n:
-            right[v] = nxt
-            v = nxt
-            nxt += 1
-        else:
-            break
-    return BinaryTree.from_links(n, left, right, 1) if n else BinaryTree()
+    """Right spine whose nodes each carry one left leaf: inorder lists each
+    leaf before its spine node, 0-based preorder ids 1, 0, 3, 2, ..."""
+    return _cartesian_from_ranks([v ^ 1 if v ^ 1 < n else v for v in range(n)])

@@ -20,9 +20,22 @@ from succinctrmq.microcodec import (
 )
 from succinctrmq import opcount
 from succinctrmq.serial import DecodeError, bits_to_bytes
-from succinctrmq.treecode import encode_zaks, zaks_decode, zaks_sizes
-from succinctrmq.trees import (build_cartesian, caterpillar, enumerate_shapes, left_path,
-                               right_path, sample_random_bst, zigzag_path)
+from succinctrmq.treecode import encode_zaks, zaks_arrays
+from succinctrmq.trees import (BinaryTree, build_cartesian, caterpillar, enumerate_shapes,
+                               left_path, right_path, sample_random_bst, zigzag_path)
+
+
+def zaks_shape(bits):
+    """Nested (left, right) shape of a Zaks sequence, parsed by recursion as
+    a reference independent of `zaks_arrays`."""
+    it = iter(bits)
+
+    def parse():
+        return (parse(), parse()) if next(it) else None
+
+    shape = parse()
+    assert next(it, None) is None
+    return shape
 
 
 def build_fixture_cover(n=3000, seed=5, mini_b=60, micro_b=7):
@@ -111,7 +124,7 @@ class TestShapeTable:
         _, cov = build_fixture_cover()
         for type_id in range(len(cov.registry)):
             table = cov.registry.table(type_id)
-            shape, _ = zaks_decode(cov.registry.zaks_bits(type_id))
+            shape = BinaryTree.from_shape(zaks_shape(cov.registry.zaks_bits(type_id)))
             assert list(table.pre2in) == list(shape.inorder_of)
 
     @pytest.mark.parametrize("size", range(1, 8))
@@ -319,9 +332,11 @@ class TestTypeArray:
         _, cov = build_fixture_cover()
         ta = encode_types(cov.type_ids, cov.registry, mode)
         for i, m in enumerate(cov.micros_by_k, start=1):
-            tree, fl, fr = ta.decode_type(i, shape_size=m.shape_size)
-            shape, _ = zaks_decode(cov.registry.zaks_bits(m.type_id))
-            assert tree.same_shape(shape)
+            table, fl, fr = ta.decode_type(i, shape_size=m.shape_size)
+            want = cov.registry.table(cov.type_of[i])
+            assert table.pre2in == want.pre2in
+            assert table.in2pre == want.in2pre
+            assert table.ls == want.ls
             assert (fl, fr) == cov.registry.flags(m.type_id)
 
     def test_fixed_mode_lengths(self):
@@ -346,8 +361,8 @@ class TestTypeArray:
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         envelope = 0.0
         for m in cov.micros_by_k:
-            st, _ = zaks_sizes(cov.registry.zaks_bits(m.type_id))
-            envelope += sum(math.log2(s) + 2 for s in st)
+            st, _, _ = zaks_arrays(cov.registry.zaks_bits(m.type_id))
+            envelope += sum(math.log2(s) + 2 for s in st.tolist())
         assert ta.total_payload_bits() <= envelope
 
     def test_entropy_worst_case_envelope(self):

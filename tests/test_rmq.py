@@ -8,8 +8,9 @@ import types
 import numpy as np
 import pytest
 
-from succinctrmq.bits import pack_column, read_column
+from succinctrmq.bits import VariableCellArray, pack_column, read_column
 from succinctrmq.cover import _SECTIONS
+from succinctrmq.microcodec import TypeArray
 from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
 from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
 
@@ -401,3 +402,65 @@ class TestValueChecks:
     def test_bad_value_rejected(self, sections, column, index, value):
         with pytest.raises(DecodeError):
             RmqIndex.from_bytes(self.rewrite(sections, column, index, value))
+
+
+class TestTypePayloadChecks:
+    """`HUFF` names each type once; `TARR`, parsed on first use, holds one
+    object per micro tree, and each object's size fits its micro's shape."""
+
+    @staticmethod
+    def sections(n, codec):
+        arr = np.random.default_rng(n).permutation(n).tolist()
+        return read_stream(RmqIndex.build(arr, codec=codec).to_bytes())[1]
+
+    def test_duplicate_huff_entry_rejected(self):
+        sections = self.sections(3000, "huffman")
+        huff = sections[b"HUFF"]
+        (count,) = struct.unpack_from("<I", huff)
+        out = dict(sections)
+        out[b"HUFF"] = struct.pack("<I", count + 1) + huff[4:] + huff[4:10]
+        with pytest.raises(DecodeError, match="twice"):
+            RmqIndex.from_bytes(write_stream(3, list(out.items())))
+
+    def test_foreign_payload_rejected_on_first_use(self):
+        sections = self.sections(3000, "fixed")
+        other = self.sections(2000, "fixed")
+        own = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
+        sections[b"TARR"] = other[b"TARR"]
+        loaded = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
+        # it loads, as the parse is lazy, and queries never read the payload
+        assert loaded.query(1, 3000) == own.query(1, 3000)
+        assert VariableCellArray.from_bytes(other[b"TARR"]).m != own.cover.micro_count()
+        with pytest.raises(DecodeError, match="micro trees"):
+            loaded.space_report()
+        with pytest.raises(DecodeError, match="micro trees"):
+            loaded.type_array.decode_type(loaded.cover.micro_count(), 1)
+
+    @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
+    def test_object_size_must_fit_shape(self, codec):
+        idx = RmqIndex.from_bytes(RmqIndex.build(
+            np.random.default_rng(3).permutation(3000).tolist(), codec=codec).to_bytes())
+        ta = idx.type_array
+        checked = 0
+        for i, m in enumerate(idx.cover.micros_by_k, start=1):
+            s = m.shape_size
+            assert ta.decode_type(i, s)[0].n == s
+            size = len(ta.type_bits(i))
+            wrong = [(size - 5) // 2] if codec == "entropy" else [s - 1, s + 1]
+            for bad in wrong:
+                if bad >= 0:
+                    checked += 1
+                    with pytest.raises(DecodeError):
+                        ta.decode_type(i, bad)
+        assert checked >= idx.cover.micro_count()
+
+    def test_huffman_object_is_one_codeword(self):
+        idx = RmqIndex.build(np.random.default_rng(4).permutation(3000).tolist(), codec="huffman")
+        ta = idx.type_array
+        longer = VariableCellArray([(v << 1, size + 1) for v, size in
+                                    (ta.vca.object_bits(i) for i in range(1, ta.micros + 1))])
+        padded = TypeArray("huffman", longer, ta.registry, ta.codebook, ta.micros)
+        s = idx.cover.micros_by_k[0].shape_size
+        assert ta.decode_type(1, s)[0].n == s
+        with pytest.raises(DecodeError, match="codeword"):
+            padded.decode_type(1, s)

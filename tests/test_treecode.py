@@ -18,13 +18,15 @@ from succinctrmq.treecode import (
     encode_subtree_size,
     encode_zaks,
     decode_left_sizes,
+    zaks_arrays,
     zaks_decode,
-    zaks_sizes,
 )
 from succinctrmq.trees import (
     build_cartesian,
+    caterpillar,
     enumerate_shapes,
     left_path,
+    right_path,
     sample_random_bst,
     subtree_entropy,
     zigzag_path,
@@ -39,6 +41,13 @@ def hybrid_budget(t):
     hdr = 2 * math.ceil(math.log2(n)) if n > 1 else 0
     hst = subtree_entropy(t).hst
     return hdr + min(math.ceil(hst) + 4, 2 * n + 2)
+
+
+def preorder_arrays(t):
+    """Left-subtree sizes and left depths of t in preorder, as lists; the left
+    depth is preorder + left size - inorder."""
+    ls = list(t.ls[1:])
+    return ls, [v + ls[v - 1] - t.inorder_of[v] for v in range(1, t.n + 1)]
 
 
 class TestRangeCoder:
@@ -112,9 +121,9 @@ class TestZaks:
             assert len(encode_zaks(t)) == 2 * n + 1
 
     def test_decode_example(self):
-        t, pos = zaks_decode([1, 1, 0, 0, 1, 0, 0])
+        ls, ld, pos = zaks_decode([1, 1, 0, 0, 1, 0, 0])
         assert pos == 7
-        assert t.same_shape(build_cartesian([2, 1, 3]))
+        assert (ls.tolist(), ld.tolist()) == preorder_arrays(build_cartesian([2, 1, 3]))
 
     def test_truncated(self):
         with pytest.raises(DecodeError):
@@ -124,14 +133,14 @@ class TestZaks:
         trees = [sample_random_bst(n, n) for n in (1, 2, 9, 50, 400)]
         trees += [left_path(30), zigzag_path(31), *enumerate_shapes(4)]
         for t in trees:
-            st, ls = zaks_sizes(encode_zaks(t))
-            assert st == list(t.st[1:])
-            assert ls == list(t.ls[1:])
+            st, ls, _ = zaks_arrays(encode_zaks(t))
+            assert st.tolist() == list(t.st[1:])
+            assert ls.tolist() == list(t.ls[1:])
 
     @pytest.mark.parametrize("bits", [[1, 1, 0], [1, 0, 0, 0], [0, 1, 0], []])
     def test_sizes_reject_malformed(self, bits):
         with pytest.raises(DecodeError):
-            zaks_sizes(bits)
+            zaks_arrays(bits)
 
 
 class TestSubtreeSizeCode:
@@ -159,8 +168,8 @@ class TestSubtreeSizeCode:
     def test_decoder_reconstructs(self):
         for seed in (1, 2, 3):
             t = sample_random_bst(200, seed)
-            bits = encode_left_sizes(t)
-            assert decode_left_sizes(200, bits).same_shape(t)
+            ls, ld = decode_left_sizes(200, encode_left_sizes(t))
+            assert (ls.tolist(), ld.tolist()) == preorder_arrays(t)
 
 
 class TestHybrid:
@@ -232,3 +241,30 @@ class TestTreeCodeSerialization:
         bits = encode_count(5) + [SELECTOR_ZAKS] + encode_zaks(build_cartesian([2, 1, 3]))
         with pytest.raises(DecodeError):
             decode_tree(bits)
+
+
+ROUTE_SHAPES = [t for n in range(1, 8) for t in enumerate_shapes(n)]
+ROUTE_SHAPES += [make(3000) for make in (left_path, right_path, zigzag_path, caterpillar)]
+
+
+class TestDecodeRoutes:
+    """Every decoder yields the tree's preorder left sizes and left depths:
+    each shape with 1-7 nodes and four 3000-node paths."""
+
+    def test_zaks_decode(self):
+        for t in ROUTE_SHAPES:
+            bits = encode_zaks(t)
+            ls, ld, end = zaks_decode([1, 0] + bits + [1, 1], 2)  # stops where the tree ends
+            assert end == 2 + len(bits) == 2 * t.n + 3
+            assert (ls.tolist(), ld.tolist()) == preorder_arrays(t)
+
+    def test_decode_left_sizes(self):
+        for t in ROUTE_SHAPES:
+            ls, ld = decode_left_sizes(t.n, [1] + encode_left_sizes(t), 1)
+            assert (ls.tolist(), ld.tolist()) == preorder_arrays(t)
+
+    def test_hybrid_bytes_decode_tree(self):
+        for t in ROUTE_SHAPES:
+            back = decode_tree(TreeCode.from_bytes(encode_hybrid(t).to_bytes()))
+            for col in ("left", "right", "parent", "st", "ls", "inorder_of", "id_at_inorder"):
+                assert getattr(back, col) == getattr(t, col), col

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -240,6 +241,41 @@ class TestShapeFactories:
         assert a.same_shape(left_path(5))
         b = build_cartesian([1, 2, 3])
         assert b.same_shape(right_path(3))
+
+
+def shape_digest(trees) -> str:
+    """SHA-1 over n and the left/right/parent/st/ls/inorder_of columns of
+    each tree, as little-endian 32-bit integers."""
+    h = hashlib.sha1()
+    for t in trees:
+        h.update(str(t.n).encode())
+        for col in (t.left, t.right, t.parent, t.st, t.ls, t.inorder_of):
+            h.update(np.asarray(col, dtype="<i4").tobytes())
+    return h.hexdigest()
+
+
+class TestShapeDigests:
+    """The generators' trees, pinned as digests recorded when each generator
+    still built its tree from child links."""
+
+    SIZES = [*range(10), 2001]
+
+    @pytest.mark.parametrize("make, expected", [
+        (left_path, "9d7db70ef38cb1084947e770e08a8d7330030c29"),
+        (right_path, "4bcb9f284fc49fcc6f9cfb33e3d897e3a57fbdd4"),
+        (zigzag_path, "e7b9ddfde42714015a15d6a2b9b2dd7291c2db4f"),
+        (caterpillar, "1a46fd087b62deb62a0e8109b0c1f191b5972868"),
+    ])
+    def test_paths(self, make, expected):
+        assert shape_digest(make(n) for n in self.SIZES) == expected
+
+    def test_complete_trees(self):
+        digest = shape_digest(complete_tree(levels) for levels in range(10))
+        assert digest == "5fac2d011474c18cbc4fe4b7582808988ea3049e"
+
+    def test_enumerated_shapes(self):
+        digest = shape_digest(t for n in range(1, 8) for t in enumerate_shapes(n))
+        assert digest == "30c26e66ec8ac2e63b75af701252918c44c5e549"
 
 
 def random_ordinal_tree(size: int, seed: int):
