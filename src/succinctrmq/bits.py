@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from . import opcount
-from .serial import DecodeError, Reader, pack_uints, read_stream, unpack_uints, write_stream
+from .serial import DecodeError, Reader
 
 _WORD = 64
 _SUPER_WORDS = 8  # 512-bit superblocks for the plain rank directory
@@ -65,20 +65,18 @@ def read_column(r: Reader) -> np.ndarray:
     raw = r.raw((nbits + 7) // 8)
     if nbits & 7 and raw[-1] >> (nbits & 7):
         raise DecodeError(f"nonzero padding after a {r.what} column")
-    # entries 8q + j start at byte q*w + (j*w div 8), bit j*w mod 8: for each
-    # j, one strided read of unaligned 64-bit windows (and of the ninth byte
-    # when an entry can straddle it)
+    # entry 8q + j starts at byte q*w + (j*w div 8), bit j*w mod 8: row q of a
+    # (rows, w) view of unaligned 64-bit windows at byte q*w + b holds all
+    # eight, and the ninth byte completes an entry that straddles its window
     rows = -(-count // 8)
     buf = np.zeros(rows * w + 9, dtype=np.uint8)
     buf[:len(raw)] = np.frombuffer(raw, dtype=np.uint8)
-    windows = np.ndarray((rows * w + 2,), dtype="<u8", buffer=buf, strides=(1,))
-    out = np.empty((rows, 8), dtype=np.uint64)
-    for j in range(8):
-        b, shift = divmod(j * w, 8)
-        col = windows[b:b + rows * w:w] >> np.uint64(shift)
-        if shift + w > 64:
-            col |= buf[b + 8:b + 8 + rows * w:w].astype(np.uint64) << np.uint64(64 - shift)
-        out[:, j] = col
+    at = np.arange(0, 8 * w, w)
+    byte, shift = at >> 3, (at & 7).astype(np.uint64)
+    out = np.ndarray((rows, w), dtype="<u8", buffer=buf, strides=(w, 1))[:, byte] >> shift
+    if w > 57:
+        top = np.ndarray((rows, w + 8), dtype=np.uint8, buffer=buf, strides=(w, 1))[:, byte + 8]
+        out |= top.astype(np.uint64) << np.uint64(1) << (np.uint64(63) - shift)
     out &= np.uint64((1 << w) - 1)
     return out.ravel()[:count].view(np.int64)
 
@@ -227,22 +225,6 @@ class BitVec:
         payload = len(self._words) * _WORD
         directory = len(self._super) * _WORD + len(self._rel) * 16
         return {"payload": payload, "directory": directory}
-
-    def to_bytes(self) -> bytes:
-        sections = [
-            (b"HEAD", struct.pack("<Q", self.n)),
-            (b"BITS", pack_uints(self._words, 8)),
-        ]
-        return write_stream(1, sections)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitVec":
-        _, sections = read_stream(data)
-        (n,) = struct.unpack("<Q", sections[b"HEAD"])
-        words = array("Q", unpack_uints(sections[b"BITS"], 8))
-        if len(words) != (n + 63) // 64:
-            raise DecodeError("bit payload length mismatch")
-        return cls.from_words(n, words)
 
 
 _SELECT_IN_WORD_OPS = 6  # one per halving step of `_select_in_word`
@@ -415,35 +397,20 @@ class CompressedBitVec:
             return list(self._pos)
         return [self._bv.select1(k) for k in range(1, self._ones + 1)]
 
-    def to_bytes(self) -> bytes:
-        sections = [
-            (b"HEAD", struct.pack("<QQ", self.n, self._ones)),
-            (b"ONES", pack_uints(self.positions(), 8)),
-        ]
-        return write_stream(1, sections)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "CompressedBitVec":
-        _, sections = read_stream(data)
-        n, m = struct.unpack("<QQ", sections[b"HEAD"])
-        positions = unpack_uints(sections[b"ONES"], 8)
-        if len(positions) != m:
-            raise DecodeError("positions length mismatch")
-        return cls.from_positions(n, positions)
-
 
 class VariableCellArray:
     """Contiguous storage for m variable-bit-length objects.
 
     Object i occupies bits [start(i), start(i) + size(i)) of the payload,
     MSB-first; start offsets are 0-based.  A two-level directory (absolute
-    offset per block of b objects, block-local offset per object) gives
-    constant-time start lookup.
+    offset per block of b = ceil(lg(total + 3))^2 objects, block-local
+    offset per object) gives constant-time start lookup; b follows from the
+    payload length, so a file stores only the sizes and the payload.
     """
 
     __slots__ = ("m", "total_bits", "block_size", "_block_start", "_local", "_words", "_max_size")
 
-    def __init__(self, objects, block_size: int | None = None):
+    def __init__(self, objects):
         """objects: iterable of (value, size_bits) with 0 <= value < 2**size."""
         objs = list(objects)
         for value, size in objs:
@@ -451,9 +418,6 @@ class VariableCellArray:
                 raise ValueError("object value wider than declared size")
         sizes = [s for _, s in objs]
         total = sum(sizes)
-        if block_size is None:
-            lg = _bitlen(total + 2)
-            block_size = max(1, lg * lg)
         # payload bit p is character p of the objects' MSB-first binary digits
         digits = "".join(format(value, f"0{size}b") for value, size in objs if size)
         payload = int(digits[::-1], 2) if digits else 0
@@ -461,21 +425,20 @@ class VariableCellArray:
         words.frombytes(payload.to_bytes(8 * ((total + 63) // 64), "little"))
         if sys.byteorder == "big":  # pragma: no cover
             words.byteswap()
-        self._install(sizes, total, block_size, words)
+        self._install(np.array(sizes, dtype=np.int64), words)
 
-    def _install(self, sizes: list[int], total: int, block_size: int, words: array) -> None:
+    def _install(self, sizes: np.ndarray, words: array) -> None:
         """Set the payload words and the two-level directory of object starts."""
         m = len(sizes)
+        offsets = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
         self.m = m
-        self.total_bits = total
-        self.block_size = block_size
-        self._max_size = max(sizes, default=0)
-        offsets = np.zeros(m, dtype=np.int64)
-        np.cumsum(sizes[:-1], out=offsets[1:])
-        block_start = offsets[::block_size]
-        local = offsets - np.repeat(block_start, block_size)[:m]
-        self._block_start = array("q", block_start.tolist())
-        self._local = array("q", local.tolist())
+        self.total_bits = int(offsets[-1])
+        self.block_size = _bitlen(self.total_bits + 2) ** 2
+        self._max_size = int(sizes.max(initial=0))
+        block_start = offsets[:m:self.block_size]
+        self._block_start = compact_array(block_start)
+        self._local = compact_array(offsets[:m] - block_start[np.arange(m) // self.block_size])
         self._words = words
 
     def start(self, i: int) -> int:
@@ -489,6 +452,12 @@ class VariableCellArray:
     def size(self, i: int) -> int:
         end = self.total_bits if i == self.m else self.start(i + 1)
         return end - self.start(i)
+
+    def sizes(self) -> np.ndarray:
+        """Every object's size in bits, in order (int64)."""
+        block_start = np.asarray(self._block_start, dtype=np.int64)
+        starts = block_start[np.arange(self.m) // self.block_size] + np.asarray(self._local)
+        return np.diff(np.append(starts, self.total_bits))
 
     def object_bits(self, i: int) -> tuple[int, int]:
         """(value, size) of object i."""
@@ -504,30 +473,26 @@ class VariableCellArray:
         }
 
     def to_bytes(self) -> bytes:
-        sizes = [self.size(i) for i in range(1, self.m + 1)]
-        sections = [
-            (b"HEAD", struct.pack("<QQQ", self.m, self.total_bits, self.block_size)),
-            (b"SIZE", pack_uints(sizes, 8)),
-            (b"PAYL", pack_uints(self._words, 8)),
-        ]
-        return write_stream(1, sections)
+        """`pack_column` of the object sizes, then the payload as u64 words."""
+        return pack_column(self.sizes()) + np.asarray(self._words, dtype="<u8").tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "VariableCellArray":
-        _, sections = read_stream(data)
-        m, total, block_size = struct.unpack("<QQQ", sections[b"HEAD"])
-        sizes = unpack_uints(sections[b"SIZE"], 8)
-        words = array("Q", unpack_uints(sections[b"PAYL"], 8))
-        if len(sizes) != m or sum(sizes) != total:
-            raise DecodeError("variable-cell directory mismatch")
-        if len(words) != (total + 63) // 64:
-            raise DecodeError("variable-cell payload length mismatch")
-        if m and block_size < 1:
-            raise DecodeError("variable-cell block size must be positive")
-        if total & 63:  # bits past the last object are not part of the array
-            words[-1] &= (1 << (total & 63)) - 1
+        """Inverse of `to_bytes`; an object longer than the data, a missing
+        or extra word, or a set bit past the last object is a DecodeError."""
+        r = Reader(data, "VariableCellArray")
+        sizes = read_column(r)
+        if len(sizes) and sizes.max() > 8 * len(data):
+            raise DecodeError("variable-cell object size exceeds its section")
+        total = int(sizes.sum())
+        words = array("Q", r.raw(8 * ((total + 63) // 64)))
+        r.end()
+        if sys.byteorder == "big":  # pragma: no cover
+            words.byteswap()
+        if total & 63 and words[-1] >> (total & 63):
+            raise DecodeError("nonzero padding after the variable-cell payload")
         vca = cls.__new__(cls)
-        vca._install(sizes, total, block_size, words)
+        vca._install(sizes, words)
         return vca
 
 
@@ -598,22 +563,3 @@ class PiecewiseConstantArray:
         c = self.C.space_bits()
         return {"values": len(self.values) * self._width,
                 "change_vector": c["payload"] + c["directory"]}
-
-    def to_bytes(self) -> bytes:
-        sections = [
-            (b"HEAD", struct.pack("<Q", self.n)),
-            (b"VALS", struct.pack(f"<{len(self.values)}q", *self.values)),
-            (b"CBIT", self.C.to_bytes()),
-        ]
-        return write_stream(1, sections)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "PiecewiseConstantArray":
-        _, sections = read_stream(data)
-        (n,) = struct.unpack("<Q", sections[b"HEAD"])
-        count = len(sections[b"VALS"]) // 8
-        values = list(struct.unpack(f"<{count}q", sections[b"VALS"]))
-        c = CompressedBitVec.from_bytes(sections[b"CBIT"])
-        if c.n != n or c.ones != len(values):
-            raise DecodeError("piecewise-constant array mismatch")
-        return cls(values, run_starts=c.positions(), n=n, c=c)

@@ -222,11 +222,11 @@ class MicroView(NamedTuple):
 
 
 # The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
-# (version 3)", says what each holds.
+# (version 4)", says what each holds.  A micro's shape size is its type's.
 _SECTIONS = (
     (b"MINI", ("mini_root", "mini_ld", "q_count", "q_before", "q_side", "q_parent", "q_size")),
-    (b"MICR", ("m_t1", "root_minilocal", "shape_size", "ld_minilocal", "type_of", "p_count",
-               "p_pos", "p_smini", "p_child")),
+    (b"MICR", ("m_t1", "root_minilocal", "ld_minilocal", "type_of", "p_count", "p_pos",
+               "p_smini", "p_child")),
     (b"PCAS", ("run_start", "run_k", "run_t3")),
 )
 # held 1-based (slot 0 unused), per mini tree or per micro tree
@@ -573,7 +573,8 @@ class TreeCover:
 
 def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> None:
     """Value checks on loaded cover columns, in O(#micros + #runs) numpy
-    passes; a failure is a DecodeError saying what is inconsistent."""
+    passes, which also add each micro's shape size, read off its type; a
+    failure is a DecodeError saying what is inconsistent."""
     def need(ok, what: str) -> None:
         if not ok:
             raise DecodeError(f"cover columns: {what}")
@@ -589,12 +590,11 @@ def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> 
                                 and c[rows[-1]].sum() == len(c[items[0]]))),
              f"{tag.decode('ascii')} columns differ in length")
     micros = len(c["m_t1"])
-    size, ports = c["shape_size"], c["p_count"]
     need(micros and ((c["m_t1"] >= 1) & (c["m_t1"] <= len(c["mini_root"]))).all(),
          "a micro names no mini tree")
-    need((c["type_of"] < len(registry)).all()
-         and (registry.shape_bits()[c["type_of"]] == 2 * size + 1).all(),
-         "a micro's type is not in the registry with the micro's shape size")
+    need((c["type_of"] < len(registry)).all(), "a micro's type is not in the registry")
+    c["shape_size"] = size = registry.shape_bits()[c["type_of"]] >> 1
+    ports = c["p_count"]
     need((ports < size).all() and (size - ports <= n).all() and (size - ports).sum() == n,
          "micro member counts do not sum to n")
     owner = np.repeat(np.arange(1, micros + 1), ports)

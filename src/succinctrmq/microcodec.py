@@ -15,7 +15,6 @@ micro-local queries in constant time.  Three payload encodings are supported:
 from __future__ import annotations
 
 import heapq
-import struct
 from array import array
 
 import numpy as np
@@ -175,7 +174,10 @@ class TypeRegistry:
     def from_bytes(cls, blob: bytes) -> "TypeRegistry":
         r = Reader(blob, "TYPR")
         head = read_column(r)
-        key_bytes = ((head >> 2) + 7) // 8
+        nbits = head >> 2
+        if ((nbits < 3) | (nbits % 2 == 0)).any():
+            raise DecodeError("a TYPR header's nbits is not 2s + 1 for a shape of s >= 1 nodes")
+        key_bytes = (nbits + 7) // 8
         left = len(blob) - r.pos
         if (key_bytes > left).any():
             raise DecodeError("truncated TYPR section")
@@ -248,8 +250,8 @@ class Codebook:
     """Canonical, prefix-free code over micro-tree types, held as arrays.
 
     Codewords are assigned in (length, canonical key) order, so each type's
-    codeword length fixes the code.  The book keeps that length per type id
-    (0 for a type without a codeword), the types in canonical order, and per
+    codeword length fixes the code.  Every type has a codeword.  The book
+    keeps that length per type id, the types in canonical order, and per
     length L the first codeword and the index of the first type in that
     order (`_first[L]`, `_start[L]`; `_start[L + 1]` ends the run).
     """
@@ -257,7 +259,10 @@ class Codebook:
     __slots__ = ("_length", "_symbols", "_first", "_start")
 
     def __init__(self, lengths: dict[int, int], registry: TypeRegistry):
-        """lengths: type id -> codeword length, for types of `registry`."""
+        """lengths: type id -> codeword length (>= 1) for every type of
+        `registry`."""
+        if len(lengths) != len(registry) or min(lengths.values(), default=1) < 1:
+            raise ValueError("every registry type needs a codeword")
         symbols = sorted(lengths, key=lambda s: (lengths[s], registry.key(s)))
         top = max(lengths.values(), default=0)
         count = [0] * (top + 1)
@@ -276,7 +281,7 @@ class Codebook:
         return self._length[type_id]
 
     def code(self, type_id: int) -> tuple[int, int]:
-        """(codeword, length) of a type; ValueError if it has none."""
+        """(codeword, length) of a type."""
         l = self._length[type_id]
         a = self._start[l]
         return self._first[l] + self._symbols.index(type_id, a, self._start[l + 1]) - a, l
@@ -288,7 +293,7 @@ class Codebook:
         return {s: (first[ln[s]] + i - start[ln[s]], ln[s]) for i, s in enumerate(self._symbols)}
 
     def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for l in self._length if l)
+        return sum(2.0 ** -l for l in self._length)
 
     def encode_bits(self, type_id: int) -> list[int]:
         code, length = self.code(type_id)
@@ -311,24 +316,22 @@ class Codebook:
         return len(self.to_bytes()) * 8
 
     def to_bytes(self) -> bytes:
-        entries = [(t, l) for t, l in enumerate(self._length) if l]
-        return struct.pack("<I", len(entries)) + b"".join(struct.pack("<IH", *e) for e in entries)
+        return pack_column(self._length)
 
     @classmethod
     def from_bytes(cls, blob: bytes, registry: TypeRegistry) -> "Codebook":
+        """The book of a `HUFF` section: a codeword length for every type of
+        `registry`, each in 1..128, satisfying Kraft's inequality."""
         r = Reader(blob, "HUFF")
-        count = r.count("<I", 6)
-        lengths = dict(r.take("<IH") for _ in range(count))
+        lengths = read_column(r).tolist()
         r.end()
-        if len(lengths) != count:
-            raise DecodeError("HUFF names a type twice")
-        if any(t >= len(registry) for t in lengths):
-            raise DecodeError("HUFF names a type the registry does not hold")
+        if len(lengths) != len(registry):
+            raise DecodeError(f"HUFF holds {len(lengths)} lengths for {len(registry)} types")
         top = HUFFMAN_LENGTH_LIMIT
-        if not all(1 <= l <= top for l in lengths.values()) or \
-                sum(1 << (top - l) for l in lengths.values()) > 1 << top:
+        if not all(1 <= l <= top for l in lengths) or \
+                sum(1 << (top - l) for l in lengths) > 1 << top:
             raise DecodeError("HUFF lengths are not those of a prefix code")
-        return cls(lengths, registry)
+        return cls(dict(enumerate(lengths)), registry)
 
 
 def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
@@ -346,30 +349,40 @@ def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
 
 
 class TypeArray:
-    """Encoded micro-tree types in micro-tree order, in a variable-cell array.
+    """Encoded micro-tree types in micro-tree order, in a variable-cell array."""
 
-    `vca` is the array or its serialized stream; a stream, which no query
-    reads, is parsed on first use and must hold one object per micro tree."""
-
-    def __init__(self, mode: str, vca: VariableCellArray | bytes, registry: TypeRegistry,
-                 codebook: Codebook | None, micros: int):
+    def __init__(self, mode: str, vca: VariableCellArray, registry: TypeRegistry,
+                 codebook: Codebook | None):
         self.mode = mode
-        self._vca = vca
+        self.vca = vca
         self.registry = registry
         self.codebook = codebook
-        self.micros = micros
 
-    @property
-    def vca(self) -> VariableCellArray:
-        if isinstance(self._vca, bytes):
-            vca = VariableCellArray.from_bytes(self._vca)
-            if vca.m != self.micros:
-                raise DecodeError(f"TARR holds {vca.m} objects for {self.micros} micro trees")
-            self._vca = vca
-        return self._vca
+    @classmethod
+    def from_bytes(cls, mode: str, blob: bytes, registry: TypeRegistry,
+                   codebook: Codebook | None, type_of, shape_size) -> "TypeArray":
+        """The payload of micro trees of types `type_of` whose shapes have
+        `shape_size` nodes (k order): one object per micro, of the size its
+        codec gives the shape: fixed 2s + 3 bits (two flags and the Zaks
+        sequence), entropy 3 to 2s + 4 (two flags, the selector and a body no
+        longer than the Zaks sequence), huffman its type's codeword length."""
+        vca = VariableCellArray.from_bytes(blob)
+        if vca.m != len(type_of):
+            raise DecodeError(f"TARR holds {vca.m} objects for {len(type_of)} micro trees")
+        size, s = vca.sizes(), np.asarray(shape_size, dtype=np.int64)
+        if mode == MODE_HUFFMAN:
+            bad = size != np.asarray(codebook._length)[np.asarray(type_of)]
+        elif mode == MODE_FIXED:
+            bad = size != 2 * s + 3
+        else:
+            bad = (size < 3) | (size > 2 * s + 4)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DecodeError(f"micro {i + 1}: {size[i]} bits for a {s[i]}-node shape")
+        return cls(mode, vca, registry, codebook)
 
     def to_bytes(self) -> bytes:
-        return self._vca if isinstance(self._vca, bytes) else self._vca.to_bytes()
+        return self.vca.to_bytes()
 
     def total_payload_bits(self) -> int:
         return self.vca.total_bits
@@ -385,16 +398,12 @@ class TypeArray:
         bits = self.type_bits(i)
         if self.mode == MODE_HUFFMAN:
             type_id, end = self.codebook.decode_prefix(bits)
-            zaks = self.registry._key_bits(type_id)
-            if end != len(bits) or len(zaks) != 2 * shape_size + 1:
-                raise DecodeError(f"micro {i}: codeword does not name a {shape_size}-node type")
-            return (ShapeTable.from_zaks(zaks), *self.registry.flags(type_id))
+            if end != len(bits) or self.registry._head[type_id] >> 2 != 2 * shape_size + 1:
+                raise DecodeError(f"micro {i}: not one codeword of a {shape_size}-node type")
+            return (ShapeTable.from_zaks(self.registry._key_bits(type_id)),
+                    *self.registry.flags(type_id))
         if self.mode == MODE_FIXED:
-            if len(bits) != 2 * shape_size + 3:
-                raise DecodeError(f"micro {i}: {len(bits)} bits for a {shape_size}-node shape")
             return ShapeTable.from_zaks(bits[2:]), bits[0], bits[1]
-        if not 3 <= len(bits) <= 2 * shape_size + 4:
-            raise DecodeError(f"micro {i}: {len(bits)} bits for a {shape_size}-node shape")
         return ShapeTable(*decode_body(bits[2], bits, shape_size, 3)), bits[0], bits[1]
 
     def space_bits(self) -> dict:
@@ -442,4 +451,4 @@ def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
         if obj is None:
             obj = per_type[t] = _encode_type(registry, t, mode, codebook)
         objects.append(obj)
-    return TypeArray(mode, VariableCellArray(objects), registry, codebook, len(type_ids))
+    return TypeArray(mode, VariableCellArray(objects), registry, codebook)

@@ -13,10 +13,10 @@ import numpy as np
 
 from .cover import TreeCover, build_cover
 from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, encode_types
-from .serial import DecodeError, read_stream, write_stream
+from .serial import DecodeError, Reader, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 3  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 4  # FORMAT.md, "RmqIndex"
 
 
 class RmqIndex:
@@ -126,7 +126,9 @@ class RmqIndex:
         for tag in (b"RMET", b"TARR"):
             if tag not in sections:
                 raise DecodeError(f"missing index section {tag.decode('ascii')}")
-        codec = sections[b"RMET"].rstrip(b"\0").decode("ascii", "replace")
+        r = Reader(sections[b"RMET"], "RMET")
+        codec = r.take("8s")[0].rstrip(b"\0").decode("ascii", "replace")
+        r.end()
         if codec not in MODES:
             raise DecodeError(f"unknown codec {codec!r} in index file")
         cover = TreeCover.from_sections(sections)
@@ -135,9 +137,8 @@ class RmqIndex:
             if b"HUFF" not in sections:
                 raise DecodeError("huffman index without codebook section")
             codebook = Codebook.from_bytes(sections[b"HUFF"], cover.registry)
-        # no query reads the type payload: it is parsed on first use
-        type_array = TypeArray(codec, sections[b"TARR"], cover.registry, codebook,
-                               cover.micro_count())
+        type_array = TypeArray.from_bytes(codec, sections[b"TARR"], cover.registry, codebook,
+                                          cover.type_of[1:], cover.shape_size[1:])
         return cls(cover.n, codec, cover, type_array)
 
 

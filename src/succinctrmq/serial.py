@@ -4,14 +4,15 @@ All multi-byte integers are little-endian.  A stream is::
 
     magic (4 bytes) | version (u16) | section count (u16) | sections...
 
-where each section is ``tag (4 bytes) | length (u64) | payload``.
-Bit payloads are padded to byte boundaries with zero bits.  See FORMAT.md
-for the per-structure layouts.
+where each section is ``tag (4 bytes) | length (u64) | CRC-32 (u32) | payload``
+and the CRC-32 (`zlib.crc32`) is of the payload.  Bit payloads are padded to
+byte boundaries with zero bits.  See FORMAT.md for the per-structure layouts.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 
 MAGIC = b"SRMQ"
 
@@ -69,17 +70,6 @@ def bytes_to_bits(data: bytes, nbits: int) -> list[int]:
     return [(data[i >> 3] >> (7 - (i & 7))) & 1 for i in range(nbits)]
 
 
-def pack_uints(values, width_bytes: int = 8) -> bytes:
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[width_bytes]
-    return struct.pack(f"<{len(values)}{fmt}", *values)
-
-
-def unpack_uints(data: bytes, width_bytes: int = 8) -> list[int]:
-    fmt = {1: "B", 2: "H", 4: "I", 8: "Q"}[width_bytes]
-    count = len(data) // width_bytes
-    return list(struct.unpack(f"<{count}{fmt}", data[: count * width_bytes]))
-
-
 class Reader:
     """Bounds-checked little-endian reads over one section payload; every
     shortfall, oversized count or leftover byte is a DecodeError naming the
@@ -100,14 +90,6 @@ class Reader:
         self.pos += size
         return out
 
-    def count(self, fmt: str, item_bytes: int) -> int:
-        """A count read with `fmt`, checked to fit the bytes left when each
-        item takes at least `item_bytes`."""
-        (value,) = self.take(fmt)
-        if value * item_bytes > len(self.blob) - self.pos:
-            raise DecodeError(f"{self.what} count {value} exceeds its section")
-        return value
-
     def raw(self, size: int) -> bytes:
         if self.pos + size > len(self.blob):
             raise DecodeError(f"truncated {self.what} section")
@@ -127,25 +109,31 @@ def write_stream(version: int, sections: list[tuple[bytes, bytes]]) -> bytes:
         if len(tag) != 4:
             raise ValueError("section tag must be 4 bytes")
         out += tag
-        out += struct.pack("<Q", len(payload))
+        out += struct.pack("<QI", len(payload), zlib.crc32(payload))
         out += payload
     return bytes(out)
 
 
 def read_stream(data: bytes) -> tuple[int, dict[bytes, bytes]]:
+    """(version, tag -> payload); every section's CRC is checked before any
+    payload is parsed."""
     if len(data) < 8 or data[:4] != MAGIC:
         raise DecodeError("bad magic")
     version, count = struct.unpack("<HH", data[4:8])
     pos = 8
     sections: dict[bytes, bytes] = {}
     for _ in range(count):
-        if pos + 12 > len(data):
+        if pos + 16 > len(data):
             raise DecodeError("truncated section header")
         tag = data[pos : pos + 4]
-        (length,) = struct.unpack("<Q", data[pos + 4 : pos + 12])
-        pos += 12
+        length, crc = struct.unpack("<QI", data[pos + 4 : pos + 16])
+        pos += 16
         if pos + length > len(data):
             raise DecodeError("truncated section payload")
         sections[tag] = data[pos : pos + length]
+        if zlib.crc32(sections[tag]) != crc:
+            raise DecodeError(f"CRC mismatch in section {tag.decode('ascii', 'replace')}")
         pos += length
+    if pos != len(data):
+        raise DecodeError(f"{len(data) - pos} stray bytes after the last section")
     return version, sections

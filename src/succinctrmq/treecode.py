@@ -280,7 +280,17 @@ def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def decode_left_sizes(n: int, bits, pos: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Preorder left-subtree sizes and left depths (int64 arrays) of the
     n-node tree whose subtree-size code starts at bits[pos].  Any bits decode
-    to some tree: the range decoder always yields a symbol of its model."""
+    to some tree, as the range decoder always yields a symbol of its model,
+    but L bits code at most 2L + 5 nodes: a larger n is a DecodeError.
+
+    That bound: at least (n - 1) / 2 nodes have a non-empty subtree below
+    them, and each such node decodes a symbol of >= 2 values, which halves
+    the coder's range up to a 2^-58 relative slack.  The range starts at
+    2^62 and is renormalised above 2^60 by doublings, one per bit read past
+    the first 62, and the encoder writes one bit per doubling.  So I such
+    nodes need at least I - 2 bits, and n <= 2I + 1 <= 2L + 5."""
+    if n > 2 * (len(bits) - pos) + 5:
+        raise DecodeError(f"{len(bits) - pos} bits cannot code a {n}-node tree")
     decode = RangeDecoder(bits, pos).decode
     ls, ld = [], []
     stack = [(n, 0)] if n else []  # (subtree size, left depth) in preorder

@@ -6,7 +6,7 @@ import pytest
 from succinctrmq import opcount
 from succinctrmq.bits import (BitVec, CompressedBitVec, PiecewiseConstantArray, VariableCellArray,
                               compact_array, pack_column, read_column)
-from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
+from succinctrmq.serial import DecodeError, Reader
 
 
 def naive_rank(bits, alpha, i):
@@ -186,7 +186,7 @@ class TestVariableCellArray:
         for trial in range(20):
             sizes = [rng.randint(1, 40) for _ in range(rng.randint(1, 300))]
             objs = [(rng.getrandbits(s) if s else 0, s) for s in sizes]
-            a = VariableCellArray(objs, block_size=rng.choice([1, 3, 7, None]))
+            a = VariableCellArray(objs)
             acc = 0
             for i, s in enumerate(sizes, start=1):
                 assert a.start(i) == acc
@@ -222,28 +222,40 @@ class TestVariableCellArray:
         sizes = [0, 1, 63, 64, 65, 0, 127, 128, 129, 200, 0, 1000, 5, 64, 0, 130]
         objs = [(rng.getrandbits(s) if s else 0, s) for s in sizes]
         objs[-1] = ((1 << 130) - 1, 130)
-        for block_size in (1, 3, None):
-            a = VariableCellArray(objs, block_size=block_size)
-            blob = a.to_bytes()
-            b = VariableCellArray.from_bytes(blob)
-            assert (b.m, b.total_bits, b.block_size) == (a.m, a.total_bits, a.block_size)
-            assert [b.object_bits(i) for i in range(1, len(objs) + 1)] == objs
-            assert [b.start(i) for i in range(1, len(objs) + 1)] == \
-                [a.start(i) for i in range(1, len(objs) + 1)]
-            assert b.to_bytes() == blob
+        a = VariableCellArray(objs)
+        blob = a.to_bytes()
+        b = VariableCellArray.from_bytes(blob)
+        assert (b.m, b.total_bits, b.block_size) == (a.m, a.total_bits, a.block_size)
+        assert [b.object_bits(i) for i in range(1, len(objs) + 1)] == objs
+        assert [b.start(i) for i in range(1, len(objs) + 1)] == \
+            [a.start(i) for i in range(1, len(objs) + 1)]
+        assert b.to_bytes() == blob
+
+    def test_block_size_follows_payload_length(self):
+        # b = ceil(lg(total + 3))^2; 300 one-bit objects span four blocks
+        for total, b in ((0, 4), (1, 4), (5, 9), (300, 81), (2 ** 20, 441)):
+            a = VariableCellArray([(0, total)] if total > 1 else [(0, 1)] * total)
+            assert a.block_size == b
+        a = VariableCellArray([(i & 1, 1) for i in range(300)])
+        assert len(a._block_start) == 4
+        assert [a.start(i) for i in range(1, 301)] == list(range(300))
+        assert a.sizes().tolist() == [1] * 300
 
     def test_empty_array_roundtrip(self):
         b = VariableCellArray.from_bytes(VariableCellArray([]).to_bytes())
         assert (b.m, b.total_bits) == (0, 0)
 
     def test_payload_length_checked(self):
+        # the layout is size column | payload words: a word short, a word
+        # over, a set bit past the 73 object bits, an object size of 2^40
         a = VariableCellArray([(5, 3), ((1 << 70) - 1, 70)])
-        _, sections = read_stream(a.to_bytes())
-        for payload in (sections[b"PAYL"][:-8], sections[b"PAYL"] + bytes(8)):
-            blob = write_stream(1, [(b"HEAD", sections[b"HEAD"]), (b"SIZE", sections[b"SIZE"]),
-                                    (b"PAYL", payload)])
+        blob = a.to_bytes()
+        padded = bytearray(blob)
+        padded[-1] |= 0x80
+        huge = pack_column([3, 1 << 40]) + blob[len(pack_column([3, 70])):]
+        for bad in (blob[:-8], blob + bytes(8), bytes(padded), huge):
             with pytest.raises(DecodeError):
-                VariableCellArray.from_bytes(blob)
+                VariableCellArray.from_bytes(bad)
 
 
 class TestPackedColumn:
@@ -341,30 +353,35 @@ class TestPiecewiseConstantArray:
 
 
 class TestSerialization:
+    """These structures have no serializer of their own: an index stores
+    what a load rebuilds them from (words, a packed position column, run
+    starts and values)."""
+
     def test_bitvec_roundtrip(self):
         rng = random.Random(23)
         bits = [rng.randint(0, 1) for _ in range(300)]
         v = BitVec(bits)
-        w = BitVec.from_bytes(v.to_bytes())
+        w = BitVec.from_words(v.n, v._words)
         assert w.n == 300 and all(w.access(i) == bits[i - 1] for i in range(1, 301))
 
     def test_compressed_roundtrip(self):
         v = CompressedBitVec.from_positions(5000, [1, 9, 4999])
-        w = CompressedBitVec.from_bytes(v.to_bytes())
+        column = read_column(Reader(pack_column(v.positions()), "run starts"))
+        w = CompressedBitVec.from_positions(5000, column)
         assert w.positions() == [1, 9, 4999]
 
     def test_pca_roundtrip(self):
         p = PiecewiseConstantArray([5, 5, 5, 7, 7, 5])
-        q = PiecewiseConstantArray.from_bytes(p.to_bytes())
+        q = PiecewiseConstantArray(p.values, run_starts=p.C.positions(), n=p.n)
         assert [q.access(i) for i in range(1, 7)] == [5, 5, 5, 7, 7, 5]
         assert q.runlen(5) == 2
 
     def test_pca_roundtrip_negative_values(self):
         p = PiecewiseConstantArray([-4, -4, 9, -1])
-        q = PiecewiseConstantArray.from_bytes(p.to_bytes())
+        q = PiecewiseConstantArray(p.values, run_starts=p.C.positions(), n=p.n)
         assert [q.access(i) for i in range(1, 5)] == [-4, -4, 9, -1]
 
     def test_truncated_stream(self):
-        v = BitVec([1, 0, 1])
+        blob = pack_column(CompressedBitVec.from_positions(3, [1, 3]).positions())
         with pytest.raises(DecodeError):
-            BitVec.from_bytes(v.to_bytes()[:10])
+            read_column(Reader(blob[:-1], "run starts"))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from succinctrmq.cli import main
+from succinctrmq.rmq import FORMAT_VERSION
 from succinctrmq.serial import read_stream, write_stream
 
 from test_trees import FIG_ARRAY
@@ -89,8 +90,8 @@ class TestQueryCommand:
         assert main(["build", "--random", "5000", "--seed", "3", "-o", str(path)]) == 0
         blob = path.read_bytes()
         _, sections = read_stream(blob)
-        cut_section = write_stream(2, [(tag, payload[:-1] if tag == b"MICR" else payload)
-                                       for tag, payload in sections.items()])
+        cut_section = write_stream(FORMAT_VERSION, [
+            (tag, payload[:-1] if tag == b"MICR" else payload) for tag, payload in sections.items()])
         capsys.readouterr()
         for data in (blob[:200], cut_section):
             path.write_bytes(data)

@@ -1,10 +1,10 @@
 """Golden bytes and answers: the serialized index must not change unless the
 format does, and queries must keep their answers and operation counts.
 
-The byte digests are of format version 3, which holds the fields of version
-2 as bit-packed columns (and the micro ids implicitly, as column order); a
-change to any of them means a different file, not just a different way of
-building the same one.
+The byte digests are of format version 4, in which every section is packed
+columns or raw payload words under a CRC-32 (FORMAT.md); a change to any of
+them means a different file, not just a different way of building the same
+one.
 The query digests were recorded from the query path before it was flattened,
 and hold for a built index and for the same index reloaded from its bytes.
 """
@@ -31,13 +31,13 @@ def many_ties(n: int) -> list[int]:
 
 
 GOLDEN = [
-    ("perm", 1000, "fixed", "7e4ec7d315010eb9bf12777ec916d6d7503b8f93"),
-    ("perm", 1000, "entropy", "56db1f8eaf240d051ac9a7794d99c82eb2368a67"),
-    ("perm", 1000, "huffman", "43268d2a24990714e29194e4bd35a528c98d6951"),
-    ("perm", 20000, "fixed", "41c65dbb5c88767e15b74453f7c1cf466019c704"),
-    ("perm", 20000, "entropy", "4a13ea5a825d73b50d967e688cfe45eb1bc3a93e"),
-    ("perm", 20000, "huffman", "e826986e699bdcc5cdc25bcae725937771f4afa5"),
-    ("ties", 20000, "entropy", "975d8d8018e0b6dc8b7d37fada3785fccc8df6b2"),
+    ("perm", 1000, "fixed", "d2fa24b3b227d8ceb996929a81e7e4b7c631d94a"),
+    ("perm", 1000, "entropy", "d9ee2b109a5b4cd233024c708b5a5a487ee60432"),
+    ("perm", 1000, "huffman", "0817c0fcc7f1424e25e126f760a085cc56c99c59"),
+    ("perm", 20000, "fixed", "b7e53df7fcbf820069b6120ff1288e682122a601"),
+    ("perm", 20000, "entropy", "250787bfa227273249562560a22fdb0c9c7e8243"),
+    ("perm", 20000, "huffman", "1414b55a7dd0b8cc86f369578348d5336f5f077c"),
+    ("ties", 20000, "entropy", "d879078509be75698b6be0664fbe1a6a9f84b7a4"),
 ]
 
 INPUTS = {"perm": seeded_permutation, "ties": many_ties}

@@ -1,9 +1,9 @@
 import math
 import random
-import struct
 
 import pytest
 
+from succinctrmq.bits import pack_column
 from succinctrmq.cover import build_cover
 from succinctrmq.microcodec import (
     MODE_ENTROPY,
@@ -295,27 +295,35 @@ class TestHuffman:
             code += 1
         assert len(book.codes) == len(counts)
 
-    @pytest.mark.parametrize("lengths", [{0: 0, 1: 1}, {0: 129, 1: 1}, {0: 1, 1: 1, 2: 1}],
-                             ids=["zero", "over-limit", "kraft"])
+    @pytest.mark.parametrize("lengths", [[0, 1, 1], [129, 1, 2], [1, 1, 1], [1, 1]],
+                             ids=["zero", "over-limit", "kraft", "count"])
     def test_codebook_rejects_bad_lengths(self, lengths):
+        # HUFF is one codeword length per registry type
         reg = TypeRegistry()
         for k in range(3):
             reg.intern(encode_zaks(left_path(k + 1)), 0, 0)
-        blob = struct.pack("<I", len(lengths)) + b"".join(
-            struct.pack("<IH", t, l) for t, l in lengths.items())
-        with pytest.raises(DecodeError):
-            Codebook.from_bytes(blob, reg)
+        with pytest.raises(DecodeError, match="HUFF"):
+            Codebook.from_bytes(pack_column(lengths), reg)
 
     def test_decode_rejects_unused_codeword(self):
         reg = TypeRegistry()
-        ids = [reg.intern(encode_zaks(left_path(k)), 0, 0) for k in (1, 2, 3)]
+        ids = [reg.intern(encode_zaks(left_path(k)), 0, 0) for k in (1, 2)]
         book = Codebook({ids[0]: 1, ids[1]: 2}, reg)  # codewords 0 and 10; 11 is unused
         assert book.decode_prefix([1, 0, 1]) == (ids[1], 2)
         assert book.decode_prefix([1, 0, 0], 2) == (ids[0], 3)
         with pytest.raises(DecodeError):
             book.decode_prefix([1, 1, 0])
-        with pytest.raises(ValueError):
-            book.code(ids[2])
+        assert Codebook.from_bytes(book.to_bytes(), reg).codes == book.codes
+
+    def test_codebook_needs_every_type(self):
+        # a book has a codeword for every registry type, as HUFF stores it
+        reg = TypeRegistry()
+        ids = [reg.intern(encode_zaks(left_path(k)), 0, 0) for k in (1, 2, 3)]
+        for lengths in ({ids[0]: 1, ids[1]: 2}, {ids[0]: 1, ids[1]: 2, ids[2]: 0}):
+            with pytest.raises(ValueError, match="codeword"):
+                Codebook(lengths, reg)
+        with pytest.raises(ValueError, match="codeword"):
+            build_huffman_codebook({ids[0]: 3, ids[1]: 1}, reg)
 
     def test_deterministic(self):
         reg = TypeRegistry()

@@ -8,10 +8,9 @@ import types
 import numpy as np
 import pytest
 
-from succinctrmq.bits import VariableCellArray, pack_column, read_column
+from succinctrmq.bits import VariableCellArray, column_width, pack_column, read_column
 from succinctrmq.cover import _SECTIONS
-from succinctrmq.microcodec import TypeArray
-from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
+from succinctrmq.rmq import FORMAT_VERSION, OracleRmq, RmqIndex, adversarial_arrays
 from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
 
 from test_trees import FIG_ARRAY
@@ -171,8 +170,9 @@ class TestSpaceReport:
         rebuilt = (parts["macro_tiers"] + parts["type_directory"]
                    + idx.cover.c_in.space_bits()["directory"])
         sections = len(read_stream(blob)[1])
-        container = (64 + 96 * sections + 8 * (8 + 24) + 47 * 19
-                     + 544 + 64 * rep["micro_trees"] + 63)
+        size_width = column_width(idx.type_array.vca.sizes())
+        container = (64 + 128 * sections + 8 * (8 + 24) + 47 * 18
+                     + 110 + size_width * rep["micro_trees"])
         assert 0 <= 8 * len(blob) - (rep["total_bits"] - rebuilt) <= container
 
 
@@ -284,17 +284,15 @@ class TestSerialization:
             assert results[k] == [oracle.query(i, j) for i, j in batches[k]]
         assert idx.cover.registry.tables_built() > 0
 
-    def test_type_payload_parsed_on_first_use(self):
-        # queries never read TARR: a load keeps its bytes, and a damaged
-        # payload shows when something reads it
+    def test_type_payload_parsed_at_load(self):
+        # queries never read TARR, but a load parses it: a damaged payload
+        # fails the load, even with a valid CRC
         arr = np.random.default_rng(4).permutation(2000).tolist()
         idx = RmqIndex.build(arr)
         _, sections = read_stream(idx.to_bytes())
         sections[b"TARR"] = sections[b"TARR"][:-8]
-        back = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
-        assert back.query(1, 2000) == idx.query(1, 2000)
-        with pytest.raises(DecodeError):
-            back.space_report()
+        with pytest.raises(DecodeError, match="truncated"):
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(sections.items())))
 
     def test_malformed(self):
         idx = RmqIndex.build([4, 2, 7])
@@ -313,11 +311,11 @@ class TestMalformedSections:
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
         version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == 3
+        assert version == FORMAT_VERSION == 4
         return sections
 
     @staticmethod
-    def stream(sections, version=3, drop=None, **replace):
+    def stream(sections, version=FORMAT_VERSION, drop=None, **replace):
         return write_stream(version, [(tag, replace.get(tag.decode("ascii"), payload))
                                       for tag, payload in sections.items()
                                       if tag.decode("ascii") != drop])
@@ -326,14 +324,16 @@ class TestMalformedSections:
         idx = RmqIndex.from_bytes(self.stream(sections))
         assert idx.n == 5000 and idx.query(1, 5000) >= 1
 
-    @pytest.mark.parametrize("tag", ["CMET", "MINI", "MICR", "PCAS", "TYPR", "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
+                                     "HUFF"])
     def test_every_truncation(self, sections, tag):
         payload = sections[tag.encode("ascii")]
         for cut in range(len(payload)):
             with pytest.raises(DecodeError):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: payload[:cut]}))
 
-    @pytest.mark.parametrize("tag", ["CMET", "MINI", "MICR", "PCAS", "TYPR"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
+                                     "HUFF"])
     def test_trailing_bytes(self, sections, tag):
         payload = sections[tag.encode("ascii")]
         with pytest.raises(DecodeError, match="stray bytes"):
@@ -351,10 +351,25 @@ class TestMalformedSections:
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 2, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
+
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
+                                     "HUFF"])
+    def test_crc_mismatch_names_section(self, sections, tag):
+        blob = bytearray(self.stream(sections))
+        pos = 8  # walk the section headers: tag, length, CRC
+        while blob[pos:pos + 4] != tag.encode("ascii"):
+            pos += 16 + int.from_bytes(blob[pos + 4:pos + 12], "little")
+        blob[pos + 16 + len(sections[tag.encode("ascii")]) // 2] ^= 0x10
+        with pytest.raises(DecodeError, match=f"CRC mismatch in section {tag}"):
+            RmqIndex.from_bytes(bytes(blob))
+
+    def test_stray_bytes_after_last_section(self, sections):
+        with pytest.raises(DecodeError, match="stray bytes"):
+            RmqIndex.from_bytes(self.stream(sections) + b"\0")
 
 
 class TestValueChecks:
@@ -374,10 +389,10 @@ class TestValueChecks:
         cols[names.index(column)][index] = value
         out = dict(sections)
         out[tag] = b"".join(pack_column(c) for c in cols)
-        return write_stream(3, list(out.items()))
+        return write_stream(FORMAT_VERSION, list(out.items()))
 
     def test_rewrite_to_the_same_value_loads(self, sections):
-        loaded = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
+        loaded = RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(sections.items())))
         blob = self.rewrite(sections, "type_of", 0, loaded.cover.type_of[1])
         assert RmqIndex.from_bytes(blob).query(1, 300) == loaded.query(1, 300)
 
@@ -385,7 +400,7 @@ class TestValueChecks:
         out = dict(sections)
         out[b"CMET"] = struct.pack("<Q", 301) + sections[b"CMET"][8:]
         with pytest.raises(DecodeError, match="sum to n"):
-            RmqIndex.from_bytes(write_stream(3, list(out.items())))
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
 
     @pytest.mark.parametrize("column,index,value", [
         ("p_child", 0, 10**9),  # a child micro that does not exist
@@ -394,7 +409,6 @@ class TestValueChecks:
         ("run_start", 0, 5),  # inorder ranks 1..4 in no run
         ("run_start", 1, 1),  # run starts that do not rise
         ("p_pos", 0, 10**4),  # a portal outside its shape
-        ("shape_size", 0, 10**4),  # a shape size its type does not have
         ("m_t1", 0, 10**3),  # a micro in no mini tree
         ("run_k", 0, 10**4),  # a run in no micro
         ("run_t3", -1, 10**4),  # a run past its micro's shape
@@ -403,64 +417,108 @@ class TestValueChecks:
         with pytest.raises(DecodeError):
             RmqIndex.from_bytes(self.rewrite(sections, column, index, value))
 
+    @pytest.mark.parametrize("nbits", [1, 4], ids=["short", "even"])
+    def test_bad_typr_header_rejected(self, sections, nbits):
+        # a shape size is read off its type's nbits = 2s + 1, s >= 1
+        r = Reader(sections[b"TYPR"], "TYPR")
+        head = read_column(r)
+        head[0] = nbits << 2 | head[0] & 3
+        out = dict(sections)
+        out[b"TYPR"] = pack_column(head) + sections[b"TYPR"][r.pos:]
+        with pytest.raises(DecodeError, match="nbits"):
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
+
 
 class TestTypePayloadChecks:
-    """`HUFF` names each type once; `TARR`, parsed on first use, holds one
-    object per micro tree, and each object's size fits its micro's shape."""
+    """`HUFF` holds a codeword length per type; `TARR`, parsed at load, holds
+    one object per micro tree, and each object's size fits its micro's shape.
+    Each case re-wraps the file, so every CRC is valid."""
 
     @staticmethod
     def sections(n, codec):
         arr = np.random.default_rng(n).permutation(n).tolist()
         return read_stream(RmqIndex.build(arr, codec=codec).to_bytes())[1]
 
+    @staticmethod
+    def load(sections, **replace):
+        out = {**sections, **{tag.encode("ascii"): blob for tag, blob in replace.items()}}
+        return RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
+
     def test_duplicate_huff_entry_rejected(self):
         sections = self.sections(3000, "huffman")
-        huff = sections[b"HUFF"]
-        (count,) = struct.unpack_from("<I", huff)
-        out = dict(sections)
-        out[b"HUFF"] = struct.pack("<I", count + 1) + huff[4:] + huff[4:10]
-        with pytest.raises(DecodeError, match="twice"):
-            RmqIndex.from_bytes(write_stream(3, list(out.items())))
+        lengths = read_column(Reader(sections[b"HUFF"], "HUFF"))
+        with pytest.raises(DecodeError, match="lengths for"):
+            self.load(sections, HUFF=pack_column(np.append(lengths, lengths[0])))
 
     def test_foreign_payload_rejected_on_first_use(self):
+        # the load is the payload's first use
         sections = self.sections(3000, "fixed")
         other = self.sections(2000, "fixed")
-        own = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
-        sections[b"TARR"] = other[b"TARR"]
-        loaded = RmqIndex.from_bytes(write_stream(3, list(sections.items())))
-        # it loads, as the parse is lazy, and queries never read the payload
-        assert loaded.query(1, 3000) == own.query(1, 3000)
+        own = self.load(sections)
         assert VariableCellArray.from_bytes(other[b"TARR"]).m != own.cover.micro_count()
         with pytest.raises(DecodeError, match="micro trees"):
-            loaded.space_report()
-        with pytest.raises(DecodeError, match="micro trees"):
-            loaded.type_array.decode_type(loaded.cover.micro_count(), 1)
+            self.load(sections, TARR=other[b"TARR"])
 
     @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
     def test_object_size_must_fit_shape(self, codec):
-        idx = RmqIndex.from_bytes(RmqIndex.build(
-            np.random.default_rng(3).permutation(3000).tolist(), codec=codec).to_bytes())
-        ta = idx.type_array
-        checked = 0
-        for i, m in enumerate(idx.cover.micros_by_k, start=1):
+        sections = self.sections(3000, codec)
+        idx = self.load(sections)
+        vca = idx.type_array.vca
+        objects = [vca.object_bits(i) for i in range(1, vca.m + 1)]
+        assert self.load(sections, TARR=VariableCellArray(objects).to_bytes()).n == 3000
+        for i, m in enumerate(idx.cover.micros_by_k):
+            value, size = objects[i]
             s = m.shape_size
-            assert ta.decode_type(i, s)[0].n == s
-            size = len(ta.type_bits(i))
-            wrong = [(size - 5) // 2] if codec == "entropy" else [s - 1, s + 1]
+            wrong = [2, 2 * s + 5] if codec == "entropy" else [size - 1, size + 1]
             for bad in wrong:
-                if bad >= 0:
-                    checked += 1
-                    with pytest.raises(DecodeError):
-                        ta.decode_type(i, bad)
-        assert checked >= idx.cover.micro_count()
+                changed = list(objects)
+                changed[i] = (value >> max(size - bad, 0), bad)
+                with pytest.raises(DecodeError, match="bits for a"):
+                    self.load(sections, TARR=VariableCellArray(changed).to_bytes())
+
+    def test_huge_object_size_rejected(self):
+        # TARR stores no block size; an object size past the section fails
+        # before anything is allocated for it
+        sections = self.sections(3000, "fixed")
+        sizes = read_column(Reader(sections[b"TARR"], "TARR"))
+        for big in (1 << 40, (1 << 63) - 1):
+            bad = sizes.copy()
+            bad[0] = big
+            tarr = pack_column(bad) + sections[b"TARR"][len(pack_column(sizes)):]
+            with pytest.raises(DecodeError, match="object size"):
+                self.load(sections, TARR=tarr)
+
+    def test_huffman_object_is_its_shapes_codeword(self):
+        # another type's codeword of the same length but another shape size,
+        # and a shorter codeword padded with zeros: both fit the object size
+        # and load, and decode_type rejects them
+        sections = self.sections(3000, "huffman")
+        idx = self.load(sections)
+        book, vca = idx.type_array.codebook, idx.type_array.vca
+        shape_bits = idx.cover.registry.shape_bits()
+        objects = [vca.object_bits(i) for i in range(1, vca.m + 1)]
+        for i, m in enumerate(idx.cover.micros_by_k):
+            t, length = m.type_id, book.length(m.type_id)
+            same = [u for u in range(len(shape_bits))
+                    if book.length(u) == length and shape_bits[u] != shape_bits[t]]
+            shorter = [u for u in range(len(shape_bits)) if book.length(u) < length]
+            if same and shorter:
+                break
+        else:
+            pytest.fail("no micro with both kinds of replacement codeword")
+        for u in (same[0], shorter[0]):
+            code, ul = book.code(u)
+            changed = list(objects)
+            changed[i] = (code << (length - ul), length)
+            loaded = self.load(sections, TARR=VariableCellArray(changed).to_bytes())
+            with pytest.raises(DecodeError, match="codeword"):
+                loaded.type_array.decode_type(i + 1, m.shape_size)
+            assert idx.type_array.decode_type(i + 1, m.shape_size) is not None
 
     def test_huffman_object_is_one_codeword(self):
-        idx = RmqIndex.build(np.random.default_rng(4).permutation(3000).tolist(), codec="huffman")
-        ta = idx.type_array
+        sections = self.sections(3000, "huffman")
+        vca = self.load(sections).type_array.vca
         longer = VariableCellArray([(v << 1, size + 1) for v, size in
-                                    (ta.vca.object_bits(i) for i in range(1, ta.micros + 1))])
-        padded = TypeArray("huffman", longer, ta.registry, ta.codebook, ta.micros)
-        s = idx.cover.micros_by_k[0].shape_size
-        assert ta.decode_type(1, s)[0].n == s
-        with pytest.raises(DecodeError, match="codeword"):
-            padded.decode_type(1, s)
+                                    (vca.object_bits(i) for i in range(1, vca.m + 1))])
+        with pytest.raises(DecodeError, match="bits for a"):
+            self.load(sections, TARR=longer.to_bytes())

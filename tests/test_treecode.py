@@ -1,9 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
-from succinctrmq.serial import DecodeError
+from succinctrmq.serial import DecodeError, bits_to_bytes, encode_varint
 from succinctrmq.treecode import (
     RangeDecoder,
     RangeEncoder,
@@ -241,6 +242,26 @@ class TestTreeCodeSerialization:
         bits = encode_count(5) + [SELECTOR_ZAKS] + encode_zaks(build_cartesian([2, 1, 3]))
         with pytest.raises(DecodeError):
             decode_tree(bits)
+
+
+class TestNodeCountBound:
+    """`decode_left_sizes` rejects a node count above 2L + 5 for an L-bit
+    body, which the encoder never exceeds."""
+
+    def test_encoder_within_bound(self):
+        shapes = [t for n in range(1, 11) for t in enumerate_shapes(n)]
+        shapes += [make(3000) for make in (left_path, right_path, zigzag_path)]
+        assert max(t.n - 2 * encode_subtree_size(t).body_len for t in shapes) <= 5
+
+    @pytest.mark.parametrize("n", [300_000, 2**40])
+    def test_large_count_on_short_body_rejected(self, n):
+        # a 7-byte body under a count header that claims far more nodes
+        payload = bits_to_bytes(encode_count(n) + [SELECTOR_SIZECODE] + [1, 0] * 28)
+        code = TreeCode.from_bytes(encode_varint(len(payload)) + payload)
+        start = time.perf_counter()
+        with pytest.raises(DecodeError, match="cannot code"):
+            decode_tree(code)
+        assert time.perf_counter() - start < 1.0
 
 
 ROUTE_SHAPES = [t for n in range(1, 8) for t in enumerate_shapes(n)]
