@@ -81,6 +81,15 @@ def read_column(r: Reader) -> np.ndarray:
     return out.ravel()[:count].view(np.int64)
 
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def bits_to_object(bits) -> tuple[int, int]:
+    """(value, size) of a sequence of 0/1 bytes (a list or uint8 array), read
+    MSB-first."""
+    return (int(bytes(bits).translate(_BIT_CHARS), 2) if len(bits) else 0), len(bits)
+
+
 def compact_array(values) -> array:
     """Non-negative integers as an owning array of the narrowest of the
     typecodes B, H, I and q that holds them."""
@@ -441,13 +450,18 @@ class VariableCellArray:
         self._local = compact_array(offsets[:m] - block_start[np.arange(m) // self.block_size])
         self._words = words
 
+    def _offset(self, j: int) -> int:
+        """0-based bit offset of 0-based object j; j = m gives the payload's end."""
+        if j == self.m:
+            return self.total_bits
+        return self._block_start[j // self.block_size] + self._local[j]
+
     def start(self, i: int) -> int:
         """0-based bit offset of object i (1-based i)."""
         if not 1 <= i <= self.m:
             raise IndexError(f"object index {i} out of range 1..{self.m}")
         opcount.add(2)
-        j = i - 1
-        return self._block_start[j // self.block_size] + self._local[j]
+        return self._offset(i - 1)
 
     def size(self, i: int) -> int:
         end = self.total_bits if i == self.m else self.start(i + 1)
@@ -459,11 +473,19 @@ class VariableCellArray:
         starts = block_start[np.arange(self.m) // self.block_size] + np.asarray(self._local)
         return np.diff(np.append(starts, self.total_bits))
 
+    def bits(self, i: int) -> np.ndarray:
+        """Object i's bits, MSB-first, as a uint8 array of 0s and 1s; unlike
+        `start`, this read charges no operations."""
+        if not 1 <= i <= self.m:
+            raise IndexError(f"object index {i} out of range 1..{self.m}")
+        start, end = self._offset(i - 1), self._offset(i)
+        words = np.frombuffer(self._words, dtype=np.uint64)[start >> 6:(end + 63) >> 6]
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+        return bits[start & 63:end - (start & ~63)]
+
     def object_bits(self, i: int) -> tuple[int, int]:
         """(value, size) of object i."""
-        s = self.start(i)
-        size = self.size(i)
-        return _read_bits(self._words, s, size), size
+        return bits_to_object(self.bits(i))
 
     def space_bits(self) -> dict:
         local_width = _bitlen(self.block_size * max(1, self._max_size))
@@ -494,18 +516,6 @@ class VariableCellArray:
         vca = cls.__new__(cls)
         vca._install(sizes, words)
         return vca
-
-
-def _read_bits(words: array, offset: int, size: int) -> int:
-    """The `size` bits at bit `offset` (LSB-first words), read MSB-first."""
-    if size == 0:
-        return 0
-    part = words[offset >> 6:(offset + size + 63) >> 6]
-    if sys.byteorder == "big":  # pragma: no cover
-        part.byteswap()
-    chunk = int.from_bytes(part.tobytes(), "little")
-    chunk = (chunk >> (offset & 63)) & ((1 << size) - 1)
-    return int(format(chunk, f"0{size}b")[::-1], 2)
 
 
 class PiecewiseConstantArray:

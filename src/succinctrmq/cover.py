@@ -23,7 +23,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import opcount
-from .bits import CompressedBitVec, column_width, compact_array, pack_column, read_column
+from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_array, pack_column,
+                   read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
 from .trees import BinaryTree, EulerTourLca
@@ -635,7 +636,8 @@ def _order_rank(key: np.ndarray):
 def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
                   portal_node: np.ndarray, shape_size: np.ndarray):
     """Shape preorder and inorder of every node (indices 0..n-1) and portal leaf
-    (n..), and the Zaks code of every micro shape, padded to whole bytes.
+    (n..), and the Zaks code of every micro shape as a (value, bit length)
+    pair, read MSB-first.
 
     A micro shape is its members plus one portal leaf per micro root hanging
     below it.  Restricting the global preorder (inorder) to those nodes, with
@@ -663,13 +665,16 @@ def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
     zpos = shape_pre + shape_in - 2
     zpos[:n] -= pos[:n] - np.searchsorted(in_key[in_order], in_key[:n] - ls[1:])
     del in_key, in_order, pos
-    nbytes = (2 * shape_size + 8) // 8
-    byte_start = np.zeros(M + 1, dtype=np.int64)
-    np.cumsum(nbytes, out=byte_start[1:])
-    bits = np.zeros(8 * int(byte_start[-1]), dtype=np.uint8)
-    bits[8 * byte_start[ent_k - 1] + zpos] = 1
+    # each code ends on a byte boundary, so its bytes read as its value
+    nbits = 2 * shape_size + 1
+    nbytes = (nbits + 7) // 8
+    end = np.cumsum(nbytes)
+    bits = np.zeros(8 * int(end[-1]), dtype=np.uint8)
+    bits[(8 * end - nbits)[ent_k - 1] + zpos] = 1
     codes = np.packbits(bits).tobytes()
-    return shape_pre.astype(np.intc), shape_in.astype(np.intc), codes, byte_start.tolist()
+    keys = [(int.from_bytes(codes[e - w:e], "big"), size)
+            for e, w, size in zip(end.tolist(), nbytes.tolist(), nbits.tolist())]
+    return shape_pre.astype(np.intc), shape_in.astype(np.intc), keys
 
 
 def _pca_runs(k, t3):
@@ -704,8 +709,6 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     cov.n = n
     cov.mini_B = mini_b
     cov.micro_B = micro_b
-    registry = TypeRegistry()
-    cov.registry = registry
 
     idx = np.intc
     left = np.frombuffer(t.left, dtype=idx)
@@ -748,26 +751,21 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     # every micro root but the global one is a portal leaf of its parent's micro
     pc = micro_root[1:]
     pk = k_of[parent[pc]]
-    p_side = (right[parent[pc]] == pc).astype(idx)
     p_smini = np.where(is_mini_root[pc] == 1, 0, st_local(pc))
     p_count = np.bincount(pk, minlength=M + 1)[1:]
     shape_size = np.bincount(k_of[1:], minlength=M + 1)[1:] + p_count
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
         raise CoverError(  # pragma: no cover - guards decomposition bugs
             f"micro shape of {shape_size.max()} nodes exceeds 2*micro_b={2 * micro_b}")
-    shape_pre, shape_in, codes, byte_start = _micro_shapes(t, k_of, pk, pc, shape_size)
+    shape_pre, shape_in, keys = _micro_shapes(t, k_of, pk, pc, shape_size)
 
-    # types are interned in (t1, t2) order
+    # a type is a shape; types are numbered in (t1, t2) order of first use
     mt1 = t1[micro_root]
-    rows = np.argsort(mt1, kind="stable").tolist()
-    flags = np.zeros((2, M + 1), dtype=idx)
-    flags[p_side, pk] = 1
-    nbits = (2 * shape_size + 1).tolist()
-    fl, fr = flags[0, 1:].tolist(), flags[1, 1:].tolist()
+    type_id: dict[tuple[int, int], int] = {}
     type_of = [0] * M
-    for j in rows:
-        type_of[j] = registry.intern_key(
-            (codes[byte_start[j]:byte_start[j + 1]], nbits[j], fl[j], fr[j]))
+    for j in np.argsort(mt1, kind="stable").tolist():
+        type_of[j] = type_id.setdefault(keys[j], len(type_id))
+    cov.registry = TypeRegistry(VariableCellArray(type_id))
 
     loc = np.zeros(n + 1, dtype=idx)  # mini-local preorder
     loc[1:] = _rank_within(t1[1:])

@@ -1,12 +1,13 @@
-"""Micro-tree type encodings and the shared lookup-table machinery.
+"""Micro-tree types, their payload encodings and the shared lookup tables.
 
-A micro tree's *type* is the canonical Zaks sequence of its shape (portal
-leaves included) plus two flag bits marking whether any portal hangs off a
-left resp. right child edge.  Types index per-shape lookup tables that answer
-micro-local queries in constant time.  Three payload encodings are supported:
+A micro tree's *type* is its shape (portal leaves included), keyed by the
+shape's Zaks sequence; where its portals hang is the cover's business
+(`MICR`), not the type's.  Types index per-shape lookup tables that answer
+micro-local queries in constant time.  Three payload encodings:
 
-* fixed:    flags + raw Zaks sequence (2s+3 bits for an s-node shape)
-* entropy:  flags + selector + the shorter of {subtree-size code, Zaks};
+* fixed:    the Zaks sequence, 2s+1 bits for an s-node shape, which is bit
+            for bit its type's `TYPR` record
+* entropy:  a selector bit and the shorter of {subtree-size code, Zaks};
             the node count is *not* stored (the per-micro index knows it),
             which keeps the per-shape cost within sum(lg st(v)) + O(1)
 * huffman:  a canonical, length-limited Huffman codeword per distinct type
@@ -19,8 +20,8 @@ from array import array
 
 import numpy as np
 
-from .bits import VariableCellArray, compact_array, pack_column, read_column
-from .serial import DecodeError, Reader, bits_to_bytes
+from .bits import VariableCellArray, bits_to_object, compact_array, pack_column, read_column
+from .serial import DecodeError, Reader
 from .treecode import decode_body, encode_body, zaks_arrays
 from .trees import BlockMinLca
 
@@ -30,11 +31,6 @@ MODE_HUFFMAN = "huffman"
 MODES = (MODE_FIXED, MODE_ENTROPY, MODE_HUFFMAN)
 
 HUFFMAN_LENGTH_LIMIT = 128  # two machine words
-
-
-def micro_type_key(zaks: list[int], flag_left: int, flag_right: int) -> tuple:
-    """Canonical dictionary key: equal shapes and flags give equal keys."""
-    return (bits_to_bytes(zaks), len(zaks), flag_left, flag_right)
 
 
 class ShapeTable(BlockMinLca):
@@ -84,68 +80,26 @@ class ShapeTable(BlockMinLca):
 
 
 class TypeRegistry:
-    """Interned micro-tree types with lazily built lookup tables.
+    """Micro-tree types with lazily built lookup tables.
 
-    The types are held as columns: a header per type, ``nbits << 2 |
-    flag_left << 1 | flag_right`` (nbits = Zaks bit length of the shape), and
-    one blob of every type's key bytes (ceil(nbits / 8) each) in type order.
+    Type t is the shape whose Zaks sequence is object t + 1 of `zaks`, a
+    `VariableCellArray` in type order; `TYPR` is that array's bytes.
     """
 
-    def __init__(self):
-        self._head = array("q")
-        self._start = array("q", [0])  # type t's key is _blob[_start[t]:_start[t + 1]]
-        self._blob = bytearray()
-        self._index: dict[tuple, int] | None = {}  # canonical key -> type id
+    def __init__(self, zaks: VariableCellArray):
+        self.zaks = zaks
         # built tables by type id; the query path reads it before `table`
         self.tables: dict[int, ShapeTable] = {}
 
-    def intern(self, zaks: list[int], flag_left: int, flag_right: int) -> int:
-        return self.intern_key(micro_type_key(zaks, flag_left, flag_right))
-
-    def intern_key(self, key: tuple) -> int:
-        """Type id of a canonical key (see `micro_type_key`), added if new."""
-        if self._index is None:  # a loaded registry keeps no key dictionary
-            self._index = {self.key(t): t for t in range(len(self))}
-        idx = self._index.get(key)
-        if idx is None:
-            data, nbits, fl, fr = key
-            if len(data) != (nbits + 7) // 8:
-                raise ValueError("key bytes must hold exactly the shape's bits")
-            idx = len(self._head)
-            self._head.append(nbits << 2 | fl << 1 | fr)
-            self._blob += data
-            self._start.append(len(self._blob))
-            self._index[key] = idx
-        return idx
-
     def __len__(self) -> int:
-        return len(self._head)
-
-    def key(self, type_id: int) -> tuple:
-        """The canonical key (key bytes, nbits, flag_left, flag_right)."""
-        h = self._head[type_id]
-        data = bytes(self._blob[self._start[type_id]:self._start[type_id + 1]])
-        return data, h >> 2, h >> 1 & 1, h & 1
-
-    @property
-    def keys(self) -> list[tuple]:
-        return [self.key(t) for t in range(len(self))]
+        return self.zaks.m
 
     def shape_bits(self) -> np.ndarray:
         """The Zaks bit length (2s + 1 for an s-node shape) of every type."""
-        return np.asarray(self._head, dtype=np.int64) >> 2
-
-    def _key_bits(self, type_id: int) -> np.ndarray:
-        start, end = self._start[type_id], self._start[type_id + 1]
-        data = np.frombuffer(self._blob[start:end], dtype=np.uint8)
-        return np.unpackbits(data, count=self._head[type_id] >> 2)
+        return self.zaks.sizes()
 
     def zaks_bits(self, type_id: int) -> list[int]:
-        return self._key_bits(type_id).tolist()
-
-    def flags(self, type_id: int) -> tuple[int, int]:
-        h = self._head[type_id]
-        return h >> 1 & 1, h & 1
+        return self.zaks.bits(type_id + 1).tolist()
 
     def table(self, type_id: int) -> ShapeTable:
         """The type's lookup table, built on first use.  A table is complete
@@ -153,7 +107,7 @@ class TypeRegistry:
         same table twice."""
         tbl = self.tables.get(type_id)
         if tbl is None:
-            tbl = ShapeTable.from_zaks(self._key_bits(type_id))
+            tbl = ShapeTable.from_zaks(self.zaks.bits(type_id + 1))
             self.tables[type_id] = tbl
         return tbl
 
@@ -168,28 +122,17 @@ class TypeRegistry:
         return sum(t.space_bits() for t in list(self.tables.values()))
 
     def to_bytes(self) -> bytes:
-        return pack_column(self._head) + bytes(self._blob)
+        return self.zaks.to_bytes()
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "TypeRegistry":
-        r = Reader(blob, "TYPR")
-        head = read_column(r)
-        nbits = head >> 2
-        if ((nbits < 3) | (nbits % 2 == 0)).any():
-            raise DecodeError("a TYPR header's nbits is not 2s + 1 for a shape of s >= 1 nodes")
-        key_bytes = (nbits + 7) // 8
-        left = len(blob) - r.pos
-        if (key_bytes > left).any():
-            raise DecodeError("truncated TYPR section")
-        start = np.zeros(len(head) + 1, dtype=np.int64)
-        np.cumsum(key_bytes, out=start[1:])
-        reg = cls()
-        reg._blob = r.raw(int(start[-1]))
-        r.end()
-        reg._head = array("q", head.tobytes())
-        reg._start = array("q", start.tobytes())
-        reg._index = None
-        return reg
+        """The registry of a `TYPR` section, each of whose records must have
+        an odd size >= 3, that of a shape of s >= 1 nodes."""
+        zaks = VariableCellArray.from_bytes(blob)
+        size = zaks.sizes()
+        if ((size < 3) | (size % 2 == 0)).any():
+            raise DecodeError("a TYPR record is not 2s + 1 bits for a shape of s >= 1 nodes")
+        return cls(zaks)
 
 
 def _huffman_lengths(weights: list[int]) -> list[int]:
@@ -249,7 +192,7 @@ def _package_merge_lengths(weights: list[int], limit: int) -> list[int]:
 class Codebook:
     """Canonical, prefix-free code over micro-tree types, held as arrays.
 
-    Codewords are assigned in (length, canonical key) order, so each type's
+    Codewords are assigned in (length, type id) order, so each type's
     codeword length fixes the code.  Every type has a codeword.  The book
     keeps that length per type id, the types in canonical order, and per
     length L the first codeword and the index of the first type in that
@@ -258,15 +201,15 @@ class Codebook:
 
     __slots__ = ("_length", "_symbols", "_first", "_start")
 
-    def __init__(self, lengths: dict[int, int], registry: TypeRegistry):
-        """lengths: type id -> codeword length (>= 1) for every type of
-        `registry`."""
-        if len(lengths) != len(registry) or min(lengths.values(), default=1) < 1:
+    def __init__(self, lengths: dict[int, int], types: int):
+        """lengths: type id -> codeword length (>= 1) for each of the type
+        ids 0 .. types - 1."""
+        if len(lengths) != types or min(lengths.values(), default=1) < 1:
             raise ValueError("every registry type needs a codeword")
-        symbols = sorted(lengths, key=lambda s: (lengths[s], registry.key(s)))
+        symbols = sorted(lengths, key=lambda s: (lengths[s], s))
         top = max(lengths.values(), default=0)
         count = [0] * (top + 1)
-        length = array("B", bytes(len(registry)))
+        length = array("B", bytes(types))
         for s, l in lengths.items():
             length[s] = l
             count[l] += 1
@@ -319,33 +262,33 @@ class Codebook:
         return pack_column(self._length)
 
     @classmethod
-    def from_bytes(cls, blob: bytes, registry: TypeRegistry) -> "Codebook":
-        """The book of a `HUFF` section: a codeword length for every type of
-        `registry`, each in 1..128, satisfying Kraft's inequality."""
+    def from_bytes(cls, blob: bytes, types: int) -> "Codebook":
+        """The book of a `HUFF` section: a codeword length for each of
+        `types` types, each in 1..128, satisfying Kraft's inequality."""
         r = Reader(blob, "HUFF")
         lengths = read_column(r).tolist()
         r.end()
-        if len(lengths) != len(registry):
-            raise DecodeError(f"HUFF holds {len(lengths)} lengths for {len(registry)} types")
+        if len(lengths) != types:
+            raise DecodeError(f"HUFF holds {len(lengths)} lengths for {types} types")
         top = HUFFMAN_LENGTH_LIMIT
         if not all(1 <= l <= top for l in lengths) or \
                 sum(1 << (top - l) for l in lengths) > 1 << top:
             raise DecodeError("HUFF lengths are not those of a prefix code")
-        return cls(dict(enumerate(lengths)), registry)
+        return cls(dict(enumerate(lengths)), types)
 
 
-def build_huffman_codebook(type_counts: dict[int, int], registry: TypeRegistry,
-                           limit: int = HUFFMAN_LENGTH_LIMIT) -> Codebook:
-    """Length-limited Huffman code over empirical type frequencies with
-    deterministic tie-breaking (frequency, then canonical key)."""
+def build_huffman_codebook(type_counts: dict[int, int], types: int) -> Codebook:
+    """Huffman code, at most `HUFFMAN_LENGTH_LIMIT` bits long, over the
+    empirical frequencies of type ids 0 .. types - 1, with deterministic
+    tie-breaking (frequency, then type id)."""
     if not type_counts:
         raise ValueError("huffman codebook needs at least one micro tree")
-    symbols = sorted(type_counts, key=lambda s: (type_counts[s], registry.key(s)))
+    symbols = sorted(type_counts, key=lambda s: (type_counts[s], s))
     weights = [type_counts[s] for s in symbols]
     lens = _huffman_lengths(weights)
-    if max(lens) > limit:
-        lens = _package_merge_lengths(weights, limit)
-    return Codebook(dict(zip(symbols, lens)), registry)
+    if max(lens) > HUFFMAN_LENGTH_LIMIT:
+        lens = _package_merge_lengths(weights, HUFFMAN_LENGTH_LIMIT)
+    return Codebook(dict(zip(symbols, lens)), types)
 
 
 class TypeArray:
@@ -363,9 +306,9 @@ class TypeArray:
                    codebook: Codebook | None, type_of, shape_size) -> "TypeArray":
         """The payload of micro trees of types `type_of` whose shapes have
         `shape_size` nodes (k order): one object per micro, of the size its
-        codec gives the shape: fixed 2s + 3 bits (two flags and the Zaks
-        sequence), entropy 3 to 2s + 4 (two flags, the selector and a body no
-        longer than the Zaks sequence), huffman its type's codeword length."""
+        codec gives the shape: fixed 2s + 1 bits (the Zaks sequence), entropy
+        1 to 2s + 2 (the selector and a body no longer than the Zaks
+        sequence), huffman its type's codeword length."""
         vca = VariableCellArray.from_bytes(blob)
         if vca.m != len(type_of):
             raise DecodeError(f"TARR holds {vca.m} objects for {len(type_of)} micro trees")
@@ -373,9 +316,9 @@ class TypeArray:
         if mode == MODE_HUFFMAN:
             bad = size != np.asarray(codebook._length)[np.asarray(type_of)]
         elif mode == MODE_FIXED:
-            bad = size != 2 * s + 3
+            bad = size != 2 * s + 1
         else:
-            bad = (size < 3) | (size > 2 * s + 4)
+            bad = (size < 1) | (size > 2 * s + 2)
         if bad.any():
             i = int(np.argmax(bad))
             raise DecodeError(f"micro {i + 1}: {size[i]} bits for a {s[i]}-node shape")
@@ -387,63 +330,49 @@ class TypeArray:
     def total_payload_bits(self) -> int:
         return self.vca.total_bits
 
-    def type_bits(self, i: int) -> list[int]:
-        value, size = self.vca.object_bits(i)
-        data = np.frombuffer(value.to_bytes((size + 7) // 8, "big"), dtype=np.uint8)
-        return np.unpackbits(data)[8 * len(data) - size:].tolist()
-
-    def decode_type(self, i: int, shape_size: int) -> tuple[ShapeTable, int, int]:
-        """(lookup table, flag_left, flag_right) of the i-th micro tree, whose
-        shape has `shape_size` nodes, read from its payload alone."""
-        bits = self.type_bits(i)
-        if self.mode == MODE_HUFFMAN:
-            type_id, end = self.codebook.decode_prefix(bits)
-            if end != len(bits) or self.registry._head[type_id] >> 2 != 2 * shape_size + 1:
-                raise DecodeError(f"micro {i}: not one codeword of a {shape_size}-node type")
-            return (ShapeTable.from_zaks(self.registry._key_bits(type_id)),
-                    *self.registry.flags(type_id))
+    def decode_type(self, i: int, shape_size: int) -> ShapeTable:
+        """The lookup table of the i-th micro tree, whose shape has
+        `shape_size` nodes, read from its payload alone."""
+        bits = self.vca.bits(i)
         if self.mode == MODE_FIXED:
-            return ShapeTable.from_zaks(bits[2:]), bits[0], bits[1]
-        return ShapeTable(*decode_body(bits[2], bits, shape_size, 3)), bits[0], bits[1]
+            return ShapeTable.from_zaks(bits)
+        bits = bits.tolist()
+        if self.mode == MODE_ENTROPY:
+            return ShapeTable(*decode_body(bits[0], bits, shape_size, 1))
+        type_id, end = self.codebook.decode_prefix(bits)
+        zaks = self.registry.zaks.bits(type_id + 1)
+        if end != len(bits) or len(zaks) != 2 * shape_size + 1:
+            raise DecodeError(f"micro {i}: not one codeword of a {shape_size}-node type")
+        return ShapeTable.from_zaks(zaks)
 
     def space_bits(self) -> dict:
         sp = self.vca.space_bits()
         return {"payload": sp["payload"], "directory": sp["directory"]}
 
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")
-
-
-def _bits_to_object(bits: list[int]) -> tuple[int, int]:
-    """(value, size) of a 0/1 list read MSB-first."""
-    return (int(bytes(bits).translate(_BIT_CHARS), 2) if bits else 0), len(bits)
-
-
 def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
                  codebook: Codebook | None) -> tuple[int, int]:
-    """(value, size) of one type's payload, read off its canonical key."""
+    """(value, size) of one type's payload, read off its Zaks key."""
     if mode == MODE_HUFFMAN:
         return codebook.code(type_id)
     if mode == MODE_FIXED:
-        data, nbits, fl, fr = registry.key(type_id)
-        zaks = int.from_bytes(data, "big") >> (8 * len(data) - nbits)
-        return (fl << 1 | fr) << nbits | zaks, nbits + 2
-    zaks = registry._key_bits(type_id)
+        return registry.zaks.object_bits(type_id + 1)
+    zaks = registry.zaks.bits(type_id + 1)
     st, ls, _ = zaks_arrays(zaks)
     selector, body = encode_body(st.tolist(), ls.tolist(), zaks.tolist())
-    return _bits_to_object([*registry.flags(type_id), selector, *body])
+    return bits_to_object([selector, *body])
 
 
-def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str,
-                 codebook: Codebook | None = None) -> TypeArray:
+def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str) -> TypeArray:
     """Encode the micro-tree type sequence under the selected codec."""
     if mode not in MODES:
         raise ValueError(f"unknown codec mode {mode}")
-    if mode == MODE_HUFFMAN and codebook is None:
+    codebook = None
+    if mode == MODE_HUFFMAN:
         counts: dict[int, int] = {}
         for t in type_ids:
             counts[t] = counts.get(t, 0) + 1
-        codebook = build_huffman_codebook(counts, registry)
+        codebook = build_huffman_codebook(counts, len(registry))
     per_type = codebook.codes if mode == MODE_HUFFMAN else {}
     objects = []
     for t in type_ids:

@@ -16,7 +16,7 @@ from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, 
 from .serial import DecodeError, Reader, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 4  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 5  # FORMAT.md, "RmqIndex"
 
 
 class RmqIndex:
@@ -86,7 +86,7 @@ class RmqIndex:
         breakdown = {
             "micro_payload": ta_space["payload"],
             "codebook": codebook.serialized_bits() if codebook is not None else 0,
-            # the interned shape keys every codec's queries build their tables from
+            # the Zaks key of every shape, which every codec's queries build tables from
             "type_registry": len(cov.registry.to_bytes()) * 8,
             "type_directory": ta_space["directory"],
             "index_directories": (aux["per_micro_tables"] + aux["per_mini_tables"]
@@ -136,7 +136,7 @@ class RmqIndex:
         if codec == MODE_HUFFMAN:
             if b"HUFF" not in sections:
                 raise DecodeError("huffman index without codebook section")
-            codebook = Codebook.from_bytes(sections[b"HUFF"], cover.registry)
+            codebook = Codebook.from_bytes(sections[b"HUFF"], len(cover.registry))
         type_array = TypeArray.from_bytes(codec, sections[b"TARR"], cover.registry, codebook,
                                           cover.type_of[1:], cover.shape_size[1:])
         return cls(cover.n, codec, cover, type_array)

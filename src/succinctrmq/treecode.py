@@ -356,6 +356,8 @@ class TreeCode:
         nbytes, pos = decode_varint(data)
         if pos + nbytes > len(data):
             raise DecodeError("truncated tree code")
+        if pos + nbytes < len(data):
+            raise DecodeError(f"{len(data) - pos - nbytes} stray bytes after the tree code")
         bits = bytes_to_bits(data[pos : pos + nbytes], nbytes * 8)
         n, hdr = decode_count(bits)
         selector = None

@@ -144,6 +144,15 @@ class TestEncodeDecode:
         assert shape_line in out2
         assert "18 9 8 4 3 1 0 0 1 0 0 5 3 2 1 0 0 1 0 0" in out2
 
+    def test_decode_rejects_trailing_byte(self, fig_file, tmp_path, capsys):
+        code = tmp_path / "fig.code"
+        assert main(["encode", fig_file, "-o", str(code)]) == 0
+        code.write_bytes(code.read_bytes() + b"\0")
+        capsys.readouterr()
+        assert main(["decode", str(code)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "stray bytes" in captured.err
+
 
 class TestLcpIngest:
     def test_aaaa(self, tmp_path, capsys):

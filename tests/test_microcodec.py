@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from succinctrmq.bits import pack_column
+from succinctrmq.bits import VariableCellArray, bits_to_object, pack_column
 from succinctrmq.cover import build_cover
 from succinctrmq.microcodec import (
     MODE_ENTROPY,
@@ -16,10 +17,9 @@ from succinctrmq.microcodec import (
     _package_merge_lengths,
     build_huffman_codebook,
     encode_types,
-    micro_type_key,
 )
 from succinctrmq import opcount
-from succinctrmq.serial import DecodeError, bits_to_bytes
+from succinctrmq.serial import DecodeError
 from succinctrmq.treecode import encode_zaks, zaks_arrays
 from succinctrmq.trees import (BinaryTree, build_cartesian, caterpillar, enumerate_shapes,
                                left_path, right_path, sample_random_bst, zigzag_path)
@@ -44,31 +44,46 @@ def build_fixture_cover(n=3000, seed=5, mini_b=60, micro_b=7):
     return t, cov
 
 
+def registry_of(*shapes):
+    """The registry whose type t is the t-th of these Zaks sequences."""
+    return TypeRegistry(VariableCellArray(bits_to_object(z) for z in shapes))
+
+
 class TestMicroTypeKey:
+    """A micro type's key is its shape's Zaks sequence, and nothing else."""
+
     def test_single_node(self):
-        key = micro_type_key([1, 0, 0], 0, 0)
-        assert key == (bits_to_bytes([1, 0, 0]), 3, 0, 0)
+        reg = registry_of([1, 0, 0])
+        assert len(reg) == 1 and reg.zaks_bits(0) == [1, 0, 0]
+        assert reg.to_bytes() == VariableCellArray([(0b100, 3)]).to_bytes()
 
     def test_two_shapes_distinct(self):
         a = encode_zaks(left_path(2))
         b = encode_zaks(build_cartesian([1, 2]))
         assert a == [1, 1, 0, 0, 0]
         assert b == [1, 0, 1, 0, 0]
-        assert micro_type_key(a, 0, 0) != micro_type_key(b, 0, 0)
+        reg = registry_of(a, b)
+        assert (reg.zaks_bits(0), reg.zaks_bits(1)) == (a, b)
 
     def test_same_shape_same_key(self):
-        reg = TypeRegistry()
-        t1 = reg.intern([1, 1, 0, 0, 0], 1, 0)
-        t2 = reg.intern([1, 1, 0, 0, 0], 1, 0)
-        t3 = reg.intern([1, 1, 0, 0, 0], 0, 0)  # flags distinguish
-        assert t1 == t2 != t3
+        # small micros repeat shapes under portals that hang on different
+        # sides; each shape is one type, with one table
+        t = build_cartesian(np.random.default_rng(7).permutation(20000))
+        cov = build_cover(t, mini_b=64, micro_b=8)
+        reg = cov.registry
+        keys = [tuple(reg.zaks_bits(t)) for t in range(len(reg))]
+        assert len(set(keys)) == len(keys)
+        by_shape = {}
+        for k in range(1, cov.micro_count() + 1):
+            table = reg.table(cov.type_of[k])
+            assert by_shape.setdefault(keys[cov.type_of[k]], table) is table
+        assert len(by_shape) == len(reg) < cov.micro_count()
 
     def test_registry_roundtrip(self):
-        reg = TypeRegistry()
-        reg.intern([1, 0, 0], 1, 1)
-        reg.intern([1, 1, 0, 0, 0], 0, 1)
+        reg = registry_of([1, 0, 0], [1, 1, 0, 0, 0], encode_zaks(sample_random_bst(80, 3)))
         back = TypeRegistry.from_bytes(reg.to_bytes())
-        assert back.keys == reg.keys
+        assert [back.zaks_bits(t) for t in range(3)] == [reg.zaks_bits(t) for t in range(3)]
+        assert back.to_bytes() == reg.to_bytes()
 
 
 def check_table(table, t, pairs):
@@ -187,8 +202,8 @@ class TestShapeTable:
 
     def test_registry_tables_from_key_bytes(self):
         t = sample_random_bst(300, 4)
-        reg = TypeRegistry()
-        tid = reg.intern(encode_zaks(t), 1, 0)
+        reg = registry_of(encode_zaks(t))
+        tid = 0
         assert reg.zaks_bits(tid) == encode_zaks(t)
         assert reg.tables_built() == 0
         table = reg.table(tid)
@@ -207,32 +222,33 @@ class TestShapeTable:
         assert len(table._sparse[0]) == -(-1001 // ShapeTable.BLOCK)
 
 
+def shape_ids(trees, ids):
+    """Type ids of the shapes of `trees`, numbered in order of first use in
+    `ids` (Zaks sequence -> type id), as a cover numbers its types."""
+    return [ids.setdefault(tuple(encode_zaks(t)), len(ids)) for t in trees]
+
+
 class TestHuffman:
     def test_textbook_lengths(self):
-        reg = TypeRegistry()
-        ids = [reg.intern([1, 0, 0], 0, 0), reg.intern([1, 1, 0, 0, 0], 0, 0),
-               reg.intern([1, 0, 1, 0, 0], 0, 0)]
-        book = build_huffman_codebook({ids[0]: 2, ids[1]: 1, ids[2]: 1}, reg)
+        book = build_huffman_codebook({0: 2, 1: 1, 2: 1}, 3)
         lens = sorted(l for _, l in book.codes.values())
         assert lens == [1, 2, 2]
 
     def test_single_type(self):
-        reg = TypeRegistry()
-        tid = reg.intern([1, 0, 0], 0, 0)
-        book = build_huffman_codebook({tid: 7}, reg)
-        assert book.length(tid) == 1
+        book = build_huffman_codebook({0: 7}, 1)
+        assert book.length(0) == 1
 
     def test_kraft(self):
         rng = random.Random(8)
-        reg = TypeRegistry()
+        ids = {}
         counts = {}
         for i in range(50):
             t = sample_random_bst(rng.randint(1, 12), i)
             if t.n == 0:
                 continue
-            tid = reg.intern(encode_zaks(t), 0, 0)
+            [tid] = shape_ids([t], ids)
             counts[tid] = counts.get(tid, 0) + rng.randint(1, 100)
-        book = build_huffman_codebook(counts, reg)
+        book = build_huffman_codebook(counts, len(ids))
         assert book.kraft_sum() <= 1.0 + 1e-12
         # prefix-freeness: decode every codeword unambiguously
         for tid in counts:
@@ -242,13 +258,12 @@ class TestHuffman:
 
     def test_optimality_against_entropy_bound(self):
         rng = random.Random(9)
-        reg = TypeRegistry()
+        ids = {}
         counts = {}
         for i in range(30):
-            t = sample_random_bst(rng.randint(1, 10), 100 + i)
-            tid = reg.intern(encode_zaks(t), 0, 0)
+            [tid] = shape_ids([sample_random_bst(rng.randint(1, 10), 100 + i)], ids)
             counts[tid] = counts.get(tid, 0) + rng.randint(1, 50)
-        book = build_huffman_codebook(counts, reg)
+        book = build_huffman_codebook(counts, len(ids))
         total = sum(counts.values())
         entropy = -sum(c / total * math.log2(c / total) for c in counts.values())
         avg = sum(counts[s] * book.length(s) for s in counts) / total
@@ -272,23 +287,20 @@ class TestHuffman:
         assert sum(2.0 ** -l for l in limited) <= 1.0 + 1e-12
 
     def test_codebook_serialization(self):
-        reg = TypeRegistry()
-        a = reg.intern([1, 0, 0], 0, 0)
-        b = reg.intern([1, 1, 0, 0, 0], 0, 0)
-        book = build_huffman_codebook({a: 3, b: 1}, reg)
-        back = Codebook.from_bytes(book.to_bytes(), reg)
+        book = build_huffman_codebook({0: 3, 1: 1}, 2)
+        back = Codebook.from_bytes(book.to_bytes(), 2)
         assert back.codes == book.codes
 
     def test_codes_are_canonical(self):
         rng = random.Random(10)
-        reg = TypeRegistry()
+        ids = {}
         counts = {}
         for i in range(40):
-            tid = reg.intern(encode_zaks(sample_random_bst(rng.randint(1, 9), 200 + i)), 0, 0)
+            [tid] = shape_ids([sample_random_bst(rng.randint(1, 9), 200 + i)], ids)
             counts[tid] = counts.get(tid, 0) + rng.randint(1, 300)
-        book = build_huffman_codebook(counts, reg)
+        book = build_huffman_codebook(counts, len(ids))
         code = length = 0
-        for tid in sorted(counts, key=lambda s: (book.length(s), reg.key(s))):
+        for tid in sorted(counts, key=lambda s: (book.length(s), s)):
             code <<= book.length(tid) - length
             length = book.length(tid)
             assert book.code(tid) == book.codes[tid] == (code, length)
@@ -299,38 +311,31 @@ class TestHuffman:
                              ids=["zero", "over-limit", "kraft", "count"])
     def test_codebook_rejects_bad_lengths(self, lengths):
         # HUFF is one codeword length per registry type
-        reg = TypeRegistry()
-        for k in range(3):
-            reg.intern(encode_zaks(left_path(k + 1)), 0, 0)
         with pytest.raises(DecodeError, match="HUFF"):
-            Codebook.from_bytes(pack_column(lengths), reg)
+            Codebook.from_bytes(pack_column(lengths), 3)
 
     def test_decode_rejects_unused_codeword(self):
-        reg = TypeRegistry()
-        ids = [reg.intern(encode_zaks(left_path(k)), 0, 0) for k in (1, 2)]
-        book = Codebook({ids[0]: 1, ids[1]: 2}, reg)  # codewords 0 and 10; 11 is unused
-        assert book.decode_prefix([1, 0, 1]) == (ids[1], 2)
-        assert book.decode_prefix([1, 0, 0], 2) == (ids[0], 3)
+        book = Codebook({0: 1, 1: 2}, 2)  # codewords 0 and 10; 11 is unused
+        assert book.decode_prefix([1, 0, 1]) == (1, 2)
+        assert book.decode_prefix([1, 0, 0], 2) == (0, 3)
         with pytest.raises(DecodeError):
             book.decode_prefix([1, 1, 0])
-        assert Codebook.from_bytes(book.to_bytes(), reg).codes == book.codes
+        assert Codebook.from_bytes(book.to_bytes(), 2).codes == book.codes
 
     def test_codebook_needs_every_type(self):
         # a book has a codeword for every registry type, as HUFF stores it
-        reg = TypeRegistry()
-        ids = [reg.intern(encode_zaks(left_path(k)), 0, 0) for k in (1, 2, 3)]
-        for lengths in ({ids[0]: 1, ids[1]: 2}, {ids[0]: 1, ids[1]: 2, ids[2]: 0}):
+        for lengths in ({0: 1, 1: 2}, {0: 1, 1: 2, 2: 0}):
             with pytest.raises(ValueError, match="codeword"):
-                Codebook(lengths, reg)
+                Codebook(lengths, 3)
         with pytest.raises(ValueError, match="codeword"):
-            build_huffman_codebook({ids[0]: 3, ids[1]: 1}, reg)
+            build_huffman_codebook({0: 3, 1: 1}, 3)
 
     def test_deterministic(self):
-        reg = TypeRegistry()
-        ids = [reg.intern(encode_zaks(sample_random_bst(k, k)), 0, 0) for k in range(1, 9)]
-        counts = {tid: 5 for tid in ids}
-        b1 = build_huffman_codebook(counts, reg)
-        b2 = build_huffman_codebook(counts, reg)
+        ids = {}
+        shape_ids([sample_random_bst(k, k) for k in range(1, 9)], ids)
+        counts = {tid: 5 for tid in ids.values()}
+        b1 = build_huffman_codebook(counts, len(ids))
+        b2 = build_huffman_codebook(counts, len(ids))
         assert b1.codes == b2.codes
 
 
@@ -340,18 +345,20 @@ class TestTypeArray:
         _, cov = build_fixture_cover()
         ta = encode_types(cov.type_ids, cov.registry, mode)
         for i, m in enumerate(cov.micros_by_k, start=1):
-            table, fl, fr = ta.decode_type(i, shape_size=m.shape_size)
+            table = ta.decode_type(i, shape_size=m.shape_size)
             want = cov.registry.table(cov.type_of[i])
             assert table.pre2in == want.pre2in
             assert table.in2pre == want.in2pre
             assert table.ls == want.ls
-            assert (fl, fr) == cov.registry.flags(m.type_id)
 
     def test_fixed_mode_lengths(self):
         _, cov = build_fixture_cover(n=800, seed=2)
         ta = encode_types(cov.type_ids, cov.registry, MODE_FIXED)
-        expect = sum(2 * m.shape_size + 3 for m in cov.micros_by_k)
+        expect = sum(2 * m.shape_size + 1 for m in cov.micros_by_k)
         assert ta.total_payload_bits() == expect
+        # a fixed object is its type's TYPR record, bit for bit
+        for i, m in enumerate(cov.micros_by_k, start=1):
+            assert ta.vca.object_bits(i) == cov.registry.zaks.object_bits(m.type_id + 1)
 
     def test_huffman_dominates(self):
         for n, seed in ((500, 1), (3000, 2), (8000, 3)):

@@ -311,7 +311,7 @@ class TestMalformedSections:
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
         version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == FORMAT_VERSION == 4
+        assert version == FORMAT_VERSION == 5
         return sections
 
     @staticmethod
@@ -351,7 +351,7 @@ class TestMalformedSections:
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
@@ -419,13 +419,20 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("nbits", [1, 4], ids=["short", "even"])
     def test_bad_typr_header_rejected(self, sections, nbits):
-        # a shape size is read off its type's nbits = 2s + 1, s >= 1
-        r = Reader(sections[b"TYPR"], "TYPR")
-        head = read_column(r)
-        head[0] = nbits << 2 | head[0] & 3
+        # a shape size is read off its type's TYPR record size, 2s + 1 for s >= 1
+        keys = VariableCellArray.from_bytes(sections[b"TYPR"])
+        records = [keys.object_bits(t) for t in range(1, keys.m + 1)]
+        records[0] = (0, nbits)
         out = dict(sections)
-        out[b"TYPR"] = pack_column(head) + sections[b"TYPR"][r.pos:]
-        with pytest.raises(DecodeError, match="nbits"):
+        out[b"TYPR"] = VariableCellArray(records).to_bytes()
+        with pytest.raises(DecodeError, match="TYPR record"):
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
+
+    @pytest.mark.parametrize("short", [True, False], ids=["word-short", "word-over"])
+    def test_typr_payload_length_checked(self, sections, short):
+        typr = sections[b"TYPR"]
+        out = {**sections, b"TYPR": typr[:-8] if short else typr + bytes(8)}
+        with pytest.raises(DecodeError, match="truncated|stray bytes"):
             RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
 
 
@@ -469,7 +476,10 @@ class TestTypePayloadChecks:
         for i, m in enumerate(idx.cover.micros_by_k):
             value, size = objects[i]
             s = m.shape_size
-            wrong = [2, 2 * s + 5] if codec == "entropy" else [size - 1, size + 1]
+            # fixed 2s + 3 and entropy 2s + 4 bits were format 4's sizes, with
+            # two portal-side flags before the code
+            wrong = [0, 2 * s + 3, 2 * s + 4] if codec == "entropy" else \
+                [size - 1, size + 1, size + 2]
             for bad in wrong:
                 changed = list(objects)
                 changed[i] = (value >> max(size - bad, 0), bad)

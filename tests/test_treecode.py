@@ -233,6 +233,12 @@ class TestTreeCodeSerialization:
         with pytest.raises(DecodeError):
             TreeCode.from_bytes(code.to_bytes()[:2])
 
+    @pytest.mark.parametrize("tail", [b"junk", b"\0"], ids=["junk", "zero"])
+    def test_trailing_bytes_rejected(self, tail):
+        code = encode_hybrid(sample_random_bst(50, 5))
+        with pytest.raises(DecodeError, match="stray bytes"):
+            TreeCode.from_bytes(code.to_bytes() + tail)
+
     def test_malformed_zaks_stream(self):
         bits = encode_count(4) + [SELECTOR_ZAKS, 1, 1, 0]
         with pytest.raises(DecodeError):
