@@ -499,20 +499,21 @@ class VariableCellArray:
         return pack_column(self.sizes()) + np.asarray(self._words, dtype="<u8").tobytes()
 
     @classmethod
-    def from_bytes(cls, data: bytes) -> "VariableCellArray":
+    def from_bytes(cls, data: bytes, what: str = "VariableCellArray") -> "VariableCellArray":
         """Inverse of `to_bytes`; an object longer than the data, a missing
-        or extra word, or a set bit past the last object is a DecodeError."""
-        r = Reader(data, "VariableCellArray")
+        or extra word, or a set bit past the last object is a DecodeError
+        naming the section `what`."""
+        r = Reader(data, what)
         sizes = read_column(r)
         if len(sizes) and sizes.max() > 8 * len(data):
-            raise DecodeError("variable-cell object size exceeds its section")
+            raise DecodeError(f"{what} object size exceeds its section")
         total = int(sizes.sum())
         words = array("Q", r.raw(8 * ((total + 63) // 64)))
         r.end()
         if sys.byteorder == "big":  # pragma: no cover
             words.byteswap()
         if total & 63 and words[-1] >> (total & 63):
-            raise DecodeError("nonzero padding after the variable-cell payload")
+            raise DecodeError(f"nonzero padding after the {what} payload")
         vca = cls.__new__(cls)
         vca._install(sizes, words)
         return vca

@@ -60,23 +60,27 @@ class Decomposition:
         return len(self.roots)
 
 
-def _pack(n: int, left, right, B: int) -> bytearray:
+def _pack(n: int, left, right, st, B: int) -> bytearray:
     """Bottom-up packing over a forest whose ids are preorder ranks: merge open
     child components into the parent; close a child when it already carries
     two external edges or when merging would exceed 2B nodes (the heavier
     child closes first, so every weight-closed component has >= B nodes).
     Returns a mark per node: 1 where a component closed at that root.  The
-    caller closes the forest roots."""
+    caller closes the forest roots.
+
+    `left`, `right` and `st` (the forest subtree sizes, 0 in slot 0) each
+    hold n + 1 ints.  A subtree of at most 2B nodes closes nothing inside and
+    stays open with weight st and no external edge, so only the nodes whose
+    subtree exceeds 2B are visited, in reverse preorder (bottom-up), and any
+    other child is read from `st`."""
     cap = 2 * B
+    sizes = np.asarray(st, dtype=np.intc)
+    big = np.flatnonzero(sizes > cap)[::-1]
     closed = bytearray(n + 1)
-    pend_w = [0] * (n + 1)
-    pend_e = [0] * (n + 1)
-    for v in range(n, 0, -1):  # reverse preorder = bottom-up
-        a = left[v]
-        b = right[v]
-        if not (a or b):
-            pend_w[v] = 1
-            continue
+    pend_w = sizes.tolist()
+    pend_e = bytearray(n + 1)  # external edges, counted up to 2
+    for v, a, b in zip(big.tolist(), np.asarray(left)[big].tolist(),
+                       np.asarray(right)[big].tolist()):
         e = 0
         if a and pend_e[a] >= 2:
             closed[a] = 1
@@ -105,7 +109,8 @@ def _pack(n: int, left, right, B: int) -> bytearray:
             a = b = 0
             e += 1
         pend_w[v] = total
-        pend_e[v] = e + pend_e[a] + pend_e[b]
+        e += pend_e[a] + pend_e[b]
+        pend_e[v] = e if e < 2 else 2
     return closed
 
 
@@ -125,14 +130,14 @@ def _components(closed, parent) -> np.ndarray:
 
 def decompose(t: BinaryTree, B: int) -> Decomposition:
     """Decompose a binary tree into disjoint subtrees of <= 2B nodes with at
-    most three external connections each; deterministic, one linear packing
-    pass."""
+    most three external connections each; deterministic, one `_pack` pass
+    over the nodes whose subtree exceeds 2B."""
     if t.n < 1:
         raise CoverError("decompose requires a non-empty tree")
     if B < 1:
         raise CoverError("B must be >= 1")
     n = t.n
-    closed = _pack(n, t.left, t.right, B)
+    closed = _pack(n, t.left, t.right, t.st, B)
     closed[1] = 1
     comp = _components(closed, np.frombuffer(t.parent, dtype=np.intc))
     order = np.argsort(comp[1:], kind="stable") + 1
@@ -628,8 +633,8 @@ def _rank_within(groups: np.ndarray) -> np.ndarray:
 def _order_rank(key: np.ndarray):
     """The sorting permutation of `key` (keys distinct) and its inverse."""
     order = np.argsort(key)
-    rank = np.empty(len(key), dtype=np.int64)
-    rank[order] = np.arange(len(key))
+    rank = np.empty(len(key), dtype=np.intc)
+    rank[order] = np.arange(len(key), dtype=np.intc)
     return order, rank
 
 
@@ -649,17 +654,18 @@ def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
     M = len(shape_size)
     inorder = np.frombuffer(t.inorder_of, dtype=np.intc)
     ls = np.frombuffer(t.ls, dtype=np.intc)
-    shape_start = np.zeros(M + 1, dtype=np.int64)
+    shape_start = np.zeros(M + 1, dtype=np.intc)
     np.cumsum(shape_size, out=shape_start[1:])
-    ent_k = np.concatenate((k_of[1:], portal_k)).astype(np.int64)
+    ent_k = np.concatenate((k_of[1:], portal_k))
     ent_node = np.concatenate((np.arange(1, n + 1, dtype=np.intc), portal_node))
     first = shape_start[ent_k - 1]
-    base = ent_k * (n + 1)
+    base = ent_k.astype(np.int64) * (n + 1)
     shape_pre = _order_rank(base + ent_node)[1] - first + 1
     in_key = base + inorder[ent_node]
+    del base, ent_node
     in_order, pos = _order_rank(in_key)
     shape_in = pos - first + 1
-    del first, base, ent_node
+    del first
     # the shape left size of a member counts its micro's entries inside its
     # global left range; portal leaves have none
     zpos = shape_pre + shape_in - 2
@@ -674,7 +680,7 @@ def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
     codes = np.packbits(bits).tobytes()
     keys = [(int.from_bytes(codes[e - w:e], "big"), size)
             for e, w, size in zip(end.tolist(), nbytes.tolist(), nbits.tolist())]
-    return shape_pre.astype(np.intc), shape_in.astype(np.intc), keys
+    return shape_pre, shape_in, keys
 
 
 def _pca_runs(k, t3):
@@ -688,11 +694,12 @@ def _pca_runs(k, t3):
 def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = None) -> TreeCover:
     """Build the two-tier cover of a binary tree.
 
-    Each tier packs the whole tree in one pass, the second with the edges
-    between mini trees cut, and the per-node maps are then derived with numpy
-    from the tree's preorder/inorder numbering.  Micro trees get their ids k
-    in root preorder, which is the preorder of the micro-root tree with
-    children ordered by root preorder.
+    Each tier is one `_pack` pass, the second over the forest left when the
+    edges between mini trees are cut, whose subtree sizes are the mini-local
+    ones; a pass visits only the nodes whose subtree exceeds its 2B.  The
+    per-node maps are then derived with numpy from the tree's preorder/inorder
+    numbering.  Micro trees get their ids k in root preorder, which is the
+    preorder of the micro-root tree with children ordered by root preorder.
     """
     n = t.n
     if n < 1:
@@ -718,20 +725,12 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     ls = np.frombuffer(t.ls, dtype=idx)
 
     # tier 1: t1[v] is v's mini tree, minis numbered by root preorder
-    closed = _pack(n, t.left.tolist(), t.right.tolist(), mini_b)
+    closed = _pack(n, left, right, st, mini_b)
     closed[1] = 1
     t1 = _components(closed, parent)
     is_mini_root = np.frombuffer(closed, dtype=np.uint8)
     mini_root = np.flatnonzero(is_mini_root)
     n_minis = len(mini_root)
-    # tier 2: the same packing inside every mini at once
-    closed2 = _pack(n, np.where(t1[left] == t1, left, 0).tolist(),
-                    np.where(t1[right] == t1, right, 0).tolist(), max(1, micro_b - 2))
-    for r in mini_root.tolist():
-        closed2[r] = 1
-    k_of = _components(closed2, parent)
-    micro_root = np.flatnonzero(np.frombuffer(closed2, dtype=np.uint8))
-    M = len(micro_root)
 
     # mini-local subtree sizes subtract the (at most two) child minis inside
     child_minis = mini_root[1:]
@@ -741,17 +740,34 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     inner = np.zeros((2, n_minis + 1), dtype=idx)
     for x, m in zip(child_minis.tolist(), owner.tolist()):
         inner[1 if inner[0, m] else 0, m] = x
+    node = np.arange(n + 1, dtype=idx)
+    st_local = st.copy()
+    for row in inner:
+        x = row[t1]
+        st_local -= np.where((x > node) & (x < node + st), st[x], 0)
+    del node, x
+    # each mini portal's source, side, and the mini-local size of its left
+    # subtree when the portal is a right child
+    mp = parent[child_minis]
+    m_side = (right[mp] == child_minis).astype(idx)
+    lchild = left[mp]
+    ls_loc = np.where((m_side == 1) & (lchild != 0) & (t1[lchild] == owner),
+                      st_local[lchild], 0)
 
-    def st_local(v):
-        out = st[v].astype(idx)
-        for x in inner[:, t1[v]]:
-            out -= np.where((x > v) & (x < v + st[v]), st[x], 0)
-        return out
+    # tier 2: the same packing inside every mini at once
+    closed2 = _pack(n, np.where(t1[left] == t1, left, 0), np.where(t1[right] == t1, right, 0),
+                    st_local, max(1, micro_b - 2))
+    for r in mini_root.tolist():
+        closed2[r] = 1
+    k_of = _components(closed2, parent)
+    micro_root = np.flatnonzero(np.frombuffer(closed2, dtype=np.uint8))
+    M = len(micro_root)
 
     # every micro root but the global one is a portal leaf of its parent's micro
     pc = micro_root[1:]
     pk = k_of[parent[pc]]
-    p_smini = np.where(is_mini_root[pc] == 1, 0, st_local(pc))
+    p_smini = np.where(is_mini_root[pc] == 1, 0, st_local[pc])
+    del st_local  # _micro_shapes sets the build's memory peak
     p_count = np.bincount(pk, minlength=M + 1)[1:]
     shape_size = np.bincount(k_of[1:], minlength=M + 1)[1:] + p_count
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
@@ -775,11 +791,6 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     portal_pos = shape_pre[n:]
     porder = np.lexsort((portal_pos, pk))
     # mini portals in (mini, mini-local source, side) order
-    mp = parent[child_minis]
-    m_side = (right[mp] == child_minis).astype(idx)
-    lchild = left[mp]
-    ls_loc = np.where((m_side == 1) & (lchild != 0) & (t1[lchild] == owner),
-                      st_local(lchild), 0)
     m_loc = loc[mp]
     morder = np.lexsort((m_side, m_loc, owner))
     # the inorder position map, run-compressed

@@ -128,7 +128,7 @@ class TypeRegistry:
     def from_bytes(cls, blob: bytes) -> "TypeRegistry":
         """The registry of a `TYPR` section, each of whose records must have
         an odd size >= 3, that of a shape of s >= 1 nodes."""
-        zaks = VariableCellArray.from_bytes(blob)
+        zaks = VariableCellArray.from_bytes(blob, "TYPR")
         size = zaks.sizes()
         if ((size < 3) | (size % 2 == 0)).any():
             raise DecodeError("a TYPR record is not 2s + 1 bits for a shape of s >= 1 nodes")
@@ -309,7 +309,7 @@ class TypeArray:
         codec gives the shape: fixed 2s + 1 bits (the Zaks sequence), entropy
         1 to 2s + 2 (the selector and a body no longer than the Zaks
         sequence), huffman its type's codeword length."""
-        vca = VariableCellArray.from_bytes(blob)
+        vca = VariableCellArray.from_bytes(blob, "TARR")
         if vca.m != len(type_of):
             raise DecodeError(f"TARR holds {vca.m} objects for {len(type_of)} micro trees")
         size, s = vca.sizes(), np.asarray(shape_size, dtype=np.int64)

@@ -125,40 +125,67 @@ def _chain_lengths(nxt: np.ndarray, end: int) -> np.ndarray:
     return dist[:-1]
 
 
-def _cartesian_from_ranks(ranks) -> BinaryTree:
-    """Cartesian tree of distinct ranks; positions (1-based) are inorder.
+def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
+    """For each position i >= 1 of the intc array `rk`, the nearest j < i with
+    rk[j] <= rk[i]; rk[0] must be below every other entry, and slot 0 of the
+    result is 0.
 
-    One stack pass finds each position's nearest smaller rank to the left (L)
-    and right (R).  The subtree of position i then spans L+1..R-1, its parent
-    is whichever of L and R has the larger rank, and its preorder id is
-    in - ls + ld, where the left depth ld counts the ancestors to the right
-    of i: the chain R, R(R), ...
+    Pointer jumping (Berkman, Schieber & Vishkin, J. Algorithms 1993): every
+    unresolved i repeats near[i] <- near[near[i]] while rk[near[i]] > rk[i],
+    and all of rk between near[i] and i stays above rk[i].  Long chains of
+    resolved pointers make some inputs need O(n) rounds, so once the rounds
+    have touched 2n entries, or after 64 rounds, the rest finish in increasing
+    i by the sequential walk from i - 1 along final pointers, whose steps
+    total at most n.
+    """
+    n = len(rk) - 1
+    near = np.arange(-1, n, dtype=np.intc)
+    near[0] = 0
+    live = np.arange(1, n + 1, dtype=np.intc)
+    budget = 2 * n
+    for _ in range(64):
+        up = near[live]
+        jump = rk[up] > rk[live]
+        live = live[jump]
+        if not live.size or budget <= 0:
+            break
+        budget -= live.size
+        near[live] = near[up[jump]]
+    if live.size:
+        r, nr = rk.tolist(), near.tolist()
+        for i in live.tolist():
+            j = i - 1
+            ri = r[i]
+            while r[j] > ri:
+                j = nr[j]
+            nr[i] = j
+        near = np.array(nr, dtype=np.intc)
+    return near
+
+
+def _cartesian_from_ranks(ranks) -> BinaryTree:
+    """Cartesian tree of distinct non-negative ranks; positions (1-based) are
+    inorder.
+
+    `_nearest_smaller_left` finds each position's nearest smaller rank to the
+    left (L), and again on the reversed ranks to the right (R).  The subtree
+    of position i then spans L+1..R-1, its parent is whichever of L and R has
+    the larger rank, and its preorder id is in - ls + ld, where the left depth
+    ld counts the ancestors to the right of i: the chain R, R(R), ...
     """
     n = len(ranks)
     if n == 0:
         return BinaryTree()
-    near_l = array("i", [0]) * (n + 1)
-    near_r = array("i", [n + 1]) * (n + 1)
-    stack_pos = [0]
-    stack_rank = [-1]  # sentinel below every rank
-    pos = 0
-    for r in ranks:
-        pos += 1
-        while stack_rank[-1] > r:
-            stack_rank.pop()
-            near_r[stack_pos.pop()] = pos
-        near_l[pos] = stack_pos[-1]
-        stack_pos.append(pos)
-        stack_rank.append(r)
-    del stack_pos, stack_rank
-    lo = np.frombuffer(near_l, dtype=np.intc)
-    hi = np.frombuffer(near_r, dtype=np.intc)
+    rk = np.full(n + 2, -1, dtype=np.intc)  # -1: below every rank, at both ends
+    rk[1:n + 1] = ranks
+    lo = _nearest_smaller_left(rk[:n + 1])
+    hi = np.empty(n + 1, dtype=np.intc)
+    hi[0] = n + 1
+    hi[1:] = n + 1 - _nearest_smaller_left(rk[:0:-1])[:0:-1]
     at = np.arange(n + 1, dtype=np.intc)
     ls = at - lo - 1
     st = hi - lo - 1
     ls[0] = st[0] = 0
-    rk = np.full(n + 2, -1, dtype=np.int64)
-    rk[1:n + 1] = ranks
     par = np.where(rk[lo] > rk[hi], lo, hi)
     del rk
     par[par == n + 1] = 0  # the root: no smaller rank on either side
@@ -213,16 +240,16 @@ def build_cartesian(values) -> BinaryTree:
     with inorder index i corresponds to values[i-1]."""
     keys = order_keys(values)
     n = len(keys)
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[np.argsort(keys, kind="stable")] = np.arange(n)
-    return _cartesian_from_ranks(ranks.tolist())
+    ranks = np.empty(n, dtype=np.intc)
+    ranks[np.argsort(keys, kind="stable")] = np.arange(n, dtype=np.intc)
+    return _cartesian_from_ranks(ranks)
 
 
 def sample_random_bst(n: int, seed: int) -> BinaryTree:
     """Cartesian tree of a uniformly random permutation; deterministic per seed."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
-    return _cartesian_from_ranks(perm.tolist())
+    return _cartesian_from_ranks(perm)
 
 
 @dataclass(frozen=True)

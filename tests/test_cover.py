@@ -1,11 +1,15 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
+from succinctrmq import cover
 from succinctrmq.cover import (
     CoverError,
     TauName,
     TreeCover,
+    _pack,
     build_cover,
     decompose,
     default_params,
@@ -21,7 +25,7 @@ from succinctrmq.trees import (
     zigzag_path,
 )
 
-from test_trees import FIG_ARRAY
+from test_trees import FIG_ARRAY, adversarial_ranks
 
 
 def sweep_maps(t, cov):
@@ -304,3 +308,116 @@ class TestSpaceAccounting:
             return sum(v for k, v in sp.items() if k != "lookup_tables_built")
 
         assert aux(big) < aux(small)
+
+
+def full_pack(n: int, left, right, B: int) -> bytearray:
+    """The packing as one loop over every node, bottom-up: the oracle for
+    `_pack`, which visits only the nodes whose subtree exceeds 2B."""
+    cap = 2 * B
+    closed = bytearray(n + 1)
+    pend_w = [0] * (n + 1)
+    pend_e = [0] * (n + 1)
+    for v in range(n, 0, -1):  # reverse preorder = bottom-up
+        a = left[v]
+        b = right[v]
+        if not (a or b):
+            pend_w[v] = 1
+            continue
+        e = 0
+        if a and pend_e[a] >= 2:
+            closed[a] = 1
+            e = 1
+            a = 0
+        if b and pend_e[b] >= 2:
+            closed[b] = 1
+            e += 1
+            b = 0
+        wa = pend_w[a]
+        wb = pend_w[b]
+        total = 1 + wa + wb
+        if total > cap and a and b:
+            if wa > wb:
+                closed[a] = 1
+                total -= wa
+                a = 0
+            else:
+                closed[b] = 1
+                total -= wb
+                b = 0
+            e += 1
+        if total > cap and (a or b):
+            closed[a or b] = 1
+            total = 1
+            a = b = 0
+            e += 1
+        pend_w[v] = total
+        pend_e[v] = e + pend_e[a] + pend_e[b]
+    return closed
+
+
+def forest_sizes(n: int, left, right) -> list[int]:
+    sizes = [0] * (n + 1)
+    for v in range(n, 0, -1):
+        sizes[v] = 1 + sizes[left[v]] + sizes[right[v]]
+    return sizes
+
+
+PACK_SHAPES = [left_path(700), right_path(700), zigzag_path(701), caterpillar(700),
+               complete_tree(9)]
+
+
+class TestPack:
+    """`_pack` gives the marks of the full loop, on both tiers."""
+
+    @pytest.mark.parametrize("B", range(1, 9))
+    def test_random_bsts(self, B):
+        for seed in range(12):
+            t = sample_random_bst(1 + 97 * seed, seed)
+            assert _pack(t.n, t.left, t.right, t.st, B) == full_pack(t.n, t.left, t.right, B)
+
+    @pytest.mark.parametrize("B", [1, 2, 3, 8, 50])
+    def test_paths(self, B):
+        for t in PACK_SHAPES:
+            assert _pack(t.n, t.left, t.right, t.st, B) == full_pack(t.n, t.left, t.right, B)
+
+    def test_small_subtrees_are_not_visited(self):
+        # children are read only at nodes whose subtree exceeds 2B
+        t = sample_random_bst(3000, 5)
+        B = 6
+        small = np.frombuffer(t.st, dtype=np.intc) <= 2 * B
+        left = np.where(small, -1, np.frombuffer(t.left, dtype=np.intc))
+        right = np.where(small, -1, np.frombuffer(t.right, dtype=np.intc))
+        assert _pack(t.n, left, right, t.st, B) == full_pack(t.n, t.left, t.right, B)
+
+    @pytest.mark.parametrize("mini_b,micro_b", [(4, 1), (8, 3), (16, 4), (64, 8), (None, None)])
+    def test_both_tiers_of_build_cover(self, monkeypatch, mini_b, micro_b):
+        # each tier's call gets the forest's subtree sizes and the full loop's marks
+        tiers = []
+
+        def checked(n, left, right, st, B):
+            left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
+            assert np.asarray(st).tolist() == forest_sizes(n, left, right)
+            marks = _pack(n, left, right, st, B)
+            assert marks == full_pack(n, left, right, B)
+            tiers.append(B)
+            return marks
+
+        monkeypatch.setattr(cover, "_pack", checked)
+        shapes = PACK_SHAPES + [sample_random_bst(n, n) for n in (1, 2, 50, 2000)]
+        for t in shapes:
+            build_cover(t, mini_b=mini_b, micro_b=micro_b)
+        assert len(tiers) == 2 * len(shapes)
+
+
+class TestBuildTimeBound:
+    """Covering stays linear on adversarial shapes: each 2*10^5-node cover
+    takes about a second, and a quadratic pass would take minutes."""
+
+    @pytest.mark.parametrize("name", ["sorted", "reverse", "organ_pipe", "constant",
+                                      "few_distinct", "zigzag", "caterpillar", "blocks"])
+    def test_adversarial_cover(self, name):
+        t = build_cartesian(adversarial_ranks(200_000)[name])
+        start = time.perf_counter()
+        cov = build_cover(t)
+        assert time.perf_counter() - start < 30.0
+        assert cov.n == 200_000

@@ -435,6 +435,15 @@ class TestValueChecks:
         with pytest.raises(DecodeError, match="truncated|stray bytes"):
             RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
 
+    @pytest.mark.parametrize("tag", ["TYPR", "TARR"])
+    @pytest.mark.parametrize("short", [True, False], ids=["word-short", "word-over"])
+    def test_payload_length_error_names_section(self, sections, tag, short):
+        payload = sections[tag.encode("ascii")]
+        out = {**sections, tag.encode("ascii"): payload[:-8] if short else payload + bytes(8)}
+        message = f"truncated {tag} section" if short else f"stray bytes after {tag} section"
+        with pytest.raises(DecodeError, match=message):
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
+
 
 class TestTypePayloadChecks:
     """`HUFF` holds a codeword length per type; `TARR`, parsed at load, holds

@@ -1,11 +1,13 @@
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 
 from succinctrmq import opcount
+from succinctrmq.rmq import adversarial_arrays
 from succinctrmq.trees import (
     BinaryTree,
     ENTROPY_RATE_LIMIT,
@@ -21,6 +23,7 @@ from succinctrmq.trees import (
     sample_random_bst,
     shape_probability,
     subtree_entropy,
+    _nearest_smaller_left,
     zigzag_path,
 )
 
@@ -397,3 +400,134 @@ class TestEulerTourLca:
         # the 3 bits of a tour time up to 4
         tb = EulerTourLca(2, [[], [2], []], 1)
         assert tb.space_bits() == 4 * 3 + 3 * 3 * 3
+
+
+def stable_ranks(values) -> np.ndarray:
+    """0..n-1 in the order of `values`, equal values left to right."""
+    ranks = np.empty(len(values), dtype=np.intc)
+    ranks[np.argsort(np.asarray(values), kind="stable")] = np.arange(len(values))
+    return ranks
+
+
+def adversarial_ranks(n: int) -> dict[str, np.ndarray]:
+    """Rank sequences that defeat pointer jumping or make long paths: the
+    stable ranks of `adversarial_arrays`, a zigzag and a caterpillar, and
+    ascending runs of 1000 in descending blocks (n a multiple of 1000)."""
+    out = {name: stable_ranks(values) for name, values in adversarial_arrays(n).items()}
+    out["zigzag"] = np.array([*range(0, n, 2), *range(n - 1 - n % 2, 0, -2)], dtype=np.intc)
+    out["caterpillar"] = np.array([v ^ 1 if v ^ 1 < n else v for v in range(n)], dtype=np.intc)
+    at = np.arange(n)
+    out["blocks"] = (n - 1000 * (at // 1000 + 1) + at % 1000).astype(np.intc)
+    return out
+
+
+def with_sentinel(ranks) -> np.ndarray:
+    return np.concatenate(([-1], ranks)).astype(np.intc)
+
+
+def scan_nearest_smaller(rk) -> list[int]:
+    """For each i >= 1, the nearest j < i with rk[j] <= rk[i], by a plain scan."""
+    return [0] + [next(j for j in range(i - 1, -1, -1) if rk[j] <= rk[i])
+                  for i in range(1, len(rk))]
+
+
+def walk_nearest_smaller(rk) -> list[int]:
+    """The same by the sequential walk from i - 1 along earlier answers."""
+    rk = rk.tolist()
+    near = [0] * len(rk)
+    for i in range(1, len(rk)):
+        j = i - 1
+        while rk[j] > rk[i]:
+            j = near[j]
+        near[i] = j
+    return near
+
+
+def traced_nearest_smaller(rk):
+    """`_nearest_smaller_left(rk)`, the number of times it gathered rk by an
+    index array, and whether it read rk as a list (the sequential walk does).
+    Each pointer-jumping round gathers twice."""
+    log = {"gathers": 0, "walked": False}
+
+    class Traced(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                log["gathers"] += 1
+            return self.view(np.ndarray)[key]
+
+        def tolist(self):
+            log["walked"] = True
+            return self.view(np.ndarray).tolist()
+
+    near = _nearest_smaller_left(rk.view(Traced))
+    return near, log["gathers"], log["walked"]
+
+
+class TestNearestSmallerLeft:
+    """`_nearest_smaller_left` against a plain scan and the sequential walk;
+    the inputs end its pointer jumping in each of its three ways."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 17, 64, 100, 1000, 5000])
+    def test_seeded_permutations(self, n):
+        for seed in range(3 if n < 1000 else 1):
+            rk = with_sentinel(np.random.default_rng(seed).permutation(n))
+            assert _nearest_smaller_left(rk).tolist() == scan_nearest_smaller(rk)
+
+    def test_ties(self):
+        rng = np.random.default_rng(7)
+        for n in (10, 300, 3000):
+            values = rng.integers(0, 4, n)
+            rk = with_sentinel(stable_ranks(values))
+            assert _nearest_smaller_left(rk).tolist() == scan_nearest_smaller(rk)
+            # on the values themselves, an equal entry counts as not larger
+            rk = with_sentinel(values)
+            assert _nearest_smaller_left(rk).tolist() == scan_nearest_smaller(rk)
+        # an organ pipe of values with ties ends by the sequential walk
+        rk = with_sentinel(adversarial_arrays(2000)["organ_pipe"])
+        near, _, walked = traced_nearest_smaller(rk)
+        assert walked and near.tolist() == scan_nearest_smaller(rk)
+
+    def test_small_rank_shapes_match_scan(self):
+        for name, ranks in adversarial_ranks(1000).items():
+            for rk in (with_sentinel(ranks), with_sentinel(ranks[::-1])):
+                assert _nearest_smaller_left(rk).tolist() == scan_nearest_smaller(rk), name
+
+    @pytest.mark.parametrize("name", ["sorted", "reverse", "organ_pipe", "constant",
+                                      "few_distinct", "zigzag", "caterpillar", "blocks"])
+    def test_adversarial_shapes(self, name):
+        ranks = adversarial_ranks(200_000)[name]
+        for rk in (with_sentinel(ranks), with_sentinel(ranks[::-1])):
+            assert _nearest_smaller_left(rk).tolist() == walk_nearest_smaller(rk)
+
+    def test_random_resolves_by_jumping(self):
+        rk = with_sentinel(np.random.default_rng(1).permutation(200_000))
+        near, gathers, walked = traced_nearest_smaller(rk)
+        assert not walked and gathers < 2 * 64
+        assert near.tolist() == walk_nearest_smaller(rk)
+
+    def test_organ_pipe_ends_on_work_budget(self):
+        rk = with_sentinel(adversarial_ranks(200_000)["organ_pipe"][::-1])
+        near, gathers, walked = traced_nearest_smaller(rk)
+        assert walked and gathers < 2 * 64
+        assert near.tolist() == walk_nearest_smaller(rk)
+
+    def test_blocks_end_on_round_cap(self):
+        rk = with_sentinel(adversarial_ranks(200_000)["blocks"])
+        near, gathers, walked = traced_nearest_smaller(rk)
+        assert walked and gathers == 2 * 64
+        assert near.tolist() == walk_nearest_smaller(rk)
+
+
+class TestBuildTimeBound:
+    """Building the Cartesian tree stays linear on inputs that defeat pointer
+    jumping: each of these 2*10^5-element builds takes well under a second,
+    and a quadratic fallback would take minutes."""
+
+    @pytest.mark.parametrize("name", ["sorted", "reverse", "organ_pipe", "constant",
+                                      "few_distinct", "zigzag", "caterpillar", "blocks"])
+    def test_adversarial_build(self, name):
+        ranks = adversarial_ranks(200_000)[name]
+        start = time.perf_counter()
+        t = build_cartesian(ranks)
+        assert time.perf_counter() - start < 20.0
+        assert t.n == 200_000 and t.id_at_inorder[int(np.argmin(ranks)) + 1] == t.root
