@@ -22,7 +22,7 @@ import numpy as np
 
 from .bits import VariableCellArray, bits_to_object, compact_array, pack_column, read_column
 from .serial import DecodeError, Reader
-from .treecode import decode_body, encode_body, zaks_arrays
+from .treecode import decode_body, encode_body, subtree_sizes, zaks_arrays
 from .trees import BlockMinLca
 
 MODE_FIXED = "fixed"
@@ -69,8 +69,7 @@ class ShapeTable(BlockMinLca):
 
     @classmethod
     def from_zaks(cls, bits) -> "ShapeTable":
-        _, ls, ld = zaks_arrays(bits)
-        return cls(ls, ld)
+        return cls(*zaks_arrays(bits))
 
     def space_bits(self) -> int:
         """Designed table footprint (reported, not asserted): the three
@@ -358,8 +357,8 @@ def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
     if mode == MODE_FIXED:
         return registry.zaks.object_bits(type_id + 1)
     zaks = registry.zaks.bits(type_id + 1)
-    st, ls, _ = zaks_arrays(zaks)
-    selector, body = encode_body(st.tolist(), ls.tolist(), zaks.tolist())
+    ls, ld = zaks_arrays(zaks)
+    selector, body = encode_body(subtree_sizes(ls, ld).tolist(), ls.tolist(), zaks.tolist())
     return bits_to_object([selector, *body])
 
 

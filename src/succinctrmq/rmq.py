@@ -46,13 +46,26 @@ class RmqIndex:
         return index
 
     def query(self, i: int, j: int) -> int:
-        """Leftmost index of the minimum in positions i..j (1-based)."""
+        """Leftmost index of the minimum in positions i..j (1-based).
+
+        The load checks each cover field but not every relation between them,
+        so a crafted file can load and describe no tree.  A query that meets
+        such a contradiction, as a `ValueError` on its path or an answer
+        outside [i, j], raises DecodeError."""
         if not 1 <= i <= j <= self.n:
             raise IndexError(f"invalid range ({i},{j}) for n={self.n}")
         c = self.cover
-        ku, u3 = c.select_inorder(i)
-        kv, v3 = c.select_inorder(j)
-        return c.rank_inorder(*c.lca_k(ku, u3, kv, v3))
+        try:
+            ku, u3 = c.select_inorder(i)
+            kv, v3 = c.select_inorder(j)
+            at = c.rank_inorder(*c.lca_k(ku, u3, kv, v3))
+        except DecodeError:
+            raise
+        except ValueError as exc:
+            raise DecodeError(f"rmq({i},{j}): the index contradicts itself: {exc}") from exc
+        if not i <= at <= j:
+            raise DecodeError(f"rmq({i},{j}): the index answers {at}, outside the range")
+        return at
 
     def _validate_sample(self, keys) -> None:
         """Build-time spot check against the source array (then forget it);

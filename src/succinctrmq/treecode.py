@@ -223,12 +223,14 @@ def zaks_decode(bits, pos: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
     """Preorder left-subtree sizes and left depths of the one Zaks sequence
     that starts at bits[pos] (see `zaks_arrays`), and the position after it.
     The sequence ends where its excess first drops below zero."""
-    below = np.flatnonzero(np.cumsum(2 * np.asarray(bits[pos:], dtype=np.int64) - 1) < 0)
+    rest = np.asarray(bits[pos:])
+    one = (rest == 1).astype(_level_type(len(rest)))
+    below = np.flatnonzero(np.cumsum(2 * one - 1, dtype=one.dtype) < 0)
     if not len(below):
         raise DecodeError("empty or truncated Zaks stream")
-    end = pos + int(below[0]) + 1
-    _, ls, ld = zaks_arrays(bits[pos:end])
-    return ls, ld, end
+    end = int(below[0]) + 1
+    ls, ld = zaks_arrays(rest[:end])
+    return ls, ld, pos + end
 
 
 def encode_size_sequence(st, ls) -> list[int]:
@@ -243,38 +245,66 @@ def encode_left_sizes(t: BinaryTree) -> list[int]:
     return encode_size_sequence(t.st[1:], t.ls[1:])
 
 
-def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Preorder subtree sizes, left-subtree sizes and left depths (int64
-    arrays) of the tree whose Zaks sequence is `bits`, without building it.
+def _level_type(length: int):
+    """The narrowest signed integer type that holds every excess of a
+    `length`-bit sequence.  A micro shape's key fits 16 bits, where numpy's
+    stable sort is a radix sort."""
+    if length <= np.iinfo(np.int16).max:
+        return np.int16
+    return np.int32 if length <= np.iinfo(np.int32).max else np.int64
 
-    With excess +1 per 1-bit and -1 per 0-bit, the extended subtree of the
-    node at position p ends at the first position q >= p after which the
-    excess is one below its value before p; the subtree then has (q - p) / 2
-    nodes.  A node's left child, if any, is the next node in preorder.  The
-    excess before a node counts the left edges above it: a left child starts
-    right after its parent's 1-bit, a right child after the parent's 1-bit
-    and the balanced left subtree.
+
+def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray]:
+    """Preorder left-subtree sizes and left depths (int64 arrays) of the tree
+    whose Zaks sequence is `bits`, without building it, in one stable sort of
+    16-bit levels (32-bit past 32767 bits).
+
+    With excess +1 per 1-bit and -1 per 0-bit, give each 1-bit the level
+    "excess before it" and each 0-bit the level "excess after it".  A node's
+    1 at level L is followed by its balanced left subtree, whose last bit is
+    a 0 back at level L, and then by its right subtree, which starts at level
+    L: a 1 if it is a node, else a 0 at level L - 1.  So, sorted stably by
+    level, the bits of each level alternate between a node's 1 at p and the
+    0 at q that closes its left subtree, and the final 0 alone has level -1.
+    The node then has (q - p - 1) / 2 left descendants, its excess before p
+    counts the left edges above it, and p is preceded by as many 1s as there
+    are nodes before it in preorder.
     """
-    b = np.asarray(bits, dtype=np.int64)
+    b = np.asarray(bits)
     if not len(b):
         raise DecodeError("empty Zaks stream")
     if ((b != 0) & (b != 1)).any():
         raise DecodeError("Zaks stream holds a value other than 0 or 1")
-    step = 2 * b - 1
-    after = np.cumsum(step)
+    b = b.astype(_level_type(len(b)))
+    after = np.cumsum(2 * b - 1, dtype=b.dtype)
     if after[-1] != -1 or after[:-1].min(initial=0) < 0:
         raise DecodeError("not a single complete Zaks sequence")
-    width = len(b)
-    nodes = np.flatnonzero(b)
-    before = after[nodes] - 1
-    order = np.argsort(after, kind="stable")
-    keys = (after[order] + 1) * width + order
-    end = order[np.searchsorted(keys, before * width + nodes)]
-    st = (end - nodes) // 2
-    ls = np.zeros(len(nodes), dtype=np.int64)
-    has_left = np.flatnonzero(b[nodes + 1])
-    ls[has_left] = st[has_left + 1]
-    return st, ls, before
+    order = np.argsort(after - b, kind="stable")
+    ones, closes = order[1::2], order[2::2]
+    depth = after[ones] - 1
+    node = (ones + depth) >> 1
+    ls = np.empty(len(ones), dtype=np.int64)
+    ld = np.empty(len(ones), dtype=np.int64)
+    ls[node] = (closes - ones - 1) >> 1
+    ld[node] = depth
+    return ls, ld
+
+
+def subtree_sizes(ls: np.ndarray, ld: np.ndarray) -> np.ndarray:
+    """Preorder subtree sizes (int64) from preorder left sizes and left depths.
+
+    Node v's right child, if any, is node v + ls[v] + 1, at v's left depth;
+    the nodes between them are v's left subtree, all deeper.  So, sorted
+    stably by left depth, each right spine (a node, its right child, that
+    child's right child, ...) is a run, and a node's subtree ends where the
+    left subtree of its spine's last node ends."""
+    n = len(ls)
+    order = np.argsort(ld.astype(_level_type(n)), kind="stable")
+    after = order + ls[order] + 1  # preorder just past each node's left subtree
+    ends = np.flatnonzero(np.append(after[:-1] != order[1:], True))  # spines' last nodes
+    st = np.empty(n, dtype=np.int64)
+    st[order] = np.repeat(after[ends], np.diff(ends, prepend=-1)) - order
+    return st
 
 
 def decode_left_sizes(n: int, bits, pos: int = 0) -> tuple[np.ndarray, np.ndarray]:

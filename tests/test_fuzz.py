@@ -4,7 +4,9 @@ section and runs of 0xff bytes, on indexes of n = 300 and 3000 for each codec.
 Each damaged file must raise DecodeError, or load and answer a fixed query
 set exactly as the intact file does, within a per-case time bound.  The
 same damage to one section payload, re-wrapped so every CRC is valid, must
-raise DecodeError or load, within the bound.
+raise DecodeError or load, within the bound.  So must each cover file whose
+`MICR` or `PCAS` entries are moved by one, and once loaded it must raise
+DecodeError at query time or answer inside the query range.
 """
 
 import contextlib
@@ -14,8 +16,9 @@ import signal
 import numpy as np
 import pytest
 
+from succinctrmq.bits import pack_column, read_column
 from succinctrmq.rmq import FORMAT_VERSION, RmqIndex
-from succinctrmq.serial import DecodeError, read_stream, write_stream
+from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
 
 CASE_SECONDS = 2  # an intact n = 3000 file loads and answers the queries in ~10 ms
 CASES = [(n, codec) for n in (300, 3000) for codec in ("fixed", "entropy", "huffman")]
@@ -128,3 +131,49 @@ def test_rewrapped_damage_fails_only_with_decode_error(original):
                     RmqIndex.from_bytes(blob)
                 except DecodeError:
                     pass
+
+
+def in_range_or_rejected(blob: bytes, queries) -> str:
+    """'rejected at load', 'rejected at query' or 'answered'; every answer
+    must lie inside its query range."""
+    with time_bound(CASE_SECONDS):
+        try:
+            index = RmqIndex.from_bytes(blob)
+        except DecodeError:
+            return "rejected at load"
+        for i, j in queries:
+            try:
+                at = index.query(i, j)
+            except DecodeError:
+                return "rejected at query"
+            assert i <= at <= j, (i, j, at)
+    return "answered"
+
+
+def test_cover_entry_edits_fail_with_decode_error_or_answer_in_range():
+    # the load bounds each cover field but does not tie the fields together,
+    # so a file re-wrapped with valid CRCs after a one-entry edit may load
+    n = 300
+    values = np.random.default_rng(n).permutation(n).tolist()
+    _, sections = read_stream(RmqIndex.build(values, codec="fixed", micro_b=4).to_bytes())
+    rng = random.Random(n)
+    queries = [(1, n)] + [tuple(sorted((rng.randint(1, n), rng.randint(1, n))))
+                          for _ in range(200)]
+    seen = set()
+    for tag in (b"MICR", b"PCAS"):
+        r = Reader(sections[tag], tag.decode("ascii"))
+        columns = []
+        while r.pos < len(r.blob):
+            columns.append(read_column(r))
+        for col in columns:
+            for at in range(len(col)):
+                for step in (-1, 1):
+                    if col[at] + step < 0:
+                        continue
+                    col[at] += step
+                    payload = b"".join(pack_column(c) for c in columns)
+                    col[at] -= step
+                    blob = write_stream(FORMAT_VERSION, list({**sections, tag: payload}.items()))
+                    seen.add(in_range_or_rejected(blob, queries))
+    # the sweep reaches contradictions that only a query meets
+    assert seen == {"rejected at load", "rejected at query", "answered"}

@@ -20,7 +20,7 @@ from succinctrmq.microcodec import (
 )
 from succinctrmq import opcount
 from succinctrmq.serial import DecodeError
-from succinctrmq.treecode import encode_zaks, zaks_arrays
+from succinctrmq.treecode import encode_zaks, subtree_sizes, zaks_arrays
 from succinctrmq.trees import (BinaryTree, build_cartesian, caterpillar, enumerate_shapes,
                                left_path, right_path, sample_random_bst, zigzag_path)
 
@@ -376,7 +376,7 @@ class TestTypeArray:
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         envelope = 0.0
         for m in cov.micros_by_k:
-            st, _, _ = zaks_arrays(cov.registry.zaks_bits(m.type_id))
+            st = subtree_sizes(*zaks_arrays(cov.registry.zaks_bits(m.type_id)))
             envelope += sum(math.log2(s) + 2 for s in st.tolist())
         assert ta.total_payload_bits() <= envelope
 

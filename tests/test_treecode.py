@@ -2,10 +2,12 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
 from succinctrmq.serial import DecodeError, bits_to_bytes, encode_varint
 from succinctrmq.treecode import (
+    _level_type,
     RangeDecoder,
     RangeEncoder,
     SELECTOR_SIZECODE,
@@ -19,6 +21,7 @@ from succinctrmq.treecode import (
     encode_subtree_size,
     encode_zaks,
     decode_left_sizes,
+    subtree_sizes,
     zaks_arrays,
     zaks_decode,
 )
@@ -134,14 +137,85 @@ class TestZaks:
         trees = [sample_random_bst(n, n) for n in (1, 2, 9, 50, 400)]
         trees += [left_path(30), zigzag_path(31), *enumerate_shapes(4)]
         for t in trees:
-            st, ls, _ = zaks_arrays(encode_zaks(t))
-            assert st.tolist() == list(t.st[1:])
+            ls, ld = zaks_arrays(encode_zaks(t))
+            assert subtree_sizes(ls, ld).tolist() == list(t.st[1:])
             assert ls.tolist() == list(t.ls[1:])
 
     @pytest.mark.parametrize("bits", [[1, 1, 0], [1, 0, 0, 0], [0, 1, 0], []])
     def test_sizes_reject_malformed(self, bits):
         with pytest.raises(DecodeError):
             zaks_arrays(bits)
+
+
+def oracle_zaks_arrays(bits):
+    """The argsort/searchsorted decode that `zaks_arrays` replaced, kept as the
+    oracle for it and for `subtree_sizes`: preorder subtree sizes, left sizes
+    and left depths.
+
+    With excess +1 per 1-bit and -1 per 0-bit, the extended subtree of the
+    node at position p ends at the first position q >= p after which the
+    excess is one below its value before p; the subtree then has (q - p) / 2
+    nodes.  A node's left child, if any, is the next node in preorder."""
+    b = np.asarray(bits, dtype=np.int64)
+    step = 2 * b - 1
+    after = np.cumsum(step)
+    assert after[-1] == -1 and after[:-1].min(initial=0) >= 0
+    width = len(b)
+    nodes = np.flatnonzero(b)
+    before = after[nodes] - 1
+    order = np.argsort(after, kind="stable")
+    keys = (after[order] + 1) * width + order
+    end = order[np.searchsorted(keys, before * width + nodes)]
+    st = (end - nodes) // 2
+    ls = np.zeros(len(nodes), dtype=np.int64)
+    has_left = np.flatnonzero(b[nodes + 1])
+    ls[has_left] = st[has_left + 1]
+    return st, ls, before
+
+
+def assert_kernels_match_oracle(t):
+    bits = encode_zaks(t)
+    st, ls, ld = oracle_zaks_arrays(bits)
+    got_ls, got_ld = zaks_arrays(bits)
+    assert (got_ls.tolist(), got_ld.tolist()) == (ls.tolist(), ld.tolist())
+    assert subtree_sizes(got_ls, got_ld).tolist() == st.tolist()
+
+
+class TestZaksKernel:
+    """`zaks_arrays` and `subtree_sizes` against the argsort/searchsorted
+    oracle, and the width of the levels they sort."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_every_shape(self, n):
+        for t in enumerate_shapes(n):
+            assert_kernels_match_oracle(t)
+
+    def test_random_bsts(self):
+        rng = random.Random(1729)
+        for _ in range(300):
+            assert_kernels_match_oracle(sample_random_bst(rng.randint(1, 2000), rng.randrange(10**9)))
+
+    @pytest.mark.parametrize("make", [left_path, right_path, zigzag_path, caterpillar])
+    def test_paths(self, make):
+        # 16383 nodes: 32767 bits, the longest key with 16-bit levels
+        for n in (1, 2, 3, 100, 16383, 16384):
+            assert_kernels_match_oracle(make(n))
+
+    def test_level_width(self):
+        assert _level_type(2 * 16383 + 1) is np.int16
+        assert _level_type(2 * 16384 + 1) is np.int32
+        assert _level_type(2**31) is np.int64
+        for length in (32767, 32769):  # all 1s: the excess only rises
+            with pytest.raises(DecodeError):
+                zaks_arrays([1] * length)
+
+    def test_whole_tree_body_past_16_bits(self):
+        # sorted values make a right path, whose Zaks body (80 001 bits) is the
+        # shorter one; its levels need 32 bits
+        t = build_cartesian(list(range(40000)))
+        code = encode_hybrid(t)
+        assert code.selector == SELECTOR_ZAKS and code.body_len == 80001 > 0xFFFF
+        assert decode_tree(code).ls == t.ls
 
 
 class TestSubtreeSizeCode:
