@@ -483,6 +483,11 @@ class VariableCellArray:
         bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
         return bits[start & 63:end - (start & ~63)]
 
+    def all_bits(self) -> np.ndarray:
+        """Every object's bits, end to end in object order, as one uint8 array."""
+        words = np.frombuffer(self._words, dtype=np.uint64).astype("<u8", copy=False)
+        return np.unpackbits(words.view(np.uint8), bitorder="little")[:self.total_bits]
+
     def object_bits(self, i: int) -> tuple[int, int]:
         """(value, size) of object i."""
         return bits_to_object(self.bits(i))

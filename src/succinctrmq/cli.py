@@ -62,9 +62,17 @@ def _emit(args, human: str, kv: dict) -> None:
             print(f"{key}={value}")
 
 
+def _phase_lines(index: RmqIndex) -> tuple[str, dict]:
+    """A line and `build_<phase>_s` keys for the build's phase timings."""
+    timings = index.build_timings
+    line = "build phases: " + "  ".join(f"{p} {s:.3f}s" for p, s in timings.items())
+    return line, {f"build_{p}_s": f"{s:.3f}" for p, s in timings.items()}
+
+
 def cmd_build(args) -> int:
     values = _input_values(args)
     index = RmqIndex.build(values, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
+    phases, phase_kv = _phase_lines(index)
     rep = index.space_report()
     if args.output:
         with open(args.output, "wb") as fh:
@@ -73,6 +81,7 @@ def cmd_build(args) -> int:
         f"built index: n={rep['n']} codec={rep['codec']} "
         f"minis={rep['mini_trees']} micros={rep['micro_trees']} types={rep['distinct_types']}",
         f"bits total: {rep['total_bits']}  ({rep['bits_per_element']:.4f} per element)",
+        phases,
         "breakdown:",
     ]
     for key, bits in rep["breakdown"].items():
@@ -87,6 +96,7 @@ def cmd_build(args) -> int:
         "bits_total": rep["total_bits"],
         "bits_per_element": f"{rep['bits_per_element']:.6f}",
         "micro_payload_per_element": f"{rep['micro_payload_per_element']:.6f}",
+        **phase_kv,
     }
     for key, bits in rep["breakdown"].items():
         kv[f"bits_{key}"] = bits
@@ -226,6 +236,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     index = RmqIndex.build(values, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
     build_s = time.perf_counter() - t0
+    phases, phase_kv = _phase_lines(index)
     r = random.Random(args.seed)
     queries = []
     for _ in range(args.queries):
@@ -247,8 +258,9 @@ def cmd_bench(args) -> int:
     _emit(args, f"bench n={args.n}: build {build_s:.2f}s, "
                 f"{query_s / len(queries) * 1e6:.1f} us/query "
                 f"({cold_us:.1f} us/query cold), {ops:.0f} ops/query, "
-                f"{rep['bits_per_element']:.3f} bits/elem",
+                f"{rep['bits_per_element']:.3f} bits/elem\n{phases}",
           {"build_seconds": f"{build_s:.3f}",
+           **phase_kv,
            "us_per_query": f"{query_s / len(queries) * 1e6:.2f}",
            "cold_us_per_query": f"{cold_us:.2f}",
            "ops_per_query": f"{ops:.1f}",

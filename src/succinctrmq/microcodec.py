@@ -20,9 +20,10 @@ from array import array
 
 import numpy as np
 
-from .bits import VariableCellArray, bits_to_object, compact_array, pack_column, read_column
+from .bits import VariableCellArray, compact_array, pack_column, read_column
 from .serial import DecodeError, Reader
-from .treecode import decode_body, encode_body, subtree_sizes, zaks_arrays
+from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequences,
+                       subtree_sizes, zaks_arrays)
 from .trees import BlockMinLca
 
 MODE_FIXED = "fixed"
@@ -349,17 +350,33 @@ class TypeArray:
         return {"payload": sp["payload"], "directory": sp["directory"]}
 
 
-def _encode_type(registry: TypeRegistry, type_id: int, mode: str,
-                 codebook: Codebook | None) -> tuple[int, int]:
-    """(value, size) of one type's payload, read off its Zaks key."""
-    if mode == MODE_HUFFMAN:
-        return codebook.code(type_id)
-    if mode == MODE_FIXED:
-        return registry.zaks.object_bits(type_id + 1)
-    zaks = registry.zaks.bits(type_id + 1)
-    ls, ld = zaks_arrays(zaks)
-    selector, body = encode_body(subtree_sizes(ls, ld).tolist(), ls.tolist(), zaks.tolist())
-    return bits_to_object([selector, *body])
+_ZAKS_BATCH_BITS = 1 << 16  # key bits per `zaks_arrays` pass, which bounds its scratch memory
+
+
+def _entropy_objects(registry: TypeRegistry) -> list[tuple[int, int]]:
+    """(value, size) of every type's entropy payload, in type order: the
+    selector bit, then the subtree-size code, or the Zaks sequence where that
+    is shorter.  The shapes' arrays come from a few passes over the `TYPR`
+    payload, and every code from one run of the lane coder."""
+    zaks_len = registry.shape_bits()
+    nodes = zaks_len >> 1
+    bits = registry.zaks.all_bits()
+    bit_end, node_end = np.cumsum(zaks_len), np.cumsum(nodes)
+    st, ls = np.empty((2, int(nodes.sum())), dtype=np.int32)
+    cut = np.flatnonzero(np.diff((bit_end - 1) // _ZAKS_BATCH_BITS, prepend=-1))
+    for a, b in zip(cut.tolist(), [*cut[1:].tolist(), len(nodes)]):
+        bit0, node0 = bit_end[a] - zaks_len[a], node_end[a] - nodes[a]
+        part_ls, part_ld = zaks_arrays(bits[bit0:bit_end[b - 1]], zaks_len[a:b])
+        st[node0:node_end[b - 1]] = subtree_sizes(part_ls, part_ld, nodes[a:b])
+        ls[node0:node_end[b - 1]] = part_ls
+    codes = encode_size_sequences(st, ls, nodes)
+    objects = []
+    for t, ((value, size), z) in enumerate(zip(codes, zaks_len.tolist())):
+        selector = SELECTOR_SIZECODE
+        if size > z:
+            selector, (value, size) = SELECTOR_ZAKS, registry.zaks.object_bits(t + 1)
+        objects.append(((selector << size) | value, size + 1))
+    return objects
 
 
 def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str) -> TypeArray:
@@ -372,11 +389,9 @@ def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str) -> Type
         for t in type_ids:
             counts[t] = counts.get(t, 0) + 1
         codebook = build_huffman_codebook(counts, len(registry))
-    per_type = codebook.codes if mode == MODE_HUFFMAN else {}
-    objects = []
-    for t in type_ids:
-        obj = per_type.get(t)
-        if obj is None:
-            obj = per_type[t] = _encode_type(registry, t, mode, codebook)
-        objects.append(obj)
-    return TypeArray(mode, VariableCellArray(objects), registry, codebook)
+        per_type = codebook.codes
+    elif mode == MODE_ENTROPY:
+        per_type = _entropy_objects(registry)
+    else:  # the Zaks sequence, bit for bit the type's TYPR record
+        per_type = [registry.zaks.object_bits(t + 1) for t in range(len(registry))]
+    return TypeArray(mode, VariableCellArray([per_type[t] for t in type_ids]), registry, codebook)

@@ -8,6 +8,7 @@ rmq(i, j) = inorder-rank(lca(inorder-select(i), inorder-select(j))).
 from __future__ import annotations
 
 import random
+import time
 
 import numpy as np
 
@@ -18,31 +19,45 @@ from .trees import build_cartesian, order_keys
 
 FORMAT_VERSION = 5  # FORMAT.md, "RmqIndex"
 
+# what `RmqIndex.build` times, in order: ranking the values and building the
+# Cartesian tree, the tree cover, encoding the micro types, the spot check
+BUILD_PHASES = ("cartesian", "cover", "encode_types", "validate")
+
 
 class RmqIndex:
     """Constant-time range-minimum queries in compressed space."""
 
-    __slots__ = ("n", "codec", "cover", "type_array")
+    __slots__ = ("n", "codec", "cover", "type_array", "build_timings")
 
     def __init__(self, n: int, codec: str, cover: TreeCover, type_array: TypeArray):
         self.n = n
         self.codec = codec
         self.cover = cover
         self.type_array = type_array
+        # wall seconds of each of BUILD_PHASES; an index read from bytes has none
+        self.build_timings: dict[str, float] = {}
 
     @classmethod
     def build(cls, values, codec: str = MODE_ENTROPY, mini_b: int | None = None,
               micro_b: int | None = None) -> "RmqIndex":
+        marks = [time.perf_counter()]
         keys = order_keys(values)
         if not len(keys):
             raise ValueError("cannot build an RMQ index over an empty array")
         if codec not in MODES:
             raise ValueError(f"unknown codec {codec!r}")
-        cover = build_cover(build_cartesian(keys), mini_b=mini_b, micro_b=micro_b)
+        tree = build_cartesian(keys)
+        marks.append(time.perf_counter())
+        cover = build_cover(tree, mini_b=mini_b, micro_b=micro_b)
+        del tree  # only the cover outlives its phase
+        marks.append(time.perf_counter())
         type_array = encode_types(cover.type_ids, cover.registry, codec)
+        marks.append(time.perf_counter())
         index = cls(len(keys), codec, cover, type_array)
         index._validate_sample(keys)
         cover.registry.clear_tables()  # a fresh index holds no decoded tables
+        marks.append(time.perf_counter())
+        index.build_timings = dict(zip(BUILD_PHASES, np.diff(marks).tolist()))
         return index
 
     def query(self, i: int, j: int) -> int:

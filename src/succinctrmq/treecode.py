@@ -22,6 +22,11 @@ _MASK = _FULL - 1
 _HALF = 1 << (_P - 1)
 _QUARTER = 1 << (_P - 2)
 _THREE_QUARTER = _HALF + _QUARTER
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits -> bit values
+# _LEADING[c][v]: the c bits of v, MSB first, for the few bits a symbol
+# usually renormalises out
+_LEADING = [[tuple((v >> j) & 1 for j in range(c - 1, -1, -1)) for v in range(1 << c)]
+            for c in range(9)]
 
 SELECTOR_SIZECODE = 0
 SELECTOR_ZAKS = 1
@@ -52,7 +57,24 @@ class RangeEncoder:
         self.encode_all((s,), (k,))
 
     def encode_all(self, models, symbols) -> None:
-        """encode(s, k) for each (s, k) of zip(models, symbols), in order."""
+        """encode(s, k) for each (s, k) of zip(models, symbols), in order.
+
+        Each symbol narrows [low, high] and then renormalises in closed form
+        (the E1/E2/E3 scheme of Witten, Neal & Cleary, CACM 1987):
+
+        * E1/E2: while low and high share their top bit, that bit is final.
+          So the c = 62 - bit_length(low ^ high) leading bits they share are
+          emitted, the first followed by `pending` opposite bits, and both
+          ends shift left by c (high filling with ones).
+        * E3: then low's top bit is 0 and high's 1.  While the bit below it
+          is 1 in low and 0 in high, the range straddles the midpoint and
+          that bit is dropped, deferring one opposite bit to `pending`: m
+          such bits form the run from bit 60 down, ended by the first bit
+          of (high | ~low).  Dropping them never makes the top bits agree,
+          so no E1/E2 step follows.
+
+        `encode_size_sequences` runs the same steps on many sequences at once.
+        """
         low, high, pending = self.low, self.high, self.pending
         out = self.bits
         try:
@@ -62,36 +84,31 @@ class RangeEncoder:
                 if s == 1:
                     continue
                 span = high - low + 1
-                if s > span:  # pragma: no cover - span >= 2^60 after renormalization
+                if s > span:  # pragma: no cover - span > 2^60 after renormalization
                     raise ValueError("model too large for coder precision")
                 q, r = divmod(span, s)
-                if k < r:
-                    low += k * (q + 1)
-                    high = low + q
-                else:
-                    low += r * (q + 1) + (k - r) * q
-                    high = low + q - 1
-                while True:
-                    if high < _HALF:
-                        out.append(0)
-                        if pending:
-                            out.extend([1] * pending)
-                            pending = 0
-                    elif low >= _HALF:
-                        out.append(1)
-                        if pending:
-                            out.extend([0] * pending)
-                            pending = 0
-                        low -= _HALF
-                        high -= _HALF
-                    elif low >= _QUARTER and high < _THREE_QUARTER:
-                        pending += 1
-                        low -= _QUARTER
-                        high -= _QUARTER
+                # the first r symbols get q + 1 values, the others q
+                low += k * q + (k if k < r else r)
+                high = low + q - (k >= r)
+                if high < _HALF or low >= _HALF:  # E1/E2
+                    c = _P - (low ^ high).bit_length()
+                    top = low >> (_P - c)
+                    digits = _LEADING[c][top] if c < len(_LEADING) else \
+                        format(top, f"0{c}b").encode().translate(_DIGIT_BITS)
+                    if pending:
+                        out.append(digits[0])
+                        out += [1 - digits[0]] * pending
+                        out += digits[1:]
+                        pending = 0
                     else:
-                        break
-                    low <<= 1
-                    high = (high << 1) | 1
+                        out += digits
+                    low = (low << c) & _MASK
+                    high = ((high << c) & _MASK) | ((1 << c) - 1)
+                if low >= _QUARTER and high < _THREE_QUARTER:  # E3
+                    m = _P - 1 - ((high | ~low) & (_HALF - 1)).bit_length()
+                    pending += m
+                    low = (low << m) & (_HALF - 1)
+                    high = ((high << m) & (_HALF - 1)) | _HALF | ((1 << m) - 1)
         finally:  # a rejected symbol leaves the state of the symbols before it
             self.low, self.high, self.pending = low, high, pending
 
@@ -240,6 +257,144 @@ def encode_size_sequence(st, ls) -> list[int]:
     return enc.finish()
 
 
+# models the lane coder takes: q = span // s >= 2^29 keeps every lane's range
+# far from collapsing, and a symbol wastes < 2^-28 bits of its lg s
+_LANE_MODEL_MAX = (1 << 31) - 1
+_LANE_SLACK = 2.0 ** -28
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """int.bit_length of each entry of an int64 array of positive values:
+    the frexp exponent, less one where converting to float rounded the
+    value up to the next power of two."""
+    e = np.frexp(x.astype(np.float64))[1].astype(np.int64)
+    return e - (x < (np.int64(1) << (e - 1)))
+
+
+def _emit_lanes(words, runs, at, top, count, pending) -> np.ndarray:
+    """Write the `count` low bits of `top` at bit `at` of each lane's row,
+    the first followed by `pending` copies of its opposite (nothing where
+    count is 0), as `RangeEncoder._emit` would; return the bits written.
+
+    The 1s that lead or follow the first bit form a run, marked +1 at its
+    start and -1 past its end in `runs`; runs never overlap, so a running
+    sum of the marks is 1 exactly on them.  Each mark falls in its lane's
+    own row, so no index repeats within one fancy `+=`.  The other
+    count - 1 bits, at most 61, are OR-ed into the big-endian 64-bit
+    `words`, across at most two of them."""
+    on = count > 0
+    pending = pending * on
+    first = (top >> np.maximum(count - 1, 0)) & on
+    runs[at + 1 - first] += 1
+    runs[at + 1 + pending * (1 - first)] -= 1
+    rest = top & ((np.int64(1) << np.maximum(count - 1, 0)) - 1)
+    at = at + 1 + pending
+    over = (at & 63) + count - 1 - 64  # bits spilling into the next word
+    words[at >> 6] |= (rest >> np.maximum(over, 0)) << np.maximum(-over, 0)
+    words[(at >> 6) + 1] |= np.where(over > 0, rest << ((64 - over) & 63), 0)
+    return count + pending
+
+
+def _finish_lanes(low, high, pending) -> tuple[np.ndarray, np.ndarray]:
+    """`RangeEncoder.finish` of each lane: the fewest bits kf (at least one
+    while bits are pending) that name a dyadic block of 2^(62 - kf) values
+    inside [low, high], as (block number, kf)."""
+    kf = np.arange(_P + 1)[:, None]
+    block = np.int64(1) << (_P - kf)
+    c = -(-low // block)
+    kf = ((c * block + block - 1 <= high) & (kf >= (pending > 0))).argmax(axis=0)
+    return c[kf, np.arange(len(low))], kf
+
+
+def encode_size_sequences(st, ls, counts) -> list[tuple[int, int]]:
+    """The range code of each of several preorder (subtree size, left size)
+    sequences laid end to end, counts[i] pairs for sequence i, as a
+    (value, size) object: bit for bit `encode_size_sequence` of each, with
+    all sequences coded in lockstep.
+
+    Each sequence is a lane of int64 `low`/`high`/`pending` state; a pair
+    with st = 1 codes nothing and is dropped.  The lanes are ranked by how
+    many symbols they code, longest first, so at step j the lanes still
+    coding are a prefix of the ranks, and the symbols are laid out step by
+    step.  A step narrows each active lane's range and renormalises it in
+    the closed form `RangeEncoder.encode_all` derives.  Each lane writes
+    into its own row of bits, sized by the coder's bound: sum of lg s, under
+    2^-28 bits of slack per symbol, and at most 62 bits of termination.
+    `RangeEncoder.finish` then closes every lane at once.  Models must lie
+    in 1..2^31 - 1.
+    """
+    st, ls = np.asarray(st), np.asarray(ls)
+    counts = np.asarray(counts, dtype=np.int64)
+    if st.shape != ls.shape or (counts < 0).any() or counts.sum() != len(st):
+        raise ValueError("counts must split the pairs into sequences")
+    bad = (ls < 0) | (ls >= st)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"symbol {ls[i]} outside model range 0..{st[i] - 1}")
+    if len(st) and st.max() > _LANE_MODEL_MAX:
+        raise ValueError(f"model {st.max()} too large for the lane coder")
+    lanes = len(counts)
+    coded = st > 1
+    narrow = _level_type(int(st.max(initial=1)))
+    models, symbols = st[coded].astype(narrow), ls[coded].astype(narrow)
+    # pair indices are int32 (inputs hold far fewer than 2^31 pairs), which
+    # halves the set-up's scratch memory
+    lane = np.repeat(np.arange(lanes, dtype=np.int32), counts)[coded]
+    del coded
+    length = np.bincount(lane, minlength=lanes)
+    lg = np.bincount(lane, weights=np.log2(models, dtype=np.float64), minlength=lanes)
+    by_rank = np.argsort(-length, kind="stable")  # the lane of each rank
+    rank = np.empty(lanes, dtype=np.int32)
+    rank[by_rank] = np.arange(lanes)
+    # active[j]: the lanes with more than j symbols, whose j-th symbols are
+    # step j's, in rank order
+    active = lanes - np.cumsum(np.bincount(length, minlength=1))[:-1]
+    step_start = np.concatenate(([0], np.cumsum(active)))
+    slot = np.arange(len(lane), dtype=np.int32)  # each symbol's step in its lane ...
+    slot -= np.repeat((np.cumsum(length) - length).astype(np.int32), length)
+    slot = step_start.astype(np.int32)[slot]  # ... and its place in step-major order
+    slot += rank[lane]
+    del lane
+    models[slot], symbols[slot] = models.copy(), symbols.copy()
+    del slot
+    bound = np.ceil(lg[by_rank] + _LANE_SLACK * length[by_rank]).astype(np.int64) + 64
+    width = 64 * ((bound + 63) // 64)
+    pos = np.cumsum(width) - width  # each rank's next bit; its row starts word-aligned
+    row = pos.copy()
+    words = np.zeros(int(width.sum()) // 64 + 1, dtype=np.int64)
+    runs = np.zeros(int(width.sum()) + 1, dtype=np.int8)
+    low = np.zeros(lanes, dtype=np.int64)
+    high = np.full(lanes, _MASK, dtype=np.int64)
+    pending = np.zeros(lanes, dtype=np.int64)
+    one = np.int64(1)
+    for j, a in enumerate(active.tolist()):
+        s = models[step_start[j]:step_start[j + 1]].astype(np.int64)
+        k = symbols[step_start[j]:step_start[j + 1]].astype(np.int64)
+        lo, hi = low[:a], high[:a]
+        q, r = np.divmod(hi - lo + 1, s)
+        lo = lo + k * q + np.minimum(k, r)
+        hi = lo + q - (k >= r)
+        c = _P - _bit_length(lo ^ hi)  # E1/E2
+        pos[:a] += _emit_lanes(words, runs, pos[:a], lo >> (_P - c), c, pending[:a])
+        pending[:a] *= c == 0  # flushed
+        lo = (lo << c) & _MASK
+        hi = ((hi << c) & _MASK) | ((one << c) - 1)
+        m = _P - _bit_length((((hi | ~lo) & (_HALF - 1)) << 1) | 1)  # E3
+        pending[:a] += m
+        low[:a] = (lo << m) & (_HALF - 1)
+        high[:a] = ((hi << m) & (_HALF - 1)) | _HALF | ((one << m) - 1)
+    top, kf = _finish_lanes(low, high, pending)
+    pos += _emit_lanes(words, runs, pos, top, kf, pending)
+    ones = np.cumsum(runs[:-1], dtype=np.int8).view(np.uint8)
+    packed = words[:-1].astype(">i8").view(np.uint8) | np.packbits(ones)
+    out = [(0, 0)] * lanes
+    for lane, start, end in zip(by_rank.tolist(), row.tolist(), pos.tolist()):
+        size = end - start
+        value = int.from_bytes(packed[start >> 3:(end + 7) >> 3].tobytes(), "big")
+        out[lane] = (value >> (-size % 8), size)
+    return out
+
+
 def encode_left_sizes(t: BinaryTree) -> list[int]:
     """Arithmetic-coded preorder left-subtree sizes (no header)."""
     return encode_size_sequence(t.st[1:], t.ls[1:])
@@ -254,7 +409,7 @@ def _level_type(length: int):
     return np.int32 if length <= np.iinfo(np.int32).max else np.int64
 
 
-def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray]:
+def zaks_arrays(bits, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """Preorder left-subtree sizes and left depths (int64 arrays) of the tree
     whose Zaks sequence is `bits`, without building it, in one stable sort of
     16-bit levels (32-bit past 32767 bits).
@@ -269,6 +424,14 @@ def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray]:
     The node then has (q - p - 1) / 2 left descendants, its excess before p
     counts the left edges above it, and p is preceded by as many 1s as there
     are nodes before it in preorder.
+
+    With `sizes`, `bits` holds one Zaks sequence of each size end to end,
+    and the arrays are those of every sequence, concatenated.  Levels then
+    count from each sequence's own start.  Sorted stably by them, the final
+    0s of all m sequences come first, and each level's bits are every
+    sequence's (1, close) pairs of that level in turn, which still
+    alternate.  A 1-bit's node is numbered by the 1s before it in the whole
+    stream.
     """
     b = np.asarray(bits)
     if not len(b):
@@ -277,12 +440,25 @@ def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray]:
         raise DecodeError("Zaks stream holds a value other than 0 or 1")
     b = b.astype(_level_type(len(b)))
     after = np.cumsum(2 * b - 1, dtype=b.dtype)
-    if after[-1] != -1 or after[:-1].min(initial=0) < 0:
-        raise DecodeError("not a single complete Zaks sequence")
-    order = np.argsort(after - b, kind="stable")
-    ones, closes = order[1::2], order[2::2]
-    depth = after[ones] - 1
-    node = (ones + depth) >> 1
+    if sizes is None:  # the query path's case, kept to its few passes
+        if after[-1] != -1 or after[:-1].min(initial=0) < 0:
+            raise DecodeError("not a single complete Zaks sequence")
+        order, local = np.argsort(after - b, kind="stable")[1:], after
+    else:
+        sizes = np.asarray(sizes, dtype=np.int64)
+        if sizes.min(initial=1) < 1 or sizes.sum() != len(b):
+            raise ValueError(f"sizes do not split {len(b)} bits into Zaks sequences")
+        # a sequence's excess from its own start, if all before it are whole
+        seq = np.repeat(np.arange(len(sizes), dtype=b.dtype), sizes)
+        local = after + seq
+        if (local[np.cumsum(sizes) - 1] != -1).any() or np.count_nonzero(local < 0) != len(sizes):
+            raise DecodeError("not one complete Zaks sequence per size")
+        level = (local - b).astype(_level_type(int(sizes.max())))
+        order = np.argsort(level, kind="stable")[len(sizes):]
+    ones, closes = order[0::2], order[1::2]
+    depth = local[ones] - 1
+    # a sequence's excess starts one below its predecessor's
+    node = (ones + (depth if sizes is None else depth - seq[ones])) >> 1
     ls = np.empty(len(ones), dtype=np.int64)
     ld = np.empty(len(ones), dtype=np.int64)
     ls[node] = (closes - ones - 1) >> 1
@@ -290,18 +466,26 @@ def zaks_arrays(bits) -> tuple[np.ndarray, np.ndarray]:
     return ls, ld
 
 
-def subtree_sizes(ls: np.ndarray, ld: np.ndarray) -> np.ndarray:
+def subtree_sizes(ls: np.ndarray, ld: np.ndarray, counts=None) -> np.ndarray:
     """Preorder subtree sizes (int64) from preorder left sizes and left depths.
 
     Node v's right child, if any, is node v + ls[v] + 1, at v's left depth;
     the nodes between them are v's left subtree, all deeper.  So, sorted
     stably by left depth, each right spine (a node, its right child, that
     child's right child, ...) is a run, and a node's subtree ends where the
-    left subtree of its spine's last node ends."""
+    left subtree of its spine's last node ends.
+
+    With `counts`, the arrays hold trees of those node counts end to end (as
+    `zaks_arrays` returns them).  Sorted by left depth, a level's nodes are
+    each tree's in turn, and a spine also ends where a left subtree ends a
+    tree, as the next node is then another tree's."""
     n = len(ls)
-    order = np.argsort(ld.astype(_level_type(n)), kind="stable")
+    counts = np.array([n]) if counts is None else np.asarray(counts, dtype=np.int64)
+    order = np.argsort(ld.astype(_level_type(int(counts.max(initial=0)))), kind="stable")
     after = order + ls[order] + 1  # preorder just past each node's left subtree
-    ends = np.flatnonzero(np.append(after[:-1] != order[1:], True))  # spines' last nodes
+    tree_start = np.zeros(n + 1, dtype=bool)
+    tree_start[np.cumsum(counts)] = True
+    ends = np.flatnonzero(np.append((after[:-1] != order[1:]) | tree_start[after[:-1]], True))
     st = np.empty(n, dtype=np.int64)
     st[order] = np.repeat(after[ends], np.diff(ends, prepend=-1)) - order
     return st

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from succinctrmq.cli import main
-from succinctrmq.rmq import FORMAT_VERSION
+from succinctrmq.rmq import BUILD_PHASES, FORMAT_VERSION
 from succinctrmq.serial import read_stream, write_stream
 
 from test_trees import FIG_ARRAY
@@ -49,6 +49,14 @@ class TestBuildCommand:
         kv = kv_lines(capsys.readouterr().out)
         rate = float(kv["micro_payload_per_element"])
         assert 2.0 <= rate <= 2.2  # ~2 + O(1)/micro-size per node
+
+    def test_build_phase_timings(self, fig_file, capsys):
+        assert main(["build", fig_file, "--kv"]) == 0
+        out = capsys.readouterr().out
+        kv = kv_lines(out)
+        for phase in BUILD_PHASES:
+            assert float(kv[f"build_{phase}_s"]) >= 0
+        assert "build phases: cartesian" in out
 
     def test_build_missing_input(self, capsys):
         assert main(["build"]) == 1
@@ -184,6 +192,8 @@ class TestBench:
         assert float(kv["ops_per_query"]) > 0
         assert float(kv["cold_us_per_query"]) > 0
         assert float(kv["us_per_query"]) > 0
+        phases = [float(kv[f"build_{phase}_s"]) for phase in BUILD_PHASES]
+        assert min(phases) >= 0 and sum(phases) <= float(kv["build_seconds"]) + 0.005
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_rejects_no_queries(self, count, capsys):

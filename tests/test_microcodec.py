@@ -20,7 +20,8 @@ from succinctrmq.microcodec import (
 )
 from succinctrmq import opcount
 from succinctrmq.serial import DecodeError
-from succinctrmq.treecode import encode_zaks, subtree_sizes, zaks_arrays
+from succinctrmq.treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, encode_body, encode_zaks,
+                                  subtree_sizes, zaks_arrays)
 from succinctrmq.trees import (BinaryTree, build_cartesian, caterpillar, enumerate_shapes,
                                left_path, right_path, sample_random_bst, zigzag_path)
 
@@ -339,7 +340,41 @@ class TestHuffman:
         assert b1.codes == b2.codes
 
 
+def entropy_object(registry, type_id):
+    """One type's entropy payload, from its key alone through the scalar
+    coder: the reference for `encode_types`' batched pass."""
+    zaks = registry.zaks_bits(type_id)
+    ls, ld = zaks_arrays(zaks)
+    selector, body = encode_body(subtree_sizes(ls, ld).tolist(), ls.tolist(), zaks)
+    return bits_to_object([selector, *body])
+
+
 class TestTypeArray:
+    @pytest.mark.parametrize("tree, mini_b, micro_b", [
+        (sample_random_bst(3000, 5), 60, 7),
+        (sample_random_bst(20000, 8), None, None),
+        (build_cartesian(list(range(3000))), 60, 7),  # right paths
+        (build_cartesian(list(range(3000, 0, -1))), None, None),  # left paths
+        (build_cartesian([i % 7 for i in range(2000)]), 40, 5),
+        (sample_random_bst(50, 12), 1, 1),  # leaves and 1-node shapes
+    ], ids=["random", "random-default-b", "sorted", "reversed", "sawtooth", "leaves"])
+    def test_entropy_objects_match_scalar_coder(self, tree, mini_b, micro_b):
+        cov = build_cover(tree, mini_b=mini_b, micro_b=micro_b)
+        ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
+        want = [entropy_object(cov.registry, t) for t in range(len(cov.registry))]
+        assert [ta.vca.object_bits(i) for i in range(1, ta.vca.m + 1)] == \
+            [want[t] for t in cov.type_ids]
+
+    def test_paths_take_the_zaks_selector(self):
+        # a right path's size code is lg s! bits, longer than its 2s + 1
+        cov = build_cover(build_cartesian(list(range(3000))), mini_b=60, micro_b=7)
+        ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
+        selectors = {int(ta.vca.bits(i)[0]) for i in range(1, ta.vca.m + 1)}
+        assert SELECTOR_ZAKS in selectors
+        _, cov = build_fixture_cover()
+        ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
+        assert SELECTOR_SIZECODE in {int(ta.vca.bits(i)[0]) for i in range(1, ta.vca.m + 1)}
+
     @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_ENTROPY, MODE_HUFFMAN])
     def test_roundtrip_each_micro(self, mode):
         _, cov = build_fixture_cover()

@@ -10,7 +10,7 @@ import pytest
 
 from succinctrmq.bits import VariableCellArray, column_width, pack_column, read_column
 from succinctrmq.cover import _SECTIONS
-from succinctrmq.rmq import FORMAT_VERSION, OracleRmq, RmqIndex, adversarial_arrays
+from succinctrmq.rmq import BUILD_PHASES, FORMAT_VERSION, OracleRmq, RmqIndex, adversarial_arrays
 from succinctrmq.serial import DecodeError, Reader, read_stream, write_stream
 
 from test_trees import FIG_ARRAY
@@ -70,6 +70,13 @@ class TestBuild:
             j = rng.randint(i, 20000)
             assert idx.query(i, j) == oracle.query(i, j)
         assert idx.cover.registry.tables_built() > 0
+
+    @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
+    def test_phase_timings(self, codec):
+        idx = RmqIndex.build(np.random.default_rng(5).permutation(3000).tolist(), codec=codec)
+        assert tuple(idx.build_timings) == BUILD_PHASES
+        assert all(s >= 0 for s in idx.build_timings.values())
+        assert RmqIndex.from_bytes(idx.to_bytes()).build_timings == {}
 
     def test_range_errors(self):
         idx = RmqIndex.build([3, 1, 2])

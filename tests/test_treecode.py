@@ -5,8 +5,10 @@ import time
 import numpy as np
 import pytest
 
+from succinctrmq.bits import bits_to_object
 from succinctrmq.serial import DecodeError, bits_to_bytes, encode_varint
 from succinctrmq.treecode import (
+    _finish_lanes,
     _level_type,
     RangeDecoder,
     RangeEncoder,
@@ -18,6 +20,8 @@ from succinctrmq.treecode import (
     encode_count,
     encode_hybrid,
     encode_left_sizes,
+    encode_size_sequence,
+    encode_size_sequences,
     encode_subtree_size,
     encode_zaks,
     decode_left_sizes,
@@ -96,6 +100,190 @@ class TestRangeCoder:
             enc.encode_all([5, 7, 3, 2], [4, 6, 3, 1])
         dec = RangeDecoder(enc.finish())
         assert [dec.decode(5), dec.decode(7)] == [4, 6]
+
+
+def oracle_range_code(models, symbols):
+    """The bit-at-a-time E1/E2/E3 loop whose closed form `RangeEncoder`
+    now runs, kept as the oracle for it and for the lane coder."""
+    half, quarter, mask = 1 << 61, 1 << 60, (1 << 62) - 1
+    low, high, pending, out = 0, mask, 0, []
+
+    def emit(b):
+        nonlocal pending
+        out.extend([b] + [1 - b] * pending)
+        pending = 0
+
+    for s, k in zip(models, symbols):
+        assert 0 <= k < s
+        q, r = divmod(high - low + 1, s)
+        low += k * (q + 1) if k < r else r * (q + 1) + (k - r) * q
+        high = low + q - (k >= r)
+        while True:
+            if high < half:
+                emit(0)
+            elif low >= half:
+                emit(1)
+                low, high = low - half, high - half
+            elif low >= quarter and high < half + quarter:
+                pending += 1
+                low, high = low - quarter, high - quarter
+            else:
+                break
+            low, high = low << 1, (high << 1) | 1
+    for kf in range(1 if pending else 0, 63):
+        block = 1 << (62 - kf)
+        c = -(-low // block)
+        if c * block + block - 1 <= high:
+            for j in range(kf - 1, -1, -1):
+                emit((c >> j) & 1)
+            return out
+    raise AssertionError("unreachable")
+
+
+def straddling_stream(s, n):
+    """n symbols of model s, each the one whose part of the range holds the
+    midpoint: the range never leaves the middle, so every symbol only adds
+    E3 steps to `pending`, and nothing flushes them until finish."""
+    enc, symbols = RangeEncoder(), []
+    for _ in range(n):
+        q, r = divmod(enc.high - enc.low + 1, s)
+        d = (1 << 61) - 1 - enc.low
+        k = d // (q + 1) if d < r * (q + 1) else r + (d - r * (q + 1)) // q
+        symbols.append(k)
+        enc.encode(s, k)
+    return [s] * n, symbols
+
+
+def random_stream(rng, length, models=(1, 2, 3, 5, 17, 256, 10**4, 10**6, 2**31 - 1)):
+    stream = []
+    for _ in range(length):
+        s = rng.choice(models)
+        stream.append((s, rng.randrange(s)))
+    return [s for s, _ in stream], [k for _, k in stream]
+
+
+class TestRangeCoderClosedForm:
+    """`RangeEncoder.encode_all` renormalises a symbol in closed form; it must
+    emit what the bit-at-a-time loop emits."""
+
+    def test_random_streams(self):
+        rng = random.Random(4242)
+        for _ in range(300):
+            models, symbols = random_stream(rng, rng.randint(0, 400),
+                                            (1, 2, 3, 7, 100, 2**20, 2**40, 2**59))
+            enc = RangeEncoder()
+            enc.encode_all(models, symbols)
+            assert enc.finish() == oracle_range_code(models, symbols)
+
+    @pytest.mark.parametrize("s, n", [(3, 1), (3, 40), (3, 200), (1000, 60)])
+    def test_long_pending_runs(self, s, n):
+        models, symbols = straddling_stream(s, n)
+        enc = RangeEncoder()
+        enc.encode_all(models, symbols)
+        assert enc.pending >= n and not enc.bits
+        assert enc.finish() == oracle_range_code(models, symbols)
+        # then a symbol of the lower half flushes them all behind its first bit
+        enc = RangeEncoder()
+        enc.encode_all(models + [2], symbols + [0])
+        assert enc.finish() == oracle_range_code(models + [2], symbols + [0])
+
+    def test_tree_streams(self):
+        rng = random.Random(99)
+        for _ in range(50):
+            t = sample_random_bst(rng.randint(1, 600), rng.randrange(10**9))
+            assert encode_left_sizes(t) == oracle_range_code(t.st[1:], t.ls[1:])
+
+
+def lane_oracle(seqs):
+    """What the lane coder must give: the scalar coder's bits of each
+    sequence, as a (value, size) object."""
+    return [bits_to_object(encode_size_sequence(st, ls)) for st, ls in seqs]
+
+
+def lane_code(seqs):
+    st = np.concatenate([np.asarray(a, dtype=np.int64) for a, _ in seqs] or [np.zeros(0)])
+    ls = np.concatenate([np.asarray(b, dtype=np.int64) for _, b in seqs] or [np.zeros(0)])
+    return encode_size_sequences(st, ls, [len(a) for a, _ in seqs])
+
+
+def shape_seq(t):
+    return list(t.st[1:]), list(t.ls[1:])
+
+
+class TestLaneCoder:
+    """`encode_size_sequences` codes many sequences in lockstep; each code
+    must be bit for bit the scalar `RangeEncoder`'s."""
+
+    def test_random_shape_batches(self):
+        rng = random.Random(8080)
+        for _ in range(6):
+            seqs = [shape_seq(sample_random_bst(rng.randint(1, 800), rng.randrange(10**9)))
+                    for _ in range(rng.randint(1, 60))]
+            assert lane_code(seqs) == lane_oracle(seqs)
+
+    def test_one_lane(self):
+        seqs = [shape_seq(sample_random_bst(700, 3))]
+        assert lane_code(seqs) == lane_oracle(seqs)
+
+    def test_no_symbols(self):
+        # a 1-node shape codes nothing: every lane ends where it starts
+        seqs = [([1], [0])] * 5
+        assert lane_code(seqs) == lane_oracle(seqs) == [(0, 0)] * 5
+        assert lane_code([]) == []
+
+    def test_long_pending_runs(self):
+        # runs of pending bits past 64, across the lanes' 64-bit words
+        seqs = [straddling_stream(3, n) for n in (1, 20, 31, 32, 33, 64, 65, 300)]
+        seqs += [(m + [2, 5], k + [1, 4]) for m, k in (straddling_stream(1000, n) for n in (9, 50))]
+        seqs += [([3] * n, [1] * n) for n in (5, 100)]
+        seqs.append(shape_seq(right_path(50)))
+        assert lane_code(seqs) == lane_oracle(seqs)
+
+    def test_arbitrary_streams(self):
+        # models up to the lane coder's 2^31 - 1, in any order
+        rng = random.Random(6174)
+        seqs = [random_stream(rng, rng.randint(0, 300)) for _ in range(40)]
+        assert lane_code(seqs) == lane_oracle(seqs)
+
+    def test_paths_take_the_longest_codes(self):
+        seqs = [shape_seq(make(n)) for make in (left_path, right_path, zigzag_path, caterpillar)
+                for n in (1, 2, 9, 200)]
+        assert lane_code(seqs) == lane_oracle(seqs)
+
+    def test_finish_rule(self):
+        # final states no short stream reaches: the whole range, with and
+        # without pending bits, and ranges a few values wide at the midpoint
+        half, mask = 1 << 61, (1 << 62) - 1
+        states = [(0, mask, 0), (0, mask, 5), (half >> 1, half + (half >> 1) - 1, 1),
+                  (half - 1, half, 0), (half - 1, half, 7), (1, mask - 1, 2), (half, half + 1, 3)]
+        rng = random.Random(5)
+        for _ in range(200):
+            lo, hi = sorted(rng.sample(range(mask + 1), 2))
+            states.append((lo, hi, rng.choice([0, 0, 1, 70])))
+        top, count = _finish_lanes(*(np.array(x, dtype=np.int64) for x in zip(*states)))
+        for (lo, hi, pending), value, kf in zip(states, top.tolist(), count.tolist()):
+            enc = RangeEncoder()
+            enc.low, enc.high, enc.pending = lo, hi, pending
+            bits = enc.finish()  # the first bit, the pending bits, the rest
+            assert len(bits) == (kf + pending if kf else 0)
+            assert bits[:1] + bits[1 + pending:] == [int(d) for d in format(value, f"0{kf}b")][:kf]
+
+    @pytest.mark.parametrize("st, ls, message", [
+        ([4, 2, 3], [1, 2, 0], "symbol 2 outside model range 0..1"),
+        ([3, 2], [-1, 0], "symbol -1 outside model range 0..2"),
+        ([1], [1], "symbol 1 outside model range 0..0"),
+    ])
+    def test_symbol_out_of_range(self, st, ls, message):
+        with pytest.raises(ValueError, match=message):
+            encode_size_sequences(st, ls, [len(st)])
+        with pytest.raises(ValueError, match=message):
+            encode_size_sequence(st, ls)
+
+    def test_rejects_what_it_cannot_code(self):
+        with pytest.raises(ValueError, match="too large"):
+            encode_size_sequences([2**31, 2], [0, 1], [2])
+        with pytest.raises(ValueError, match="split"):
+            encode_size_sequences([2, 1], [0, 0], [1])
 
 
 class TestCountHeader:
@@ -200,6 +388,33 @@ class TestZaksKernel:
         # 16383 nodes: 32767 bits, the longest key with 16-bit levels
         for n in (1, 2, 3, 100, 16383, 16384):
             assert_kernels_match_oracle(make(n))
+
+    def test_sequences_end_to_end(self):
+        # a left path's deepest node ends its sequence: the next sequence's
+        # root must not extend its spine
+        rng = random.Random(31)
+        shapes = [left_path(5), right_path(4), sample_random_bst(1, 0)]
+        shapes += [sample_random_bst(rng.randint(1, 300), rng.randrange(10**9)) for _ in range(40)]
+        shapes += [left_path(7), zigzag_path(9), caterpillar(11), left_path(1)]
+        keys = [encode_zaks(t) for t in shapes]
+        ls, ld = zaks_arrays(np.concatenate(keys), [len(z) for z in keys])
+        counts = [t.n for t in shapes]
+        assert ls.tolist() == [v for t in shapes for v in t.ls[1:]]
+        assert ld.tolist() == [v for z in keys for v in zaks_arrays(z)[1].tolist()]
+        assert subtree_sizes(ls, ld, counts).tolist() == [v for t in shapes for v in t.st[1:]]
+
+    @pytest.mark.parametrize("bits, sizes", [
+        ([1, 0, 0, 1, 1, 0], [3, 3]),  # the second is truncated
+        ([1, 1, 0, 0, 1, 0, 0], [4, 3]),  # the first overruns into the second
+        ([0, 0, 1, 0, 0], [2, 3]),  # two sequences in one
+    ])
+    def test_sequences_reject_malformed(self, bits, sizes):
+        with pytest.raises(DecodeError):
+            zaks_arrays(bits, sizes)
+
+    def test_sizes_must_split_the_stream(self):
+        with pytest.raises(ValueError):
+            zaks_arrays([1, 0, 0, 0], [3, 3])
 
     def test_level_width(self):
         assert _level_type(2 * 16383 + 1) is np.int16
