@@ -27,7 +27,7 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
-from .trees import BinaryTree, EulerTourLca
+from .trees import BinaryTree, EulerTourLca, _level_type
 
 
 class CoverError(ValueError):
@@ -116,8 +116,9 @@ def _pack(n: int, left, right, st, B: int) -> bytearray:
 
 def _components(closed, parent) -> np.ndarray:
     """Component id of every node (slot 0 is 0): the rank, in preorder, of its
-    nearest closed ancestor-or-self, found by pointer doubling."""
-    marks = np.frombuffer(closed, dtype=np.uint8).astype(bool)
+    nearest closed ancestor-or-self, found by pointer doubling.  `closed`
+    marks each component root with a nonzero entry."""
+    marks = np.asarray(closed, dtype=bool)
     ids = np.cumsum(marks, dtype=np.intc)
     up = np.where(marks, np.arange(len(marks), dtype=np.intc), parent)
     while True:
@@ -228,18 +229,17 @@ class MicroView(NamedTuple):
 
 
 # The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
-# (version 4)", says what each holds.  A micro's shape size is its type's.
+# (version 6)", says what each holds.  A micro's shape size is its type's, and
+# `TreeCover._install` derives the other cover columns from these.
 _SECTIONS = (
-    (b"MINI", ("mini_root", "mini_ld", "q_count", "q_before", "q_side", "q_parent", "q_size")),
-    (b"MICR", ("m_t1", "root_minilocal", "ld_minilocal", "type_of", "p_count", "p_pos",
-               "p_smini", "p_child")),
+    (b"MINI", ("mini_root", "mini_ld", "q_before", "q_side", "q_parent", "q_size")),
+    (b"MICR", ("m_mini_root", "ld_minilocal", "type_of", "p_count", "p_pos")),
     (b"PCAS", ("run_start", "run_k", "run_t3")),
 )
 # held 1-based (slot 0 unused), per mini tree or per micro tree
-_ONE_BASED = ("mini_root", "mini_ld", "m_t1", "root_minilocal", "shape_size", "ld_minilocal",
-              "type_of")
-# held as offsets: the portals of mini t1 (micro k) are q_off[t1]..q_off[t1 + 1] - 1
-_OFFSETS = {"q_count": "q_off", "p_count": "p_off"}
+_ONE_BASED = ("mini_root", "mini_ld", "shape_size", "ld_minilocal", "type_of")
+# held as offsets: the portals of micro k are p_off[k]..p_off[k + 1] - 1
+_OFFSETS = {"p_count": "p_off"}
 # held as lists: there are few minis, and a list read is the cheapest scalar read
 _LISTS = ("mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size")
 
@@ -480,15 +480,19 @@ class TreeCover:
     def space_bits(self) -> dict:
         """Designed widths, in bits: each stored column at its packed width,
         plus what a load rebuilds (the run starts' rank directory, the
-        micro-root tree).  Built lookup tables have a separate budget."""
+        micro-root tree and the columns derived from it, each at the width it
+        would pack at).  Built lookup tables have a separate budget."""
         cols = self._columns()
         packed = {tag: sum(len(cols[x]) * column_width(cols[x]) for x in names)
                   for tag, names in _SECTIONS}
+        derived = (self.p_child, self.p_smini, self.m_t1[1:], self.root_minilocal[1:],
+                   self.q_off)
         return {
             "per_micro_tables": packed[b"MICR"],
             "per_mini_tables": packed[b"MINI"],
             "pca_inorder": packed[b"PCAS"] + self.c_in.space_bits()["directory"],
-            "micro_root_tree": self.tb.space_bits(),
+            "micro_root_tree": self.tb.space_bits() + sum(len(x) * column_width(x)
+                                                          for x in derived),
             "lookup_tables_built": self.registry.tables_space_bits(),
         }
 
@@ -512,9 +516,11 @@ class TreeCover:
     # ---- serialization ------------------------------------------------------
 
     def _columns(self) -> dict[str, np.ndarray]:
-        """The stored columns (see `_SECTIONS`)."""
-        cols = {"run_start": np.asarray(self.c_in.positions())}
-        for name in (x for _, names in _SECTIONS for x in names if x != "run_start"):
+        """The stored columns (see `_SECTIONS`); a micro roots a mini tree
+        exactly when it is its mini's first."""
+        cols = {"run_start": np.asarray(self.c_in.positions()),
+                "m_mini_root": (np.asarray(self.m_t2[1:]) == 1).astype(np.uint8)}
+        for name in (x for _, names in _SECTIONS for x in names if x not in cols):
             col = np.asarray(getattr(self, _OFFSETS.get(name, name)))
             if name in _OFFSETS:
                 col = np.diff(col)
@@ -544,72 +550,147 @@ class TreeCover:
             r.end()
         cov.registry = TypeRegistry.from_bytes(sections[b"TYPR"])
         _check_columns(cov.n, cols, cov.registry)
-        try:
-            cov._install(cols)
-        except ValueError as exc:  # the micro-root tree's ids are not its preorder
-            raise DecodeError(f"cover columns: {exc}") from exc
+        cov._install(cols)
         return cov
 
     # ---- shared assembly -----------------------------------------------------
 
     def _install(self, cols: dict[str, np.ndarray]) -> None:
-        """Hold the stored columns as compact arrays and derive the rest: the
-        portal offsets, each micro's t2, the (t1, t2) -> k directory, the rank
-        directory of the run starts and the micro-root tree."""
+        """Hold the stored columns as compact arrays and derive the rest
+        (FORMAT.md, "RmqIndex (version 6)"): the micro-root tree, whose
+        preorder degree sequence is the portal counts, and from it each
+        portal's child micro and members in the mini, each micro's mini, t2
+        and root mini-local preorder, and the mini portal offsets; then the
+        (t1, t2) -> k directory and the rank directory of the run starts."""
         for name, col in cols.items():
             if name in _ONE_BASED:
                 col = np.append(0, col)
             elif name in _OFFSETS:
                 name, col = _OFFSETS[name], np.append((0, 0), np.cumsum(col))
-            elif name == "run_start":
+            elif name in ("run_start", "m_mini_root"):
                 continue
             setattr(self, name, col.tolist() if name in _LISTS else compact_array(col))
-        m_t1 = cols["m_t1"]
         self._preorder_runs = None
-        self.n_minis = len(cols["mini_root"])
-        self.m_t2 = compact_array(np.append(0, _rank_within(m_t1)))
-        per_mini = np.bincount(m_t1, minlength=self.n_minis + 1)[1:]
-        self.first = np.append((0, 0), np.cumsum(per_mini)).tolist()
-        self.k_at = compact_array(np.append(0, np.argsort(m_t1, kind="stable") + 1))
         self.c_in = CompressedBitVec.from_positions(self.n, cols["run_start"])
-        parent = np.zeros(len(m_t1) + 1, dtype=np.int64)
-        parent[cols["p_child"]] = np.repeat(np.arange(1, len(m_t1) + 1), cols["p_count"])
+        ports = np.asarray(cols["p_count"], dtype=np.int64)
+        micros = len(ports)
+        p_off = np.append(0, np.cumsum(ports))
+        owner = np.repeat(np.arange(1, micros + 1), ports)
+        child = _portal_children(ports)
+        parent = np.zeros(micros + 1, dtype=np.int64)
+        parent[child] = owner
+        self.p_child = compact_array(child)
         self.tb = EulerTourLca.from_preorder(parent)
+        enter, exit_ = (np.asarray(x, dtype=np.int64) for x in (self.tb.enter, self.tb.exit))
+
+        # minis are numbered by their root micros' preorder; a mini's portals
+        # are the edges from it into other minis' roots
+        flag = np.append(0, cols["m_mini_root"]).astype(bool)
+        mini_root_k = np.flatnonzero(flag)
+        self.n_minis = len(mini_root_k)
+        m_t1 = _components(flag, parent).astype(np.int64)
+        self.m_t1 = compact_array(m_t1)
+        q_count = np.bincount(m_t1[parent[mini_root_k[1:]]], minlength=self.n_minis + 1)[1:]
+        self.q_off = np.append((0, 0), np.cumsum(q_count)).tolist()
+        first = np.append((0, 0), np.cumsum(np.bincount(m_t1, minlength=self.n_minis + 1)[1:]))
+        self.first = first.tolist()
+        by_mini = np.argsort(m_t1[1:], kind="stable") + 1  # in (mini, k) order
+        self.k_at = compact_array(np.append(0, by_mini))
+        m_t2 = np.zeros(micros + 1, dtype=np.int64)
+        m_t2[by_mini] = np.arange(1, micros + 1) - first[m_t1[by_mini]]
+        self.m_t2 = compact_array(m_t2)
+
+        # a portal into micro c of the same mini stands for the members of the
+        # micros in c's subtree, k in c .. c + size - 1, less those of every
+        # mini whose root micro lies in that range
+        members = cols["shape_size"] - ports
+        mini_members = np.diff(np.append(0, np.cumsum(members[by_mini - 1]))[first[1:]])
+        own = np.append(0, np.cumsum(members - flag[1:] * mini_members[m_t1[1:] - 1]))
+        end = np.arange(micros + 1) + (exit_ - enter + 1) // 2  # k past each subtree
+        p_smini = np.where(flag[child], 0, own[end[child] - 1] - own[child - 1])
+        self.p_smini = compact_array(p_smini)
+
+        # a micro root's mini-local preorder is its parent's - 1 + its portal's
+        # shape position + (s_mini - 1) per earlier portal of the parent, and 1
+        # at a mini's root: a sum along the path from the mini's root micro,
+        # which the Euler tour turns into a prefix sum
+        step = p_smini - 1
+        before = np.cumsum(step) - step
+        gain = cols["p_pos"] - 1 + before - before[p_off[owner - 1]]
+        tour = np.zeros(2 * micros + 1, dtype=np.int64)
+        tour[enter[child]] = gain
+        tour[exit_[child]] = -gain
+        path = np.cumsum(tour)[enter]
+        root_minilocal = 1 + path - path[mini_root_k[m_t1 - 1]]
+        root_minilocal[0] = 0
+        self.root_minilocal = compact_array(root_minilocal)
+
+
+def _portal_children(p_count: np.ndarray) -> np.ndarray:
+    """The child micro of every portal, in (micro, shape position) order, of
+    the micro-root tree whose preorder degree sequence is `p_count` (which
+    the load checks), in one stable sort of 16-bit levels (wider past 16383
+    micros).
+
+    In preorder, each micro takes the first portal left open by its nearest
+    ancestor that still has one, so the open portals form a stack.  Write
+    micro k as one 1-bit per portal, last portal first, and then a 0-bit at
+    which micro k + 1 takes the portal on top.  With excess +1 per 1-bit and
+    -1 per 0-bit, give each 1-bit the level "excess before it" and each 0-bit
+    "excess after it", as `treecode.zaks_arrays` does: sorted stably by
+    level, each portal's 1 is followed by the 0 at which its child takes it,
+    and the last 0, which no micro follows, comes first alone at level -1."""
+    micros = len(p_count)
+    b = np.ones(2 * micros - 1, dtype=_level_type(2 * micros - 1))
+    b[np.cumsum(p_count) + np.arange(micros)] = 0
+    after = np.cumsum(2 * b - 1, dtype=b.dtype)
+    order = np.argsort(after - b, kind="stable")[1:]
+    ones, zeros = order[0::2], order[1::2]
+    took = np.cumsum(1 - b)  # 0-bits so far: the micros written before a 1-bit
+    m = took[ones]  # the 1-bit's micro, 0-based; it is that micro's portal
+    # p_off[m + 1] - 1 - (ones before it - p_off[m]), counting back from the last
+    p_off = np.append(0, np.cumsum(p_count))
+    child = np.empty(micros - 1, dtype=np.int64)
+    child[p_off[m] + p_off[m + 1] - 1 - (ones - m)] = took[zeros] + 1
+    return child
 
 
 def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> None:
     """Value checks on loaded cover columns, in O(#micros + #runs) numpy
     passes, which also add each micro's shape size, read off its type; a
-    failure is a DecodeError saying what is inconsistent."""
+    failure is a DecodeError saying what is inconsistent.  The portal counts
+    must be a tree's preorder degree sequence and the flagged micros its mini
+    roots, so that every column `TreeCover._install` derives is defined."""
     def need(ok, what: str) -> None:
         if not ok:
             raise DecodeError(f"cover columns: {what}")
 
-    for tag, names in _SECTIONS:
-        # a count column ends the per-mini (per-micro) columns; the per-portal
-        # columns after it have as many entries as the counts add up to
-        cut = next((i + 1 for i, x in enumerate(names) if x in _OFFSETS), len(names))
-        rows, items = names[:cut], names[cut:]
-        need(all(len(c[x]) == len(c[rows[0]]) for x in rows)
-             and all(len(c[x]) == len(c[names[-1]]) for x in items)
-             and (not items or ((c[rows[-1]] <= len(c[items[0]])).all()
-                                and c[rows[-1]].sum() == len(c[items[0]]))),
-             f"{tag.decode('ascii')} columns differ in length")
-    micros = len(c["m_t1"])
-    need(micros and ((c["m_t1"] >= 1) & (c["m_t1"] <= len(c["mini_root"]))).all(),
-         "a micro names no mini tree")
+    minis, micros, runs = len(c["mini_root"]), len(c["p_count"]), len(c["run_start"])
+    rows = ((("mini_ld",), minis), (("q_before", "q_side", "q_parent", "q_size"), minis - 1),
+            (("m_mini_root", "ld_minilocal", "type_of"), micros), (("p_pos",), micros - 1),
+            (("run_k", "run_t3"), runs))
+    need(minis and micros and all(len(c[x]) == count for names, count in rows for x in names),
+         "columns differ in length")
+    flag = c["m_mini_root"]
+    need((flag <= 1).all(), "a mini-root flag is not a bit")
+    need(flag[0] == 1, "micro 1 does not root a mini tree")
+    need(flag.sum() == minis, "the micros flagged as mini roots do not count the mini trees")
+    ports = c["p_count"]
+    need((ports < micros).all(), "a micro has more portals than there are micros")
+    open_after = 1 + np.cumsum(ports - 1)  # portals left open after each micro
+    need((open_after[:-1] >= 1).all() and open_after[-1] == 0,
+         "portal counts are not the preorder degree sequence of a tree")
     need((c["type_of"] < len(registry)).all(), "a micro's type is not in the registry")
     c["shape_size"] = size = registry.shape_bits()[c["type_of"]] >> 1
-    ports = c["p_count"]
     need((ports < size).all() and (size - ports <= n).all() and (size - ports).sum() == n,
          "micro member counts do not sum to n")
-    owner = np.repeat(np.arange(1, micros + 1), ports)
-    child = c["p_child"]
-    need(((owner < child) & (child <= micros)).all()
-         and (np.bincount(child, minlength=micros + 1)[2:] == 1).all(),
-         "every micro but the root needs exactly one parent portal, before it in k order")
-    need(((c["p_pos"] >= 1) & (c["p_pos"] <= size[owner - 1])).all(),
-         "a portal lies outside its shape")
+    # a shape's root is a member, and its portal leaves are listed in shape
+    # preorder; so every derived mini-local preorder and member count is >= 1
+    owner = np.repeat(np.arange(micros), ports)
+    pos = c["p_pos"]
+    need(((pos >= 2) & (pos <= size[owner])).all()
+         and ((np.diff(pos) > 0) | (np.diff(owner) > 0)).all(),
+         "portal positions do not rise within 2..shape size in each micro")
     start, run_k, run_t3 = c["run_start"], c["run_k"], c["run_t3"]
     need(len(start) and start[0] == 1 and (start[1:] > start[:-1]).all() and start[-1] <= n,
          "run starts do not rise from 1 within 1..n")
@@ -763,11 +844,10 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     micro_root = np.flatnonzero(np.frombuffer(closed2, dtype=np.uint8))
     M = len(micro_root)
 
+    del st_local  # _micro_shapes sets the build's memory peak
     # every micro root but the global one is a portal leaf of its parent's micro
     pc = micro_root[1:]
     pk = k_of[parent[pc]]
-    p_smini = np.where(is_mini_root[pc] == 1, 0, st_local[pc])
-    del st_local  # _micro_shapes sets the build's memory peak
     p_count = np.bincount(pk, minlength=M + 1)[1:]
     shape_size = np.bincount(k_of[1:], minlength=M + 1)[1:] + p_count
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
@@ -786,10 +866,8 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     loc = np.zeros(n + 1, dtype=idx)  # mini-local preorder
     loc[1:] = _rank_within(t1[1:])
     ld = np.arange(n + 1, dtype=idx) - np.frombuffer(t.inorder_of, dtype=idx) + ls
-    # micro portals in (owning micro, shape position) order; the child of
-    # portal j of `pc` is micro j + 2
+    # micro portals in (owning micro, shape position) order
     portal_pos = shape_pre[n:]
-    porder = np.lexsort((portal_pos, pk))
     # mini portals in (mini, mini-local source, side) order
     m_loc = loc[mp]
     morder = np.lexsort((m_side, m_loc, owner))
@@ -799,13 +877,12 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     at = _pca_runs(k_of[g], t3)
     cov._install({
         "mini_root": mini_root, "mini_ld": ld[mini_root],
-        "q_count": np.bincount(owner, minlength=n_minis + 1)[1:],
         "q_before": (m_loc + m_side * ls_loc)[morder], "q_side": m_side[morder],
         "q_parent": m_loc[morder], "q_size": st[child_minis[morder]],
-        "m_t1": mt1, "root_minilocal": loc[micro_root], "shape_size": shape_size,
+        "m_mini_root": is_mini_root[micro_root], "shape_size": shape_size,
         "ld_minilocal": ld[micro_root] - ld[mini_root[mt1 - 1]],
         "type_of": np.asarray(type_of), "p_count": p_count,
-        "p_pos": portal_pos[porder], "p_smini": p_smini[porder], "p_child": porder + 2,
+        "p_pos": portal_pos[np.lexsort((portal_pos, pk))],
         "run_start": at + 1, "run_k": k_of[g[at]], "run_t3": t3[at],
     })
     return cov

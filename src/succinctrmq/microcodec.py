@@ -98,8 +98,9 @@ class TypeRegistry:
         """The Zaks bit length (2s + 1 for an s-node shape) of every type."""
         return self.zaks.sizes()
 
-    def zaks_bits(self, type_id: int) -> list[int]:
-        return self.zaks.bits(type_id + 1).tolist()
+    def zaks_bits(self, type_id: int) -> np.ndarray:
+        """The type's Zaks sequence, as the uint8 array its table is built from."""
+        return self.zaks.bits(type_id + 1)
 
     def table(self, type_id: int) -> ShapeTable:
         """The type's lookup table, built on first use.  A table is complete
@@ -107,7 +108,7 @@ class TypeRegistry:
         same table twice."""
         tbl = self.tables.get(type_id)
         if tbl is None:
-            tbl = ShapeTable.from_zaks(self.zaks.bits(type_id + 1))
+            tbl = ShapeTable.from_zaks(self.zaks_bits(type_id))
             self.tables[type_id] = tbl
         return tbl
 

@@ -17,7 +17,7 @@ from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, 
 from .serial import DecodeError, Reader, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 5  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 6  # FORMAT.md, "RmqIndex"
 
 # what `RmqIndex.build` times, in order: ranking the values and building the
 # Cartesian tree, the tree cover, encoding the micro types, the spot check
@@ -63,8 +63,10 @@ class RmqIndex:
     def query(self, i: int, j: int) -> int:
         """Leftmost index of the minimum in positions i..j (1-based).
 
-        The load checks each cover field but not every relation between them,
-        so a crafted file can load and describe no tree.  A query that meets
+        The load derives the micro-root tree and the columns that follow
+        from it, so those cannot contradict each other, but it does not check
+        what depends on a micro's shape: that a portal position is a leaf of
+        it, or that a child micro's left depth matches it.  A query that meets
         such a contradiction, as a `ValueError` on its path or an answer
         outside [i, j], raises DecodeError."""
         if not 1 <= i <= j <= self.n:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .serial import DecodeError, bits_to_bytes, bytes_to_bits, decode_varint, encode_varint
-from .trees import BinaryTree, _cartesian_from_ranks
+from .trees import BinaryTree, _cartesian_from_ranks, _level_type
 
 _P = 62
 _FULL = 1 << _P
@@ -398,15 +398,6 @@ def encode_size_sequences(st, ls, counts) -> list[tuple[int, int]]:
 def encode_left_sizes(t: BinaryTree) -> list[int]:
     """Arithmetic-coded preorder left-subtree sizes (no header)."""
     return encode_size_sequence(t.st[1:], t.ls[1:])
-
-
-def _level_type(length: int):
-    """The narrowest signed integer type that holds every excess of a
-    `length`-bit sequence.  A micro shape's key fits 16 bits, where numpy's
-    stable sort is a radix sort."""
-    if length <= np.iinfo(np.int16).max:
-        return np.int16
-    return np.int32 if length <= np.iinfo(np.int32).max else np.int64
 
 
 def zaks_arrays(bits, sizes=None) -> tuple[np.ndarray, np.ndarray]:

@@ -113,6 +113,15 @@ def _int_array(values) -> array:
     return array("i", np.asarray(values, dtype=np.intc).tobytes())
 
 
+def _level_type(length: int):
+    """The narrowest signed integer type that holds every excess of a
+    `length`-bit sequence.  A micro shape's key fits 16 bits, where numpy's
+    stable sort is a radix sort."""
+    if length <= np.iinfo(np.int16).max:
+        return np.int16
+    return np.int32 if length <= np.iinfo(np.int32).max else np.int64
+
+
 def _chain_lengths(nxt: np.ndarray, end: int) -> np.ndarray:
     """Steps from each i along i -> nxt[i] -> ... until `end`, by pointer doubling."""
     jump = np.append(nxt, end)  # `end` maps to itself
@@ -443,28 +452,44 @@ class EulerTourLca(BlockMinLca):
         parent are 0), in a few numpy passes; ValueError if the ids are not
         such a preorder.
 
-        Node k has depth d_k; its balanced-parenthesis open sits at 2k - 1 -
-        d_k, and d_k + 1 - d_{k+1} closes follow it.  The i-th open and the
-        i-th close at each depth match.  A tour entry is the node on top after
-        each parenthesis but the root's close."""
+        The child counts d_k in preorder fix the tree: before node k, a
+        preorder walk has E_k = 1 + sum over j < k of (d_j - 1) subtrees
+        still to visit, and k's subtree ends before the first j > k with E_j
+        = E_k - 1 (j = size + 1, past the last node, has E = 0).  So each
+        node gets an entry at level E_k and, right after it, a query at level
+        E_k - 1; sorted stably by level, the first entry after each query is
+        the end of its node's subtree.  With C_k subtrees ended before node
+        k, k has depth k - 1 - C_k and its balanced-parenthesis open sits at
+        k + C_k; the closes before an open come deepest first.  A tour entry
+        is the node on top after each parenthesis but the root's close.  The
+        ids are the preorder when each parent is an ancestor one level up in
+        the tree so found."""
         par = np.asarray(parent, dtype=np.int64)
         size = len(par) - 1
         k = np.arange(1, size + 1)
         if size < 1 or par[0] or par[1] or not (par[2:] >= 1).all() or not (par[2:] < k[1:]).all():
             raise ValueError("parent ids are not a preorder")
-        depth = _chain_lengths(par, 0)[1:].astype(np.int64)
-        closes = depth + 1 - np.append(depth[1:], 0)
-        if (closes < 0).any():
+        todo = np.cumsum(np.bincount(par[2:], minlength=size + 1)[1:] - 1)
+        todo = np.append(1, 1 + todo).astype(_level_type(size + 1))  # E_1 .. E_(size+1)
+        if todo[:-1].min() < 1:
             raise ValueError("parent ids are not a preorder")
-        enter = 2 * k - 1 - depth
-        owner = np.repeat(np.arange(size), closes)
-        step = np.arange(size) - np.repeat(np.cumsum(closes) - closes, closes)
-        close_at = enter[owner] + 1 + step
-        exit_ = np.empty(size, dtype=np.int64)
-        exit_[np.argsort(depth, kind="stable")] = close_at[np.argsort(depth[owner] - step,
-                                                                      kind="stable")]
+        level = np.empty(2 * size + 1, dtype=todo.dtype)
+        level[0::2] = todo
+        level[1::2] = todo[:-1] - 1
+        order = np.argsort(level, kind="stable")
+        query = order & 1 == 1
+        after = np.where(query, len(order), np.arange(len(order)))
+        after = np.minimum.accumulate(after[::-1])[::-1]  # the next entry in level order
+        end = np.empty(size, dtype=np.int64)  # the node past each subtree
+        end[order[query] >> 1] = (order[after[query]] >> 1) + 1
+        ended = np.cumsum(np.bincount(end, minlength=size + 2))[1:]  # C_1 .. C_(size+1)
+        depth = np.arange(size + 1) - ended  # past the last node, depth 0
+        enter = depth + 2 * ended + 1  # past the last node, 2 size + 1
+        exit_ = enter[end - 1] - 1 - depth[:-1] + depth[end - 1]
+        depth, enter = depth[:-1], enter[:-1]
         up = par[2:] - 1
-        if not ((enter[up] < enter[1:]) & (exit_[1:] < exit_[up])).all():
+        if not ((depth[up] == depth[1:] - 1) & (enter[up] < enter[1:])
+                & (exit_[1:] < exit_[up])).all():
             raise ValueError("parent ids are not a preorder")
         tour = np.empty(2 * size, dtype=np.int64)
         tour[enter - 1] = (depth << 32) | k

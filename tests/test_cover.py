@@ -290,6 +290,64 @@ class TestLoadedCover:
         assert breaks == starts
 
 
+def brute_derived(t, cov) -> dict:
+    """The cover columns that a load derives from the micro-root tree,
+    computed from the tree by walks over its nodes: each node's micro is read
+    off the stored inorder map, and each mini tree's root is stored."""
+    n = t.n
+    micro = [0] * (n + 1)
+    for i in range(1, n + 1):
+        micro[t.id_at_inorder[i]] = cov.select_inorder(i)[0]
+    mini_roots = set(cov.mini_root[1:])
+    mini_id = {r: x for x, r in enumerate(sorted(mini_roots), 1)}
+    mini = [0] * (n + 1)  # each node's mini tree, by its root; parents come first
+    loc = [0] * (n + 1)  # mini-local preorder
+    seen = dict.fromkeys(mini_roots, 0)
+    for v in range(1, n + 1):
+        mini[v] = v if v in mini_roots else mini[t.parent[v]]
+        seen[mini[v]] += 1
+        loc[v] = seen[mini[v]]
+    mini_of = np.array(mini)
+    roots = [v for v in range(1, n + 1) if v == 1 or micro[t.parent[v]] != micro[v]]
+    assert [micro[r] for r in roots] == list(range(1, len(roots) + 1))
+    children = [[] for _ in range(len(roots) + 1)]
+    for r in roots[1:]:
+        children[micro[t.parent[r]]].append(r)
+    mini_portals = [0] * (len(mini_roots) + 1)
+    for r in sorted(mini_roots)[1:]:
+        mini_portals[mini_id[mini[t.parent[r]]]] += 1
+    return {
+        "p_child": [micro[r] for kids in children for r in kids],
+        "p_smini": [0 if r in mini_roots
+                    else int(np.count_nonzero(mini_of[r:r + t.st[r]] == mini[r]))
+                    for kids in children for r in kids],
+        "m_t1": [mini_id[mini[r]] for r in roots],
+        "root_minilocal": [loc[r] for r in roots],
+        "q_off": [0] + np.cumsum([0] + mini_portals[1:]).tolist(),
+    }
+
+
+class TestDerivedColumns:
+    """Each column that `TreeCover._install` derives from the portal counts
+    and the mini-root flags equals its brute-force value, built and loaded."""
+
+    TREES = {**{f"perm-{seed}": np.random.default_rng(seed).permutation(3000) for seed in (1, 2)},
+             **adversarial_ranks(3000)}
+
+    @pytest.mark.parametrize("mini_b,micro_b", [(None, None), (16, 4), (3, 3)],
+                             ids=["default", "16-4", "3-3"])
+    @pytest.mark.parametrize("name", list(TREES))
+    def test_matches_brute_force(self, name, mini_b, micro_b):
+        t = build_cartesian(self.TREES[name].tolist())
+        built = build_cover(t, mini_b=mini_b, micro_b=micro_b)
+        want = brute_derived(t, built)
+        for cov in (built, reloaded(built)):
+            got = {"p_child": list(cov.p_child), "p_smini": list(cov.p_smini),
+                   "m_t1": list(cov.m_t1[1:]), "root_minilocal": list(cov.root_minilocal[1:]),
+                   "q_off": cov.q_off}
+            assert got == want
+
+
 class TestSpaceAccounting:
     def test_components_present(self):
         t = sample_random_bst(5000, 9)

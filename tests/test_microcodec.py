@@ -55,7 +55,7 @@ class TestMicroTypeKey:
 
     def test_single_node(self):
         reg = registry_of([1, 0, 0])
-        assert len(reg) == 1 and reg.zaks_bits(0) == [1, 0, 0]
+        assert len(reg) == 1 and reg.zaks_bits(0).tolist() == [1, 0, 0]
         assert reg.to_bytes() == VariableCellArray([(0b100, 3)]).to_bytes()
 
     def test_two_shapes_distinct(self):
@@ -64,7 +64,7 @@ class TestMicroTypeKey:
         assert a == [1, 1, 0, 0, 0]
         assert b == [1, 0, 1, 0, 0]
         reg = registry_of(a, b)
-        assert (reg.zaks_bits(0), reg.zaks_bits(1)) == (a, b)
+        assert (reg.zaks_bits(0).tolist(), reg.zaks_bits(1).tolist()) == (a, b)
 
     def test_same_shape_same_key(self):
         # small micros repeat shapes under portals that hang on different
@@ -72,7 +72,7 @@ class TestMicroTypeKey:
         t = build_cartesian(np.random.default_rng(7).permutation(20000))
         cov = build_cover(t, mini_b=64, micro_b=8)
         reg = cov.registry
-        keys = [tuple(reg.zaks_bits(t)) for t in range(len(reg))]
+        keys = [tuple(reg.zaks_bits(t).tolist()) for t in range(len(reg))]
         assert len(set(keys)) == len(keys)
         by_shape = {}
         for k in range(1, cov.micro_count() + 1):
@@ -83,7 +83,8 @@ class TestMicroTypeKey:
     def test_registry_roundtrip(self):
         reg = registry_of([1, 0, 0], [1, 1, 0, 0, 0], encode_zaks(sample_random_bst(80, 3)))
         back = TypeRegistry.from_bytes(reg.to_bytes())
-        assert [back.zaks_bits(t) for t in range(3)] == [reg.zaks_bits(t) for t in range(3)]
+        assert ([back.zaks_bits(t).tolist() for t in range(3)]
+                == [reg.zaks_bits(t).tolist() for t in range(3)])
         assert back.to_bytes() == reg.to_bytes()
 
 
@@ -205,7 +206,7 @@ class TestShapeTable:
         t = sample_random_bst(300, 4)
         reg = registry_of(encode_zaks(t))
         tid = 0
-        assert reg.zaks_bits(tid) == encode_zaks(t)
+        assert reg.zaks_bits(tid).tolist() == encode_zaks(t)
         assert reg.tables_built() == 0
         table = reg.table(tid)
         assert reg.table(tid) is table and reg.tables_built() == 1
@@ -343,7 +344,7 @@ class TestHuffman:
 def entropy_object(registry, type_id):
     """One type's entropy payload, from its key alone through the scalar
     coder: the reference for `encode_types`' batched pass."""
-    zaks = registry.zaks_bits(type_id)
+    zaks = registry.zaks_bits(type_id).tolist()
     ls, ld = zaks_arrays(zaks)
     selector, body = encode_body(subtree_sizes(ls, ld).tolist(), ls.tolist(), zaks)
     return bits_to_object([selector, *body])

@@ -318,7 +318,7 @@ class TestMalformedSections:
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
         version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == FORMAT_VERSION == 5
+        assert version == FORMAT_VERSION == 6
         return sections
 
     @staticmethod
@@ -358,7 +358,7 @@ class TestMalformedSections:
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
@@ -381,12 +381,13 @@ class TestMalformedSections:
 
 class TestValueChecks:
     """Well-formed sections whose values break the cover are rejected at
-    load: each case rewrites one entry of one column (n = 300)."""
+    load: each case rewrites one entry of one column (n = 300, in 13 mini
+    trees)."""
 
     @pytest.fixture(scope="class")
     def sections(self):
         arr = np.random.default_rng(300).permutation(300).tolist()
-        return read_stream(RmqIndex.build(arr, micro_b=4).to_bytes())[1]
+        return read_stream(RmqIndex.build(arr, mini_b=16, micro_b=4).to_bytes())[1]
 
     @staticmethod
     def rewrite(sections, column, index, value):
@@ -410,19 +411,37 @@ class TestValueChecks:
             RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
 
     @pytest.mark.parametrize("column,index,value", [
-        ("p_child", 0, 10**9),  # a child micro that does not exist
-        ("p_child", 1, 2),  # micro 2 gets two parents
         ("type_of", 0, 10**6),  # a type the registry does not hold
         ("run_start", 0, 5),  # inorder ranks 1..4 in no run
         ("run_start", 1, 1),  # run starts that do not rise
         ("p_pos", 0, 10**4),  # a portal outside its shape
-        ("m_t1", 0, 10**3),  # a micro in no mini tree
         ("run_k", 0, 10**4),  # a run in no micro
         ("run_t3", -1, 10**4),  # a run past its micro's shape
     ])
     def test_bad_value_rejected(self, sections, column, index, value):
         with pytest.raises(DecodeError):
             RmqIndex.from_bytes(self.rewrite(sections, column, index, value))
+
+    @staticmethod
+    def column(sections, name):
+        tag, names = next((t, names) for t, names in _SECTIONS if name in names)
+        r = Reader(sections[tag], tag.decode("ascii"))
+        return [read_column(r) for _ in names][names.index(name)]
+
+    @pytest.mark.parametrize("column,edit,message", [
+        # micro 1 has no portal, so the tree ends before micro 2
+        ("p_count", lambda col: (0, 0), "degree sequence"),
+        # the last micro opens a portal that no micro takes
+        ("p_count", lambda col: (len(col) - 1, col[-1] + 1), "degree sequence"),
+        ("m_mini_root", lambda col: (0, 0), "micro 1 does not root a mini tree"),
+        # one micro more flagged than MINI lists mini trees
+        ("m_mini_root", lambda col: (int(np.flatnonzero(col == 0)[0]), 1),
+         "do not count the mini trees"),
+    ], ids=["tree-closes-early", "slots-left-open", "micro-1-unflagged", "extra-flag"])
+    def test_bad_tree_rejected(self, sections, column, edit, message):
+        at, value = edit(self.column(sections, column))
+        with pytest.raises(DecodeError, match=message):
+            RmqIndex.from_bytes(self.rewrite(sections, column, at, value))
 
     @pytest.mark.parametrize("nbits", [1, 4], ids=["short", "even"])
     def test_bad_typr_header_rejected(self, sections, nbits):
