@@ -7,10 +7,11 @@ left subtree and one in its right subtree; outgoing edges materialize as
 edges surface as extra portal leaves inside whichever micro tree holds the
 source node, so a micro shape can carry up to four portals).  Nodes are
 addressed by tau-names (mini index, mini-local micro index, micro-local shape
-preorder); a run-compressed map takes global inorder positions to tau-names
-(the preorder map, which RMQ never reads, is derived on first use),
+preorder); a run-compressed map, read off the Euler tour of the ordinal tree
+of all micro roots, takes global inorder positions to tau-names (the
+preorder map, which RMQ never reads, is derived the same way on first use),
 portal-offset arithmetic maps them back, and cross-component LCA runs on the
-ordinal tree of all micro roots.
+micro-root tree.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
-from .trees import BinaryTree, EulerTourLca, _level_type
+from .trees import BinaryTree, EulerTourLca
 
 
 class CoverError(ValueError):
@@ -229,12 +230,12 @@ class MicroView(NamedTuple):
 
 
 # The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
-# (version 6)", says what each holds.  A micro's shape size is its type's, and
+# (version 7)", says what each holds.  A micro's shape size is its type's, and
 # `TreeCover._install` derives the other cover columns from these.
 _SECTIONS = (
     (b"MINI", ("mini_root", "mini_ld", "q_before", "q_side", "q_parent", "q_size")),
     (b"MICR", ("m_mini_root", "ld_minilocal", "type_of", "p_count", "p_pos")),
-    (b"PCAS", ("run_start", "run_k", "run_t3")),
+    (b"PCAS", ("p_in",)),
 )
 # held 1-based (slot 0 unused), per mini tree or per micro tree
 _ONE_BASED = ("mini_root", "mini_ld", "shape_size", "ld_minilocal", "type_of")
@@ -269,7 +270,7 @@ class TreeCover:
         "mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size",
         # per micro tree k, and its portals p_off[k] .. p_off[k + 1] - 1
         "m_t1", "m_t2", "root_minilocal", "shape_size", "ld_minilocal", "type_of",
-        "p_off", "p_pos", "p_smini", "p_child",
+        "p_off", "p_pos", "p_in", "p_smini", "p_child",
         # micro tree (t1, t2) is k_at[first[t1] + t2]
         "first", "k_at",
         # per run of the inorder position map, whose starts are c_in's 1-bits
@@ -305,18 +306,11 @@ class TreeCover:
 
     def _derive_preorder_runs(self) -> tuple:
         """The preorder position map, which RMQ never reads and files do not
-        store, derived on first use: the members between a micro's portal
-        leaves are consecutive in global preorder, so each such stretch is
-        one run, starting at the global preorder of its first member."""
-        rows = []
-        for k in range(1, self.micro_count() + 1):
-            ports = self.p_pos[self.p_off[k]:self.p_off[k + 1]].tolist()
-            for a in [1] + [x + 1 for x in ports]:
-                if a <= self.shape_size[k] and a not in ports:
-                    rows.append((self._preorder(k, a), k, a))
-        starts, run_k, run_t3 = zip(*sorted(rows))
-        self._preorder_runs = (CompressedBitVec.from_positions(self.n, starts),
-                               compact_array(run_k), compact_array(run_t3))
+        store, derived on first use from the portals' shape preorder."""
+        enter, exit_ = (np.asarray(x, dtype=np.int64) for x in (self.tb.enter, self.tb.exit))
+        self._preorder_runs = _runs(self.n, np.asarray(self.p_off[1:], dtype=np.int64),
+                                    np.asarray(self.shape_size[1:], dtype=np.int64),
+                                    enter[1:], exit_[np.asarray(self.p_child)], self.p_pos)
         return self._preorder_runs
 
     def _preorder(self, k: int, t3: int) -> int:
@@ -479,14 +473,15 @@ class TreeCover:
 
     def space_bits(self) -> dict:
         """Designed widths, in bits: each stored column at its packed width,
-        plus what a load rebuilds (the run starts' rank directory, the
-        micro-root tree and the columns derived from it, each at the width it
-        would pack at).  Built lookup tables have a separate budget."""
+        plus what a load rebuilds (the micro-root tree and the columns derived
+        from it, the inorder map's runs among them, each at the width it
+        would pack at, and the run starts' rank directory).  Built lookup
+        tables have a separate budget."""
         cols = self._columns()
         packed = {tag: sum(len(cols[x]) * column_width(cols[x]) for x in names)
                   for tag, names in _SECTIONS}
-        derived = (self.p_child, self.p_smini, self.m_t1[1:], self.root_minilocal[1:],
-                   self.q_off)
+        derived = (self.c_in.positions(), self.run_k, self.run_t3, self.p_child, self.p_smini,
+                   self.m_t1[1:], self.root_minilocal[1:], self.q_off)
         return {
             "per_micro_tables": packed[b"MICR"],
             "per_mini_tables": packed[b"MINI"],
@@ -518,8 +513,7 @@ class TreeCover:
     def _columns(self) -> dict[str, np.ndarray]:
         """The stored columns (see `_SECTIONS`); a micro roots a mini tree
         exactly when it is its mini's first."""
-        cols = {"run_start": np.asarray(self.c_in.positions()),
-                "m_mini_root": (np.asarray(self.m_t2[1:]) == 1).astype(np.uint8)}
+        cols = {"m_mini_root": (np.asarray(self.m_t2[1:]) == 1).astype(np.uint8)}
         for name in (x for _, names in _SECTIONS for x in names if x not in cols):
             col = np.asarray(getattr(self, _OFFSETS.get(name, name)))
             if name in _OFFSETS:
@@ -557,31 +551,31 @@ class TreeCover:
 
     def _install(self, cols: dict[str, np.ndarray]) -> None:
         """Hold the stored columns as compact arrays and derive the rest
-        (FORMAT.md, "RmqIndex (version 6)"): the micro-root tree, whose
+        (FORMAT.md, "RmqIndex (version 7)"): the micro-root tree, whose
         preorder degree sequence is the portal counts, and from it each
         portal's child micro and members in the mini, each micro's mini, t2
-        and root mini-local preorder, and the mini portal offsets; then the
-        (t1, t2) -> k directory and the rank directory of the run starts."""
+        and root mini-local preorder, the mini portal offsets, the (t1, t2)
+        -> k directory and the inorder position map."""
         for name, col in cols.items():
             if name in _ONE_BASED:
                 col = np.append(0, col)
             elif name in _OFFSETS:
                 name, col = _OFFSETS[name], np.append((0, 0), np.cumsum(col))
-            elif name in ("run_start", "m_mini_root"):
+            elif name == "m_mini_root":
                 continue
             setattr(self, name, col.tolist() if name in _LISTS else compact_array(col))
         self._preorder_runs = None
-        self.c_in = CompressedBitVec.from_positions(self.n, cols["run_start"])
         ports = np.asarray(cols["p_count"], dtype=np.int64)
         micros = len(ports)
         p_off = np.append(0, np.cumsum(ports))
         owner = np.repeat(np.arange(1, micros + 1), ports)
-        child = _portal_children(ports)
+        self.tb, child = EulerTourLca.from_degrees(ports)
         parent = np.zeros(micros + 1, dtype=np.int64)
         parent[child] = owner
         self.p_child = compact_array(child)
-        self.tb = EulerTourLca.from_preorder(parent)
         enter, exit_ = (np.asarray(x, dtype=np.int64) for x in (self.tb.enter, self.tb.exit))
+        self.c_in, self.run_k, self.run_t3 = _runs(self.n, p_off, cols["shape_size"], enter[1:],
+                                                   exit_[child], cols["p_in"])
 
         # minis are numbered by their root micros' preorder; a mini's portals
         # are the edges from it into other minis' roots
@@ -626,49 +620,57 @@ class TreeCover:
         self.root_minilocal = compact_array(root_minilocal)
 
 
-def _portal_children(p_count: np.ndarray) -> np.ndarray:
-    """The child micro of every portal, in (micro, shape position) order, of
-    the micro-root tree whose preorder degree sequence is `p_count` (which
-    the load checks), in one stable sort of 16-bit levels (wider past 16383
-    micros).
+def _runs(n: int, p_off, sizes, enter, leave, positions) -> tuple:
+    """A position map, run-compressed: the run starts as a bit vector, and
+    each run's micro and shape position.  It is read from every portal's
+    shape position in one order, inorder or preorder, listed as `p_pos` is;
+    micro k's portals are p_off[k - 1] .. p_off[k] - 1, its shape size is
+    sizes[k - 1], and the micro-root tree's Euler tour enters it at time
+    enter[k - 1] and leaves portal j's child at leave[j].
 
-    In preorder, each micro takes the first portal left open by its nearest
-    ancestor that still has one, so the open portals form a stack.  Write
-    micro k as one 1-bit per portal, last portal first, and then a 0-bit at
-    which micro k + 1 takes the portal on top.  With excess +1 per 1-bit and
-    -1 per 0-bit, give each 1-bit the level "excess before it" and each 0-bit
-    "excess after it", as `treecode.zaks_arrays` does: sorted stably by
-    level, each portal's 1 is followed by the 0 at which its child takes it,
-    and the last 0, which no micro follows, comes first alone at level -1."""
-    micros = len(p_count)
-    b = np.ones(2 * micros - 1, dtype=_level_type(2 * micros - 1))
-    b[np.cumsum(p_count) + np.arange(micros)] = 0
-    after = np.cumsum(2 * b - 1, dtype=b.dtype)
-    order = np.argsort(after - b, kind="stable")[1:]
-    ones, zeros = order[0::2], order[1::2]
-    took = np.cumsum(1 - b)  # 0-bits so far: the micros written before a 1-bit
-    m = took[ones]  # the 1-bit's micro, 0-based; it is that micro's portal
-    # p_off[m + 1] - 1 - (ones before it - p_off[m]), counting back from the last
-    p_off = np.append(0, np.cumsum(p_count))
-    child = np.empty(micros - 1, dtype=np.int64)
-    child[p_off[m] + p_off[m + 1] - 1 - (ones - m)] = took[zeros] + 1
-    return child
+    Stretch i of micro k is its members between its portals i and i + 1 in
+    that order, with shape positions 0 and shape size + 1 standing in at the
+    ends.  In global order, micro k's stretches come between the subtrees
+    below its portals, so the map lists every stretch in Euler-tour order:
+    stretch 0 when the tour enters k, stretch i when it leaves portal i's
+    child.  These are the tour times but the root's exit, 1 .. 2M - 1.  The
+    non-empty stretches are the runs; two stretches of one micro never touch,
+    since a portal's child subtree has members, so the runs are maximal."""
+    micros = len(sizes)
+    ports = np.diff(p_off)
+    first = p_off[:-1] + np.arange(micros)  # stretch 0 of each micro, in (micro, i) order
+    mark = np.zeros(2 * micros - 1, dtype=np.int64)
+    mark[first] = 1
+    micro = np.cumsum(mark)  # each stretch's micro
+    after = np.flatnonzero(mark == 0)  # the stretch after each portal
+    start = np.ones(2 * micros - 1, dtype=np.int64)
+    start[after] = np.asarray(positions, dtype=np.int64) + 1
+    stop = np.empty_like(start)  # one past each stretch
+    stop[:-1] = start[1:] - 1
+    stop[first + ports] = sizes + 1
+    by_time = np.empty_like(start)
+    by_time[enter - 1] = first
+    by_time[leave - 1] = after
+    size = (stop - start)[by_time]
+    keep = np.flatnonzero(size)
+    runs, size = by_time[keep], size[keep]
+    return (CompressedBitVec.from_positions(n, np.cumsum(size) - size + 1),
+            compact_array(micro[runs]), compact_array(start[runs]))
 
 
 def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> None:
-    """Value checks on loaded cover columns, in O(#micros + #runs) numpy
-    passes, which also add each micro's shape size, read off its type; a
-    failure is a DecodeError saying what is inconsistent.  The portal counts
+    """Value checks on loaded cover columns, in O(#micros) numpy passes,
+    which also add each micro's shape size, read off its type; a failure is
+    a DecodeError saying what is inconsistent.  The portal counts
     must be a tree's preorder degree sequence and the flagged micros its mini
     roots, so that every column `TreeCover._install` derives is defined."""
     def need(ok, what: str) -> None:
         if not ok:
             raise DecodeError(f"cover columns: {what}")
 
-    minis, micros, runs = len(c["mini_root"]), len(c["p_count"]), len(c["run_start"])
+    minis, micros = len(c["mini_root"]), len(c["p_count"])
     rows = ((("mini_ld",), minis), (("q_before", "q_side", "q_parent", "q_size"), minis - 1),
-            (("m_mini_root", "ld_minilocal", "type_of"), micros), (("p_pos",), micros - 1),
-            (("run_k", "run_t3"), runs))
+            (("m_mini_root", "ld_minilocal", "type_of"), micros), (("p_pos", "p_in"), micros - 1))
     need(minis and micros and all(len(c[x]) == count for names, count in rows for x in names),
          "columns differ in length")
     flag = c["m_mini_root"]
@@ -687,17 +689,15 @@ def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> 
     # a shape's root is a member, and its portal leaves are listed in shape
     # preorder; so every derived mini-local preorder and member count is >= 1
     owner = np.repeat(np.arange(micros), ports)
+    other = np.diff(owner) > 0
     pos = c["p_pos"]
-    need(((pos >= 2) & (pos <= size[owner])).all()
-         and ((np.diff(pos) > 0) | (np.diff(owner) > 0)).all(),
+    need(((pos >= 2) & (pos <= size[owner])).all() and ((np.diff(pos) > 0) | other).all(),
          "portal positions do not rise within 2..shape size in each micro")
-    start, run_k, run_t3 = c["run_start"], c["run_k"], c["run_t3"]
-    need(len(start) and start[0] == 1 and (start[1:] > start[:-1]).all() and start[-1] <= n,
-         "run starts do not rise from 1 within 1..n")
-    need(((run_k >= 1) & (run_k <= micros)).all(), "a run names no micro")
-    length = np.diff(np.append(start, n + 1))
-    need(((run_t3 >= 1) & (run_t3 - 1 <= size[run_k - 1] - length)).all(),
-         "a run does not fit in its micro's shape")
+    # two leaves have their LCA, a member, between them in inorder; so every
+    # derived run has members, and the run starts rise within 1..n
+    pos = c["p_in"]
+    need(((pos >= 1) & (pos <= size[owner])).all() and ((np.diff(pos) >= 2) | other).all(),
+         "portal inorder positions do not rise by 2 or more within 1..shape size in each micro")
 
 
 def _rank_within(groups: np.ndarray) -> np.ndarray:
@@ -762,14 +762,6 @@ def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
     keys = [(int.from_bytes(codes[e - w:e], "big"), size)
             for e, w, size in zip(end.tolist(), nbytes.tolist(), nbits.tolist())]
     return shape_pre, shape_in, keys
-
-
-def _pca_runs(k, t3):
-    """Run starts (0-based) of the (micro, shape index) sequence: a run breaks
-    when the micro changes or the shape index fails to step by one."""
-    brk = np.ones(len(k), dtype=bool)
-    brk[1:] = (k[1:] != k[:-1]) | (t3[1:] != t3[:-1] + 1)
-    return np.flatnonzero(brk)
 
 
 def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = None) -> TreeCover:
@@ -871,10 +863,7 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
     # mini portals in (mini, mini-local source, side) order
     m_loc = loc[mp]
     morder = np.lexsort((m_side, m_loc, owner))
-    # the inorder position map, run-compressed
-    g = np.frombuffer(t.id_at_inorder, dtype=idx)[1:]
-    t3 = shape_in[g - 1]
-    at = _pca_runs(k_of[g], t3)
+    by_portal = np.lexsort((portal_pos, pk))
     cov._install({
         "mini_root": mini_root, "mini_ld": ld[mini_root],
         "q_before": (m_loc + m_side * ls_loc)[morder], "q_side": m_side[morder],
@@ -882,7 +871,6 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
         "m_mini_root": is_mini_root[micro_root], "shape_size": shape_size,
         "ld_minilocal": ld[micro_root] - ld[mini_root[mt1 - 1]],
         "type_of": np.asarray(type_of), "p_count": p_count,
-        "p_pos": portal_pos[np.lexsort((portal_pos, pk))],
-        "run_start": at + 1, "run_k": k_of[g[at]], "run_t3": t3[at],
+        "p_pos": portal_pos[by_portal], "p_in": shape_in[n:][by_portal],
     })
     return cov

@@ -17,7 +17,7 @@ from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, 
 from .serial import DecodeError, Reader, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 6  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 7  # FORMAT.md, "RmqIndex"
 
 # what `RmqIndex.build` times, in order: ranking the values and building the
 # Cartesian tree, the tree cover, encoding the micro types, the spot check

@@ -122,18 +122,6 @@ def _level_type(length: int):
     return np.int32 if length <= np.iinfo(np.int32).max else np.int64
 
 
-def _chain_lengths(nxt: np.ndarray, end: int) -> np.ndarray:
-    """Steps from each i along i -> nxt[i] -> ... until `end`, by pointer doubling."""
-    jump = np.append(nxt, end)  # `end` maps to itself
-    dist = (jump != end).astype(np.intc)
-    live = np.flatnonzero(dist)
-    while live.size:
-        dist[live] += dist[jump[live]]
-        jump[live] = jump[jump[live]]
-        live = live[jump[live] != end]
-    return dist[:-1]
-
-
 def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
     """For each position i >= 1 of the intc array `rk`, the nearest j < i with
     rk[j] <= rk[i]; rk[0] must be below every other entry, and slot 0 of the
@@ -178,9 +166,10 @@ def _cartesian_from_ranks(ranks) -> BinaryTree:
 
     `_nearest_smaller_left` finds each position's nearest smaller rank to the
     left (L), and again on the reversed ranks to the right (R).  The subtree
-    of position i then spans L+1..R-1, its parent is whichever of L and R has
-    the larger rank, and its preorder id is in - ls + ld, where the left depth
-    ld counts the ancestors to the right of i: the chain R, R(R), ...
+    of position i then spans L+1..R-1, and its parent is whichever of L and R
+    has the larger rank.  Preorder lists subtrees by where they start in
+    inorder, and of two subtrees that start at the same place the larger is
+    the ancestor; so one sort by (L, -size) gives the preorder ids.
     """
     n = len(ranks)
     if n == 0:
@@ -198,7 +187,8 @@ def _cartesian_from_ranks(ranks) -> BinaryTree:
     par = np.where(rk[lo] > rk[hi], lo, hi)
     del rk
     par[par == n + 1] = 0  # the root: no smaller rank on either side
-    pre = at - ls + _chain_lengths(hi, n + 1)
+    pre = np.zeros(n + 1, dtype=np.intc)
+    pre[np.argsort(lo[1:].astype(np.int64) * (n + 2) - st[1:]) + 1] = at[1:]
     child = np.flatnonzero(par)
     on_left = par[child] == hi[child]
     left = np.zeros(n + 1, dtype=np.intc)
@@ -446,58 +436,64 @@ class EulerTourLca(BlockMinLca):
         self._install(first, enter, exit_, keys)
 
     @classmethod
-    def from_preorder(cls, parent: np.ndarray) -> "EulerTourLca":
-        """The structure for a tree whose ids 1..size are its preorder with
-        children in id order, from its parent ids (slot 0 and the root's
-        parent are 0), in a few numpy passes; ValueError if the ids are not
-        such a preorder.
+    def from_degrees(cls, degrees) -> tuple["EulerTourLca", np.ndarray]:
+        """The structure for the ordinal tree whose preorder degree sequence
+        is `degrees` (ids 1..size are its preorder, children in id order),
+        and the child of each child slot, in (parent, slot) order; ValueError
+        if `degrees` is no tree's.  A few numpy passes and one stable sort of
+        16-bit levels (wider past 16383 nodes).
 
-        The child counts d_k in preorder fix the tree: before node k, a
-        preorder walk has E_k = 1 + sum over j < k of (d_j - 1) subtrees
-        still to visit, and k's subtree ends before the first j > k with E_j
-        = E_k - 1 (j = size + 1, past the last node, has E = 0).  So each
-        node gets an entry at level E_k and, right after it, a query at level
-        E_k - 1; sorted stably by level, the first entry after each query is
-        the end of its node's subtree.  With C_k subtrees ended before node
-        k, k has depth k - 1 - C_k and its balanced-parenthesis open sits at
-        k + C_k; the closes before an open come deepest first.  A tour entry
-        is the node on top after each parenthesis but the root's close.  The
-        ids are the preorder when each parent is an ancestor one level up in
-        the tree so found."""
-        par = np.asarray(parent, dtype=np.int64)
-        size = len(par) - 1
-        k = np.arange(1, size + 1)
-        if size < 1 or par[0] or par[1] or not (par[2:] >= 1).all() or not (par[2:] < k[1:]).all():
-            raise ValueError("parent ids are not a preorder")
-        todo = np.cumsum(np.bincount(par[2:], minlength=size + 1)[1:] - 1)
-        todo = np.append(1, 1 + todo).astype(_level_type(size + 1))  # E_1 .. E_(size+1)
-        if todo[:-1].min() < 1:
-            raise ValueError("parent ids are not a preorder")
-        level = np.empty(2 * size + 1, dtype=todo.dtype)
-        level[0::2] = todo
-        level[1::2] = todo[:-1] - 1
+        In preorder, each node takes the top slot of a stack of open slots
+        and then pushes its own, last slot first.  Write node k as a query,
+        one 1-bit per slot (last slot first) and a 0-bit, at which node k + 1
+        takes the slot on top; less the queries, that is DFUDS without its
+        leading 1 (Benoit, Demaine, Munro, Raman, Raman & Rao, Algorithmica
+        2005).  With excess +1 per 1-bit and -1 per 0-bit, give each 1-bit the
+        level "excess before it" and each 0-bit "excess after it", as
+        `treecode.zaks_arrays` does, and node k's query one less than the
+        excess before it.  Sorted stably by level, the next 0-bit after a
+        slot's 1 is where its child takes it, and the next 0-bit after node
+        k's query is where the node past k's subtree takes the slot under the
+        one k took.  With C_k subtrees ended before node k, k has depth
+        k - 1 - C_k, enters the tour at k + C_k and leaves it 2 st_k - 1 later,
+        for subtree size st_k."""
+        d = np.asarray(degrees, dtype=np.int64)
+        size = len(d)
+        open_after = 1 + np.cumsum(d - 1)  # slots open after each node
+        if not size or d.min() < 0 or open_after[:-1].min(initial=1) < 1 or open_after[-1]:
+            raise ValueError("degrees are not a tree's preorder degree sequence")
+        p_off = np.append(0, np.cumsum(d))
+        query = 2 * np.arange(size) + p_off[:-1]  # where node k's entries start, k 0-based
+        step = np.ones(3 * size - 1, dtype=_level_type(2 * size - 1))  # 1-bits
+        step[query] = 0
+        step[query + d + 1] = -1  # 0-bits
+        level = np.cumsum(step, dtype=step.dtype) - (step == 1)
+        level[query] -= 1
         order = np.argsort(level, kind="stable")
-        query = order & 1 == 1
-        after = np.where(query, len(order), np.arange(len(order)))
-        after = np.minimum.accumulate(after[::-1])[::-1]  # the next entry in level order
-        end = np.empty(size, dtype=np.int64)  # the node past each subtree
-        end[order[query] >> 1] = (order[after[query]] >> 1) + 1
-        ended = np.cumsum(np.bincount(end, minlength=size + 2))[1:]  # C_1 .. C_(size+1)
-        depth = np.arange(size + 1) - ended  # past the last node, depth 0
-        enter = depth + 2 * ended + 1  # past the last node, 2 size + 1
-        exit_ = enter[end - 1] - 1 - depth[:-1] + depth[end - 1]
-        depth, enter = depth[:-1], enter[:-1]
-        up = par[2:] - 1
-        if not ((depth[up] == depth[1:] - 1) & (enter[up] < enter[1:])
-                & (exit_[1:] < exit_[up])).all():
-            raise ValueError("parent ids are not a preorder")
+        zeros = np.flatnonzero(step[order] < 0)  # the last entry in level order is a 0-bit
+        takes = np.empty(len(step), dtype=np.int64)
+        takes[query + d + 1] = np.arange(2, size + 2)  # the node that takes at each 0-bit
+        taker = np.empty(len(step), dtype=np.int64)  # ... and at the next 0-bit
+        taker[order] = takes[order[np.repeat(zeros, np.diff(zeros, prepend=-1))]]
+        end = taker[query]  # the node past each subtree
+        ones = np.flatnonzero(step == 1)
+        m = np.repeat(np.arange(1, size + 1), d)  # each 1-bit's node
+        child = np.empty(size - 1, dtype=np.int64)
+        child[np.repeat(query + d + p_off[:-1], d) - ones] = taker[ones]  # last slot first
+        parent = np.zeros(size + 1, dtype=np.int64)
+        parent[taker[ones]] = m
+        k = np.arange(1, size + 1)
+        ended = np.cumsum(np.bincount(end, minlength=size + 1))[1:size + 1]  # C_1 .. C_size
+        depth = k - 1 - ended
+        enter = k + ended
+        exit_ = enter + 2 * (end - k) - 1
         tour = np.empty(2 * size, dtype=np.int64)
         tour[enter - 1] = (depth << 32) | k
-        tour[exit_ - 1] = ((depth - 1) << 32) | par[1:]
+        tour[exit_ - 1] = ((depth - 1) << 32) | parent[1:]
         self = cls.__new__(cls)
         self._install(*(_int_array(np.append(0, x)) for x in (enter - 1, enter, exit_)),
                       tour[:-1])
-        return self
+        return self, child
 
     def _install(self, first: array, enter: array, exit_: array, keys: np.ndarray) -> None:
         super().__init__(first, keys.tolist(), keys)

@@ -288,6 +288,14 @@ class TestLoadedCover:
                         if names[p - 1][:2] != names[p - 2][:2]
                         or names[p - 1].t3 != names[p - 2].t3 + 1]
         assert breaks == starts
+        # the inorder map's runs break exactly where the micro changes or the
+        # shape inorder position fails to step by one
+        cells = [cov.select_inorder(i) for i in range(1, t.n + 1)]
+        cells = [(k, cov.registry.table(cov.type_of[k]).pre2in[t3]) for k, t3 in cells]
+        breaks = [1] + [i for i in range(2, t.n + 1)
+                        if cells[i - 1][0] != cells[i - 2][0]
+                        or cells[i - 1][1] != cells[i - 2][1] + 1]
+        assert breaks == cov.c_in.positions()
 
 
 def brute_derived(t, cov) -> dict:

@@ -1,12 +1,13 @@
 """Golden bytes and answers: the serialized index must not change unless the
 format does, and queries must keep their answers and operation counts.
 
-The byte digests are of format version 6, in which every section is packed
+The byte digests are of format version 7, in which every section is packed
 columns or raw payload words under a CRC-32, a micro type is its shape alone,
-and the cover stores no column that follows from the micro-root tree's portal
-counts (FORMAT.md); a change to any of them means a different file, not just
-a different way of building the same one.  A loaded index writes back the
-bytes it was read from.
+the cover stores no column that follows from the micro-root tree's portal
+counts, and the inorder position map is stored as each portal's shape
+inorder position alone (FORMAT.md); a change to any of them means a
+different file, not just a different way of building the same one.  A
+loaded index writes back the bytes it was read from.
 The query digests were recorded from the query path before it was flattened,
 and hold for a built index and for the same index reloaded from its bytes.
 The organ-pipe digests were recorded before the Cartesian tree and the cover
@@ -42,14 +43,14 @@ def organ_pipe(n: int) -> list[int]:
 
 
 GOLDEN = [
-    ("perm", 1000, "fixed", "011dbd2f8aa8127207a562eb83873e86eda2bfa0"),
-    ("perm", 1000, "entropy", "249a9e8c203a811066b42ed091381987f0dff166"),
-    ("perm", 1000, "huffman", "4b057d0c475fa9a5b7996db40952fb5553582ba8"),
-    ("perm", 20000, "fixed", "54e2a8983c6f753548c396fecd2717c37a527b50"),
-    ("perm", 20000, "entropy", "c8b77ef9c0012cbbf6c4f1e0bac4784a25277be5"),
-    ("perm", 20000, "huffman", "7fe37133a55587d14ff41fa5eadb111b25469e12"),
-    ("ties", 20000, "entropy", "8f54d8c708b0ca51ca2238a2d7bd3016eb495d54"),
-    ("organ", 20000, "entropy", "1c3bdb64e3d3e53c949090c454d064b951aae547"),
+    ("perm", 1000, "fixed", "4ac1518537fa5a1b76e2e4fecad52a4155f70654"),
+    ("perm", 1000, "entropy", "67768aaba5e480c6cf58977f7f6f6812c90378ec"),
+    ("perm", 1000, "huffman", "fb13720ac400efadbd6bc2c869feb8a967b51343"),
+    ("perm", 20000, "fixed", "6dc79831eab521750aad306ca5900028173c4ce8"),
+    ("perm", 20000, "entropy", "59f43137c0695ca508d3c81ddb6aaacb25ed9d49"),
+    ("perm", 20000, "huffman", "91c0baaf2bb8af9a508e23a0272b706b9eccff5c"),
+    ("ties", 20000, "entropy", "4ea798c34c0e24512643600d49a01628f7bfb539"),
+    ("organ", 20000, "entropy", "e32620d3664d1f3f34c12ea32df1c70989dd14c8"),
 ]
 
 INPUTS = {"perm": seeded_permutation, "ties": many_ties, "organ": organ_pipe}

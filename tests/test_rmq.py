@@ -318,7 +318,7 @@ class TestMalformedSections:
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
         version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == FORMAT_VERSION == 6
+        assert version == FORMAT_VERSION == 7
         return sections
 
     @staticmethod
@@ -358,7 +358,7 @@ class TestMalformedSections:
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
@@ -412,11 +412,7 @@ class TestValueChecks:
 
     @pytest.mark.parametrize("column,index,value", [
         ("type_of", 0, 10**6),  # a type the registry does not hold
-        ("run_start", 0, 5),  # inorder ranks 1..4 in no run
-        ("run_start", 1, 1),  # run starts that do not rise
         ("p_pos", 0, 10**4),  # a portal outside its shape
-        ("run_k", 0, 10**4),  # a run in no micro
-        ("run_t3", -1, 10**4),  # a run past its micro's shape
     ])
     def test_bad_value_rejected(self, sections, column, index, value):
         with pytest.raises(DecodeError):
@@ -442,6 +438,29 @@ class TestValueChecks:
         at, value = edit(self.column(sections, column))
         with pytest.raises(DecodeError, match=message):
             RmqIndex.from_bytes(self.rewrite(sections, column, at, value))
+
+    @pytest.mark.parametrize("edit", [
+        lambda col, size, last, follows: (0, 0),  # before its shape's first inorder position
+        # a micro's last portal one past that micro's shape
+        lambda col, size, last, follows: (last[0], size[last[0]] + 1),
+        # one above the previous portal of its micro, with no member between
+        lambda col, size, last, follows: (follows[0], col[follows[0] - 1] + 1),
+    ], ids=["zero", "past-shape", "no-member-between"])
+    def test_bad_inorder_portal_rejected(self, sections, edit):
+        # portals are grouped by micro; `size` is each portal's micro's shape
+        # size, `last` lists each micro's last portal and `follows` every
+        # portal after another of its micro
+        cov = RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(sections.items()))).cover
+        p_count = self.column(sections, "p_count")
+        owner = np.repeat(np.arange(1, len(p_count) + 1), p_count)
+        size = np.asarray(cov.shape_size)[owner]
+        last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True))
+        follows = np.flatnonzero(owner[1:] == owner[:-1]) + 1
+        col = self.column(sections, "p_in")
+        at, value = (int(x) for x in edit(col, size, last, follows))
+        assert value != col[at]
+        with pytest.raises(DecodeError, match="portal inorder positions"):
+            RmqIndex.from_bytes(self.rewrite(sections, "p_in", at, value))
 
     @pytest.mark.parametrize("nbits", [1, 4], ids=["short", "even"])
     def test_bad_typr_header_rejected(self, sections, nbits):

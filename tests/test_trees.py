@@ -363,36 +363,38 @@ class TestEulerTourLca:
         self.check(size, children, root, parent, self.pairs(size, 7))
 
     @staticmethod
-    def preorder_parents(children, root):
-        """Parent ids of the tree renumbered in preorder, children in order."""
+    def preorder_children(children, root):
+        """Child lists of the tree renumbered in preorder, children in order."""
         order, stack = [], [root]
         while stack:
             v = stack.pop()
             order.append(v)
             stack.extend(reversed(children[v]))
         new = {v: i for i, v in enumerate(order, start=1)}
-        parent = [0] * (len(order) + 1)
+        kids = [[] for _ in range(len(order) + 1)]
         for v in order:
-            for c in children[v]:
-                parent[new[c]] = new[v]
-        return parent
+            kids[new[v]] = [new[c] for c in children[v]]
+        return kids
 
-    @pytest.mark.parametrize("size", [1, 2, 33, 1000])
-    def test_from_preorder_matches_tour(self, size):
+    @pytest.mark.parametrize("size", [1, 2, 33, 1000, 17000])
+    def test_from_degrees_matches_tour(self, size):
+        # past 16383 nodes the levels no longer fit 16 bits
         children, root, _ = random_ordinal_tree(size, size)
-        parent = self.preorder_parents(children, root)
-        kids = [[] for _ in range(size + 1)]
-        for k in range(2, size + 1):
-            kids[parent[k]].append(k)
+        kids = self.preorder_children(children, root)
         walked = EulerTourLca(size, kids, 1)
-        direct = EulerTourLca.from_preorder(np.array(parent))
+        direct, child = EulerTourLca.from_degrees(np.array([len(x) for x in kids[1:]]))
         for name in ("first", "enter", "exit", "seq", "_sparse"):
             assert getattr(direct, name) == getattr(walked, name), name
+        assert child.tolist() == [c for x in kids for c in x]
 
-    @pytest.mark.parametrize("parent", [[0, 0, 1, 2, 1, 3], [0, 1, 0], [0, 0, 2], [0, 0, 0]])
-    def test_from_preorder_rejects_other_numberings(self, parent):
-        with pytest.raises(ValueError):
-            EulerTourLca.from_preorder(np.array(parent))
+    @pytest.mark.parametrize("degrees", [[], [0, 0], [1, 0, 1, 0], [1, 1], [2, 0],
+                                         [4, -1, 1, 0, 0]],
+                             ids=["empty", "closes-at-once", "closes-midway",
+                                  "slot-left-open", "slots-left-open",
+                                  "negative"])  # the last would pass the other checks
+    def test_from_degrees_rejects_other_sequences(self, degrees):
+        with pytest.raises(ValueError, match="degree sequence"):
+            EulerTourLca.from_degrees(np.array(degrees, dtype=np.int64))
 
     def test_space_counts_held_arrays(self):
         # root 1 with child 2: tour 1 2 1, one block, so four packed keys of
