@@ -404,7 +404,9 @@ class CompressedBitVec:
     def positions(self) -> list[int]:
         if self._mode == self.SPARSE:
             return list(self._pos)
-        return [self._bv.select1(k) for k in range(1, self._ones + 1)]
+        words = np.frombuffer(self._bv._words, dtype=np.uint64).astype("<u8", copy=False)
+        bits = np.unpackbits(words.view(np.uint8), bitorder="little")  # LSB-first words
+        return (np.flatnonzero(bits[:self.n]) + 1).tolist()
 
 
 class VariableCellArray:

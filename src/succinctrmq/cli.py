@@ -248,6 +248,7 @@ def cmd_bench(args) -> int:
     for i, j in warm_up:  # builds the lookup tables these queries touch
         index.query(i, j)
     cold_us = (time.perf_counter() - t0) / len(warm_up) * 1e6
+    cold_tables = index.cover.registry.tables_built()
     opcount.reset()
     t0 = time.perf_counter()
     for i, j in queries:
@@ -257,12 +258,14 @@ def cmd_bench(args) -> int:
     rep = index.space_report()
     _emit(args, f"bench n={args.n}: build {build_s:.2f}s, "
                 f"{query_s / len(queries) * 1e6:.1f} us/query "
-                f"({cold_us:.1f} us/query cold), {ops:.0f} ops/query, "
+                f"({cold_us:.1f} us/query cold, {cold_tables} tables built), "
+                f"{ops:.0f} ops/query, "
                 f"{rep['bits_per_element']:.3f} bits/elem\n{phases}",
           {"build_seconds": f"{build_s:.3f}",
            **phase_kv,
            "us_per_query": f"{query_s / len(queries) * 1e6:.2f}",
            "cold_us_per_query": f"{cold_us:.2f}",
+           "cold_tables_built": str(cold_tables),
            "ops_per_query": f"{ops:.1f}",
            "bits_per_element": f"{rep['bits_per_element']:.4f}"})
     return 0

@@ -266,6 +266,8 @@ class TreeCover:
 
     __slots__ = (
         "n", "mini_B", "micro_B", "registry", "n_minis", "tb", "c_in", "_preorder_runs",
+        # per micro tree k: nonzero once k has passed the first-use check
+        "_checked",
         # per mini tree t1, and its portals q_off[t1] .. q_off[t1 + 1] - 1
         "mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size",
         # per micro tree k, and its portals p_off[k] .. p_off[k + 1] - 1
@@ -340,29 +342,35 @@ class TreeCover:
         return self._preorder(k, t3)
 
     # The RMQ path works on (micro k, shape position) pairs, which its own
-    # layers produce; the tau-name methods check and translate at the edge.
+    # layers produce: select gives a shape inorder position, LCA takes two and
+    # gives a shape preorder, which rank takes.  The tau-name methods check
+    # and translate through the micro's table at the edge.
 
     def nodeselect_inorder(self, i: int) -> TauName:
-        k, t3 = self.select_inorder(i)
-        return _tau(TauName, (self.m_t1[k], self.m_t2[k], t3))
+        k, s = self.select_inorder(i)
+        return _tau(TauName, (self.m_t1[k], self.m_t2[k], self._table(k).in2pre[s]))
 
     def lca(self, u: TauName, v: TauName) -> TauName:
-        k, t3 = self.lca_k(self._k(u), u[2], self._k(v), v[2])
+        ku, kv = self._k(u), self._k(v)
+        k, t3 = self.lca_k(ku, self._table(ku).pre2in[u[2]], kv, self._table(kv).pre2in[v[2]])
         return _tau(TauName, (self.m_t1[k], self.m_t2[k], t3))
 
     def noderank_inorder(self, name: TauName) -> int:
         return self.rank_inorder(self._k(name), name[2])
 
+    def _table(self, k: int):
+        """The lookup table of micro k's type, built on first use."""
+        type_id = self.type_of[k]
+        return self.registry.tables.get(type_id) or self.registry.table(type_id)
+
     def select_inorder(self, i: int) -> tuple[int, int]:
-        """(micro k, shape preorder) of the node of inorder rank i."""
+        """(micro k, shape inorder position) of the node of inorder rank i;
+        it reads no lookup table."""
         if not 1 <= i <= self.n:
             raise IndexError(f"inorder index {i} out of range 1..{self.n}")
         r, base = self.c_in.pred1(i)
-        k = self.run_k[r - 1]
-        type_id = self.type_of[k]
-        table = self.registry.tables.get(type_id) or self.registry.table(type_id)
         opcount.add(4)
-        return k, table.in2pre[self.run_t3[r - 1] + (i - base)]
+        return self.run_k[r - 1], self.run_t3[r - 1] + (i - base)
 
     def rank_inorder(self, k: int, t3: int) -> int:
         """Global inorder rank of node t3 of micro k: global preorder +
@@ -370,8 +378,7 @@ class TreeCover:
         checks that t3 is a node and finds its mini-local preorder and in-mini
         left size; one walk over the mini's portals adds the subtrees of other
         minis hanging before it and inside its left subtree."""
-        type_id = self.type_of[k]
-        table = self.registry.tables.get(type_id) or self.registry.table(type_id)
+        table = self._table(k)
         ls_mini = table.ls[t3]
         hi = t3 + ls_mini  # shape-left range is t3 + 1 .. hi
         ld = hi - table.pre2in[t3]  # the shape left depth
@@ -406,39 +413,66 @@ class TreeCover:
         opcount.add(3 * (b - a) + 2 * (qb - qa) + 4)
         return g + ls_g - (self.mini_ld[t1] + self.ld_minilocal[k] + ld)
 
-    def lca_k(self, ku: int, u3: int, kv: int, v3: int) -> tuple[int, int]:
-        """(micro k, shape preorder) of the LCA of node u3 of micro ku and
-        node v3 of micro kv; ValueError if either is a portal leaf."""
-        off, pos = self.p_off, self.p_pos
+    def lca_k(self, ku: int, u_in: int, kv: int, v_in: int) -> tuple[int, int]:
+        """(micro k, shape preorder) of the LCA of the node at shape inorder
+        position u_in of micro ku and the one at v_in of micro kv; ValueError
+        if either is a portal leaf.  Only micro k's lookup table is read, and
+        the first time a micro is k, it is checked against the cover."""
+        off, p_in = self.p_off, self.p_in
         a, b = off[ku], off[ku + 1]
         c, d = off[kv], off[kv + 1]
-        for t3, lo, hi in ((u3, a, b), (v3, c, d)):
-            if lo < hi and t3 in pos[lo:hi]:
-                raise ValueError(f"shape position {t3} is a portal copy, not a node")
+        for s, lo, hi in ((u_in, a, b), (v_in, c, d)):
+            if lo < hi and s in p_in[lo:hi]:
+                raise ValueError(f"shape inorder position {s} is a portal copy, not a node")
         ops = b - a + d - c  # the portal-copy checks
         if ku == kv:
-            k, x, y = ku, u3, v3
+            k, x, y = ku, u_in, v_in
         else:
             k = self.tb.lca(ku, kv)
             if k == ku or k == kv:
                 # k's root is an ancestor of the other micro: meet inside k,
                 # at the portal toward the other
-                x, other = (u3, kv) if k == ku else (v3, ku)
+                x, other = (u_in, kv) if k == ku else (v_in, ku)
                 y, ops_y = self._portal_toward(k, other)
                 ops += ops_y
             else:  # both entry points are portals of the meeting micro
                 x, ops_x = self._portal_toward(k, ku)
                 y, ops_y = self._portal_toward(k, kv)
                 ops += ops_x + ops_y
-        type_id = self.type_of[k]
-        table = self.registry.tables.get(type_id) or self.registry.table(type_id)
+        table = self._table(k)
+        if not self._checked[k]:
+            self._check_micro(k, table)
         opcount.add(ops)
-        return k, table.lca(x, y)
+        return k, table.range_min(x, y)
+
+    def _check_micro(self, k: int, table) -> None:
+        """Check micro k against its shape, or raise ValueError: its portal
+        positions are leaves of the shape at its portals' inorder positions,
+        and the first member of each stretch between them (in shape inorder)
+        makes the select(rank) round trip, which ties the micro's left depth
+        and position map to the shape.  Like the table build, the check is
+        not a query's work and charges no operations.  The flag is set only
+        after the check passes, so concurrent readers at worst check twice."""
+        a, b = self.p_off[k], self.p_off[k + 1]
+        with opcount.uncounted():
+            for j in range(a, b):
+                p = self.p_pos[j]
+                if table.ls[p] or table.pre2in[p] != self.p_in[j]:
+                    raise ValueError(f"micro {k}: portal {p} is not a leaf at its inorder "
+                                     f"position {self.p_in[j]}")
+            ends = [0, *self.p_in[a:b], self.shape_size[k] + 1]
+            for s, stop in zip(ends, ends[1:]):
+                if s + 1 < stop:  # the stretch s + 1 .. stop - 1 has members
+                    at = self.rank_inorder(k, table.in2pre[s + 1])
+                    if not 1 <= at <= self.n or self.select_inorder(at) != (k, s + 1):
+                        raise ValueError(f"micro {k}: its member at shape inorder position "
+                                         f"{s + 1} ranks {at}, which selects elsewhere")
+        self._checked[k] = 1
 
     def _portal_toward(self, k: int, k_target: int) -> tuple[int, int]:
-        """Shape position of micro k's portal whose child micro is k_target or
-        one of its ancestors, and the operations spent: a portal read and a
-        two-read ancestor test per portal tried."""
+        """Shape inorder position of micro k's portal whose child micro is
+        k_target or one of its ancestors, and the operations spent: a portal
+        read and a two-read ancestor test per portal tried."""
         enter, exit_ = self.tb.enter, self.tb.exit
         e, x = enter[k_target], exit_[k_target]
         child = self.p_child
@@ -447,7 +481,7 @@ class TreeCover:
         while j < b:
             c = child[j]
             if enter[c] <= e and x <= exit_[c]:
-                return self.p_pos[j], 3 * (j - a + 1)
+                return self.p_in[j], 3 * (j - a + 1)
             j += 1
         raise AssertionError("portal descent failed")  # pragma: no cover
 
@@ -567,6 +601,7 @@ class TreeCover:
         self._preorder_runs = None
         ports = np.asarray(cols["p_count"], dtype=np.int64)
         micros = len(ports)
+        self._checked = bytearray(micros + 1)
         p_off = np.append(0, np.cumsum(ports))
         owner = np.repeat(np.arange(1, micros + 1), ports)
         self.tb, child = EulerTourLca.from_degrees(ports)

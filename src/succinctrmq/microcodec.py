@@ -35,8 +35,8 @@ HUFFMAN_LENGTH_LIMIT = 128  # two machine words
 
 
 class ShapeTable(BlockMinLca):
-    """Per-type lookup tables addressed by shape-local preorder: inorder <->
-    preorder, left sizes and in-micro LCA.
+    """Per-type lookup tables: inorder <-> preorder, left sizes by preorder,
+    and in-micro LCA.
 
     All arrays are 1-based (slot 0 unused), of item type 'H' when the shape
     has fewer than 65535 nodes and 'i' otherwise.  Left depths are not held:
@@ -44,7 +44,8 @@ class ShapeTable(BlockMinLca):
     v + ls[v] - pre2in[v].  The LCA of two nodes is the node of smallest
     preorder in the inorder range between them: every node of that range
     lies in the LCA's subtree, and the LCA comes first in it.  So the table
-    is a `BlockMinLca` with positions pre2in over the sequence in2pre.
+    is a `BlockMinLca` with positions pre2in over the sequence in2pre, and
+    `range_min(ia, ib)` is the LCA of the nodes at inorder positions ia, ib.
     """
 
     __slots__ = ("n", "ls")

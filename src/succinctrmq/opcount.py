@@ -8,6 +8,8 @@ the totals are the per-read counts while a query makes only a handful of
 calls; the counter is cheap enough to stay always-on.
 """
 
+from contextlib import contextmanager
+
 OPS = 0
 
 
@@ -23,3 +25,15 @@ def reset() -> None:
 
 def snapshot() -> int:
     return OPS
+
+
+@contextmanager
+def uncounted():
+    """Leave the count as it was before the block: for checks that, like
+    building a lookup table, are not the query's work."""
+    global OPS
+    saved = OPS
+    try:
+        yield
+    finally:
+        OPS = saved

@@ -63,19 +63,25 @@ class RmqIndex:
     def query(self, i: int, j: int) -> int:
         """Leftmost index of the minimum in positions i..j (1-based).
 
+        Inorder select maps i and j to (micro, shape inorder position) pairs
+        without a lookup table; the LCA meets them in one micro and reads
+        that micro's table alone, building it on first use, and inorder rank
+        reads the same table.  So a query builds at most one table.
+
         The load derives the micro-root tree and the columns that follow
         from it, so those cannot contradict each other, but it does not check
         what depends on a micro's shape: that a portal position is a leaf of
-        it, or that a child micro's left depth matches it.  A query that meets
-        such a contradiction, as a `ValueError` on its path or an answer
-        outside [i, j], raises DecodeError."""
+        it, or that a child micro's left depth matches it.  The first time a
+        micro is the LCA micro, its table is checked against the cover.  A
+        query that meets a contradiction, as a `ValueError` on its path or an
+        answer outside [i, j], raises DecodeError."""
         if not 1 <= i <= j <= self.n:
             raise IndexError(f"invalid range ({i},{j}) for n={self.n}")
         c = self.cover
         try:
-            ku, u3 = c.select_inorder(i)
-            kv, v3 = c.select_inorder(j)
-            at = c.rank_inorder(*c.lca_k(ku, u3, kv, v3))
+            ku, u = c.select_inorder(i)
+            kv, v = c.select_inorder(j)
+            at = c.rank_inorder(*c.lca_k(ku, u, kv, v))
         except DecodeError:
             raise
         except ValueError as exc:

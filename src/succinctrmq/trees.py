@@ -375,7 +375,11 @@ class BlockMinLca:
         self.pos, self.seq, self._sparse = pos, seq, sparse
 
     def lca(self, a: int, b: int) -> int:
-        ia, ib = self.pos[a], self.pos[b]
+        return self.range_min(self.pos[a], self.pos[b])
+
+    def range_min(self, ia: int, ib: int) -> int:
+        """The smallest entry of seq between positions ia and ib, in either
+        order, masked to its low 32 bits."""
         if ia > ib:
             ia, ib = ib, ia
         seq = self.seq

@@ -171,6 +171,7 @@ class TestCompressedStorage:
                 assert plain.rank1(i) == comp.rank1(i)
             for k in range(1, sum(bits) + 1):
                 assert plain.select1(k) == comp.select1(k)
+            assert comp.positions() == [i for i, b in enumerate(bits, 1) if b]
 
 
 class TestVariableCellArray:

@@ -191,6 +191,7 @@ class TestBench:
         kv = kv_lines(capsys.readouterr().out)
         assert float(kv["ops_per_query"]) > 0
         assert float(kv["cold_us_per_query"]) > 0
+        assert 1 <= int(kv["cold_tables_built"]) <= 200  # at most one table per query
         assert float(kv["us_per_query"]) > 0
         phases = [float(kv[f"build_{phase}_s"]) for phase in BUILD_PHASES]
         assert min(phases) >= 0 and sum(phases) <= float(kv["build_seconds"]) + 0.005

@@ -152,8 +152,11 @@ class TestBuildCoverBasics:
         for m in cov.micros_by_k:
             for pos, _, _ in m.portals:
                 hit = True
-                with pytest.raises(ValueError):
-                    cov.noderank_preorder(TauName(m.t1, m.t2, pos))
+                name = TauName(m.t1, m.t2, pos)
+                for call in (cov.noderank_preorder, cov.noderank_inorder,
+                             lambda x: cov.lca(x, cov.nodeselect_inorder(1))):
+                    with pytest.raises(ValueError):
+                        call(name)
         assert hit
 
     def test_param_validation(self):
@@ -291,7 +294,6 @@ class TestLoadedCover:
         # the inorder map's runs break exactly where the micro changes or the
         # shape inorder position fails to step by one
         cells = [cov.select_inorder(i) for i in range(1, t.n + 1)]
-        cells = [(k, cov.registry.table(cov.type_of[k]).pre2in[t3]) for k, t3 in cells]
         breaks = [1] + [i for i in range(2, t.n + 1)
                         if cells[i - 1][0] != cells[i - 2][0]
                         or cells[i - 1][1] != cells[i - 2][1] + 1]

@@ -90,13 +90,15 @@ class TestMicroTypeKey:
 
 def check_table(table, t, pairs):
     """The table agrees with the BinaryTree reference on every per-node array
-    and on the LCA of each (a, b) in pairs."""
+    and on the LCA of each (a, b) in pairs, addressed by preorder and by
+    inorder position."""
     assert table.n == t.n
     assert list(table.pre2in) == list(t.inorder_of)  # fixes the shape
     assert list(table.in2pre) == list(t.id_at_inorder)
     assert list(table.ls) == list(t.ls)
     for a, b in pairs:
         assert table.lca(a, b) == t.lca(a, b), (a, b)
+        assert table.range_min(t.inorder_of[a], t.inorder_of[b]) == t.lca(a, b), (a, b)
 
 
 def table_left_depths(table):

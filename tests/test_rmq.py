@@ -8,6 +8,7 @@ import types
 import numpy as np
 import pytest
 
+from succinctrmq import opcount
 from succinctrmq.bits import VariableCellArray, column_width, pack_column, read_column
 from succinctrmq.cover import _SECTIONS
 from succinctrmq.rmq import BUILD_PHASES, FORMAT_VERSION, OracleRmq, RmqIndex, adversarial_arrays
@@ -83,6 +84,51 @@ class TestBuild:
         for i, j in ((0, 1), (2, 1), (1, 4), (-1, 2)):
             with pytest.raises(IndexError):
                 idx.query(i, j)
+
+
+class TestLcaMicroTable:
+    """A query reads only its LCA micro's lookup table, and checks that micro
+    against the cover the first time it is the LCA micro."""
+
+    VALUES = np.random.default_rng(21).permutation(3000)
+
+    @pytest.fixture(scope="class")
+    def blob(self):
+        return RmqIndex.build(self.VALUES.tolist(), micro_b=4).to_bytes()
+
+    def test_meeting_micro_alone_is_built(self, blob):
+        c = RmqIndex.from_bytes(blob).cover
+        rng = random.Random(22)
+        while True:  # endpoints in two micros that meet in a third, all of distinct types
+            i, j = sorted(rng.sample(range(1, 3001), 2))
+            (ku, u), (kv, v) = c.select_inorder(i), c.select_inorder(j)
+            k = c.lca_k(ku, u, kv, v)[0]
+            if len({c.type_of[x] for x in (ku, kv, k)}) == 3:
+                break
+        index = RmqIndex.from_bytes(blob)
+        assert index.cover.registry.tables_built() == 0
+        assert index.query(i, j) == i + int(np.argmin(self.VALUES[i - 1:j]))
+        assert list(index.cover.registry.tables) == [c.type_of[k]]
+        assert [x for x, done in enumerate(index.cover._checked) if done] == [k]
+
+    def test_first_use_check_charges_no_operations(self, blob):
+        index = RmqIndex.from_bytes(blob)
+        rng = random.Random(23)
+        starts = [rng.randint(1, 3000) for _ in range(300)]
+        # short ranges, whose LCA micros are many
+        queries = [(i, min(3000, i + rng.randint(0, 20))) for i in starts]
+
+        def ops():
+            out = []
+            for i, j in queries:
+                start = opcount.snapshot()
+                index.query(i, j)
+                out.append(opcount.snapshot() - start)
+            return out
+
+        first = ops()
+        assert sum(index.cover._checked) > 50
+        assert ops() == first
 
 
 class TestOracles:

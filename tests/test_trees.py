@@ -321,6 +321,7 @@ class TestEulerTourLca:
             got = tb.lca(a, b)
             assert opcount.snapshot() - start <= bound
             assert got == brute_lca(parent, a, b), (a, b)
+            assert tb.range_min(tb.first[a], tb.first[b]) == got, (a, b)
             assert tb.is_ancestor(a, b) == brute_is_ancestor(parent, a, b), (a, b)
             assert tb.is_ancestor(b, a) == brute_is_ancestor(parent, b, a), (a, b)
 
