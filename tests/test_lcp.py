@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from succinctrmq.lcp import LcpData, lcp_array, suffix_array
+from succinctrmq.lcp import LcpData, inverse_suffix_array, lcp_array, suffix_array
 from succinctrmq.rmq import RmqIndex
 
 
@@ -57,6 +57,77 @@ class TestSuffixArray:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             suffix_array(b"")
+
+
+def _repetitive_dna(n: int, seed: int) -> bytes:
+    """A random 4-letter base of n/5 letters, then copies of earlier segments
+    of 100..1499 letters with 1% point mutations, until n letters."""
+    rng = random.Random(seed)
+    text = bytearray(rng.choice(b"ACGT") for _ in range(n // 5))
+    while len(text) < n:
+        length = rng.randint(100, 1499)
+        start = rng.randint(0, max(0, len(text) - length))
+        seg = text[start:start + length]
+        for k in range(len(seg)):
+            if rng.random() < 0.01:
+                seg[k] = rng.choice(b"ACGT")
+        text += seg
+    return bytes(text[:n])
+
+
+_rng = random.Random(11)
+KERNEL_TEXTS = {
+    "one-letter": b"q",
+    "one-zero": b"\x00",
+    "one-ff": b"\xff",
+    "two-ab": b"ab",
+    "two-ba": b"ba",
+    "two-equal": b"zz",
+    "two-zeros": b"\x00\x00",
+    "two-ff-zero": b"\xff\x00",
+    "zero-ff-mix": b"\x00\xff\x00\x00\xff\xff\x00",
+    "zeros-run": b"\x00" * 300,
+    "extremes-random": bytes(_rng.choice(b"\x00\x01\xfe\xff") for _ in range(600)),
+    "single-letter": b"a" * 1500,
+    "single-ff": b"\xff" * 700,
+    "periodic": b"abcab" * 300,
+    "periodic-extremes": b"\x00\xff\xff" * 400,
+    "run-split": b"b" * 800 + b"a" + b"b" * 800,
+    "run-split-zeros": b"\x00" * 500 + b"\xff" + b"\x00" * 500,
+    "random-bytes": bytes(_rng.randrange(256) for _ in range(3000)),
+}
+
+
+class TestKernel:
+    """`LcpData.from_text` against a naive sorted-suffix oracle and Kasai."""
+
+    @pytest.mark.parametrize("text", KERNEL_TEXTS.values(), ids=KERNEL_TEXTS.keys())
+    def test_matches_oracle(self, text):
+        n = len(text)
+        data = LcpData.from_text(text)
+        # bytes compare a proper prefix below any extension, so the end of
+        # the text sorts below 0x00
+        oracle = sorted(range(1, n + 1), key=lambda i: text[i - 1:])
+        assert data.sa == oracle
+        assert suffix_array(text) == oracle
+        assert data.isa[0] == 0 and len(data.isa) == n + 1
+        assert all(data.isa[oracle[k - 1]] == k for k in range(1, n + 1))
+        assert data.lcp == lcp_array(text, oracle)
+
+    def test_repetitive_dna(self):
+        text = _repetitive_dna(20000, seed=2)
+        n = len(text)
+        data = LcpData.from_text(text)
+        assert data.lcp == lcp_array(text, data.sa)
+        assert data.isa == inverse_suffix_array(data.sa)
+        # the LCPs run to many times the 7 letters of the first sort's key
+        assert max(data.lcp) >= 16 * 7
+        for k in range(2, n + 1):
+            a, b = data.sa[k - 2] - 1, data.sa[k - 1] - 1
+            h = data.lcp[k]
+            assert text[a:] < text[b:]
+            assert text[a:a + h] == text[b:b + h]
+            assert a + h == n or b + h == n or text[a + h] != text[b + h]
 
 
 class TestLce:
