@@ -2,7 +2,7 @@
 
 The package bundles the bit-level primitives (rank/select vectors,
 variable-cell arrays, piecewise-constant arrays), Cartesian-tree machinery,
-an entropy-optimal whole-tree code, a two-tier tree-covering representation
+an entropy-optimal whole-tree code, a one-tier tree-covering representation
 with constant-time LCA, micro-tree codebooks, and the user-facing RMQ index.
 """
 

@@ -71,7 +71,7 @@ def _phase_lines(index: RmqIndex) -> tuple[str, dict]:
 
 def cmd_build(args) -> int:
     values = _input_values(args)
-    index = RmqIndex.build(values, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
+    index = RmqIndex.build(values, codec=args.codec, micro_b=args.micro_b)
     phases, phase_kv = _phase_lines(index)
     rep = index.space_report()
     if args.output:
@@ -79,7 +79,7 @@ def cmd_build(args) -> int:
             fh.write(index.to_bytes())
     lines = [
         f"built index: n={rep['n']} codec={rep['codec']} "
-        f"minis={rep['mini_trees']} micros={rep['micro_trees']} types={rep['distinct_types']}",
+        f"micros={rep['micro_trees']} types={rep['distinct_types']}",
         f"bits total: {rep['total_bits']}  ({rep['bits_per_element']:.4f} per element)",
         phases,
         "breakdown:",
@@ -127,7 +127,7 @@ def cmd_verify(args) -> int:
         arrays.append((name, arr))
     for name, arr in arrays:
         n = len(arr)
-        index = RmqIndex.build(arr, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
+        index = RmqIndex.build(arr, codec=args.codec, micro_b=args.micro_b)
         for i in range(1, n + 1):
             best = i
             for j in range(i, n + 1):
@@ -217,7 +217,7 @@ def cmd_lcp_ingest(args) -> int:
             i = rng.randint(1, n)
             j = rng.randint(1, n)
             got = data.lce(i, j, index.query)
-            want = data.lce_naive(i, j)
+            want = data.lce_direct(i, j)
             if got != want:
                 failures += 1
                 print(f"MISMATCH lce({i},{j}): {got} != {want}", file=sys.stderr)
@@ -234,7 +234,7 @@ def cmd_bench(args) -> int:
     rng = np.random.default_rng(args.seed)
     values = rng.permutation(args.n).tolist()
     t0 = time.perf_counter()
-    index = RmqIndex.build(values, codec=args.codec, mini_b=args.mini_b, micro_b=args.micro_b)
+    index = RmqIndex.build(values, codec=args.codec, micro_b=args.micro_b)
     build_s = time.perf_counter() - t0
     phases, phase_kv = _phase_lines(index)
     r = random.Random(args.seed)
@@ -283,7 +283,6 @@ def make_parser() -> _Parser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--codec", choices=MODES, default="entropy")
         p.add_argument("--micro-b", dest="micro_b", type=int, default=None)
-        p.add_argument("--mini-b", dest="mini_b", type=int, default=None)
         p.add_argument("--kv", action="store_true", help="also print key=value lines")
 
     p = sub.add_parser("build", help="build an index and print the space report")

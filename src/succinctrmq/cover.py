@@ -1,12 +1,13 @@
-"""Two-tier tree covering: decomposition, tau-names, rank/select, LCA.
+"""One-tier tree covering: decomposition, tau-names, rank/select, LCA.
 
-The tree splits into mini trees, each mini tree into micro trees.  Components
-are disjoint connected subtrees with at most one outgoing edge in the root's
-left subtree and one in its right subtree; outgoing edges materialize as
-*portal* leaves in the parent component's shape (a mini tree's own outgoing
-edges surface as extra portal leaves inside whichever micro tree holds the
-source node, so a micro shape can carry up to four portals).  Nodes are
-addressed by tau-names (mini index, mini-local micro index, micro-local shape
+The tree splits into micro trees of Theta(lg^2 n) nodes.  Components are
+disjoint connected subtrees with at most one outgoing edge in the root's left
+subtree and one in its right subtree; outgoing edges materialize as *portal*
+leaves in the parent component's shape, so a micro shape carries at most two
+portals.  Farzan & Munro (Algorithmica 2014) add a second tier of larger
+trees because their micros have Theta(lg n) nodes; with n / lg^2 n micros, a
+global lg n-bit field per micro already costs o(n) bits, so one tier suffices.
+Nodes are addressed by tau-names (1, micro index, micro-local shape
 preorder); a run-compressed map, read off the Euler tour of the ordinal tree
 of all micro roots, takes global inorder positions to tau-names (the
 preorder map, which RMQ never reads, is derived the same way on first use),
@@ -130,6 +131,15 @@ def _components(closed, parent) -> np.ndarray:
     return ids[up]
 
 
+def _partition(t: BinaryTree, B: int) -> tuple[bytearray, np.ndarray]:
+    """The component-root marks and every node's component id: one `_pack`
+    pass, with the tree's root closed.  `decompose` and `build_cover` both
+    partition through here."""
+    closed = _pack(t.n, t.left, t.right, t.st, B)
+    closed[1] = 1
+    return closed, _components(closed, np.frombuffer(t.parent, dtype=np.intc))
+
+
 def decompose(t: BinaryTree, B: int) -> Decomposition:
     """Decompose a binary tree into disjoint subtrees of <= 2B nodes with at
     most three external connections each; deterministic, one `_pack` pass
@@ -138,15 +148,12 @@ def decompose(t: BinaryTree, B: int) -> Decomposition:
         raise CoverError("decompose requires a non-empty tree")
     if B < 1:
         raise CoverError("B must be >= 1")
-    n = t.n
-    closed = _pack(n, t.left, t.right, t.st, B)
-    closed[1] = 1
-    comp = _components(closed, np.frombuffer(t.parent, dtype=np.intc))
+    closed, comp = _partition(t, B)
     order = np.argsort(comp[1:], kind="stable") + 1
     cuts = np.flatnonzero(np.diff(comp[order])) + 1
     members = [[]] + [part.tolist() for part in np.split(order, cuts)]
     roots = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8)).tolist()
-    return Decomposition(n, B, array("i", comp.tobytes()), members, roots)
+    return Decomposition(t.n, B, array("i", comp.tobytes()), members, roots)
 
 
 def verify_decomposition(t: BinaryTree, B: int, d: Decomposition) -> dict:
@@ -202,11 +209,13 @@ def verify_decomposition(t: BinaryTree, B: int, d: Decomposition) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# two-tier cover
+# one-tier cover
 # ---------------------------------------------------------------------------
 
 class TauName(NamedTuple):
-    """(mini index, mini-local micro index, micro-local shape preorder)."""
+    """(1, micro tree k, micro-local shape preorder).  A tau-name keeps the
+    fields of a two-tier cover's names; this cover has one tier, so t1 is 1
+    for every node and t2 is the micro's k."""
 
     t1: int
     t2: int
@@ -219,62 +228,50 @@ _tau = tuple.__new__  # builds a TauName without its keyword-parsing __new__
 class MicroView(NamedTuple):
     """One micro tree's entries in the cover columns, for reports and tests."""
 
-    t1: int
-    t2: int
     k: int  # rank of the micro's root in global preorder
-    root_minilocal: int
+    root_pre: int  # global preorder of the micro's root
     shape_size: int  # members plus portal leaves
-    ld_minilocal: int
+    root_ld: int  # global left depth of the micro's root
     type_id: int
-    portals: tuple  # (shape position, members under the edge in the mini, child k) each
+    portals: tuple  # (shape position, members under the edge, child k) each
 
 
 # The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
-# (version 7)", says what each holds.  A micro's shape size is its type's, and
+# (version 8)", says what each holds.  A micro's shape size is its type's, and
 # `TreeCover._install` derives the other cover columns from these.
 _SECTIONS = (
-    (b"MINI", ("mini_root", "mini_ld", "q_before", "q_side", "q_parent", "q_size")),
-    (b"MICR", ("m_mini_root", "ld_minilocal", "type_of", "p_count", "p_pos")),
+    (b"MICR", ("root_ld", "type_of", "p_count", "p_pos")),
     (b"PCAS", ("p_in",)),
 )
-# held 1-based (slot 0 unused), per mini tree or per micro tree
-_ONE_BASED = ("mini_root", "mini_ld", "shape_size", "ld_minilocal", "type_of")
+# held 1-based (slot 0 unused), per micro tree
+_ONE_BASED = ("shape_size", "root_ld", "type_of")
 # held as offsets: the portals of micro k are p_off[k]..p_off[k + 1] - 1
 _OFFSETS = {"p_count": "p_off"}
-# held as lists: there are few minis, and a list read is the cheapest scalar read
-_LISTS = ("mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size")
 
 
-def default_params(n: int) -> tuple[int, int]:
-    """(mini_B, micro_B) defaults.  Micro trees of ~lg^2 n nodes keep both the
+def default_params(n: int) -> int:
+    """The default micro_B.  Micro trees of ~lg^2 n nodes keep both the
     per-micro index overhead and the per-micro code header at a few percent
-    per node at desk scale; mini trees of ~lg^3 n make the mini tier
-    negligible."""
+    per node at desk scale."""
     lg = math.log2(n + 2)
-    micro_b = max(8, math.ceil(lg * lg))
-    mini_b = max(4 * micro_b, math.ceil(lg ** 3))
-    return mini_b, micro_b
+    return max(8, math.ceil(lg * lg))
 
 
 class TreeCover:
-    """Queryable two-tier cover; immutable after construction.
+    """Queryable one-tier cover; immutable after construction.
 
-    Every field is a column, per mini tree or per micro tree (both 1-based),
-    or per portal or run: an owning `array` of the narrowest integer type, or
-    a list for the few per-mini columns.  Micro trees are numbered k = 1.. in
-    root preorder, which is also the preorder of the micro-root tree."""
+    Every field is a column, per micro tree (1-based), per portal or per run:
+    an owning `array` of the narrowest integer type.  Micro trees are
+    numbered k = 1.. in root preorder, which is also the preorder of the
+    micro-root tree."""
 
     __slots__ = (
-        "n", "mini_B", "micro_B", "registry", "n_minis", "tb", "c_in", "_preorder_runs",
+        "n", "micro_B", "registry", "tb", "c_in", "_preorder_runs",
         # per micro tree k: nonzero once k has passed the first-use check
         "_checked",
-        # per mini tree t1, and its portals q_off[t1] .. q_off[t1 + 1] - 1
-        "mini_root", "mini_ld", "q_off", "q_before", "q_side", "q_parent", "q_size",
         # per micro tree k, and its portals p_off[k] .. p_off[k + 1] - 1
-        "m_t1", "m_t2", "root_minilocal", "shape_size", "ld_minilocal", "type_of",
-        "p_off", "p_pos", "p_in", "p_smini", "p_child",
-        # micro tree (t1, t2) is k_at[first[t1] + t2]
-        "first", "k_at",
+        "root_pre", "shape_size", "root_ld", "type_of", "p_off", "p_pos", "p_in", "p_size",
+        "p_child",
         # per run of the inorder position map, whose starts are c_in's 1-bits
         "run_k", "run_t3",
     )
@@ -286,13 +283,11 @@ class TreeCover:
 
     def _k(self, name) -> int:
         """The micro tree k of a tau-name, checking that each part is in range."""
-        t1, t2, t3 = name
-        if not 1 <= t1 <= self.n_minis:
-            raise ValueError(f"no mini tree {t1}")
-        base = self.first[t1]
-        if not 1 <= t2 <= self.first[t1 + 1] - base:
-            raise ValueError(f"no micro tree ({t1},{t2})")
-        k = self.k_at[base + t2]
+        t1, k, t3 = name
+        if t1 != 1:
+            raise ValueError(f"t1 is {t1}, not 1: the cover has one tier")
+        if not 1 <= k <= self.micro_count():
+            raise ValueError(f"no micro tree {k}")
         if not 1 <= t3 <= self.shape_size[k]:
             raise ValueError(f"shape position {t3} out of range")
         return k
@@ -303,8 +298,7 @@ class TreeCover:
         c, run_k, run_t3 = self._preorder_runs or self._derive_preorder_runs()
         r, base = c.pred1(p)
         opcount.add(3)
-        k = run_k[r - 1]
-        return TauName(self.m_t1[k], self.m_t2[k], run_t3[r - 1] + (p - base))
+        return TauName(1, run_k[r - 1], run_t3[r - 1] + (p - base))
 
     def _derive_preorder_runs(self) -> tuple:
         """The preorder position map, which RMQ never reads and files do not
@@ -315,31 +309,19 @@ class TreeCover:
                                     enter[1:], exit_[np.asarray(self.p_child)], self.p_pos)
         return self._preorder_runs
 
-    def _preorder(self, k: int, t3: int) -> int:
-        """Global preorder of the member at shape position t3 of micro k: its
-        mini-local preorder counts the members under each micro portal before
-        it, and the subtrees of other minis hanging before it are added."""
-        t1 = self.m_t1[k]
-        loc = self.root_minilocal[k] - 1 + t3
-        for j in range(self.p_off[k], self.p_off[k + 1]):  # a portal stands for s_mini members
-            if self.p_pos[j] < t3:
-                loc += self.p_smini[j] - 1
-        g = self.mini_root[t1] - 1 + loc
-        for j in range(self.q_off[t1], self.q_off[t1 + 1]):
-            if self.q_before[j] < loc:
-                g += self.q_size[j]
-        return g
-
     def noderank_preorder(self, name: TauName) -> int:
         k = self._k(name)
-        t1, _, t3 = name
+        t3 = name[2]
         a, b = self.p_off[k], self.p_off[k + 1]
         if t3 in self.p_pos[a:b]:
             raise ValueError(f"shape position {t3} is a portal copy, not a node")
-        # the portal-copy check and the mini-local preorder each read every
-        # micro portal; the preorder reads every mini portal
-        opcount.add(2 * (b - a) + self.q_off[t1 + 1] - self.q_off[t1])
-        return self._preorder(k, t3)
+        # the portal-copy check and the preorder each read every portal
+        opcount.add(2 * (b - a))
+        g = self.root_pre[k] - 1 + t3
+        for j in range(a, b):  # a portal leaf stands for p_size members
+            if self.p_pos[j] < t3:
+                g += self.p_size[j] - 1
+        return g
 
     # The RMQ path works on (micro k, shape position) pairs, which its own
     # layers produce: select gives a shape inorder position, LCA takes two and
@@ -348,12 +330,12 @@ class TreeCover:
 
     def nodeselect_inorder(self, i: int) -> TauName:
         k, s = self.select_inorder(i)
-        return _tau(TauName, (self.m_t1[k], self.m_t2[k], self._table(k).in2pre[s]))
+        return _tau(TauName, (1, k, self._table(k).in2pre[s]))
 
     def lca(self, u: TauName, v: TauName) -> TauName:
         ku, kv = self._k(u), self._k(v)
         k, t3 = self.lca_k(ku, self._table(ku).pre2in[u[2]], kv, self._table(kv).pre2in[v[2]])
-        return _tau(TauName, (self.m_t1[k], self.m_t2[k], t3))
+        return _tau(TauName, (1, k, t3))
 
     def noderank_inorder(self, name: TauName) -> int:
         return self.rank_inorder(self._k(name), name[2])
@@ -375,43 +357,28 @@ class TreeCover:
     def rank_inorder(self, k: int, t3: int) -> int:
         """Global inorder rank of node t3 of micro k: global preorder +
         left-subtree size - left depth.  One walk over the micro's portals
-        checks that t3 is a node and finds its mini-local preorder and in-mini
-        left size; one walk over the mini's portals adds the subtrees of other
-        minis hanging before it and inside its left subtree."""
+        (at most two) checks that t3 is a node and adds the members that the
+        portals before it and inside its left subtree stand for."""
         table = self._table(k)
-        ls_mini = table.ls[t3]
-        hi = t3 + ls_mini  # shape-left range is t3 + 1 .. hi
+        ls = table.ls[t3]
+        hi = t3 + ls  # shape-left range is t3 + 1 .. hi
         ld = hi - table.pre2in[t3]  # the shape left depth
-        loc = self.root_minilocal[k] - 1 + t3
+        g = self.root_pre[k] - 1 + t3
         j = a = self.p_off[k]
         b = self.p_off[k + 1]
-        pos, s_mini = self.p_pos, self.p_smini
-        while j < b:  # a portal leaf stands for s_mini members
+        pos, size = self.p_pos, self.p_size
+        while j < b:  # a portal leaf stands for p_size members
             p = pos[j]
             if p < t3:
-                loc += s_mini[j] - 1
+                g += size[j] - 1
             elif p == t3:
                 raise ValueError(f"shape position {t3} is a portal copy, not a node")
             elif p <= hi:
-                ls_mini += s_mini[j] - 1
+                ls += size[j] - 1
             j += 1
-        t1 = self.m_t1[k]
-        g = self.mini_root[t1] - 1 + loc
-        ls_g = ls_mini
-        end = loc + ls_mini
-        j = qa = self.q_off[t1]
-        qb = self.q_off[t1 + 1]
-        while j < qb:
-            if self.q_before[j] < loc:
-                g += self.q_size[j]
-            w = self.q_parent[j]
-            if loc < w <= end or (w == loc and self.q_side[j] == 0):
-                ls_g += self.q_size[j]
-            j += 1
-        # the portal check, mini-local preorder and left size each read every
-        # micro portal; preorder and left size each read every mini portal
-        opcount.add(3 * (b - a) + 2 * (qb - qa) + 4)
-        return g + ls_g - (self.mini_ld[t1] + self.ld_minilocal[k] + ld)
+        # the portal check, preorder and left size each read every portal
+        opcount.add(3 * (b - a) + 4)
+        return g + ls - (self.root_ld[k] + ld)
 
     def lca_k(self, ku: int, u_in: int, kv: int, v_in: int) -> tuple[int, int]:
         """(micro k, shape preorder) of the LCA of the node at shape inorder
@@ -488,7 +455,7 @@ class TreeCover:
     # ---- reporting ---------------------------------------------------------
 
     def micro_count(self) -> int:
-        return len(self.m_t1) - 1
+        return len(self.type_of) - 1
 
     @property
     def type_ids(self) -> list[int]:
@@ -499,11 +466,11 @@ class TreeCover:
     def micros_by_k(self) -> list[MicroView]:
         """A read-only row view of every micro tree, in k order."""
         off = self.p_off
-        ports = [tuple(zip(self.p_pos[a:b], self.p_smini[a:b], self.p_child[a:b]))
+        ports = [tuple(zip(self.p_pos[a:b], self.p_size[a:b], self.p_child[a:b]))
                  for a, b in zip(off[1:], off[2:])]
         return [MicroView(*row) for row in zip(
-            self.m_t1[1:], self.m_t2[1:], range(1, len(ports) + 1), self.root_minilocal[1:],
-            self.shape_size[1:], self.ld_minilocal[1:], self.type_of[1:], ports)]
+            range(1, len(ports) + 1), self.root_pre[1:], self.shape_size[1:], self.root_ld[1:],
+            self.type_of[1:], ports)]
 
     def space_bits(self) -> dict:
         """Designed widths, in bits: each stored column at its packed width,
@@ -514,11 +481,10 @@ class TreeCover:
         cols = self._columns()
         packed = {tag: sum(len(cols[x]) * column_width(cols[x]) for x in names)
                   for tag, names in _SECTIONS}
-        derived = (self.c_in.positions(), self.run_k, self.run_t3, self.p_child, self.p_smini,
-                   self.m_t1[1:], self.root_minilocal[1:], self.q_off)
+        derived = (self.c_in.positions(), self.run_k, self.run_t3, self.p_child, self.p_size,
+                   self.root_pre[1:])
         return {
             "per_micro_tables": packed[b"MICR"],
-            "per_mini_tables": packed[b"MINI"],
             "pca_inorder": packed[b"PCAS"] + self.c_in.space_bits()["directory"],
             "micro_root_tree": self.tb.space_bits() + sum(len(x) * column_width(x)
                                                           for x in derived),
@@ -527,28 +493,21 @@ class TreeCover:
 
     def dump(self) -> str:
         """Human-readable component listing."""
-        out = [f"cover: n={self.n} minis={self.n_minis} micros={self.micro_count()} "
-               f"mini_B={self.mini_B} micro_B={self.micro_B} types={len(self.registry)}"]
-        micros = self.micros_by_k
-        for t1 in range(1, self.n_minis + 1):
-            row = [micros[k - 1] for k in self.k_at[self.first[t1] + 1:self.first[t1 + 1] + 1]]
-            members = sum(m.shape_size - len(m.portals) for m in row)
-            out.append(f"mini {t1}: root_pre={self.mini_root[t1]} members={members} "
-                       f"portals={self.q_off[t1 + 1] - self.q_off[t1]}")
-            for m in row:
-                ports = ",".join(f"@{pos}->k{child}" for pos, _, child in m.portals)
-                out.append(f"  micro ({t1},{m.t2}) k={m.k}: "
-                           f"members={m.shape_size - len(m.portals)} shape={m.shape_size} "
-                           f"type={m.type_id} portals=[{ports}]")
+        out = [f"cover: n={self.n} micros={self.micro_count()} micro_B={self.micro_B} "
+               f"types={len(self.registry)}"]
+        for m in self.micros_by_k:
+            ports = ",".join(f"@{pos}->k{child}" for pos, _, child in m.portals)
+            out.append(f"micro k={m.k}: root_pre={m.root_pre} "
+                       f"members={m.shape_size - len(m.portals)} shape={m.shape_size} "
+                       f"type={m.type_id} portals=[{ports}]")
         return "\n".join(out)
 
     # ---- serialization ------------------------------------------------------
 
     def _columns(self) -> dict[str, np.ndarray]:
-        """The stored columns (see `_SECTIONS`); a micro roots a mini tree
-        exactly when it is its mini's first."""
-        cols = {"m_mini_root": (np.asarray(self.m_t2[1:]) == 1).astype(np.uint8)}
-        for name in (x for _, names in _SECTIONS for x in names if x not in cols):
+        """The stored columns (see `_SECTIONS`)."""
+        cols = {}
+        for name in (x for _, names in _SECTIONS for x in names):
             col = np.asarray(getattr(self, _OFFSETS.get(name, name)))
             if name in _OFFSETS:
                 col = np.diff(col)
@@ -557,18 +516,18 @@ class TreeCover:
 
     def to_sections(self) -> list[tuple[bytes, bytes]]:
         cols = self._columns()
-        return [(b"CMET", struct.pack("<QQQ", self.n, self.mini_B, self.micro_B))] + [
+        return [(b"CMET", struct.pack("<QQ", self.n, self.micro_B))] + [
             (tag, b"".join(pack_column(cols[name]) for name in names)) for tag, names in _SECTIONS
         ] + [(b"TYPR", self.registry.to_bytes())]
 
     @classmethod
     def from_sections(cls, sections: dict[bytes, bytes]) -> "TreeCover":
-        for tag in (b"CMET", b"MINI", b"MICR", b"PCAS", b"TYPR"):
+        for tag in (b"CMET", b"MICR", b"PCAS", b"TYPR"):
             if tag not in sections:
                 raise DecodeError(f"missing cover section {tag.decode('ascii')}")
         cov = object.__new__(cls)
         r = Reader(sections[b"CMET"], "CMET")
-        cov.n, cov.mini_B, cov.micro_B = r.take("<QQQ")
+        cov.n, cov.micro_B = r.take("<QQ")
         r.end()
         cols = {}
         for tag, names in _SECTIONS:
@@ -585,74 +544,48 @@ class TreeCover:
 
     def _install(self, cols: dict[str, np.ndarray]) -> None:
         """Hold the stored columns as compact arrays and derive the rest
-        (FORMAT.md, "RmqIndex (version 7)"): the micro-root tree, whose
+        (FORMAT.md, "RmqIndex (version 8)"): the micro-root tree, whose
         preorder degree sequence is the portal counts, and from it each
-        portal's child micro and members in the mini, each micro's mini, t2
-        and root mini-local preorder, the mini portal offsets, the (t1, t2)
-        -> k directory and the inorder position map."""
+        portal's child micro and global member count, each micro root's
+        global preorder and the inorder position map."""
         for name, col in cols.items():
             if name in _ONE_BASED:
                 col = np.append(0, col)
             elif name in _OFFSETS:
                 name, col = _OFFSETS[name], np.append((0, 0), np.cumsum(col))
-            elif name == "m_mini_root":
-                continue
-            setattr(self, name, col.tolist() if name in _LISTS else compact_array(col))
+            setattr(self, name, compact_array(col))
         self._preorder_runs = None
         ports = np.asarray(cols["p_count"], dtype=np.int64)
         micros = len(ports)
         self._checked = bytearray(micros + 1)
         p_off = np.append(0, np.cumsum(ports))
-        owner = np.repeat(np.arange(1, micros + 1), ports)
         self.tb, child = EulerTourLca.from_degrees(ports)
-        parent = np.zeros(micros + 1, dtype=np.int64)
-        parent[child] = owner
         self.p_child = compact_array(child)
         enter, exit_ = (np.asarray(x, dtype=np.int64) for x in (self.tb.enter, self.tb.exit))
         self.c_in, self.run_k, self.run_t3 = _runs(self.n, p_off, cols["shape_size"], enter[1:],
                                                    exit_[child], cols["p_in"])
 
-        # minis are numbered by their root micros' preorder; a mini's portals
-        # are the edges from it into other minis' roots
-        flag = np.append(0, cols["m_mini_root"]).astype(bool)
-        mini_root_k = np.flatnonzero(flag)
-        self.n_minis = len(mini_root_k)
-        m_t1 = _components(flag, parent).astype(np.int64)
-        self.m_t1 = compact_array(m_t1)
-        q_count = np.bincount(m_t1[parent[mini_root_k[1:]]], minlength=self.n_minis + 1)[1:]
-        self.q_off = np.append((0, 0), np.cumsum(q_count)).tolist()
-        first = np.append((0, 0), np.cumsum(np.bincount(m_t1, minlength=self.n_minis + 1)[1:]))
-        self.first = first.tolist()
-        by_mini = np.argsort(m_t1[1:], kind="stable") + 1  # in (mini, k) order
-        self.k_at = compact_array(np.append(0, by_mini))
-        m_t2 = np.zeros(micros + 1, dtype=np.int64)
-        m_t2[by_mini] = np.arange(1, micros + 1) - first[m_t1[by_mini]]
-        self.m_t2 = compact_array(m_t2)
-
-        # a portal into micro c of the same mini stands for the members of the
-        # micros in c's subtree, k in c .. c + size - 1, less those of every
-        # mini whose root micro lies in that range
-        members = cols["shape_size"] - ports
-        mini_members = np.diff(np.append(0, np.cumsum(members[by_mini - 1]))[first[1:]])
-        own = np.append(0, np.cumsum(members - flag[1:] * mini_members[m_t1[1:] - 1]))
+        # a portal into micro c stands for the members of the micros in c's
+        # subtree, k in c .. c + size - 1, a range read off the Euler tour
+        members = np.append(0, np.cumsum(cols["shape_size"] - ports))
         end = np.arange(micros + 1) + (exit_ - enter + 1) // 2  # k past each subtree
-        p_smini = np.where(flag[child], 0, own[end[child] - 1] - own[child - 1])
-        self.p_smini = compact_array(p_smini)
+        p_size = members[end[child] - 1] - members[child - 1]
+        self.p_size = compact_array(p_size)
 
-        # a micro root's mini-local preorder is its parent's - 1 + its portal's
-        # shape position + (s_mini - 1) per earlier portal of the parent, and 1
-        # at a mini's root: a sum along the path from the mini's root micro,
-        # which the Euler tour turns into a prefix sum
-        step = p_smini - 1
+        # a micro root's global preorder is its parent's - 1 + its portal's
+        # shape position + (p_size - 1) per earlier portal of the parent, and 1
+        # at micro 1: a sum along the path from micro 1, which the Euler tour
+        # turns into a prefix sum
+        step = p_size - 1
         before = np.cumsum(step) - step
-        gain = cols["p_pos"] - 1 + before - before[p_off[owner - 1]]
+        owner = np.repeat(np.arange(micros), ports)
+        gain = cols["p_pos"] - 1 + before - before[p_off[owner]]
         tour = np.zeros(2 * micros + 1, dtype=np.int64)
         tour[enter[child]] = gain
         tour[exit_[child]] = -gain
-        path = np.cumsum(tour)[enter]
-        root_minilocal = 1 + path - path[mini_root_k[m_t1 - 1]]
-        root_minilocal[0] = 0
-        self.root_minilocal = compact_array(root_minilocal)
+        root_pre = 1 + np.cumsum(tour)[enter]
+        root_pre[0] = 0
+        self.root_pre = compact_array(root_pre)
 
 
 def _runs(n: int, p_off, sizes, enter, leave, positions) -> tuple:
@@ -697,23 +630,18 @@ def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> 
     """Value checks on loaded cover columns, in O(#micros) numpy passes,
     which also add each micro's shape size, read off its type; a failure is
     a DecodeError saying what is inconsistent.  The portal counts
-    must be a tree's preorder degree sequence and the flagged micros its mini
-    roots, so that every column `TreeCover._install` derives is defined."""
+    must be a tree's preorder degree sequence, so that every column
+    `TreeCover._install` derives is defined."""
     def need(ok, what: str) -> None:
         if not ok:
             raise DecodeError(f"cover columns: {what}")
 
-    minis, micros = len(c["mini_root"]), len(c["p_count"])
-    rows = ((("mini_ld",), minis), (("q_before", "q_side", "q_parent", "q_size"), minis - 1),
-            (("m_mini_root", "ld_minilocal", "type_of"), micros), (("p_pos", "p_in"), micros - 1))
-    need(minis and micros and all(len(c[x]) == count for names, count in rows for x in names),
+    micros = len(c["p_count"])
+    rows = ((("root_ld", "type_of"), micros), (("p_pos", "p_in"), micros - 1))
+    need(micros and all(len(c[x]) == count for names, count in rows for x in names),
          "columns differ in length")
-    flag = c["m_mini_root"]
-    need((flag <= 1).all(), "a mini-root flag is not a bit")
-    need(flag[0] == 1, "micro 1 does not root a mini tree")
-    need(flag.sum() == minis, "the micros flagged as mini roots do not count the mini trees")
     ports = c["p_count"]
-    need((ports < micros).all(), "a micro has more portals than there are micros")
+    need((ports <= 2).all(), "a micro has more than two portals")
     open_after = 1 + np.cumsum(ports - 1)  # portals left open after each micro
     need((open_after[:-1] >= 1).all() and open_after[-1] == 0,
          "portal counts are not the preorder degree sequence of a tree")
@@ -722,7 +650,7 @@ def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> 
     need((ports < size).all() and (size - ports <= n).all() and (size - ports).sum() == n,
          "micro member counts do not sum to n")
     # a shape's root is a member, and its portal leaves are listed in shape
-    # preorder; so every derived mini-local preorder and member count is >= 1
+    # preorder; so every derived preorder and member count is >= 1
     owner = np.repeat(np.arange(micros), ports)
     other = np.diff(owner) > 0
     pos = c["p_pos"]
@@ -733,17 +661,6 @@ def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> 
     pos = c["p_in"]
     need(((pos >= 1) & (pos <= size[owner])).all() and ((np.diff(pos) >= 2) | other).all(),
          "portal inorder positions do not rise by 2 or more within 1..shape size in each micro")
-
-
-def _rank_within(groups: np.ndarray) -> np.ndarray:
-    """1-based rank of each entry among the entries of its group, in index order."""
-    order = np.argsort(groups, kind="stable")
-    sg = groups[order]
-    first = np.flatnonzero(np.concatenate(([True], sg[1:] != sg[:-1])))
-    counts = np.diff(np.append(first, len(sg)))
-    rank = np.empty(len(groups), dtype=np.intc)
-    rank[order] = np.arange(1, len(sg) + 1) - np.repeat(first, counts)
-    return rank
 
 
 def _order_rank(key: np.ndarray):
@@ -799,82 +716,35 @@ def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
     return shape_pre, shape_in, keys
 
 
-def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = None) -> TreeCover:
-    """Build the two-tier cover of a binary tree.
+def build_cover(t: BinaryTree, micro_b: int | None = None) -> TreeCover:
+    """Build the one-tier cover of a binary tree.
 
-    Each tier is one `_pack` pass, the second over the forest left when the
-    edges between mini trees are cut, whose subtree sizes are the mini-local
-    ones; a pass visits only the nodes whose subtree exceeds its 2B.  The
-    per-node maps are then derived with numpy from the tree's preorder/inorder
-    numbering.  Micro trees get their ids k in root preorder, which is the
-    preorder of the micro-root tree with children ordered by root preorder.
+    The micros are the components of `decompose(t, max(1, micro_b - 2))`,
+    found by the same `_pack` pass, which visits only the nodes whose subtree
+    exceeds its 2B; each micro has at most two portals, so its shape has at
+    most 2 * micro_b nodes.  The per-node maps are then derived with numpy
+    from the tree's preorder/inorder numbering.  Micro trees get their ids k
+    in root preorder, which is the preorder of the micro-root tree with
+    children ordered by root preorder.
     """
     n = t.n
     if n < 1:
         raise CoverError("build_cover requires a non-empty tree")
-    d_mini, d_micro = default_params(n)
     if micro_b is None:
-        micro_b = d_micro
-    if mini_b is None:
-        mini_b = max(d_mini, micro_b)
-    if micro_b < 1 or mini_b < micro_b:
-        raise CoverError("need 1 <= micro_b <= mini_b")
+        micro_b = default_params(n)
+    if micro_b < 1:
+        raise CoverError("need micro_b >= 1")
 
     cov = object.__new__(TreeCover)
     cov.n = n
-    cov.mini_B = mini_b
     cov.micro_B = micro_b
 
-    idx = np.intc
-    left = np.frombuffer(t.left, dtype=idx)
-    right = np.frombuffer(t.right, dtype=idx)
-    parent = np.frombuffer(t.parent, dtype=idx)
-    st = np.frombuffer(t.st, dtype=idx)
-    ls = np.frombuffer(t.ls, dtype=idx)
-
-    # tier 1: t1[v] is v's mini tree, minis numbered by root preorder
-    closed = _pack(n, left, right, st, mini_b)
-    closed[1] = 1
-    t1 = _components(closed, parent)
-    is_mini_root = np.frombuffer(closed, dtype=np.uint8)
-    mini_root = np.flatnonzero(is_mini_root)
-    n_minis = len(mini_root)
-
-    # mini-local subtree sizes subtract the (at most two) child minis inside
-    child_minis = mini_root[1:]
-    owner = t1[parent[child_minis]]
-    if n_minis > 1 and np.bincount(owner).max() > 2:
-        raise CoverError("mini tree with more than two outgoing edges")
-    inner = np.zeros((2, n_minis + 1), dtype=idx)
-    for x, m in zip(child_minis.tolist(), owner.tolist()):
-        inner[1 if inner[0, m] else 0, m] = x
-    node = np.arange(n + 1, dtype=idx)
-    st_local = st.copy()
-    for row in inner:
-        x = row[t1]
-        st_local -= np.where((x > node) & (x < node + st), st[x], 0)
-    del node, x
-    # each mini portal's source, side, and the mini-local size of its left
-    # subtree when the portal is a right child
-    mp = parent[child_minis]
-    m_side = (right[mp] == child_minis).astype(idx)
-    lchild = left[mp]
-    ls_loc = np.where((m_side == 1) & (lchild != 0) & (t1[lchild] == owner),
-                      st_local[lchild], 0)
-
-    # tier 2: the same packing inside every mini at once
-    closed2 = _pack(n, np.where(t1[left] == t1, left, 0), np.where(t1[right] == t1, right, 0),
-                    st_local, max(1, micro_b - 2))
-    for r in mini_root.tolist():
-        closed2[r] = 1
-    k_of = _components(closed2, parent)
-    micro_root = np.flatnonzero(np.frombuffer(closed2, dtype=np.uint8))
+    closed, k_of = _partition(t, max(1, micro_b - 2))
+    micro_root = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8))
     M = len(micro_root)
-
-    del st_local  # _micro_shapes sets the build's memory peak
     # every micro root but the global one is a portal leaf of its parent's micro
     pc = micro_root[1:]
-    pk = k_of[parent[pc]]
+    pk = k_of[np.frombuffer(t.parent, dtype=np.intc)[pc]]
     p_count = np.bincount(pk, minlength=M + 1)[1:]
     shape_size = np.bincount(k_of[1:], minlength=M + 1)[1:] + p_count
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
@@ -882,30 +752,20 @@ def build_cover(t: BinaryTree, mini_b: int | None = None, micro_b: int | None = 
             f"micro shape of {shape_size.max()} nodes exceeds 2*micro_b={2 * micro_b}")
     shape_pre, shape_in, keys = _micro_shapes(t, k_of, pk, pc, shape_size)
 
-    # a type is a shape; types are numbered in (t1, t2) order of first use
-    mt1 = t1[micro_root]
+    # a type is a shape; types are numbered in k order of first use
     type_id: dict[tuple[int, int], int] = {}
-    type_of = [0] * M
-    for j in np.argsort(mt1, kind="stable").tolist():
-        type_of[j] = type_id.setdefault(keys[j], len(type_id))
+    type_of = [type_id.setdefault(key, len(type_id)) for key in keys]
     cov.registry = TypeRegistry(VariableCellArray(type_id))
 
-    loc = np.zeros(n + 1, dtype=idx)  # mini-local preorder
-    loc[1:] = _rank_within(t1[1:])
-    ld = np.arange(n + 1, dtype=idx) - np.frombuffer(t.inorder_of, dtype=idx) + ls
+    # a node's left depth is its preorder - inorder + left-subtree size
+    inorder = np.frombuffer(t.inorder_of, dtype=np.intc)
+    ls = np.frombuffer(t.ls, dtype=np.intc)
     # micro portals in (owning micro, shape position) order
     portal_pos = shape_pre[n:]
-    # mini portals in (mini, mini-local source, side) order
-    m_loc = loc[mp]
-    morder = np.lexsort((m_side, m_loc, owner))
     by_portal = np.lexsort((portal_pos, pk))
     cov._install({
-        "mini_root": mini_root, "mini_ld": ld[mini_root],
-        "q_before": (m_loc + m_side * ls_loc)[morder], "q_side": m_side[morder],
-        "q_parent": m_loc[morder], "q_size": st[child_minis[morder]],
-        "m_mini_root": is_mini_root[micro_root], "shape_size": shape_size,
-        "ld_minilocal": ld[micro_root] - ld[mini_root[mt1 - 1]],
-        "type_of": np.asarray(type_of), "p_count": p_count,
+        "root_ld": micro_root - inorder[micro_root] + ls[micro_root],
+        "shape_size": shape_size, "type_of": np.asarray(type_of), "p_count": p_count,
         "p_pos": portal_pos[by_portal], "p_in": shape_in[n:][by_portal],
     })
     return cov

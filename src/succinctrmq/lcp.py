@@ -171,7 +171,35 @@ class LcpData:
             a, b = b, a
         return self.lcp[rmq_query(a + 1, b)]
 
+    def lce_direct(self, i: int, j: int) -> int:
+        """Longest common extension of suffixes i and j read off the text:
+        slices of doubling length are compared until one differs or the
+        shorter suffix ends, then the last slice is bisected.  An extension
+        of h letters takes O(log h) slice compares of O(h) bytes each, so it
+        needs neither the LCP array nor a Python step per letter."""
+        text = self.text
+        a, b = i - 1, j - 1
+        limit = len(text) - max(a, b)  # the shorter suffix's length
+        lo, step = 0, 1  # the first lo letters agree
+        while lo < limit:
+            hi = min(lo + step, limit)
+            if text[a + lo:a + hi] != text[b + lo:b + hi]:
+                break
+            lo, step = hi, 2 * step
+        else:
+            return lo
+        hi -= 1  # a letter in lo .. hi - 1 differs, so lo <= h <= hi - 1
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            if text[a + lo:a + mid] == text[b + lo:b + mid]:
+                lo = mid
+            else:
+                hi = mid - 1
+        return lo
+
     def lce_naive(self, i: int, j: int) -> int:
+        """Longest common extension by one Python step per equal letter: the
+        reference that tests compare `lce` and `lce_direct` against."""
         n = len(self.text)
         h = 0
         while i + h <= n and j + h <= n and self.text[i + h - 1] == self.text[j + h - 1]:

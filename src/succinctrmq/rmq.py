@@ -17,7 +17,7 @@ from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, 
 from .serial import DecodeError, Reader, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 7  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 8  # FORMAT.md, "RmqIndex"
 
 # what `RmqIndex.build` times, in order: ranking the values and building the
 # Cartesian tree, the tree cover, encoding the micro types, the spot check
@@ -38,8 +38,7 @@ class RmqIndex:
         self.build_timings: dict[str, float] = {}
 
     @classmethod
-    def build(cls, values, codec: str = MODE_ENTROPY, mini_b: int | None = None,
-              micro_b: int | None = None) -> "RmqIndex":
+    def build(cls, values, codec: str = MODE_ENTROPY, micro_b: int | None = None) -> "RmqIndex":
         marks = [time.perf_counter()]
         keys = order_keys(values)
         if not len(keys):
@@ -48,7 +47,7 @@ class RmqIndex:
             raise ValueError(f"unknown codec {codec!r}")
         tree = build_cartesian(keys)
         marks.append(time.perf_counter())
-        cover = build_cover(tree, mini_b=mini_b, micro_b=micro_b)
+        cover = build_cover(tree, micro_b=micro_b)
         del tree  # only the cover outlives its phase
         marks.append(time.perf_counter())
         type_array = encode_types(cover.type_ids, cover.registry, codec)
@@ -125,8 +124,7 @@ class RmqIndex:
             # the Zaks key of every shape, which every codec's queries build tables from
             "type_registry": len(cov.registry.to_bytes()) * 8,
             "type_directory": ta_space["directory"],
-            "index_directories": (aux["per_micro_tables"] + aux["per_mini_tables"]
-                                  + aux["pca_inorder"]),
+            "index_directories": aux["per_micro_tables"] + aux["pca_inorder"],
             "macro_tiers": aux["micro_root_tree"],
         }
         total = sum(breakdown.values())
@@ -139,7 +137,6 @@ class RmqIndex:
             "breakdown": breakdown,
             "aux_detail": aux,
             "micro_trees": cov.micro_count(),
-            "mini_trees": cov.n_minis,
             "distinct_types": len(cov.registry),
         }
 

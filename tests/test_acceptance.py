@@ -123,7 +123,7 @@ def test_criterion_4_average_case_code_length():
     assert hn_rate - 0.02 <= total_bits / trees / n <= hn_rate + 0.02
     # tree-covering overhead: entropy payload below fixed payload and below
     # the per-node +2 envelope H_st(t) + 2n(2 + lg(2 micro_B))/micro_B
-    _, micro_b = default_params(n)
+    micro_b = default_params(n)
     rates = []
     for t in sampled:
         cov = build_cover(t)
@@ -203,8 +203,7 @@ def test_criterion_8_hyper_succinct_dominance():
     worst_margin = None
     for t in trees:
         for micro_b in (None, 16):
-            cov = build_cover(t, micro_b=micro_b,
-                              mini_b=None if micro_b is None else 16 * 8)
+            cov = build_cover(t, micro_b=micro_b)
             payloads = {
                 mode: encode_types(cov.type_ids, cov.registry, mode).total_payload_bits()
                 for mode in (MODE_FIXED, MODE_ENTROPY, MODE_HUFFMAN)

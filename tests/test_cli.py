@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from succinctrmq.cli import main
+from succinctrmq.lcp import LcpData
 from succinctrmq.rmq import BUILD_PHASES, FORMAT_VERSION
 from succinctrmq.serial import read_stream, write_stream
 
@@ -67,7 +68,7 @@ class TestBuildCommand:
     def test_dump_cover(self, fig_file, capsys):
         assert main(["build", fig_file, "--dump-cover"]) == 0
         out = capsys.readouterr().out
-        assert "mini 1:" in out and "micro (1," in out
+        assert "cover: n=20 micros=" in out and "micro k=1: root_pre=1 " in out
 
     def test_deterministic_given_seed(self, tmp_path, capsys):
         a = str(tmp_path / "a.idx")
@@ -178,6 +179,15 @@ class TestLcpIngest:
                      "--spot-checks", "300"]) == 0
         # the emitted LCP array feeds straight into build
         assert main(["build", str(lcp_file)]) == 0
+
+    def test_wrong_lce_is_a_mismatch(self, tmp_path, capsys, monkeypatch):
+        # the spot checks compare against the text itself, not the index
+        text = tmp_path / "t.txt"
+        text.write_bytes(b"abracadabra" * 30)
+        monkeypatch.setattr(LcpData, "lce", lambda self, i, j, rmq_query: -1)
+        assert main(["lcp-ingest", str(text), "--spot-checks", "20"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("MISMATCH lce(") == 20
 
     def test_empty_text(self, tmp_path):
         text = tmp_path / "e.txt"

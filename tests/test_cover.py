@@ -103,27 +103,26 @@ class TestBuildCoverBasics:
 
     def test_whole_tree_in_one_micro(self):
         t = sample_random_bst(40, 1)
-        cov = build_cover(t, mini_b=100, micro_b=100)
+        cov = build_cover(t, micro_b=100)
         assert cov.micro_count() == 1
-        assert cov.n_minis == 1
         sweep_maps(t, cov)
 
     def test_root_leads_every_numbering(self):
         for seed in range(5):
             t = sample_random_bst(200, seed)
-            cov = build_cover(t, mini_b=16, micro_b=4)
+            cov = build_cover(t, micro_b=4)
             assert cov.nodeselect_preorder(1) == TauName(1, 1, 1)
 
     def test_right_path_last_node(self):
         t = right_path(300)
-        cov = build_cover(t, mini_b=32, micro_b=6)
+        cov = build_cover(t, micro_b=6)
         name = cov.nodeselect_preorder(300)
         assert cov.noderank_preorder(name) == 300
-        assert name.t1 == cov.n_minis
+        assert name.t1 == 1 and name.t2 == cov.micro_count()
 
     def test_random_2000_all_nodes_reachable(self):
         t = sample_random_bst(2000, 11)
-        cov = build_cover(t, mini_b=64, micro_b=8)
+        cov = build_cover(t, micro_b=8)
         seen = set()
         for p in range(1, 2001):
             name = cov.nodeselect_preorder(p)
@@ -133,7 +132,7 @@ class TestBuildCoverBasics:
 
     def test_invalid_names(self):
         t = sample_random_bst(100, 2)
-        cov = build_cover(t, mini_b=16, micro_b=4)
+        cov = build_cover(t, micro_b=4)
         with pytest.raises(ValueError):
             cov.noderank_preorder(TauName(999, 1, 1))
         with pytest.raises(ValueError):
@@ -147,12 +146,12 @@ class TestBuildCoverBasics:
 
     def test_portal_positions_rejected(self):
         t = sample_random_bst(400, 3)
-        cov = build_cover(t, mini_b=20, micro_b=5)
+        cov = build_cover(t, micro_b=5)
         hit = False
         for m in cov.micros_by_k:
             for pos, _, _ in m.portals:
                 hit = True
-                name = TauName(m.t1, m.t2, pos)
+                name = TauName(1, m.k, pos)
                 for call in (cov.noderank_preorder, cov.noderank_inorder,
                              lambda x: cov.lca(x, cov.nodeselect_inorder(1))):
                     with pytest.raises(ValueError):
@@ -162,19 +161,17 @@ class TestBuildCoverBasics:
     def test_param_validation(self):
         t = sample_random_bst(10, 1)
         with pytest.raises(CoverError):
-            build_cover(t, mini_b=2, micro_b=5)
+            build_cover(t, micro_b=0)
 
     def test_default_params_monotone(self):
-        m1, u1 = default_params(1000)
-        m2, u2 = default_params(10**6)
-        assert u1 <= u2 and m1 <= m2 and u1 >= 1 and m1 >= u1
+        assert 1 <= default_params(1000) <= default_params(10**6)
 
 
 class TestFixtureCover:
     @pytest.fixture()
     def fig(self):
         t = build_cartesian(FIG_ARRAY)
-        return t, build_cover(t, mini_b=8, micro_b=3)
+        return t, build_cover(t, micro_b=3)
 
     def test_inorder_root(self, fig):
         t, cov = fig
@@ -221,12 +218,11 @@ class TestOracleEquivalence:
 
     def test_random_bsts(self):
         rng = random.Random(1234)
-        params = [(None, None), (64, 8), (200, 30), (16, 4)]
+        params = [None, 8, 30, 4]
         for trial in range(100):
             n = rng.randint(1, 2000)
             t = sample_random_bst(n, trial * 31 + 1)
-            mini_b, micro_b = params[trial % len(params)]
-            cov = build_cover(t, mini_b=mini_b, micro_b=micro_b)
+            cov = build_cover(t, micro_b=params[trial % len(params)])
             sweep_maps(t, cov)
             sweep_lca(t, cov, rng, 10000 if n > 1 else 1)
 
@@ -235,7 +231,7 @@ class TestOracleEquivalence:
         shapes = _adversarial_shapes()
         assert len(shapes) == 20
         for t in shapes:
-            cov = build_cover(t, mini_b=52, micro_b=7)
+            cov = build_cover(t, micro_b=7)
             sweep_maps(t, cov)
             sweep_lca(t, cov, rng, 10000)
 
@@ -244,7 +240,7 @@ class TestOracleEquivalence:
         trees = [sample_random_bst(n, n + 40) for n in (1, 2, 3, 17, 64, 128)]
         trees += [complete_tree(7), zigzag_path(128), caterpillar(128)]
         for t in trees:
-            cov = build_cover(t, mini_b=12, micro_b=3)
+            cov = build_cover(t, micro_b=3)
             for a in range(1, t.n + 1):
                 ua = cov.nodeselect_preorder(a)
                 for b in range(a, t.n + 1):
@@ -261,25 +257,25 @@ class TestLoadedCover:
 
     def test_random_bst(self):
         t = sample_random_bst(1500, 21)
-        cov = reloaded(build_cover(t, mini_b=40, micro_b=5))
+        cov = reloaded(build_cover(t, micro_b=5))
         sweep_maps(t, cov)
         sweep_lca(t, cov, random.Random(21), 5000)
 
     def test_right_path(self):
         t = right_path(300)
-        cov = reloaded(build_cover(t, mini_b=32, micro_b=6))
+        cov = reloaded(build_cover(t, micro_b=6))
         sweep_maps(t, cov)
         sweep_lca(t, cov, random.Random(300), 3000)
 
     def test_fixture(self):
         t = build_cartesian(FIG_ARRAY)
-        cov = reloaded(build_cover(t, mini_b=8, micro_b=3))
+        cov = reloaded(build_cover(t, micro_b=3))
         sweep_maps(t, cov)
         sweep_lca(t, cov, random.Random(8), 2000)
 
     def test_derived_runs_are_maximal(self):
         t = sample_random_bst(3000, 22)
-        cov = reloaded(build_cover(t, mini_b=64, micro_b=8))
+        cov = reloaded(build_cover(t, micro_b=8))
         c, run_k, run_t3 = cov._derive_preorder_runs()
         starts = c.positions()
         assert len(starts) == len(run_k) == len(run_t3)
@@ -303,58 +299,42 @@ class TestLoadedCover:
 def brute_derived(t, cov) -> dict:
     """The cover columns that a load derives from the micro-root tree,
     computed from the tree by walks over its nodes: each node's micro is read
-    off the stored inorder map, and each mini tree's root is stored."""
+    off the stored inorder map, node ids are preorder ranks, and a portal
+    stands for the whole subtree under its edge."""
     n = t.n
     micro = [0] * (n + 1)
     for i in range(1, n + 1):
         micro[t.id_at_inorder[i]] = cov.select_inorder(i)[0]
-    mini_roots = set(cov.mini_root[1:])
-    mini_id = {r: x for x, r in enumerate(sorted(mini_roots), 1)}
-    mini = [0] * (n + 1)  # each node's mini tree, by its root; parents come first
-    loc = [0] * (n + 1)  # mini-local preorder
-    seen = dict.fromkeys(mini_roots, 0)
-    for v in range(1, n + 1):
-        mini[v] = v if v in mini_roots else mini[t.parent[v]]
-        seen[mini[v]] += 1
-        loc[v] = seen[mini[v]]
-    mini_of = np.array(mini)
     roots = [v for v in range(1, n + 1) if v == 1 or micro[t.parent[v]] != micro[v]]
     assert [micro[r] for r in roots] == list(range(1, len(roots) + 1))
     children = [[] for _ in range(len(roots) + 1)]
     for r in roots[1:]:
         children[micro[t.parent[r]]].append(r)
-    mini_portals = [0] * (len(mini_roots) + 1)
-    for r in sorted(mini_roots)[1:]:
-        mini_portals[mini_id[mini[t.parent[r]]]] += 1
     return {
         "p_child": [micro[r] for kids in children for r in kids],
-        "p_smini": [0 if r in mini_roots
-                    else int(np.count_nonzero(mini_of[r:r + t.st[r]] == mini[r]))
-                    for kids in children for r in kids],
-        "m_t1": [mini_id[mini[r]] for r in roots],
-        "root_minilocal": [loc[r] for r in roots],
-        "q_off": [0] + np.cumsum([0] + mini_portals[1:]).tolist(),
+        "p_size": [t.st[r] for kids in children for r in kids],
+        "root_pre": roots,
     }
 
 
 class TestDerivedColumns:
     """Each column that `TreeCover._install` derives from the portal counts
-    and the mini-root flags equals its brute-force value, built and loaded."""
+    and positions equals its brute-force value, built and loaded."""
 
     TREES = {**{f"perm-{seed}": np.random.default_rng(seed).permutation(3000) for seed in (1, 2)},
              **adversarial_ranks(3000)}
 
-    @pytest.mark.parametrize("mini_b,micro_b", [(None, None), (16, 4), (3, 3)],
-                             ids=["default", "16-4", "3-3"])
+    # the ids name the (mini_b, micro_b) pairs of the two-tier cover these
+    # cases were written for; micro_b is the second
+    @pytest.mark.parametrize("micro_b", [None, 4, 3], ids=["default", "16-4", "3-3"])
     @pytest.mark.parametrize("name", list(TREES))
-    def test_matches_brute_force(self, name, mini_b, micro_b):
+    def test_matches_brute_force(self, name, micro_b):
         t = build_cartesian(self.TREES[name].tolist())
-        built = build_cover(t, mini_b=mini_b, micro_b=micro_b)
+        built = build_cover(t, micro_b=micro_b)
         want = brute_derived(t, built)
         for cov in (built, reloaded(built)):
-            got = {"p_child": list(cov.p_child), "p_smini": list(cov.p_smini),
-                   "m_t1": list(cov.m_t1[1:]), "root_minilocal": list(cov.root_minilocal[1:]),
-                   "q_off": cov.q_off}
+            got = {"p_child": list(cov.p_child), "p_size": list(cov.p_size),
+                   "root_pre": list(cov.root_pre[1:])}
             assert got == want
 
 
@@ -363,13 +343,13 @@ class TestSpaceAccounting:
         t = sample_random_bst(5000, 9)
         cov = build_cover(t)
         sp = cov.space_bits()
-        for key in ("per_micro_tables", "per_mini_tables", "pca_inorder", "micro_root_tree"):
+        for key in ("per_micro_tables", "pca_inorder", "micro_root_tree"):
             assert sp[key] > 0
 
     def test_index_shrinks_per_node_with_bigger_micros(self):
         t = sample_random_bst(20000, 10)
-        small = build_cover(t, mini_b=64, micro_b=8)
-        big = build_cover(t, mini_b=2048, micro_b=256)
+        small = build_cover(t, micro_b=8)
+        big = build_cover(t, micro_b=256)
 
         def aux(cov):
             sp = cov.space_bits()
@@ -435,7 +415,7 @@ PACK_SHAPES = [left_path(700), right_path(700), zigzag_path(701), caterpillar(70
 
 
 class TestPack:
-    """`_pack` gives the marks of the full loop, on both tiers."""
+    """`_pack` gives the marks of the full loop, alone and inside `build_cover`."""
 
     @pytest.mark.parametrize("B", range(1, 9))
     def test_random_bsts(self, B):
@@ -457,24 +437,55 @@ class TestPack:
         right = np.where(small, -1, np.frombuffer(t.right, dtype=np.intc))
         assert _pack(t.n, left, right, t.st, B) == full_pack(t.n, t.left, t.right, B)
 
-    @pytest.mark.parametrize("mini_b,micro_b", [(4, 1), (8, 3), (16, 4), (64, 8), (None, None)])
-    def test_both_tiers_of_build_cover(self, monkeypatch, mini_b, micro_b):
-        # each tier's call gets the forest's subtree sizes and the full loop's marks
-        tiers = []
+    # the ids name the (mini_b, micro_b) pairs of the two-tier cover these
+    # cases were written for; micro_b is the second
+    @pytest.mark.parametrize("micro_b", [1, 3, 4, 8, None],
+                             ids=["4-1", "8-3", "16-4", "64-8", "None-None"])
+    def test_both_tiers_of_build_cover(self, monkeypatch, micro_b):
+        # the cover packs once per build, over the whole tree: the call gets
+        # the tree's subtree sizes and the full loop's marks
+        calls = []
 
         def checked(n, left, right, st, B):
             left, right = np.asarray(left).tolist(), np.asarray(right).tolist()
             assert np.asarray(st).tolist() == forest_sizes(n, left, right)
             marks = _pack(n, left, right, st, B)
             assert marks == full_pack(n, left, right, B)
-            tiers.append(B)
+            calls.append(B)
             return marks
 
         monkeypatch.setattr(cover, "_pack", checked)
         shapes = PACK_SHAPES + [sample_random_bst(n, n) for n in (1, 2, 50, 2000)]
         for t in shapes:
-            build_cover(t, mini_b=mini_b, micro_b=micro_b)
-        assert len(tiers) == 2 * len(shapes)
+            build_cover(t, micro_b=micro_b)
+        assert len(calls) == len(shapes)
+
+
+PARTITION_TREES = [sample_random_bst(n, n) for n in (1, 2, 3, 50, 777, 3000)] + [
+    sample_random_bst(20000, 7), left_path(700), zigzag_path(701), caterpillar(700),
+    complete_tree(9)]
+
+
+class TestCoverPartition:
+    """The cover's micros are the components of `decompose(t, max(1,
+    micro_b - 2))`, and criterion 7's checker passes on that partition, so
+    the checker covers the partition that the index uses."""
+
+    @pytest.mark.parametrize("micro_b", [None, 3, 4, 16], ids=["default", "3", "4", "16"])
+    def test_micros_are_decompose_components(self, micro_b):
+        for t in PARTITION_TREES:
+            cov = build_cover(t, micro_b=micro_b)
+            B = max(1, (micro_b or default_params(t.n)) - 2)
+            d = decompose(t, B)
+            assert list(cov.root_pre[1:]) == d.roots
+            verify_decomposition(t, B, d)
+            # every node lies in the micro of its component, and no micro has
+            # more than two portals
+            micro = [0] * (t.n + 1)
+            for i in range(1, t.n + 1):
+                micro[t.id_at_inorder[i]] = cov.select_inorder(i)[0]
+            assert micro[1:] == list(d.comp_of)[1:]
+            assert max(np.diff(cov.p_off[1:]), default=0) <= 2
 
 
 class TestBuildTimeBound:

@@ -142,6 +142,22 @@ class TestLce:
             j = rng.randint(1, n)
             assert data.lce(i, j, index.query) == data.lce_naive(i, j)
 
+    @pytest.mark.parametrize("text", [*KERNEL_TEXTS.values(), b"banana", b"mississippi",
+                                      _repetitive_dna(3000, seed=4)],
+                             ids=[*KERNEL_TEXTS.keys(), "banana", "mississippi", "dna"])
+    def test_direct_matches_naive(self, text):
+        # every pair of a short text, and seeded pairs of a longer one
+        data = LcpData(text=text, sa=[], isa=[], lcp=[])
+        n = len(text)
+        if n <= 64:
+            pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        else:
+            rng = random.Random(n)
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(1500)]
+            pairs += [(1, n), (n, 1), (1, 1), (n, n), (1, 2), (2, 1)]
+        for i, j in pairs:
+            assert data.lce_direct(i, j) == data.lce_naive(i, j), (i, j)
+
     def test_self_extension(self):
         data = LcpData.from_text(b"mississippi")
         index = RmqIndex.build(data.lcp[1:])

@@ -39,9 +39,9 @@ def zaks_shape(bits):
     return shape
 
 
-def build_fixture_cover(n=3000, seed=5, mini_b=60, micro_b=7):
+def build_fixture_cover(n=3000, seed=5, micro_b=7):
     t = sample_random_bst(n, seed)
-    cov = build_cover(t, mini_b=mini_b, micro_b=micro_b)
+    cov = build_cover(t, micro_b=micro_b)
     return t, cov
 
 
@@ -70,7 +70,7 @@ class TestMicroTypeKey:
         # small micros repeat shapes under portals that hang on different
         # sides; each shape is one type, with one table
         t = build_cartesian(np.random.default_rng(7).permutation(20000))
-        cov = build_cover(t, mini_b=64, micro_b=8)
+        cov = build_cover(t, micro_b=8)
         reg = cov.registry
         keys = [tuple(reg.zaks_bits(t).tolist()) for t in range(len(reg))]
         assert len(set(keys)) == len(keys)
@@ -353,16 +353,16 @@ def entropy_object(registry, type_id):
 
 
 class TestTypeArray:
-    @pytest.mark.parametrize("tree, mini_b, micro_b", [
-        (sample_random_bst(3000, 5), 60, 7),
-        (sample_random_bst(20000, 8), None, None),
-        (build_cartesian(list(range(3000))), 60, 7),  # right paths
-        (build_cartesian(list(range(3000, 0, -1))), None, None),  # left paths
-        (build_cartesian([i % 7 for i in range(2000)]), 40, 5),
-        (sample_random_bst(50, 12), 1, 1),  # leaves and 1-node shapes
+    @pytest.mark.parametrize("tree, micro_b", [
+        (sample_random_bst(3000, 5), 7),
+        (sample_random_bst(20000, 8), None),
+        (build_cartesian(list(range(3000))), 7),  # right paths
+        (build_cartesian(list(range(3000, 0, -1))), None),  # left paths
+        (build_cartesian([i % 7 for i in range(2000)]), 5),
+        (sample_random_bst(50, 12), 1),  # leaves and 1-node shapes
     ], ids=["random", "random-default-b", "sorted", "reversed", "sawtooth", "leaves"])
-    def test_entropy_objects_match_scalar_coder(self, tree, mini_b, micro_b):
-        cov = build_cover(tree, mini_b=mini_b, micro_b=micro_b)
+    def test_entropy_objects_match_scalar_coder(self, tree, micro_b):
+        cov = build_cover(tree, micro_b=micro_b)
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         want = [entropy_object(cov.registry, t) for t in range(len(cov.registry))]
         assert [ta.vca.object_bits(i) for i in range(1, ta.vca.m + 1)] == \
@@ -370,7 +370,7 @@ class TestTypeArray:
 
     def test_paths_take_the_zaks_selector(self):
         # a right path's size code is lg s! bits, longer than its 2s + 1
-        cov = build_cover(build_cartesian(list(range(3000))), mini_b=60, micro_b=7)
+        cov = build_cover(build_cartesian(list(range(3000))), micro_b=7)
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         selectors = {int(ta.vca.bits(i)[0]) for i in range(1, ta.vca.m + 1)}
         assert SELECTOR_ZAKS in selectors
@@ -429,7 +429,7 @@ class TestTypeArray:
 
     def test_all_leaf_micros(self):
         t = sample_random_bst(50, 12)
-        cov = build_cover(t, mini_b=1, micro_b=1)
+        cov = build_cover(t, micro_b=1)
         ta = encode_types(cov.type_ids, cov.registry, MODE_ENTROPY)
         per_micro = ta.total_payload_bits() / cov.micro_count()
         assert per_micro <= 16  # O(1) bits per tiny micro

@@ -171,8 +171,25 @@ class TestEquivalence:
         for _ in range(6):
             n = rng.randint(1, 200)
             arr = [rng.randint(0, 3) for _ in range(n)]
-            idx = RmqIndex.build(arr, micro_b=4, mini_b=16)
+            idx = RmqIndex.build(arr, micro_b=4)
             check_all_pairs(idx, arr)
+
+    def test_widest_left_depth_column(self):
+        # a decreasing array's Cartesian tree is a left path, so the micro
+        # roots' left depths reach n - 1 and their column is at its widest
+        n = 100_000
+        arr = adversarial_arrays(n)["reverse"]
+        idx = RmqIndex.build(arr)
+        assert max(idx.cover.root_ld) > n - 2 * idx.cover.micro_B
+        blob = idx.to_bytes()
+        loaded = RmqIndex.from_bytes(blob)
+        assert loaded.to_bytes() == blob
+        oracle = OracleRmq(arr, "sparse")
+        rng = random.Random(n)
+        for _ in range(3000):
+            i = rng.randint(1, n)
+            j = rng.randint(i, n)
+            assert loaded.query(i, j) == oracle.query(i, j)
 
     def test_sampled_large(self):
         arr = np.random.default_rng(5).permutation(50000).tolist()
@@ -289,7 +306,7 @@ class TestSerialization:
     def test_roundtrip(self, codec):
         rng = random.Random(31)
         arr = [rng.randint(0, 999) for _ in range(700)]
-        idx = RmqIndex.build(arr, codec=codec, mini_b=40, micro_b=6)
+        idx = RmqIndex.build(arr, codec=codec, micro_b=6)
         data = idx.to_bytes()
         back = RmqIndex.from_bytes(data)
         assert back.n == 700 and back.codec == codec
@@ -364,7 +381,7 @@ class TestMalformedSections:
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
         version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == FORMAT_VERSION == 7
+        assert version == FORMAT_VERSION == 8
         return sections
 
     @staticmethod
@@ -377,40 +394,36 @@ class TestMalformedSections:
         idx = RmqIndex.from_bytes(self.stream(sections))
         assert idx.n == 5000 and idx.query(1, 5000) >= 1
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
-                                     "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
     def test_every_truncation(self, sections, tag):
         payload = sections[tag.encode("ascii")]
         for cut in range(len(payload)):
             with pytest.raises(DecodeError):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: payload[:cut]}))
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
-                                     "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
     def test_trailing_bytes(self, sections, tag):
         payload = sections[tag.encode("ascii")]
         with pytest.raises(DecodeError, match="stray bytes"):
             RmqIndex.from_bytes(self.stream(sections, **{tag: payload + b"\0"}))
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
-                                     "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
     def test_missing_section(self, sections, tag):
         with pytest.raises(DecodeError):
             RmqIndex.from_bytes(self.stream(sections, drop=tag))
 
     def test_oversized_counts(self, sections):
-        for tag in ("MINI", "MICR", "PCAS", "TYPR", "HUFF"):
+        for tag in ("MICR", "PCAS", "TYPR", "HUFF"):
             payload = sections[tag.encode("ascii")]
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MINI", "MICR", "PCAS", "TYPR", "TARR",
-                                     "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
     def test_crc_mismatch_names_section(self, sections, tag):
         blob = bytearray(self.stream(sections))
         pos = 8  # walk the section headers: tag, length, CRC
@@ -427,13 +440,12 @@ class TestMalformedSections:
 
 class TestValueChecks:
     """Well-formed sections whose values break the cover are rejected at
-    load: each case rewrites one entry of one column (n = 300, in 13 mini
-    trees)."""
+    load: each case rewrites one entry of one column (n = 300, `micro_b` 4)."""
 
     @pytest.fixture(scope="class")
     def sections(self):
         arr = np.random.default_rng(300).permutation(300).tolist()
-        return read_stream(RmqIndex.build(arr, mini_b=16, micro_b=4).to_bytes())[1]
+        return read_stream(RmqIndex.build(arr, micro_b=4).to_bytes())[1]
 
     @staticmethod
     def rewrite(sections, column, index, value):
@@ -475,11 +487,9 @@ class TestValueChecks:
         ("p_count", lambda col: (0, 0), "degree sequence"),
         # the last micro opens a portal that no micro takes
         ("p_count", lambda col: (len(col) - 1, col[-1] + 1), "degree sequence"),
-        ("m_mini_root", lambda col: (0, 0), "micro 1 does not root a mini tree"),
-        # one micro more flagged than MINI lists mini trees
-        ("m_mini_root", lambda col: (int(np.flatnonzero(col == 0)[0]), 1),
-         "do not count the mini trees"),
-    ], ids=["tree-closes-early", "slots-left-open", "micro-1-unflagged", "extra-flag"])
+        # a third portal, which no one-tier micro has
+        ("p_count", lambda col: (0, 3), "more than two portals"),
+    ], ids=["tree-closes-early", "slots-left-open", "three-portals"])
     def test_bad_tree_rejected(self, sections, column, edit, message):
         at, value = edit(self.column(sections, column))
         with pytest.raises(DecodeError, match=message):
