@@ -3,7 +3,7 @@
 The package bundles the bit-level primitives (rank/select vectors,
 variable-cell arrays, piecewise-constant arrays), Cartesian-tree machinery,
 an entropy-optimal whole-tree code, a one-tier tree-covering representation
-with constant-time LCA, micro-tree codebooks, and the user-facing RMQ index.
+with constant-time LCA, micro-tree type codecs, and the user-facing RMQ index.
 """
 
 from .bits import BitVec, CompressedBitVec, PiecewiseConstantArray, VariableCellArray
@@ -20,15 +20,13 @@ from .trees import (
 from .treecode import TreeCode, decode_tree, encode_hybrid, encode_subtree_size, encode_zaks
 from .cover import Decomposition, TauName, TreeCover, build_cover, decompose, verify_decomposition
 from .lcp import LcpData
-from .microcodec import Codebook, TypeArray, build_huffman_codebook, encode_types
+from .microcodec import TypeArray, encode_types
 from .rmq import OracleRmq, RmqIndex, adversarial_arrays
 
 __all__ = [
-    "Codebook",
     "LcpData",
     "TypeArray",
     "adversarial_arrays",
-    "build_huffman_codebook",
     "encode_types",
     "BitVec",
     "CompressedBitVec",

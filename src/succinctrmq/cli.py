@@ -19,7 +19,7 @@ from .lcp import LcpData
 from .microcodec import MODES
 from .rmq import RmqIndex, adversarial_arrays
 from .treecode import TreeCode, decode_tree, encode_hybrid
-from .trees import build_cartesian, model_entropy
+from .trees import build_cartesian, model_entropy, model_entropy_closed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +88,11 @@ def cmd_build(args) -> int:
         lines.append(f"  {key:<18} {bits:>12}  ({bits / rep['n']:.4f}/elem)")
     lines.append(f"  (lookup tables built so far: {rep['aux_detail']['lookup_tables_built']} bits, "
                  "query-driven, reported separately)")
+    h_rate = model_entropy_closed(rep["n"]) / rep["n"]  # H_n/n, the random-permutation bound
+    lines.append(f"micro types: queries read TYPR {rep['query_form_per_element']:.4f}/elem; "
+                 f"stored TARR payload {rep['micro_payload_per_element']:.4f}/elem; "
+                 f"designed {rep['codec']} payload {rep['designed_payload_per_element']:.4f}/elem; "
+                 f"H_n/n {h_rate:.4f}")
     if args.output:
         lines.append(f"wrote {args.output}")
     kv = {
@@ -96,6 +101,9 @@ def cmd_build(args) -> int:
         "bits_total": rep["total_bits"],
         "bits_per_element": f"{rep['bits_per_element']:.6f}",
         "micro_payload_per_element": f"{rep['micro_payload_per_element']:.6f}",
+        "query_form_per_element": f"{rep['query_form_per_element']:.6f}",
+        "designed_payload_per_element": f"{rep['designed_payload_per_element']:.6f}",
+        "model_entropy_per_element": f"{h_rate:.6f}",
         **phase_kv,
     }
     for key, bits in rep["breakdown"].items():

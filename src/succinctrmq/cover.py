@@ -237,7 +237,7 @@ class MicroView(NamedTuple):
 
 
 # The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
-# (version 8)", says what each holds.  A micro's shape size is its type's, and
+# (version 9)", says what each holds.  A micro's shape size is its type's, and
 # `TreeCover._install` derives the other cover columns from these.
 _SECTIONS = (
     (b"MICR", ("root_ld", "type_of", "p_count", "p_pos")),
@@ -544,7 +544,7 @@ class TreeCover:
 
     def _install(self, cols: dict[str, np.ndarray]) -> None:
         """Hold the stored columns as compact arrays and derive the rest
-        (FORMAT.md, "RmqIndex (version 8)"): the micro-root tree, whose
+        (FORMAT.md, "RmqIndex (version 9)"): the micro-root tree, whose
         preorder degree sequence is the portal counts, and from it each
         portal's child micro and global member count, each micro root's
         global preorder and the inorder position map."""

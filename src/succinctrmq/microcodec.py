@@ -1,16 +1,18 @@
 """Micro-tree types, their payload encodings and the shared lookup tables.
 
 A micro tree's *type* is its shape (portal leaves included), keyed by the
-shape's Zaks sequence; where its portals hang is the cover's business
-(`MICR`), not the type's.  Types index per-shape lookup tables that answer
-micro-local queries in constant time.  Three payload encodings:
+shape's Zaks sequence (`TYPR`); where its portals hang is the cover's
+business (`MICR`), not the type's.  Types index per-shape lookup tables that
+answer micro-local queries in constant time, and every codec's queries build
+them from the key.  Three payload encodings, of which only entropy is stored:
 
 * fixed:    the Zaks sequence, 2s+1 bits for an s-node shape, which is bit
             for bit its type's `TYPR` record
 * entropy:  a selector bit and the shorter of {subtree-size code, Zaks};
             the node count is *not* stored (the per-micro index knows it),
             which keeps the per-shape cost within sum(lg st(v)) + O(1)
-* huffman:  a canonical, length-limited Huffman codeword per distinct type
+* huffman:  a length-limited Huffman codeword per micro, over the type
+            frequencies; `MICR`'s `type_of` already names each micro's type
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from array import array
 
 import numpy as np
 
-from .bits import VariableCellArray, compact_array, pack_column, read_column
-from .serial import DecodeError, Reader
+from .bits import VariableCellArray
+from .serial import DecodeError
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequences,
                        subtree_sizes, zaks_arrays)
 from .trees import BlockMinLca
@@ -192,91 +194,25 @@ def _package_merge_lengths(weights: list[int], limit: int) -> list[int]:
 
 
 class Codebook:
-    """Canonical, prefix-free code over micro-tree types, held as arrays.
+    """Codeword lengths of a prefix code over micro-tree types, one per type
+    id.  No codeword is assigned: no file stores one, and a huffman payload
+    is measured by the lengths alone."""
 
-    Codewords are assigned in (length, type id) order, so each type's
-    codeword length fixes the code.  Every type has a codeword.  The book
-    keeps that length per type id, the types in canonical order, and per
-    length L the first codeword and the index of the first type in that
-    order (`_first[L]`, `_start[L]`; `_start[L + 1]` ends the run).
-    """
-
-    __slots__ = ("_length", "_symbols", "_first", "_start")
+    __slots__ = ("lengths",)
 
     def __init__(self, lengths: dict[int, int], types: int):
         """lengths: type id -> codeword length (>= 1) for each of the type
         ids 0 .. types - 1."""
         if len(lengths) != types or min(lengths.values(), default=1) < 1:
             raise ValueError("every registry type needs a codeword")
-        symbols = sorted(lengths, key=lambda s: (lengths[s], s))
-        top = max(lengths.values(), default=0)
-        count = [0] * (top + 1)
-        length = array("B", bytes(types))
-        for s, l in lengths.items():
-            length[s] = l
-            count[l] += 1
-        first, start = [0, 0], [0, 0]
-        for l in range(1, top + 1):
-            first.append((first[l] + count[l]) << 1)
-            start.append(start[l] + count[l])
-        self._length, self._symbols = length, compact_array(symbols)
-        self._first, self._start = first[:top + 1], start  # no codeword is longer than top
+        self.lengths = np.zeros(types, dtype=np.int64)
+        self.lengths[list(lengths)] = list(lengths.values())
 
     def length(self, type_id: int) -> int:
-        return self._length[type_id]
-
-    def code(self, type_id: int) -> tuple[int, int]:
-        """(codeword, length) of a type."""
-        l = self._length[type_id]
-        a = self._start[l]
-        return self._first[l] + self._symbols.index(type_id, a, self._start[l + 1]) - a, l
-
-    @property
-    def codes(self) -> dict[int, tuple[int, int]]:
-        """type id -> (codeword, length), built on request."""
-        ln, first, start = self._length, self._first, self._start
-        return {s: (first[ln[s]] + i - start[ln[s]], ln[s]) for i, s in enumerate(self._symbols)}
+        return int(self.lengths[type_id])
 
     def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for l in self._length)
-
-    def encode_bits(self, type_id: int) -> list[int]:
-        code, length = self.code(type_id)
-        return [(code >> (length - 1 - j)) & 1 for j in range(length)]
-
-    def decode_prefix(self, bits, pos: int = 0) -> tuple[int, int]:
-        """Return (type_id, next_pos).  A canonical codeword of length L is
-        at least the first one of that length, and an unmatched prefix of
-        length L reads at least the first codeword of length L + 1."""
-        first, start = self._first, self._start
-        code = 0
-        for length in range(1, min(len(first), len(bits) - pos + 1)):
-            code = (code << 1) | bits[pos + length - 1]
-            i = start[length] + code - first[length]
-            if i < start[length + 1]:
-                return self._symbols[i], pos + length
-        raise DecodeError("invalid Huffman prefix")
-
-    def serialized_bits(self) -> int:
-        return len(self.to_bytes()) * 8
-
-    def to_bytes(self) -> bytes:
-        return pack_column(self._length)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, types: int) -> "Codebook":
-        """The book of a `HUFF` section: a codeword length for each of
-        `types` types, each in 1..128, satisfying Kraft's inequality."""
-        r = Reader(blob, "HUFF")
-        lengths = read_column(r).tolist()
-        r.end()
-        if len(lengths) != types:
-            raise DecodeError(f"HUFF holds {len(lengths)} lengths for {types} types")
-        top = HUFFMAN_LENGTH_LIMIT
-        if not all(1 <= l <= top for l in lengths) or \
-                sum(1 << (top - l) for l in lengths) > 1 << top:
-            raise DecodeError("HUFF lengths are not those of a prefix code")
-        return cls(dict(enumerate(lengths)), types)
+        return float(np.sum(np.exp2(-self.lengths.astype(np.float64))))
 
 
 def build_huffman_codebook(type_counts: dict[int, int], types: int) -> Codebook:
@@ -294,60 +230,74 @@ def build_huffman_codebook(type_counts: dict[int, int], types: int) -> Codebook:
 
 
 class TypeArray:
-    """Encoded micro-tree types in micro-tree order, in a variable-cell array."""
+    """The micro trees' types under one codec, in micro-tree order.
 
-    def __init__(self, mode: str, vca: VariableCellArray, registry: TypeRegistry,
-                 codebook: Codebook | None):
+    Only the entropy codec stores a payload: one object per micro in a
+    variable-cell array (`TARR`).  A fixed object would be its type's `TYPR`
+    record bit for bit, and a huffman one a codeword for the type that
+    `type_of` already names, so those codecs store nothing here; their
+    payload size is the designed one, and `decode_type` reads the type's key.
+    """
+
+    __slots__ = ("mode", "registry", "type_of", "vca")
+
+    def __init__(self, mode: str, registry: TypeRegistry, type_of,
+                 vca: VariableCellArray | None = None):
+        """type_of: the type id of each micro tree, in k order; vca: the
+        entropy payload."""
         self.mode = mode
-        self.vca = vca
         self.registry = registry
-        self.codebook = codebook
+        self.type_of = type_of
+        self.vca = vca
 
     @classmethod
-    def from_bytes(cls, mode: str, blob: bytes, registry: TypeRegistry,
-                   codebook: Codebook | None, type_of, shape_size) -> "TypeArray":
-        """The payload of micro trees of types `type_of` whose shapes have
-        `shape_size` nodes (k order): one object per micro, of the size its
-        codec gives the shape: fixed 2s + 1 bits (the Zaks sequence), entropy
-        1 to 2s + 2 (the selector and a body no longer than the Zaks
-        sequence), huffman its type's codeword length."""
+    def from_bytes(cls, blob: bytes, registry: TypeRegistry, type_of,
+                   shape_size) -> "TypeArray":
+        """The entropy payload (`TARR`) of micro trees of types `type_of`
+        whose shapes have `shape_size` nodes (k order): one object per micro,
+        of 1 to 2s + 2 bits for an s-node shape (the selector and a body no
+        longer than the Zaks sequence)."""
         vca = VariableCellArray.from_bytes(blob, "TARR")
         if vca.m != len(type_of):
             raise DecodeError(f"TARR holds {vca.m} objects for {len(type_of)} micro trees")
         size, s = vca.sizes(), np.asarray(shape_size, dtype=np.int64)
-        if mode == MODE_HUFFMAN:
-            bad = size != np.asarray(codebook._length)[np.asarray(type_of)]
-        elif mode == MODE_FIXED:
-            bad = size != 2 * s + 1
-        else:
-            bad = (size < 1) | (size > 2 * s + 2)
+        bad = (size < 1) | (size > 2 * s + 2)
         if bad.any():
             i = int(np.argmax(bad))
             raise DecodeError(f"micro {i + 1}: {size[i]} bits for a {s[i]}-node shape")
-        return cls(mode, vca, registry, codebook)
+        return cls(MODE_ENTROPY, registry, type_of, vca)
 
     def to_bytes(self) -> bytes:
         return self.vca.to_bytes()
 
     def total_payload_bits(self) -> int:
-        return self.vca.total_bits
+        """The payload's designed size: the stored entropy objects; fixed,
+        every micro's `TYPR` record; huffman, every micro's codeword."""
+        if self.mode == MODE_ENTROPY:
+            return self.vca.total_bits
+        if self.mode == MODE_FIXED:
+            return int(self.registry.shape_bits()[np.asarray(self.type_of)].sum())
+        # the code over the types in use, numbered in type order
+        _, counts = np.unique(np.asarray(self.type_of), return_counts=True)
+        book = build_huffman_codebook(dict(enumerate(counts.tolist())), len(counts))
+        return int(counts @ book.lengths)
 
     def decode_type(self, i: int, shape_size: int) -> ShapeTable:
         """The lookup table of the i-th micro tree, whose shape has
-        `shape_size` nodes, read from its payload alone."""
-        bits = self.vca.bits(i)
-        if self.mode == MODE_FIXED:
-            return ShapeTable.from_zaks(bits)
-        bits = bits.tolist()
+        `shape_size` nodes: from its entropy object alone, or from its
+        type's key."""
         if self.mode == MODE_ENTROPY:
+            bits = self.vca.bits(i).tolist()
             return ShapeTable(*decode_body(bits[0], bits, shape_size, 1))
-        type_id, end = self.codebook.decode_prefix(bits)
-        zaks = self.registry.zaks.bits(type_id + 1)
-        if end != len(bits) or len(zaks) != 2 * shape_size + 1:
-            raise DecodeError(f"micro {i}: not one codeword of a {shape_size}-node type")
+        zaks = self.registry.zaks_bits(self.type_of[i - 1])
+        if len(zaks) != 2 * shape_size + 1:
+            raise DecodeError(f"micro {i}: its type is not a {shape_size}-node shape")
         return ShapeTable.from_zaks(zaks)
 
     def space_bits(self) -> dict:
+        """The stored payload and its start directory; none but entropy's."""
+        if self.mode != MODE_ENTROPY:
+            return {"payload": 0, "directory": 0}
         sp = self.vca.space_bits()
         return {"payload": sp["payload"], "directory": sp["directory"]}
 
@@ -382,18 +332,11 @@ def _entropy_objects(registry: TypeRegistry) -> list[tuple[int, int]]:
 
 
 def encode_types(type_ids: list[int], registry: TypeRegistry, mode: str) -> TypeArray:
-    """Encode the micro-tree type sequence under the selected codec."""
+    """The micro-tree type sequence under the selected codec; only entropy
+    encodes a payload."""
     if mode not in MODES:
         raise ValueError(f"unknown codec mode {mode}")
-    codebook = None
-    if mode == MODE_HUFFMAN:
-        counts: dict[int, int] = {}
-        for t in type_ids:
-            counts[t] = counts.get(t, 0) + 1
-        codebook = build_huffman_codebook(counts, len(registry))
-        per_type = codebook.codes
-    elif mode == MODE_ENTROPY:
-        per_type = _entropy_objects(registry)
-    else:  # the Zaks sequence, bit for bit the type's TYPR record
-        per_type = [registry.zaks.object_bits(t + 1) for t in range(len(registry))]
-    return TypeArray(mode, VariableCellArray([per_type[t] for t in type_ids]), registry, codebook)
+    if mode != MODE_ENTROPY:
+        return TypeArray(mode, registry, type_ids)
+    per_type = _entropy_objects(registry)
+    return TypeArray(mode, registry, type_ids, VariableCellArray([per_type[t] for t in type_ids]))

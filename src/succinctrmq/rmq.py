@@ -13,11 +13,16 @@ import time
 import numpy as np
 
 from .cover import TreeCover, build_cover
-from .microcodec import MODE_ENTROPY, MODE_HUFFMAN, MODES, Codebook, TypeArray, encode_types
+from .microcodec import MODE_ENTROPY, MODES, TypeArray, encode_types
 from .serial import DecodeError, Reader, read_stream, write_stream
 from .trees import build_cartesian, order_keys
 
-FORMAT_VERSION = 8  # FORMAT.md, "RmqIndex"
+FORMAT_VERSION = 9  # FORMAT.md, "RmqIndex"
+
+# the sections of each codec's file: the codec name and the cover, and for the
+# entropy codec its micro payload, which no query reads (README, "Space accounting")
+_TAGS = frozenset((b"RMET", b"CMET", b"MICR", b"PCAS", b"TYPR"))
+_CODEC_TAGS = {codec: _TAGS | {b"TARR"} if codec == MODE_ENTROPY else _TAGS for codec in MODES}
 
 # what `RmqIndex.build` times, in order: ranking the values and building the
 # Cartesian tree, the tree cover, encoding the micro types, the spot check
@@ -114,13 +119,17 @@ class RmqIndex:
     # ---- reporting ----------------------------------------------------------
 
     def space_report(self) -> dict:
+        """Designed bits of what the index holds.  Queries read the micro
+        types from `TYPR` (`query_form_per_element`); `micro_payload` is the
+        stored `TARR` payload, 0 but for entropy, and
+        `designed_payload_per_element` the codec's payload whether stored or
+        not."""
         cov = self.cover
         aux = cov.space_bits()
         ta_space = self.type_array.space_bits()
-        codebook = self.type_array.codebook
         breakdown = {
             "micro_payload": ta_space["payload"],
-            "codebook": codebook.serialized_bits() if codebook is not None else 0,
+            "codebook": 0,  # no codec stores one
             # the Zaks key of every shape, which every codec's queries build tables from
             "type_registry": len(cov.registry.to_bytes()) * 8,
             "type_directory": ta_space["directory"],
@@ -134,6 +143,8 @@ class RmqIndex:
             "total_bits": total,
             "bits_per_element": total / self.n,
             "micro_payload_per_element": breakdown["micro_payload"] / self.n,
+            "query_form_per_element": breakdown["type_registry"] / self.n,
+            "designed_payload_per_element": self.type_array.total_payload_bits() / self.n,
             "breakdown": breakdown,
             "aux_detail": aux,
             "micro_trees": cov.micro_count(),
@@ -145,9 +156,8 @@ class RmqIndex:
     def to_bytes(self) -> bytes:
         sections = [(b"RMET", self.codec.encode("ascii").ljust(8, b"\0"))]
         sections += self.cover.to_sections()
-        sections.append((b"TARR", self.type_array.to_bytes()))
-        if self.type_array.codebook is not None:
-            sections.append((b"HUFF", self.type_array.codebook.to_bytes()))
+        if self.codec == MODE_ENTROPY:
+            sections.append((b"TARR", self.type_array.to_bytes()))
         return write_stream(FORMAT_VERSION, sections)
 
     @classmethod
@@ -156,22 +166,26 @@ class RmqIndex:
         if version != FORMAT_VERSION:
             raise DecodeError(f"unsupported index version {version}, "
                               f"expected {FORMAT_VERSION}")
-        for tag in (b"RMET", b"TARR"):
-            if tag not in sections:
-                raise DecodeError(f"missing index section {tag.decode('ascii')}")
+        if b"RMET" not in sections:
+            raise DecodeError("missing index section RMET")
         r = Reader(sections[b"RMET"], "RMET")
         codec = r.take("8s")[0].rstrip(b"\0").decode("ascii", "replace")
         r.end()
         if codec not in MODES:
             raise DecodeError(f"unknown codec {codec!r} in index file")
+        missing, extra = _CODEC_TAGS[codec] - sections.keys(), sections.keys() - _CODEC_TAGS[codec]
+        if missing:
+            raise DecodeError(f"missing index section {min(missing).decode('ascii')}")
+        if extra:
+            raise DecodeError(f"a {codec} index holds no "
+                              f"{min(extra).decode('ascii', 'replace')} section")
         cover = TreeCover.from_sections(sections)
-        codebook = None
-        if codec == MODE_HUFFMAN:
-            if b"HUFF" not in sections:
-                raise DecodeError("huffman index without codebook section")
-            codebook = Codebook.from_bytes(sections[b"HUFF"], len(cover.registry))
-        type_array = TypeArray.from_bytes(codec, sections[b"TARR"], cover.registry, codebook,
-                                          cover.type_of[1:], cover.shape_size[1:])
+        type_of = memoryview(cover.type_of)[1:]  # the cover's column, not a copy
+        if codec == MODE_ENTROPY:
+            type_array = TypeArray.from_bytes(sections[b"TARR"], cover.registry, type_of,
+                                              cover.shape_size[1:])
+        else:
+            type_array = TypeArray(codec, cover.registry, type_of)
         return cls(cover.n, codec, cover, type_array)
 
 

@@ -116,7 +116,7 @@ def write_stream(version: int, sections: list[tuple[bytes, bytes]]) -> bytes:
 
 def read_stream(data: bytes) -> tuple[int, dict[bytes, bytes]]:
     """(version, tag -> payload); every section's CRC is checked before any
-    payload is parsed."""
+    payload is parsed, and a tag may occur once."""
     if len(data) < 8 or data[:4] != MAGIC:
         raise DecodeError("bad magic")
     version, count = struct.unpack("<HH", data[4:8])
@@ -128,6 +128,8 @@ def read_stream(data: bytes) -> tuple[int, dict[bytes, bytes]]:
         tag = data[pos : pos + 4]
         length, crc = struct.unpack("<QI", data[pos + 4 : pos + 16])
         pos += 16
+        if tag in sections:
+            raise DecodeError(f"repeated section {tag.decode('ascii', 'replace')}")
         if pos + length > len(data):
             raise DecodeError("truncated section payload")
         sections[tag] = data[pos : pos + length]

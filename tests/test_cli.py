@@ -48,8 +48,27 @@ class TestBuildCommand:
         assert main(["build", "--random", "30000", "--seed", "2",
                      "--codec", "fixed", "--kv"]) == 0
         kv = kv_lines(capsys.readouterr().out)
-        rate = float(kv["micro_payload_per_element"])
+        rate = float(kv["designed_payload_per_element"])
         assert 2.0 <= rate <= 2.2  # ~2 + O(1)/micro-size per node
+        assert float(kv["micro_payload_per_element"]) == 0  # a fixed file stores no payload
+
+    @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
+    def test_build_names_the_query_form(self, codec, capsys):
+        # queries read TYPR; only entropy stores its payload, TARR
+        assert main(["build", "--random", "20000", "--seed", "3",
+                     "--codec", codec, "--kv"]) == 0
+        out = capsys.readouterr().out
+        kv = kv_lines(out)
+        line = next(x for x in out.splitlines() if x.startswith("micro types: "))
+        assert "queries read TYPR" in line and f"designed {codec} payload" in line
+        assert 2.0 <= float(kv["query_form_per_element"]) <= 2.2
+        assert float(kv["model_entropy_per_element"]) == pytest.approx(1.736, abs=0.001)
+        stored = float(kv["micro_payload_per_element"])
+        designed = float(kv["designed_payload_per_element"])
+        if codec == "entropy":
+            assert stored == designed > 0 and int(kv["bits_micro_payload"]) > 0
+        else:
+            assert stored == 0 < designed and int(kv["bits_micro_payload"]) == 0
 
     def test_build_phase_timings(self, fig_file, capsys):
         assert main(["build", fig_file, "--kv"]) == 0

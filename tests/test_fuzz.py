@@ -96,7 +96,8 @@ def test_bit_flips_in_every_section(original):
             damaged = bytearray(blob)
             damaged[bit >> 3] ^= 1 << (bit & 7)
             outcome(original, bytes(damaged))
-    assert {"RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR"} <= set(names)
+    stored = ["TARR"] if RmqIndex.from_bytes(blob).codec == "entropy" else []
+    assert set(names) == {"stream header", "RMET", "CMET", "MICR", "PCAS", "TYPR", *stored}
 
 
 def test_ff_runs(original):

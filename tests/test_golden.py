@@ -1,12 +1,13 @@
 """Golden bytes and answers: the serialized index must not change unless the
 format does, and queries must keep their answers and operation counts.
 
-The byte digests are of format version 8, in which every section is packed
+The byte digests are of format version 9, in which every section is packed
 columns or raw payload words under a CRC-32, a micro type is its shape alone,
 the cover has one tier and stores no column that follows from the micro-root
-tree's portal counts, and the inorder position map is stored as each
-portal's shape inorder position alone (FORMAT.md); a change to any of them
-means a different file, not just a different way of building the same one.
+tree's portal counts, the inorder position map is stored as each portal's
+shape inorder position alone, and only the entropy codec stores a micro
+payload (FORMAT.md); a change to any of them means a different file, not
+just a different way of building the same one.
 A loaded index writes back the bytes it was read from.
 The answer digests were recorded from the query path before it was
 flattened; the operation-count digests were recorded when the cover lost
@@ -45,14 +46,14 @@ def organ_pipe(n: int) -> list[int]:
 
 
 GOLDEN = [
-    ("perm", 1000, "fixed", "4f6bb78a77d810398f838b7376550f8b6b7e6db9"),
-    ("perm", 1000, "entropy", "1c33fbbaa5ef90ea301e794e275f9ad8f1eb30a5"),
-    ("perm", 1000, "huffman", "d2889c1cc5017695ae2e693dd4e36ce615b6c0d3"),
-    ("perm", 20000, "fixed", "d308dee5a222d4002abffde0666de2ff9e2d412c"),
-    ("perm", 20000, "entropy", "ebe762b68723ca8d7f427071bebd48950c5583f9"),
-    ("perm", 20000, "huffman", "78f4061355f7334da93c79ad0216ac721fd69842"),
-    ("ties", 20000, "entropy", "2da5a4c5e8ba6faa7e737db12ded2ff6bba01afc"),
-    ("organ", 20000, "entropy", "02722a675da6e0633683a902bac512d1bc229de9"),
+    ("perm", 1000, "fixed", "09d328dfbad6ebb4a79989267b54964641731ead"),
+    ("perm", 1000, "entropy", "d29441f283cce0c5893729097789e31efb91cf85"),
+    ("perm", 1000, "huffman", "cfce5d366b01ab37c559386ac770b588f6db0003"),
+    ("perm", 20000, "fixed", "4eeccf9fe0c22c3477367b32b040d44dcbb58d37"),
+    ("perm", 20000, "entropy", "b8e3a36bfaae0e69801fc45564f54ccffd104004"),
+    ("perm", 20000, "huffman", "2fca250f07e2bb0445cc961a4db53921cd6def51"),
+    ("ties", 20000, "entropy", "b08ec211313f1ad56014deb899025ab22b3d6a30"),
+    ("organ", 20000, "entropy", "fbb11bd7f93014d95c6c6aebe85b6b61bfaab5ba"),
 ]
 
 INPUTS = {"perm": seeded_permutation, "ties": many_ties, "organ": organ_pipe}

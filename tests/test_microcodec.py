@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from succinctrmq.bits import VariableCellArray, bits_to_object, pack_column
+from succinctrmq.bits import VariableCellArray, bits_to_object
 from succinctrmq.cover import build_cover
 from succinctrmq.microcodec import (
     MODE_ENTROPY,
@@ -235,8 +235,7 @@ def shape_ids(trees, ids):
 class TestHuffman:
     def test_textbook_lengths(self):
         book = build_huffman_codebook({0: 2, 1: 1, 2: 1}, 3)
-        lens = sorted(l for _, l in book.codes.values())
-        assert lens == [1, 2, 2]
+        assert [book.length(t) for t in range(3)] == [1, 2, 2]
 
     def test_single_type(self):
         book = build_huffman_codebook({0: 7}, 1)
@@ -253,12 +252,8 @@ class TestHuffman:
             [tid] = shape_ids([t], ids)
             counts[tid] = counts.get(tid, 0) + rng.randint(1, 100)
         book = build_huffman_codebook(counts, len(ids))
+        # Kraft's inequality: the lengths are those of a prefix code
         assert book.kraft_sum() <= 1.0 + 1e-12
-        # prefix-freeness: decode every codeword unambiguously
-        for tid in counts:
-            bits = book.encode_bits(tid)
-            sym, pos = book.decode_prefix(bits)
-            assert sym == tid and pos == len(bits)
 
     def test_optimality_against_entropy_bound(self):
         rng = random.Random(9)
@@ -290,44 +285,8 @@ class TestHuffman:
         assert max(limited) <= 3
         assert sum(2.0 ** -l for l in limited) <= 1.0 + 1e-12
 
-    def test_codebook_serialization(self):
-        book = build_huffman_codebook({0: 3, 1: 1}, 2)
-        back = Codebook.from_bytes(book.to_bytes(), 2)
-        assert back.codes == book.codes
-
-    def test_codes_are_canonical(self):
-        rng = random.Random(10)
-        ids = {}
-        counts = {}
-        for i in range(40):
-            [tid] = shape_ids([sample_random_bst(rng.randint(1, 9), 200 + i)], ids)
-            counts[tid] = counts.get(tid, 0) + rng.randint(1, 300)
-        book = build_huffman_codebook(counts, len(ids))
-        code = length = 0
-        for tid in sorted(counts, key=lambda s: (book.length(s), s)):
-            code <<= book.length(tid) - length
-            length = book.length(tid)
-            assert book.code(tid) == book.codes[tid] == (code, length)
-            code += 1
-        assert len(book.codes) == len(counts)
-
-    @pytest.mark.parametrize("lengths", [[0, 1, 1], [129, 1, 2], [1, 1, 1], [1, 1]],
-                             ids=["zero", "over-limit", "kraft", "count"])
-    def test_codebook_rejects_bad_lengths(self, lengths):
-        # HUFF is one codeword length per registry type
-        with pytest.raises(DecodeError, match="HUFF"):
-            Codebook.from_bytes(pack_column(lengths), 3)
-
-    def test_decode_rejects_unused_codeword(self):
-        book = Codebook({0: 1, 1: 2}, 2)  # codewords 0 and 10; 11 is unused
-        assert book.decode_prefix([1, 0, 1]) == (1, 2)
-        assert book.decode_prefix([1, 0, 0], 2) == (0, 3)
-        with pytest.raises(DecodeError):
-            book.decode_prefix([1, 1, 0])
-        assert Codebook.from_bytes(book.to_bytes(), 2).codes == book.codes
-
     def test_codebook_needs_every_type(self):
-        # a book has a codeword for every registry type, as HUFF stores it
+        # a book has a codeword for every registry type
         for lengths in ({0: 1, 1: 2}, {0: 1, 1: 2, 2: 0}):
             with pytest.raises(ValueError, match="codeword"):
                 Codebook(lengths, 3)
@@ -340,7 +299,7 @@ class TestHuffman:
         counts = {tid: 5 for tid in ids.values()}
         b1 = build_huffman_codebook(counts, len(ids))
         b2 = build_huffman_codebook(counts, len(ids))
-        assert b1.codes == b2.codes
+        assert [b1.length(t) for t in ids.values()] == [b2.length(t) for t in ids.values()]
 
 
 def entropy_object(registry, type_id):
@@ -394,9 +353,27 @@ class TestTypeArray:
         ta = encode_types(cov.type_ids, cov.registry, MODE_FIXED)
         expect = sum(2 * m.shape_size + 1 for m in cov.micros_by_k)
         assert ta.total_payload_bits() == expect
-        # a fixed object is its type's TYPR record, bit for bit
-        for i, m in enumerate(cov.micros_by_k, start=1):
-            assert ta.vca.object_bits(i) == cov.registry.zaks.object_bits(m.type_id + 1)
+        # a fixed object would be its type's TYPR record, bit for bit, so none is stored
+        assert ta.vca is None and ta.space_bits() == {"payload": 0, "directory": 0}
+
+    @pytest.mark.parametrize("mode", [MODE_FIXED, MODE_HUFFMAN])
+    def test_keyed_decode_checks_shape_size(self, mode):
+        # fixed and huffman store no object: a micro's table comes from its type's key
+        _, cov = build_fixture_cover()
+        ta = encode_types(cov.type_ids, cov.registry, mode)
+        m = cov.micros_by_k[0]
+        assert ta.decode_type(1, m.shape_size).n == m.shape_size
+        with pytest.raises(DecodeError, match="not a"):
+            ta.decode_type(1, m.shape_size + 1)
+
+    def test_huffman_payload_is_its_codeword_lengths(self):
+        _, cov = build_fixture_cover(n=3000, seed=2)
+        counts = {}
+        for t in cov.type_ids:
+            counts[t] = counts.get(t, 0) + 1
+        book = build_huffman_codebook(counts, len(cov.registry))
+        ta = encode_types(cov.type_ids, cov.registry, MODE_HUFFMAN)
+        assert ta.total_payload_bits() == sum(book.length(t) for t in cov.type_ids)
 
     def test_huffman_dominates(self):
         for n, seed in ((500, 1), (3000, 2), (8000, 3)):

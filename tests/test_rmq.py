@@ -209,11 +209,6 @@ class TestSpaceReport:
         assert sum(rep["breakdown"].values()) == rep["total_bits"]
         assert rep["bits_per_element"] == rep["total_bits"] / rep["n"]
 
-    def test_codebook_only_for_huffman(self):
-        arr = list(range(500, 0, -1))
-        assert RmqIndex.build(arr, codec="entropy").space_report()["breakdown"]["codebook"] == 0
-        assert RmqIndex.build(arr, codec="huffman").space_report()["breakdown"]["codebook"] > 0
-
     @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
     def test_type_registry_counted_for_every_codec(self, codec):
         arr = np.random.default_rng(8).permutation(3000).tolist()
@@ -222,10 +217,8 @@ class TestSpaceReport:
         parts = rep["breakdown"]
         assert sum(parts.values()) == rep["total_bits"]
         assert parts["type_registry"] == 8 * len(idx.cover.registry.to_bytes()) > 0
-        if codec == "huffman":
-            assert parts["codebook"] == 8 * len(idx.type_array.codebook.to_bytes()) > 0
-        else:
-            assert parts["codebook"] == 0
+        assert rep["query_form_per_element"] == parts["type_registry"] / idx.n
+        assert parts["codebook"] == 0  # no codec stores one
         assert "pca_preorder" not in rep["aux_detail"]
 
     @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
@@ -240,7 +233,8 @@ class TestSpaceReport:
         rebuilt = (parts["macro_tiers"] + parts["type_directory"]
                    + idx.cover.c_in.space_bits()["directory"])
         sections = len(read_stream(blob)[1])
-        size_width = column_width(idx.type_array.vca.sizes())
+        # only the entropy codec stores a TARR, and with it a size column
+        size_width = column_width(idx.type_array.vca.sizes()) if codec == "entropy" else 0
         container = (64 + 128 * sections + 8 * (8 + 24) + 47 * 18
                      + 110 + size_width * rep["micro_trees"])
         assert 0 <= 8 * len(blob) - (rep["total_bits"] - rebuilt) <= container
@@ -290,8 +284,8 @@ def test_warm_footprint(index_1e6):
 
 
 def test_huffman_load_no_larger_than_entropy():
-    """The huffman codebook is held as arrays, so a fresh huffman load, whose
-    file is the smallest, is no larger in memory than an entropy load."""
+    """A huffman load holds no payload, so a fresh huffman load, whose file
+    is the smallest, is no larger in memory than an entropy load."""
     values = np.random.default_rng(1_000_003).permutation(10**5).tolist()
     bits = {}
     for codec in ("entropy", "huffman"):
@@ -380,8 +374,8 @@ class TestMalformedSections:
     @pytest.fixture(scope="class")
     def sections(self):
         arr = np.random.default_rng(17).permutation(5000).tolist()
-        version, sections = read_stream(RmqIndex.build(arr, codec="huffman").to_bytes())
-        assert version == FORMAT_VERSION == 8
+        version, sections = read_stream(RmqIndex.build(arr, codec="entropy").to_bytes())
+        assert version == FORMAT_VERSION == 9
         return sections
 
     @staticmethod
@@ -394,36 +388,36 @@ class TestMalformedSections:
         idx = RmqIndex.from_bytes(self.stream(sections))
         assert idx.n == 5000 and idx.query(1, 5000) >= 1
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR"])
     def test_every_truncation(self, sections, tag):
         payload = sections[tag.encode("ascii")]
         for cut in range(len(payload)):
             with pytest.raises(DecodeError):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: payload[:cut]}))
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR"])
     def test_trailing_bytes(self, sections, tag):
         payload = sections[tag.encode("ascii")]
         with pytest.raises(DecodeError, match="stray bytes"):
             RmqIndex.from_bytes(self.stream(sections, **{tag: payload + b"\0"}))
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR"])
     def test_missing_section(self, sections, tag):
         with pytest.raises(DecodeError):
             RmqIndex.from_bytes(self.stream(sections, drop=tag))
 
     def test_oversized_counts(self, sections):
-        for tag in ("MICR", "PCAS", "TYPR", "HUFF"):
+        for tag in ("MICR", "PCAS", "TYPR", "TARR"):
             payload = sections[tag.encode("ascii")]
             with pytest.raises(DecodeError, match="exceeds its section"):
                 RmqIndex.from_bytes(self.stream(sections, **{tag: b"\xff" * 4 + payload[4:]}))
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_other_versions_rejected(self, sections, version):
         with pytest.raises(DecodeError, match="version"):
             RmqIndex.from_bytes(self.stream(sections, version=version))
 
-    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR", "HUFF"])
+    @pytest.mark.parametrize("tag", ["RMET", "CMET", "MICR", "PCAS", "TYPR", "TARR"])
     def test_crc_mismatch_names_section(self, sections, tag):
         blob = bytearray(self.stream(sections))
         pos = 8  # walk the section headers: tag, length, CRC
@@ -436,6 +430,26 @@ class TestMalformedSections:
     def test_stray_bytes_after_last_section(self, sections):
         with pytest.raises(DecodeError, match="stray bytes"):
             RmqIndex.from_bytes(self.stream(sections) + b"\0")
+
+    @pytest.mark.parametrize("codec,tag", [("entropy", "HUFF"), ("entropy", "JUNK"),
+                                           ("fixed", "TARR"), ("fixed", "HUFF"),
+                                           ("huffman", "TARR"), ("huffman", "HUFF")])
+    def test_section_outside_the_codec_rejected(self, sections, codec, tag):
+        # a section the codec does not hold would load, answer and be dropped
+        # when the index writes itself back
+        extra = sections[b"TARR"] if tag == "TARR" else b"\0" * 8
+        if codec != "entropy":
+            arr = np.random.default_rng(17).permutation(5000).tolist()
+            sections = read_stream(RmqIndex.build(arr, codec=codec).to_bytes())[1]
+        with pytest.raises(DecodeError, match=f"a {codec} index holds no {tag} section"):
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, [*sections.items(),
+                                                              (tag.encode("ascii"), extra)]))
+
+    @pytest.mark.parametrize("tag", ["RMET", "TYPR", "TARR"])
+    def test_repeated_section_rejected(self, sections, tag):
+        repeat = (tag.encode("ascii"), sections[tag.encode("ascii")])
+        with pytest.raises(DecodeError, match=f"repeated section {tag}"):
+            RmqIndex.from_bytes(write_stream(FORMAT_VERSION, [*sections.items(), repeat]))
 
 
 class TestValueChecks:
@@ -547,9 +561,9 @@ class TestValueChecks:
 
 
 class TestTypePayloadChecks:
-    """`HUFF` holds a codeword length per type; `TARR`, parsed at load, holds
-    one object per micro tree, and each object's size fits its micro's shape.
-    Each case re-wraps the file, so every CRC is valid."""
+    """`TARR`, the entropy payload, parsed at load, holds one object per micro
+    tree, and each object's size fits its micro's shape.  Each case re-wraps
+    the file, so every CRC is valid."""
 
     @staticmethod
     def sections(n, codec):
@@ -561,22 +575,16 @@ class TestTypePayloadChecks:
         out = {**sections, **{tag.encode("ascii"): blob for tag, blob in replace.items()}}
         return RmqIndex.from_bytes(write_stream(FORMAT_VERSION, list(out.items())))
 
-    def test_duplicate_huff_entry_rejected(self):
-        sections = self.sections(3000, "huffman")
-        lengths = read_column(Reader(sections[b"HUFF"], "HUFF"))
-        with pytest.raises(DecodeError, match="lengths for"):
-            self.load(sections, HUFF=pack_column(np.append(lengths, lengths[0])))
-
     def test_foreign_payload_rejected_on_first_use(self):
         # the load is the payload's first use
-        sections = self.sections(3000, "fixed")
-        other = self.sections(2000, "fixed")
+        sections = self.sections(3000, "entropy")
+        other = self.sections(2000, "entropy")
         own = self.load(sections)
         assert VariableCellArray.from_bytes(other[b"TARR"]).m != own.cover.micro_count()
         with pytest.raises(DecodeError, match="micro trees"):
             self.load(sections, TARR=other[b"TARR"])
 
-    @pytest.mark.parametrize("codec", ["fixed", "entropy", "huffman"])
+    @pytest.mark.parametrize("codec", ["entropy"])  # the one codec that stores objects
     def test_object_size_must_fit_shape(self, codec):
         sections = self.sections(3000, codec)
         idx = self.load(sections)
@@ -588,8 +596,7 @@ class TestTypePayloadChecks:
             s = m.shape_size
             # fixed 2s + 3 and entropy 2s + 4 bits were format 4's sizes, with
             # two portal-side flags before the code
-            wrong = [0, 2 * s + 3, 2 * s + 4] if codec == "entropy" else \
-                [size - 1, size + 1, size + 2]
+            wrong = [0, 2 * s + 3, 2 * s + 4]
             for bad in wrong:
                 changed = list(objects)
                 changed[i] = (value >> max(size - bad, 0), bad)
@@ -599,7 +606,7 @@ class TestTypePayloadChecks:
     def test_huge_object_size_rejected(self):
         # TARR stores no block size; an object size past the section fails
         # before anything is allocated for it
-        sections = self.sections(3000, "fixed")
+        sections = self.sections(3000, "entropy")
         sizes = read_column(Reader(sections[b"TARR"], "TARR"))
         for big in (1 << 40, (1 << 63) - 1):
             bad = sizes.copy()
@@ -608,37 +615,13 @@ class TestTypePayloadChecks:
             with pytest.raises(DecodeError, match="object size"):
                 self.load(sections, TARR=tarr)
 
-    def test_huffman_object_is_its_shapes_codeword(self):
-        # another type's codeword of the same length but another shape size,
-        # and a shorter codeword padded with zeros: both fit the object size
-        # and load, and decode_type rejects them
-        sections = self.sections(3000, "huffman")
+    @pytest.mark.parametrize("codec", ["fixed", "huffman"])
+    def test_keyed_codecs_store_no_payload(self, codec):
+        # a loaded fixed or huffman index builds each micro's table from its
+        # type's TYPR key, which is what queries read
+        sections = self.sections(3000, codec)
+        assert sorted(sections) == [b"CMET", b"MICR", b"PCAS", b"RMET", b"TYPR"]
         idx = self.load(sections)
-        book, vca = idx.type_array.codebook, idx.type_array.vca
-        shape_bits = idx.cover.registry.shape_bits()
-        objects = [vca.object_bits(i) for i in range(1, vca.m + 1)]
-        for i, m in enumerate(idx.cover.micros_by_k):
-            t, length = m.type_id, book.length(m.type_id)
-            same = [u for u in range(len(shape_bits))
-                    if book.length(u) == length and shape_bits[u] != shape_bits[t]]
-            shorter = [u for u in range(len(shape_bits)) if book.length(u) < length]
-            if same and shorter:
-                break
-        else:
-            pytest.fail("no micro with both kinds of replacement codeword")
-        for u in (same[0], shorter[0]):
-            code, ul = book.code(u)
-            changed = list(objects)
-            changed[i] = (code << (length - ul), length)
-            loaded = self.load(sections, TARR=VariableCellArray(changed).to_bytes())
-            with pytest.raises(DecodeError, match="codeword"):
-                loaded.type_array.decode_type(i + 1, m.shape_size)
-            assert idx.type_array.decode_type(i + 1, m.shape_size) is not None
-
-    def test_huffman_object_is_one_codeword(self):
-        sections = self.sections(3000, "huffman")
-        vca = self.load(sections).type_array.vca
-        longer = VariableCellArray([(v << 1, size + 1) for v, size in
-                                    (vca.object_bits(i) for i in range(1, vca.m + 1))])
-        with pytest.raises(DecodeError, match="bits for a"):
-            self.load(sections, TARR=longer.to_bytes())
+        for i, m in enumerate(idx.cover.micros_by_k, start=1):
+            table = idx.type_array.decode_type(i, m.shape_size)
+            assert table.in2pre == idx.cover.registry.table(m.type_id).in2pre
