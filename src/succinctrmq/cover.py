@@ -29,7 +29,7 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
-from .trees import BinaryTree, EulerTourLca
+from .trees import CHUNK, BinaryTree, EulerTourLca, _children, _nearest_smaller_left
 
 
 class CoverError(ValueError):
@@ -73,46 +73,57 @@ def _pack(n: int, left, right, st, B: int) -> bytearray:
     `left`, `right` and `st` (the forest subtree sizes, 0 in slot 0) each
     hold n + 1 ints.  A subtree of at most 2B nodes closes nothing inside and
     stays open with weight st and no external edge, so only the nodes whose
-    subtree exceeds 2B are visited, in reverse preorder (bottom-up), and any
-    other child is read from `st`."""
+    subtree exceeds 2B (the big nodes) are visited, in reverse preorder
+    (bottom-up), and any other child is read from `st`.  The open weight and
+    edges are held for the big nodes alone, by rank among them, and the big
+    nodes are read as Python ints CHUNK at a time."""
     cap = 2 * B
-    sizes = np.asarray(st, dtype=np.intc)
-    big = np.flatnonzero(sizes > cap)[::-1]
+    sizes = np.asarray(st)
+    left, right = np.asarray(left), np.asarray(right)
+    big = np.flatnonzero(sizes > cap)
     closed = bytearray(n + 1)
-    pend_w = sizes.tolist()
-    pend_e = bytearray(n + 1)  # external edges, counted up to 2
-    for v, a, b in zip(big.tolist(), np.asarray(left)[big].tolist(),
-                       np.asarray(right)[big].tolist()):
-        e = 0
-        if a and pend_e[a] >= 2:
-            closed[a] = 1
-            e = 1
-            a = 0
-        if b and pend_e[b] >= 2:
-            closed[b] = 1
-            e += 1
-            b = 0
-        wa = pend_w[a]
-        wb = pend_w[b]
-        total = 1 + wa + wb
-        if total > cap and a and b:
-            if wa > wb:
+    pend_w = array("i", bytes(4 * len(big)))
+    pend_e = bytearray(len(big))  # external edges, counted up to 2
+    for top in range(len(big) - 1, -1, -CHUNK):
+        rank = np.arange(top, max(top - CHUNK, -1), -1)
+        a, b = left[big[rank]], right[big[rank]]
+        wa, wb = sizes[a], sizes[b]
+        # a big child's rank, or -1: any other child is open with weight st
+        ra = np.where(wa > cap, np.searchsorted(big, a), -1)
+        rb = np.where(wb > cap, np.searchsorted(big, b), -1)
+        for j, a, b, wa, wb, ra, rb in zip(*(x.tolist() for x in (rank, a, b, wa, wb, ra, rb))):
+            ea = eb = e = 0
+            if ra >= 0:
+                wa, ea = pend_w[ra], pend_e[ra]
+            if rb >= 0:
+                wb, eb = pend_w[rb], pend_e[rb]
+            if ea >= 2:
                 closed[a] = 1
-                total -= wa
-                a = 0
-            else:
+                e = 1
+                a = wa = ea = 0
+            if eb >= 2:
                 closed[b] = 1
-                total -= wb
-                b = 0
-            e += 1
-        if total > cap and (a or b):
-            closed[a or b] = 1
-            total = 1
-            a = b = 0
-            e += 1
-        pend_w[v] = total
-        e += pend_e[a] + pend_e[b]
-        pend_e[v] = e if e < 2 else 2
+                e += 1
+                b = wb = eb = 0
+            total = 1 + wa + wb
+            if total > cap and a and b:
+                if wa > wb:
+                    closed[a] = 1
+                    total -= wa
+                    a = ea = 0
+                else:
+                    closed[b] = 1
+                    total -= wb
+                    b = eb = 0
+                e += 1
+            if total > cap and (a or b):
+                closed[a or b] = 1
+                total = 1
+                ea = eb = 0
+                e += 1
+            pend_w[j] = total
+            e += ea + eb
+            pend_e[j] = e if e < 2 else 2
     return closed
 
 
@@ -131,15 +142,6 @@ def _components(closed, parent) -> np.ndarray:
     return ids[up]
 
 
-def _partition(t: BinaryTree, B: int) -> tuple[bytearray, np.ndarray]:
-    """The component-root marks and every node's component id: one `_pack`
-    pass, with the tree's root closed.  `decompose` and `build_cover` both
-    partition through here."""
-    closed = _pack(t.n, t.left, t.right, t.st, B)
-    closed[1] = 1
-    return closed, _components(closed, np.frombuffer(t.parent, dtype=np.intc))
-
-
 def decompose(t: BinaryTree, B: int) -> Decomposition:
     """Decompose a binary tree into disjoint subtrees of <= 2B nodes with at
     most three external connections each; deterministic, one `_pack` pass
@@ -148,7 +150,9 @@ def decompose(t: BinaryTree, B: int) -> Decomposition:
         raise CoverError("decompose requires a non-empty tree")
     if B < 1:
         raise CoverError("B must be >= 1")
-    closed, comp = _partition(t, B)
+    closed = _pack(t.n, t.left, t.right, t.st, B)
+    closed[1] = 1
+    comp = _components(closed, np.frombuffer(t.parent, dtype=np.intc))
     order = np.argsort(comp[1:], kind="stable") + 1
     cuts = np.flatnonzero(np.diff(comp[order])) + 1
     members = [[]] + [part.tolist() for part in np.split(order, cuts)]
@@ -663,71 +667,29 @@ def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> 
          "portal inorder positions do not rise by 2 or more within 1..shape size in each micro")
 
 
-def _order_rank(key: np.ndarray):
-    """The sorting permutation of `key` (keys distinct) and its inverse."""
-    order = np.argsort(key)
-    rank = np.empty(len(key), dtype=np.intc)
-    rank[order] = np.arange(len(key), dtype=np.intc)
-    return order, rank
-
-
-def _micro_shapes(t: BinaryTree, k_of: np.ndarray, portal_k: np.ndarray,
-                  portal_node: np.ndarray, shape_size: np.ndarray):
-    """Shape preorder and inorder of every node (indices 0..n-1) and portal leaf
-    (n..), and the Zaks code of every micro shape as a (value, bit length)
-    pair, read MSB-first.
-
-    A micro shape is its members plus one portal leaf per micro root hanging
-    below it.  Restricting the global preorder (inorder) to those nodes, with
-    a portal leaf standing at its child's position, gives the shape preorder
-    (inorder).  The 1-bit of a shape node sits at pre + in - ls - 2 of the
-    shape's 2s+1 Zaks bits.
-    """
-    n = t.n
-    M = len(shape_size)
-    inorder = np.frombuffer(t.inorder_of, dtype=np.intc)
-    ls = np.frombuffer(t.ls, dtype=np.intc)
-    shape_start = np.zeros(M + 1, dtype=np.intc)
-    np.cumsum(shape_size, out=shape_start[1:])
-    ent_k = np.concatenate((k_of[1:], portal_k))
-    ent_node = np.concatenate((np.arange(1, n + 1, dtype=np.intc), portal_node))
-    first = shape_start[ent_k - 1]
-    base = ent_k.astype(np.int64) * (n + 1)
-    shape_pre = _order_rank(base + ent_node)[1] - first + 1
-    in_key = base + inorder[ent_node]
-    del base, ent_node
-    in_order, pos = _order_rank(in_key)
-    shape_in = pos - first + 1
-    del first
-    # the shape left size of a member counts its micro's entries inside its
-    # global left range; portal leaves have none
-    zpos = shape_pre + shape_in - 2
-    zpos[:n] -= pos[:n] - np.searchsorted(in_key[in_order], in_key[:n] - ls[1:])
-    del in_key, in_order, pos
-    # each code ends on a byte boundary, so its bytes read as its value
-    nbits = 2 * shape_size + 1
-    nbytes = (nbits + 7) // 8
-    end = np.cumsum(nbytes)
-    bits = np.zeros(8 * int(end[-1]), dtype=np.uint8)
-    bits[(8 * end - nbits)[ent_k - 1] + zpos] = 1
-    codes = np.packbits(bits).tobytes()
-    keys = [(int.from_bytes(codes[e - w:e], "big"), size)
-            for e, w, size in zip(end.tolist(), nbytes.tolist(), nbits.tolist())]
-    return shape_pre, shape_in, keys
-
-
 def build_cover(t: BinaryTree, micro_b: int | None = None) -> TreeCover:
-    """Build the one-tier cover of a binary tree.
+    """Build the one-tier cover of a binary tree: `cover_from_spans` on its
+    spans, read off its inorder numbering and left subtree sizes."""
+    lo = np.frombuffer(t.inorder_of, dtype=np.intc) - np.frombuffer(t.ls, dtype=np.intc) - 1
+    lo[0] = 0
+    return cover_from_spans(lo, np.frombuffer(t.st, dtype=np.intc), micro_b)
+
+
+def cover_from_spans(lo: np.ndarray, st: np.ndarray, micro_b: int | None = None) -> TreeCover:
+    """Build the one-tier cover of the binary tree with spans `lo`, `st`
+    (`trees.cartesian_spans`): over preorder ids, node p's subtree has st[p]
+    nodes at inorder positions lo[p] + 1 .. lo[p] + st[p].
 
     The micros are the components of `decompose(t, max(1, micro_b - 2))`,
     found by the same `_pack` pass, which visits only the nodes whose subtree
     exceeds its 2B; each micro has at most two portals, so its shape has at
-    most 2 * micro_b nodes.  The per-node maps are then derived with numpy
-    from the tree's preorder/inorder numbering.  Micro trees get their ids k
-    in root preorder, which is the preorder of the micro-root tree with
-    children ordered by root preorder.
+    most 2 * micro_b nodes.  Micro trees get their ids k in root preorder,
+    which is the preorder of the micro-root tree with children ordered by
+    root preorder.  Beyond the children and the packing, only the micro
+    shapes' Zaks codes take a pass over the nodes; every other column is
+    computed per micro or per portal.
     """
-    n = t.n
+    n = len(st) - 1
     if n < 1:
         raise CoverError("build_cover requires a non-empty tree")
     if micro_b is None:
@@ -739,33 +701,79 @@ def build_cover(t: BinaryTree, micro_b: int | None = None) -> TreeCover:
     cov.n = n
     cov.micro_B = micro_b
 
-    closed, k_of = _partition(t, max(1, micro_b - 2))
-    micro_root = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8))
-    M = len(micro_root)
-    # every micro root but the global one is a portal leaf of its parent's micro
-    pc = micro_root[1:]
-    pk = k_of[np.frombuffer(t.parent, dtype=np.intc)[pc]]
-    p_count = np.bincount(pk, minlength=M + 1)[1:]
-    shape_size = np.bincount(k_of[1:], minlength=M + 1)[1:] + p_count
+    left, right = _children(lo, st)
+    closed = _pack(n, left, right, st, max(1, micro_b - 2))
+    del left, right
+    closed[1] = 1
+    root = np.flatnonzero(np.frombuffer(closed, dtype=np.uint8))  # micro k's is root[k - 1]
+    del closed
+    M = len(root)
+    end = root + st[root]  # one past the root's subtree, in preorder
+    # every micro root but the global one is a portal leaf of its parent's
+    # micro, the nearest earlier micro whose subtree holds it; portals are
+    # listed in (owning micro, shape position) order
+    owner = _nearest_smaller_left(np.append(-2 - n, -end).astype(np.intc))[2:]
+    by_owner = np.argsort(owner, kind="stable")
+    owner, child = owner[by_owner], root[1:][by_owner]
+    p_count = np.bincount(owner, minlength=M + 1)[1:]
+    p_off = np.append(0, np.cumsum(p_count))  # micro k's portals are p_off[k - 1] .. p_off[k] - 1
+    # a portal leaf stands for its child's subtree, whose other nodes the
+    # shape drops: `skip` of them under the same micro's earlier portals
+    gone = st[child] - 1
+    gone_sum = np.append(0, np.cumsum(gone))
+    skip = gone_sum[:-1] - gone_sum[p_off[owner - 1]]
+    home = root[owner - 1]
+    p_pos = child - home + 1 - skip
+    p_in = lo[child] - lo[home] + 1 - skip
+    shape_size = st[root] - np.diff(gone_sum[p_off])
     if micro_b >= 3 and shape_size.max() > 2 * micro_b:
         raise CoverError(  # pragma: no cover - guards decomposition bugs
             f"micro shape of {shape_size.max()} nodes exceeds 2*micro_b={2 * micro_b}")
-    shape_pre, shape_in, keys = _micro_shapes(t, k_of, pk, pc, shape_size)
+
+    # Node p's 1-bit sits at z(p) = p - 1 + lo[p] of the whole tree's Zaks
+    # code, and a subtree's bits are contiguous, so a micro's code is the
+    # whole code from its root's bit on, less the bits of each portal's
+    # subtree but the leaf's 1-bit and two 0-bits.  Code k is right-aligned
+    # in its bytes, so they read as its value: its root's bit goes to
+    # 8 * stop[k] - nbits[k], and its members' bits follow by stretch, the
+    # members between consecutive portals in preorder, each stretch at one
+    # offset from z.
+    nbits = 2 * shape_size + 1
+    nbytes = (nbits + 7) // 8
+    stop = np.cumsum(nbytes)
+    base = 8 * stop - nbits - (root - 1 + lo[root])
+    first = p_off[:-1] + np.arange(M)  # stretch 0 of each micro, in (micro, stretch) order
+    after = np.ones(2 * M - 1, dtype=bool)
+    after[first] = False
+    after = np.flatnonzero(after)  # the stretch after each portal
+    start = np.empty(2 * M - 1, dtype=np.int64)
+    start[first] = root
+    start[after] = child + gone + 1
+    size = np.empty_like(start)
+    size[after - 1] = child
+    size[first + p_count] = end
+    size -= start
+    shift = np.empty_like(start)
+    shift[first] = base
+    shift[after] = base[owner - 1] - 2 * (skip + gone)
+    keep = np.flatnonzero(size)
+    keep = keep[np.argsort(start[keep])]
+    bits = np.zeros(8 * int(stop[-1]), dtype=np.uint8)
+    bits[np.arange(n, dtype=np.intc) + lo[1:] + np.repeat(shift[keep].astype(np.intc), size[keep])] = 1
+    bits[base[owner - 1] + child - 1 + lo[child] - 2 * skip] = 1
+    codes = np.packbits(bits).tobytes()
+    del bits
+    keys = [(int.from_bytes(codes[e - w:e], "big"), length)
+            for e, w, length in zip(stop.tolist(), nbytes.tolist(), nbits.tolist())]
 
     # a type is a shape; types are numbered in k order of first use
     type_id: dict[tuple[int, int], int] = {}
     type_of = [type_id.setdefault(key, len(type_id)) for key in keys]
     cov.registry = TypeRegistry(VariableCellArray(type_id))
-
-    # a node's left depth is its preorder - inorder + left-subtree size
-    inorder = np.frombuffer(t.inorder_of, dtype=np.intc)
-    ls = np.frombuffer(t.ls, dtype=np.intc)
-    # micro portals in (owning micro, shape position) order
-    portal_pos = shape_pre[n:]
-    by_portal = np.lexsort((portal_pos, pk))
+    # a node's left depth is its preorder - inorder + left-subtree size,
+    # p - (lo[p] + 1 + ls) + ls
     cov._install({
-        "root_ld": micro_root - inorder[micro_root] + ls[micro_root],
-        "shape_size": shape_size, "type_of": np.asarray(type_of), "p_count": p_count,
-        "p_pos": portal_pos[by_portal], "p_in": shape_in[n:][by_portal],
+        "root_ld": root - lo[root] - 1, "shape_size": shape_size,
+        "type_of": np.asarray(type_of), "p_count": p_count, "p_pos": p_pos, "p_in": p_in,
     })
     return cov

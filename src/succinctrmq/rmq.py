@@ -12,10 +12,10 @@ import time
 
 import numpy as np
 
-from .cover import TreeCover, build_cover
+from .cover import TreeCover, cover_from_spans
 from .microcodec import MODE_ENTROPY, MODES, TypeArray, encode_types
 from .serial import DecodeError, Reader, read_stream, write_stream
-from .trees import build_cartesian, order_keys
+from .trees import cartesian_spans, order_keys
 
 FORMAT_VERSION = 9  # FORMAT.md, "RmqIndex"
 
@@ -25,7 +25,8 @@ _TAGS = frozenset((b"RMET", b"CMET", b"MICR", b"PCAS", b"TYPR"))
 _CODEC_TAGS = {codec: _TAGS | {b"TARR"} if codec == MODE_ENTROPY else _TAGS for codec in MODES}
 
 # what `RmqIndex.build` times, in order: ranking the values and building the
-# Cartesian tree, the tree cover, encoding the micro types, the spot check
+# Cartesian tree's spans, the tree cover, encoding the micro types, the spot
+# check
 BUILD_PHASES = ("cartesian", "cover", "encode_types", "validate")
 
 
@@ -50,10 +51,10 @@ class RmqIndex:
             raise ValueError("cannot build an RMQ index over an empty array")
         if codec not in MODES:
             raise ValueError(f"unknown codec {codec!r}")
-        tree = build_cartesian(keys)
+        lo, st = cartesian_spans(keys)
         marks.append(time.perf_counter())
-        cover = build_cover(tree, micro_b=micro_b)
-        del tree  # only the cover outlives its phase
+        cover = cover_from_spans(lo, st, micro_b=micro_b)
+        del lo, st  # only the cover outlives its phase
         marks.append(time.perf_counter())
         type_array = encode_types(cover.type_ids, cover.registry, codec)
         marks.append(time.perf_counter())

@@ -109,8 +109,15 @@ class BinaryTree:
         return f"BinaryTree(n={self.n})"
 
 
+# how many entries a sequential pass takes as Python ints at a time, which
+# bounds its lists whatever the input
+CHUNK = 1 << 14
+
+
 def _int_array(values) -> array:
-    return array("i", np.asarray(values, dtype=np.intc).tobytes())
+    out = array("i")
+    out.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.intc)).cast("B"))
+    return out
 
 
 def _level_type(length: int):
@@ -132,8 +139,10 @@ def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
     and all of rk between near[i] and i stays above rk[i].  Long chains of
     resolved pointers make some inputs need O(n) rounds, so once the rounds
     have touched 2n entries, or after 64 rounds, the rest finish in increasing
-    i by the sequential walk from i - 1 along final pointers, whose steps
-    total at most n.
+    i by the sequential walk from near[i] along final pointers, whose steps
+    total at most n.  The walk reads rk and the pointers in place, at 4 bytes
+    an entry, and takes the unresolved entries and their ranks as Python ints
+    CHUNK at a time.
     """
     n = len(rk) - 1
     near = np.arange(-1, n, dtype=np.intc)
@@ -148,63 +157,83 @@ def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
             break
         budget -= live.size
         near[live] = near[up[jump]]
-    if live.size:
-        r, nr = rk.tolist(), near.tolist()
-        for i in live.tolist():
-            j = i - 1
-            ri = r[i]
+    r, nr = memoryview(rk), memoryview(near)
+    for at in range(0, live.size, CHUNK):
+        part = live[at:at + CHUNK]
+        for i, ri in zip(part.tolist(), rk.take(part).tolist()):
+            j = nr[i]
             while r[j] > ri:
                 j = nr[j]
             nr[i] = j
-        near = np.array(nr, dtype=np.intc)
     return near
+
+
+def _spans(rk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Cartesian tree of the distinct non-negative ranks rk[1..n], whose
+    positions are its inorder, as its spans: two intc arrays `lo` and `st`
+    over preorder ids (slot 0 is 0), where node p's subtree has st[p] nodes
+    at inorder positions lo[p] + 1 .. lo[p] + st[p].  rk[0] and rk[n + 1]
+    must be -1.
+
+    `_nearest_smaller_left` finds each position's nearest smaller rank to the
+    left (L), and again on the reversed ranks to the right (R); the subtree
+    of position i then spans L+1..R-1.  Its preorder id is L + 1 plus its
+    left depth, the number of its ancestors right of it, which are the
+    positions j > i with L_j < i.  Every j <= i has L_j < i, so one count of
+    the L values below i, less i, gives the left depth: no sort.
+    """
+    n = len(rk) - 2
+    lo = _nearest_smaller_left(rk[:n + 1])[1:]
+    st = n - _nearest_smaller_left(rk[:0:-1])[:0:-1] - lo  # R - L - 1
+    below = np.cumsum(np.bincount(lo, minlength=n), dtype=np.intc)  # [i - 1]: the L values below i
+    pre = lo + below - np.arange(n, dtype=np.intc)
+    del below
+    spans = np.zeros((2, n + 1), dtype=np.intc)
+    spans[0, pre] = lo
+    spans[1, pre] = st
+    return spans[0], spans[1]
+
+
+def _children(lo: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right child of every preorder id of the tree with spans
+    `lo`, `st`, 0 for none: node p + 1 is p's left child iff its subtree
+    starts where p's does, and p's right child comes after its left
+    subtree."""
+    n = len(st) - 1
+    at = np.arange(n + 1, dtype=np.intc)
+    left = np.zeros(n + 1, dtype=np.intc)
+    left[1:n] = np.where(lo[2:] == lo[1:n], at[2:], 0)
+    ls = st[left]
+    return left, np.where(st - ls > 1, at + ls + 1, 0)
+
+
+def _tree(lo: np.ndarray, st: np.ndarray) -> BinaryTree:
+    """The `BinaryTree` with spans `lo`, `st` (see `_spans`)."""
+    t = BinaryTree()
+    n = t.n = len(st) - 1
+    left, right = _children(lo, st)
+    ls = st[left]
+    node = lo + ls + 1  # inorder position of each preorder id
+    node[0] = 0
+    at = np.arange(n + 1, dtype=np.intc)
+    parent = np.zeros(n + 1, dtype=np.intc)
+    parent[left] = at
+    parent[right] = at
+    parent[0] = 0
+    pre = np.empty(n + 1, dtype=np.intc)
+    pre[node] = at
+    t.left, t.right, t.parent = _int_array(left), _int_array(right), _int_array(parent)
+    t.st, t.ls = _int_array(st), _int_array(ls)
+    t.inorder_of, t.id_at_inorder = _int_array(node), _int_array(pre)
+    return t
 
 
 def _cartesian_from_ranks(ranks) -> BinaryTree:
     """Cartesian tree of distinct non-negative ranks; positions (1-based) are
-    inorder.
-
-    `_nearest_smaller_left` finds each position's nearest smaller rank to the
-    left (L), and again on the reversed ranks to the right (R).  The subtree
-    of position i then spans L+1..R-1, and its parent is whichever of L and R
-    has the larger rank.  Preorder lists subtrees by where they start in
-    inorder, and of two subtrees that start at the same place the larger is
-    the ancestor; so one sort by (L, -size) gives the preorder ids.
-    """
-    n = len(ranks)
-    if n == 0:
-        return BinaryTree()
-    rk = np.full(n + 2, -1, dtype=np.intc)  # -1: below every rank, at both ends
-    rk[1:n + 1] = ranks
-    lo = _nearest_smaller_left(rk[:n + 1])
-    hi = np.empty(n + 1, dtype=np.intc)
-    hi[0] = n + 1
-    hi[1:] = n + 1 - _nearest_smaller_left(rk[:0:-1])[:0:-1]
-    at = np.arange(n + 1, dtype=np.intc)
-    ls = at - lo - 1
-    st = hi - lo - 1
-    ls[0] = st[0] = 0
-    par = np.where(rk[lo] > rk[hi], lo, hi)
-    del rk
-    par[par == n + 1] = 0  # the root: no smaller rank on either side
-    pre = np.zeros(n + 1, dtype=np.intc)
-    pre[np.argsort(lo[1:].astype(np.int64) * (n + 2) - st[1:]) + 1] = at[1:]
-    child = np.flatnonzero(par)
-    on_left = par[child] == hi[child]
-    left = np.zeros(n + 1, dtype=np.intc)
-    right = np.zeros(n + 1, dtype=np.intc)
-    left[pre[par[child[on_left]]]] = pre[child[on_left]]
-    right[pre[par[child[~on_left]]]] = pre[child[~on_left]]
-    del child, on_left, lo, hi
-    node = np.empty(n + 1, dtype=np.intc)
-    node[pre] = at  # inorder position of each preorder id
-    t = BinaryTree()
-    t.n = n
-    t.left, t.right = _int_array(left), _int_array(right)
-    t.parent = _int_array(pre[par[node]])
-    t.st, t.ls = _int_array(st[node]), _int_array(ls[node])
-    t.inorder_of, t.id_at_inorder = _int_array(node), _int_array(pre)
-    return t
+    inorder."""
+    rk = np.full(len(ranks) + 2, -1, dtype=np.intc)  # -1: below every rank, at both ends
+    rk[1:-1] = ranks
+    return _tree(*_spans(rk))
 
 
 def order_keys(values) -> np.ndarray:
@@ -233,15 +262,21 @@ def order_keys(values) -> np.ndarray:
     return keys
 
 
+def cartesian_spans(values) -> tuple[np.ndarray, np.ndarray]:
+    """The spans (see `_spans`) of the Cartesian tree of `values`: root at
+    the minimum, left/right subtrees on the subarrays, equal keys broken to
+    the leftmost minimum.  The node at inorder position i is values[i-1]."""
+    keys = order_keys(values)
+    rk = np.full(len(keys) + 2, -1, dtype=np.intc)  # -1: below every rank, at both ends
+    rk[1:-1][np.argsort(keys, kind="stable")] = np.arange(len(keys), dtype=np.intc)
+    return _spans(rk)
+
+
 def build_cartesian(values) -> BinaryTree:
     """Cartesian tree of `values`: root at the minimum, left/right subtrees on
     the subarrays.  Equal keys break ties to the leftmost minimum.  The node
     with inorder index i corresponds to values[i-1]."""
-    keys = order_keys(values)
-    n = len(keys)
-    ranks = np.empty(n, dtype=np.intc)
-    ranks[np.argsort(keys, kind="stable")] = np.arange(n, dtype=np.intc)
-    return _cartesian_from_ranks(ranks)
+    return _tree(*cartesian_spans(values))
 
 
 def sample_random_bst(n: int, seed: int) -> BinaryTree:

@@ -25,7 +25,7 @@ from succinctrmq.trees import (
     zigzag_path,
 )
 
-from test_trees import FIG_ARRAY, adversarial_ranks
+from test_trees import FIG_ARRAY, adversarial_ranks, sawtooth
 
 
 def sweep_maps(t, cov):
@@ -322,7 +322,8 @@ class TestDerivedColumns:
     and positions equals its brute-force value, built and loaded."""
 
     TREES = {**{f"perm-{seed}": np.random.default_rng(seed).permutation(3000) for seed in (1, 2)},
-             **adversarial_ranks(3000)}
+             **adversarial_ranks(3000), "sawtooth": sawtooth(3000),
+             "ties": np.random.default_rng(3).integers(0, 4, 3000)}
 
     # the ids name the (mini_b, micro_b) pairs of the two-tier cover these
     # cases were written for; micro_b is the second

@@ -412,6 +412,14 @@ def stable_ranks(values) -> np.ndarray:
     return ranks
 
 
+def sawtooth(n: int) -> np.ndarray:
+    """Ascending teeth of 1000, each tooth starting below every earlier
+    value: pointer jumping leaves each tooth's first entry unresolved on
+    the left, and runs out of its work budget on the right."""
+    at = np.arange(n, dtype=np.int64)
+    return (at % 1000) * 10**6 - at // 1000
+
+
 def adversarial_ranks(n: int) -> dict[str, np.ndarray]:
     """Rank sequences that defeat pointer jumping or make long paths: the
     stable ranks of `adversarial_arrays`, a zigzag and a caterpillar, and
