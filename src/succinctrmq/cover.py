@@ -327,10 +327,10 @@ class TreeCover:
                 g += self.p_size[j] - 1
         return g
 
-    # The RMQ path works on (micro k, shape position) pairs, which its own
-    # layers produce: select gives a shape inorder position, LCA takes two and
-    # gives a shape preorder, which rank takes.  The tau-name methods check
-    # and translate through the micro's table at the edge.
+    # The RMQ path works on (micro k, shape inorder position) pairs, which its
+    # own layers produce and take: select gives them, LCA takes two and gives
+    # one, and rank takes that.  The tau-name methods check a name and
+    # translate its shape preorder through the micro's table at the edge.
 
     def nodeselect_inorder(self, i: int) -> TauName:
         k, s = self.select_inorder(i)
@@ -338,11 +338,17 @@ class TreeCover:
 
     def lca(self, u: TauName, v: TauName) -> TauName:
         ku, kv = self._k(u), self._k(v)
-        k, t3 = self.lca_k(ku, self._table(ku).pre2in[u[2]], kv, self._table(kv).pre2in[v[2]])
-        return _tau(TauName, (1, k, t3))
+        k, s = self.lca_k(ku, self._inorder(ku, u[2]), kv, self._inorder(kv, v[2]))
+        return _tau(TauName, (1, k, self._table(k).in2pre[s]))
 
     def noderank_inorder(self, name: TauName) -> int:
-        return self.rank_inorder(self._k(name), name[2])
+        k = self._k(name)
+        return self.rank_inorder(k, self._inorder(k, name[2]))
+
+    def _inorder(self, k: int, t3: int) -> int:
+        """The shape inorder position of micro k's shape preorder t3, by a
+        search of its table's in2pre (no query makes one)."""
+        return self._table(k).in2pre.index(t3)
 
     def _table(self, k: int):
         """The lookup table of micro k's type, built on first use."""
@@ -358,37 +364,36 @@ class TreeCover:
         opcount.add(4)
         return self.run_k[r - 1], self.run_t3[r - 1] + (i - base)
 
-    def rank_inorder(self, k: int, t3: int) -> int:
-        """Global inorder rank of node t3 of micro k: global preorder +
-        left-subtree size - left depth.  One walk over the micro's portals
-        (at most two) checks that t3 is a node and adds the members that the
-        portals before it and inside its left subtree stand for."""
-        table = self._table(k)
-        ls = table.ls[t3]
-        hi = t3 + ls  # shape-left range is t3 + 1 .. hi
-        ld = hi - table.pre2in[t3]  # the shape left depth
-        g = self.root_pre[k] - 1 + t3
+    def rank_inorder(self, k: int, s: int) -> int:
+        """Global inorder rank of the node at shape inorder position s of
+        micro k; it reads no lookup table.  Before micro k's subtree in
+        inorder come root_pre - 1 - root_ld nodes (the root's global preorder
+        less one, less its left depth), and before the node inside it come
+        s - 1 shape nodes, of which each portal leaf stands for p_size
+        members.  One walk over the micro's portals (at most two) checks that
+        s is not a portal and adds the members of those before it."""
+        g = self.root_pre[k] - 1 - self.root_ld[k] + s
         j = a = self.p_off[k]
         b = self.p_off[k + 1]
-        pos, size = self.p_pos, self.p_size
-        while j < b:  # a portal leaf stands for p_size members
-            p = pos[j]
-            if p < t3:
+        p_in, size = self.p_in, self.p_size
+        while j < b:
+            p = p_in[j]
+            if p < s:
                 g += size[j] - 1
-            elif p == t3:
-                raise ValueError(f"shape position {t3} is a portal copy, not a node")
-            elif p <= hi:
-                ls += size[j] - 1
+            elif p == s:
+                raise ValueError(f"shape inorder position {s} is a portal copy, not a node")
             j += 1
-        # the portal check, preorder and left size each read every portal
+        # the loop, p_in and p_size per portal, and root_pre, root_ld and the
+        # two offsets
         opcount.add(3 * (b - a) + 4)
-        return g + ls - (self.root_ld[k] + ld)
+        return g
 
     def lca_k(self, ku: int, u_in: int, kv: int, v_in: int) -> tuple[int, int]:
-        """(micro k, shape preorder) of the LCA of the node at shape inorder
-        position u_in of micro ku and the one at v_in of micro kv; ValueError
-        if either is a portal leaf.  Only micro k's lookup table is read, and
-        the first time a micro is k, it is checked against the cover."""
+        """(micro k, shape inorder position) of the LCA of the node at shape
+        inorder position u_in of micro ku and the one at v_in of micro kv;
+        ValueError if either is a portal leaf.  Only micro k's lookup table
+        is read, and the first time a micro is k, it is checked against the
+        cover."""
         off, p_in = self.p_off, self.p_in
         a, b = off[ku], off[ku + 1]
         c, d = off[kv], off[kv + 1]
@@ -417,24 +422,25 @@ class TreeCover:
         return k, table.range_min(x, y)
 
     def _check_micro(self, k: int, table) -> None:
-        """Check micro k against its shape, or raise ValueError: its portal
-        positions are leaves of the shape at its portals' inorder positions,
-        and the first member of each stretch between them (in shape inorder)
-        makes the select(rank) round trip, which ties the micro's left depth
-        and position map to the shape.  Like the table build, the check is
-        not a query's work and charges no operations.  The flag is set only
-        after the check passes, so concurrent readers at worst check twice."""
+        """Check micro k against its shape, or raise ValueError: each portal's
+        shape preorder is a leaf of the shape at its portal's inorder
+        position, and the first member of each stretch between them (in shape
+        inorder) makes the select(rank) round trip, which ties the micro's
+        left depth and position map to the shape.  Like the table build, the
+        check is not a query's work and charges no operations.  The flag is
+        set only after the check passes, so concurrent readers at worst check
+        twice."""
         a, b = self.p_off[k], self.p_off[k + 1]
         with opcount.uncounted():
             for j in range(a, b):
-                p = self.p_pos[j]
-                if table.ls[p] or table.pre2in[p] != self.p_in[j]:
+                s, p = self.p_in[j], self.p_pos[j]
+                if table.in2pre[s] != p or not table.is_leaf(s):
                     raise ValueError(f"micro {k}: portal {p} is not a leaf at its inorder "
-                                     f"position {self.p_in[j]}")
+                                     f"position {s}")
             ends = [0, *self.p_in[a:b], self.shape_size[k] + 1]
             for s, stop in zip(ends, ends[1:]):
                 if s + 1 < stop:  # the stretch s + 1 .. stop - 1 has members
-                    at = self.rank_inorder(k, table.in2pre[s + 1])
+                    at = self.rank_inorder(k, s + 1)
                     if not 1 <= at <= self.n or self.select_inorder(at) != (k, s + 1):
                         raise ValueError(f"micro {k}: its member at shape inorder position "
                                          f"{s + 1} ranks {at}, which selects elsewhere")

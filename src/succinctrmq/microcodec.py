@@ -26,7 +26,7 @@ from .bits import VariableCellArray
 from .serial import DecodeError
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequences,
                        subtree_sizes, zaks_arrays)
-from .trees import BlockMinLca
+from .trees import BlockMinLca, _position_code
 
 MODE_FIXED = "fixed"
 MODE_ENTROPY = "entropy"
@@ -37,49 +37,56 @@ HUFFMAN_LENGTH_LIMIT = 128  # two machine words
 
 
 class ShapeTable(BlockMinLca):
-    """Per-type lookup tables: inorder <-> preorder, left sizes by preorder,
-    and in-micro LCA.
+    """Per-type lookup table: the shape's preorder ids in inorder (`in2pre`)
+    and the sparse table of its block minima, which give the in-micro LCA.
 
-    All arrays are 1-based (slot 0 unused), of item type 'H' when the shape
-    has fewer than 65535 nodes and 'i' otherwise.  Left depths are not held:
-    since inorder = preorder + left size - left depth, node v's left depth is
-    v + ls[v] - pre2in[v].  The LCA of two nodes is the node of smallest
-    preorder in the inorder range between them: every node of that range
-    lies in the LCA's subtree, and the LCA comes first in it.  So the table
-    is a `BlockMinLca` with positions pre2in over the sequence in2pre, and
-    `range_min(ia, ib)` is the LCA of the nodes at inorder positions ia, ib.
+    `in2pre` is 1-based (slot 0 holds 0), of item type 'H' when the shape has
+    fewer than 65535 nodes and 'i' otherwise; it fixes the shape.  The LCA of
+    two nodes is the node of smallest preorder in the inorder range between
+    them: every node of that range lies in the LCA's subtree, and the LCA
+    comes first in it.  So the table is a `BlockMinLca` over in2pre, and
+    `range_min(ia, ib)` is the inorder position of the LCA of the nodes at
+    inorder positions ia and ib.  Nothing else is held: inorder rank needs
+    only that position, and leafness (`is_leaf`) is read off in2pre: a
+    node's inorder neighbour on a side where it has a child lies in that
+    child's subtree, later in preorder, and on a side where it has none is
+    an ancestor, earlier in preorder.
     """
 
-    __slots__ = ("n", "ls")
-    pre2in, in2pre = BlockMinLca.pos, BlockMinLca.seq  # other names for the same slots
+    __slots__ = ("n",)
+    in2pre = BlockMinLca.seq  # another name for the same slot
 
     def __init__(self, ls: np.ndarray, ld: np.ndarray):
         """ls, ld: left-subtree sizes and left depths in preorder."""
         n = len(ls)
         if n == 0:
             raise DecodeError("an empty shape has no lookup table")
-        code = "H" if n < 0xFFFF else "i"
+        code = _position_code(n + 1)
         pre = np.arange(1, n + 1)
-        inorder = pre + ls - ld
-        # slot 0 holds 0 and lies before every position: no scan reaches it, and
-        # block 0's minimum is never read (the sparse table serves inner blocks)
-        pre2in, in2pre, left = np.zeros((3, n + 1), dtype=code)
-        pre2in[1:] = inorder
-        in2pre[inorder] = pre
-        left[1:] = ls
+        # slot 0 holds 0, below every preorder id: no scan reaches it, block
+        # 0's minimum is never read (the sparse table serves inner blocks),
+        # and `is_leaf` reads it as position 1's left neighbour, before every
+        # node in preorder
+        in2pre = np.zeros(n + 1, dtype=code)
+        in2pre[pre + ls - ld] = pre  # inorder = preorder + left size - left depth
         self.n = n
-        self.ls = array(code, left.tobytes())
-        super().__init__(array(code, pre2in.tobytes()), array(code, in2pre.tobytes()), in2pre)
+        super().__init__(array(code, in2pre.tobytes()), in2pre)
 
     @classmethod
     def from_zaks(cls, bits) -> "ShapeTable":
         return cls(*zaks_arrays(bits))
 
+    def is_leaf(self, s: int) -> bool:
+        """Whether the node at inorder position s is a leaf: both its inorder
+        neighbours come before it in preorder."""
+        in2pre = self.in2pre
+        p = in2pre[s]
+        return in2pre[s - 1] < p and (s == self.n or in2pre[s + 1] < p)
+
     def space_bits(self) -> int:
-        """Designed table footprint (reported, not asserted): the three
-        per-node arrays plus the block minima and their sparse table."""
-        w = self.n.bit_length()
-        return w * (3 * (self.n + 1) + sum(len(level) for level in self._sparse))
+        """Designed table footprint (reported, not asserted): in2pre and the
+        sparse table, each entry as wide as a position."""
+        return self.n.bit_length() * (len(self.in2pre) + len(self._sparse))
 
 
 class TypeRegistry:

@@ -70,8 +70,9 @@ class RmqIndex:
 
         Inorder select maps i and j to (micro, shape inorder position) pairs
         without a lookup table; the LCA meets them in one micro and reads
-        that micro's table alone, building it on first use, and inorder rank
-        reads the same table.  So a query builds at most one table.
+        that micro's table alone, building it on first use, and gives the
+        LCA's pair, whose inorder rank comes from the micro's portals without
+        a table.  So a query builds at most one table.
 
         The load derives the micro-root tree and the columns that follow
         from it, so those cannot contradict each other, but it does not check

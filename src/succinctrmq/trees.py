@@ -383,38 +383,56 @@ def complete_tree(levels: int) -> BinaryTree:
     return BinaryTree.from_shape(shape)
 
 
-class BlockMinLca:
-    """Constant-time LCA as a range minimum over a sequence.
+def _position_code(length: int) -> str:
+    """The item type of an array of positions into a `length`-entry sequence:
+    'H' (16 bits) up to 65535 entries, 'i' from there up."""
+    return "H" if length <= 0xFFFF else "i"
 
-    Node a sits at position ``pos[a]`` of ``seq``, and the LCA of a and b is
-    the smallest entry of seq between their positions, masked to its low 32
-    bits (an entry may carry a sort key above them).  The sequence is cut into
-    BLOCK-entry blocks whose minima carry a sparse table, so a query scans at
-    most two partial blocks and its operation count is bounded independently
-    of the sequence length (Bender & Farach-Colton, LATIN 2000).
+
+class BlockMinLca:
+    """Constant-time LCA as the position of a range minimum over a sequence.
+
+    The smallest entry of ``seq`` between the positions of two nodes names
+    their LCA.  The sequence is cut into BLOCK-entry blocks, and a sparse
+    table holds, for each level l and block i, the position of the smallest
+    entry of blocks i .. i + 2^l - 1.  Its levels lie in one array of
+    positions, level l of an m-block sequence from offset l (m + 1) - 2^l + 1.
+    A query scans at most two partial blocks, and reads two sparse entries and
+    the two entries of seq they name, so its operation count is bounded
+    independently of the sequence length (Bender & Farach-Colton, LATIN 2000).
     """
 
     BLOCK = 32
 
-    __slots__ = ("pos", "seq", "_sparse")
+    __slots__ = ("seq", "_sparse", "_blocks")
 
-    def __init__(self, pos, seq, keys: np.ndarray):
-        """keys: seq as a numpy array, whose item type the sparse table keeps."""
-        level = np.minimum.reduceat(keys, np.arange(0, len(keys), self.BLOCK))
-        sparse = [array(level.dtype.char, level.tobytes())]
+    def __init__(self, seq, keys: np.ndarray):
+        """keys: one integer in 0 .. 2^31 - 1 per entry of seq, whose
+        smallest in any range lies where a smallest entry of seq does."""
+        # each key with its position in the low 32 bits: their minima give
+        # the leftmost position of a smallest key
+        packed = keys.astype(np.int64) << 32
+        packed |= np.arange(len(keys))
+        level = np.minimum.reduceat(packed, np.arange(0, len(keys), self.BLOCK))
+        m = len(level)
+        levels = [level]
         span = 1
-        while 2 * span <= len(sparse[0]):
+        while 2 * span <= m:
             level = np.minimum(level[:-span], level[span:])
-            sparse.append(array(level.dtype.char, level.tobytes()))
+            levels.append(level)
             span *= 2
-        self.pos, self.seq, self._sparse = pos, seq, sparse
-
-    def lca(self, a: int, b: int) -> int:
-        return self.range_min(self.pos[a], self.pos[b])
+        code = _position_code(len(keys))
+        self.seq, self._blocks = seq, m
+        # narrowing keeps the low bits, the positions
+        self._sparse = array(code, np.concatenate(levels).astype(code).tobytes())
 
     def range_min(self, ia: int, ib: int) -> int:
-        """The smallest entry of seq between positions ia and ib, in either
-        order, masked to its low 32 bits."""
+        """The position of the smallest entry of seq between positions ia and
+        ib, in either order.  It charges ib - ia + 2 within one block,
+        2 BLOCK + 2 across two, and 2 BLOCK + 6 where it reads the sparse
+        table: the entries it scans, two sparse entries and the two entries
+        of seq they name, and the two reads of a node's position that
+        `EulerTourLca.lca` makes (a micro's table is given positions)."""
         if ia > ib:
             ia, ib = ib, ia
         seq = self.seq
@@ -422,16 +440,25 @@ class BlockMinLca:
         ba, bb = ia // block, ib // block
         if ba == bb:
             opcount.add(ib - ia + 2)
-            return min(seq[ia:ib + 1]) & 0xFFFFFFFF
-        best = min(min(seq[ia:(ba + 1) * block]), min(seq[bb * block:ib + 1]))
+            return seq.index(min(seq[ia:ib + 1]), ia)
+        lo = bb * block
+        left, right = min(seq[ia:(ba + 1) * block]), min(seq[lo:ib + 1])
+        best = min(left, right)
         if bb > ba + 1:
             k = (bb - ba - 1).bit_length() - 1
-            level = self._sparse[k]
-            best = min(best, level[ba + 1], level[bb - (1 << k)])
+            level = k * (self._blocks + 1) - (1 << k) + 1
+            p, q = self._sparse[level + ba + 1], self._sparse[level + bb - (1 << k)]
+            vp, vq = seq[p], seq[q]
             opcount.add(2 * block + 6)
+            if vq < vp:
+                p, vp = q, vq
+            if vp < best:
+                return p
         else:
             opcount.add(2 * block + 2)
-        return best & 0xFFFFFFFF
+        # a scanned partial block holds the minimum: the first entry equal to
+        # it from that scan's start
+        return seq.index(best, ia if left <= right else lo)
 
 
 class EulerTourLca(BlockMinLca):
@@ -443,8 +470,7 @@ class EulerTourLca(BlockMinLca):
     a node's position is its first visit.
     """
 
-    __slots__ = ("enter", "exit")
-    first = BlockMinLca.pos  # another name for the same slot
+    __slots__ = ("first", "enter", "exit")
 
     def __init__(self, size: int, children, root: int):
         """children: list of child-id lists, indexed 1..size."""
@@ -535,9 +561,16 @@ class EulerTourLca(BlockMinLca):
         return self, child
 
     def _install(self, first: array, enter: array, exit_: array, keys: np.ndarray) -> None:
-        super().__init__(first, keys.tolist(), keys)
+        # in any stretch of the tour, the entries of least depth name one node
+        super().__init__(keys.tolist(), keys >> 32)
+        self.first = first
         self.enter = enter
         self.exit = exit_
+
+    def lca(self, a: int, b: int) -> int:
+        """The LCA of nodes a and b: the node of the smallest key between
+        their first visits, whose reads `range_min` charges."""
+        return self.seq[self.range_min(self.first[a], self.first[b])] & 0xFFFFFFFF
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True iff a is an ancestor of b (or a == b)."""
@@ -545,14 +578,14 @@ class EulerTourLca(BlockMinLca):
         return self.enter[a] <= self.enter[b] and self.exit[b] <= self.exit[a]
 
     def space_bits(self) -> int:
-        """Designed widths of the held arrays: the packed tour keys and their
-        block sparse table at depth + node bits per entry, and first/enter/exit
-        at the width of a tour position."""
+        """Designed widths of the held arrays: the packed tour keys at depth +
+        node bits per entry, the block sparse table at the width of a tour
+        index, and first/enter/exit at the width of a tour time."""
         size = len(self.first) - 1
         key_w = max(1, (max(self.seq) >> 32).bit_length()) + max(1, size.bit_length())
-        keys = (len(self.seq) + sum(len(level) for level in self._sparse)) * key_w
+        sparse = len(self._sparse) * max(1, (len(self.seq) - 1).bit_length())
         times = 3 * (size + 1) * max(1, (2 * size).bit_length())
-        return keys + times
+        return len(self.seq) * key_w + sparse + times
 
 
 def caterpillar(n: int) -> BinaryTree:

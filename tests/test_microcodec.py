@@ -89,29 +89,18 @@ class TestMicroTypeKey:
 
 
 def check_table(table, t, pairs):
-    """The table agrees with the BinaryTree reference on every per-node array
-    and on the LCA of each (a, b) in pairs, addressed by preorder and by
-    inorder position."""
+    """The table agrees with the BinaryTree reference: in2pre, which fixes
+    the shape, and the LCA of each (a, b) in pairs, addressed by inorder
+    position."""
     assert table.n == t.n
-    assert list(table.pre2in) == list(t.inorder_of)  # fixes the shape
-    assert list(table.in2pre) == list(t.id_at_inorder)
-    assert list(table.ls) == list(t.ls)
+    assert list(table.in2pre) == list(t.id_at_inorder)  # fixes the shape
     for a, b in pairs:
-        assert table.lca(a, b) == t.lca(a, b), (a, b)
-        assert table.range_min(t.inorder_of[a], t.inorder_of[b]) == t.lca(a, b), (a, b)
+        assert table.range_min(t.inorder_of[a], t.inorder_of[b]) == t.inorder_of[t.lca(a, b)], \
+            (a, b)
 
 
-def table_left_depths(table):
-    """Left depths as the table implies them: preorder + left size - inorder."""
-    return [0] + [v + table.ls[v] - table.pre2in[v] for v in range(1, table.n + 1)]
-
-
-def left_depths(t):
-    ld = [0] * (t.n + 1)
-    for v in range(2, t.n + 1):  # parents come first in preorder
-        p = t.parent[v]
-        ld[v] = ld[p] + (t.left[p] == v)
-    return ld
+def is_leaf(t, v):
+    return not t.left[v] and not t.right[v]
 
 
 class TestShapeTable:
@@ -119,32 +108,24 @@ class TestShapeTable:
     def test_tables_match_direct_computation(self, seed):
         t = sample_random_bst(random.Random(seed).randint(1, 60), seed)
         table = ShapeTable.from_zaks(encode_zaks(t))
-        assert list(table.pre2in) == list(t.inorder_of)  # same shape
+        assert list(table.in2pre) == list(t.id_at_inorder)  # same shape
+        at = t.inorder_of
         for v in range(1, t.n + 1):
             # the subtree of v is the set of nodes whose LCA with v is v
-            assert sum(table.lca(v, u) == v for u in range(1, t.n + 1)) == t.st[v]
-            assert table.ls[v] == t.ls[v]
-            assert table.pre2in[v] == t.inorder_of[v]
-            assert table.in2pre[t.inorder_of[v]] == v
-            # left depth by walking the parent chain
-            ld = 0
-            u = v
-            while u != 1:
-                p = t.parent[u]
-                if t.left[p] == u:
-                    ld += 1
-                u = p
-            assert v + table.ls[v] - table.pre2in[v] == ld
+            assert sum(table.range_min(at[v], at[u]) == at[v] for u in range(1, t.n + 1)) \
+                == t.st[v]
+            assert table.in2pre[at[v]] == v
+            assert table.is_leaf(at[v]) == is_leaf(t, v)
         for a in range(1, t.n + 1):
             for b in range(a, t.n + 1):
-                assert table.lca(a, b) == t.lca(a, b)
+                assert table.range_min(at[a], at[b]) == at[t.lca(a, b)]
 
     def test_lookup_tables_for_all_present_types(self):
         _, cov = build_fixture_cover()
         for type_id in range(len(cov.registry)):
             table = cov.registry.table(type_id)
             shape = BinaryTree.from_shape(zaks_shape(cov.registry.zaks_bits(type_id)))
-            assert list(table.pre2in) == list(shape.inorder_of)
+            assert list(table.in2pre) == list(shape.id_at_inorder)
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_every_small_shape_all_pairs(self, size):
@@ -152,7 +133,14 @@ class TestShapeTable:
         for t in enumerate_shapes(size):
             table = ShapeTable.from_zaks(encode_zaks(t))
             check_table(table, t, [(a, b) for a in nodes for b in nodes])
-            assert table_left_depths(table) == left_depths(t)
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_leaf_predicate_every_small_shape(self, size):
+        # a portal's first-use check reads leafness off in2pre alone
+        for t in enumerate_shapes(size):
+            table = ShapeTable.from_zaks(encode_zaks(t))
+            assert [table.is_leaf(s) for s in range(1, size + 1)] == \
+                [is_leaf(t, t.id_at_inorder[s]) for s in range(1, size + 1)]
 
     @pytest.mark.parametrize("shape", ["left_path", "right_path", "caterpillar",
                                        "zigzag", "bst-1", "bst-2", "bst-3"])
@@ -167,7 +155,6 @@ class TestShapeTable:
         pairs += [(1, t.n), (t.n, 1), (1, 1), (t.n, t.n)]
         table = ShapeTable.from_zaks(encode_zaks(t))
         check_table(table, t, pairs)
-        assert table_left_depths(table) == left_depths(t)
 
     @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 97, 500, 2000])
     def test_lca_operation_bound(self, n):
@@ -179,7 +166,7 @@ class TestShapeTable:
             pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(300)]
             for a, b in pairs + [(1, n), (n, 1)]:
                 start = opcount.snapshot()
-                table.lca(a, b)
+                table.range_min(t.inorder_of[a], t.inorder_of[b])
                 worst = max(worst, opcount.snapshot() - start)
             assert 0 < worst <= bound
 
@@ -189,8 +176,7 @@ class TestShapeTable:
         """A shape below 65535 nodes holds 'H' arrays, a larger one 'i' arrays."""
         t = sample_random_bst(n, 11) if shape == "bst" else right_path(n)
         table = ShapeTable.from_zaks(encode_zaks(t))
-        assert {a.typecode for a in (table.pre2in, table.in2pre, table.ls, *table._sparse)} \
-            == {code}
+        assert {table.in2pre.typecode, table._sparse.typecode} == {code}
         rng = random.Random(n)
         pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(100)]
         check_table(table, t, pairs + [(1, n), (n, 1), (n, n)])
@@ -220,10 +206,10 @@ class TestShapeTable:
     def test_space_bits_counts_held_arrays(self):
         t = sample_random_bst(1000, 6)
         table = ShapeTable.from_zaks(encode_zaks(t))
-        entries = (len(table.in2pre) + len(table.pre2in) + len(table.ls)
-                   + sum(len(level) for level in table._sparse))
-        assert table.space_bits() == entries * (1000).bit_length()
-        assert len(table._sparse[0]) == -(-1001 // ShapeTable.BLOCK)
+        # 1001 entries make 32 blocks: sparse levels of 32, 31, 29, 25, 17 and 1
+        blocks = -(-1001 // ShapeTable.BLOCK)
+        assert len(table._sparse) == sum(blocks - (1 << k) + 1 for k in range(blocks.bit_length()))
+        assert table.space_bits() == (len(table.in2pre) + len(table._sparse)) * (1000).bit_length()
 
 
 def shape_ids(trees, ids):
@@ -344,9 +330,8 @@ class TestTypeArray:
         for i, m in enumerate(cov.micros_by_k, start=1):
             table = ta.decode_type(i, shape_size=m.shape_size)
             want = cov.registry.table(cov.type_of[i])
-            assert table.pre2in == want.pre2in
-            assert table.in2pre == want.in2pre
-            assert table.ls == want.ls
+            assert table.n == want.n
+            assert table.in2pre == want.in2pre  # fixes the shape
 
     def test_fixed_mode_lengths(self):
         _, cov = build_fixture_cover(n=800, seed=2)

@@ -329,10 +329,34 @@ class TestZaks:
             assert subtree_sizes(ls, ld).tolist() == list(t.st[1:])
             assert ls.tolist() == list(t.ls[1:])
 
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_left_depths_every_small_shape(self, size):
+        for t in enumerate_shapes(size):
+            check_left_depths(t)
+
+    def test_left_depths_large_shapes(self):
+        for t in (left_path(2000), right_path(2000), zigzag_path(2000), caterpillar(2000),
+                  sample_random_bst(2000, 1), sample_random_bst(777, 2), sample_random_bst(65, 3)):
+            check_left_depths(t)
+
     @pytest.mark.parametrize("bits", [[1, 1, 0], [1, 0, 0, 0], [0, 1, 0], []])
     def test_sizes_reject_malformed(self, bits):
         with pytest.raises(DecodeError):
             zaks_arrays(bits)
+
+
+def check_left_depths(t):
+    """`zaks_arrays` gives each node's left depth, the left edges on its path
+    from the root (a left child is one deeper than its parent), and so its
+    inorder position, preorder + left size - left depth, which a lookup
+    table's in2pre is built from."""
+    ld = [0] * (t.n + 1)
+    for v in range(2, t.n + 1):  # parents come first in preorder
+        p = t.parent[v]
+        ld[v] = ld[p] + (t.left[p] == v)
+    ls, got = zaks_arrays(encode_zaks(t))
+    assert got.tolist() == ld[1:]
+    assert (np.arange(1, t.n + 1) + ls - got).tolist() == list(t.inorder_of[1:])
 
 
 def oracle_zaks_arrays(bits):

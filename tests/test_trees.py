@@ -10,6 +10,7 @@ from succinctrmq import opcount
 from succinctrmq.rmq import adversarial_arrays
 from succinctrmq.trees import (
     BinaryTree,
+    BlockMinLca,
     ENTROPY_RATE_LIMIT,
     EulerTourLca,
     build_cartesian,
@@ -312,6 +313,34 @@ def brute_is_ancestor(parent, a, b):
     return b == a
 
 
+class TestBlockMinLca:
+    """The kernel over plain sequences: the position of a range minimum."""
+
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 64, 65, 97, 200, 1025])
+    def test_sparse_levels_hold_block_minimum_positions(self, length):
+        keys = np.random.default_rng(length).integers(0, 50, size=length)
+        kernel = BlockMinLca(keys.tolist(), keys)
+        block = BlockMinLca.BLOCK
+        blocks = -(-length // block)
+        at = 0
+        for k in range(blocks.bit_length()):
+            for i in range(blocks - (1 << k) + 1):
+                lo, hi = i * block, min(length, (i + (1 << k)) * block)
+                assert kernel._sparse[at] == lo + int(np.argmin(keys[lo:hi])), (k, i)
+                at += 1
+        assert at == len(kernel._sparse)
+
+    @pytest.mark.parametrize("length", [1, 33, 97, 300])
+    def test_range_min_is_a_minimum_position(self, length):
+        keys = np.random.default_rng(length + 1).permutation(length)
+        kernel = BlockMinLca(keys.tolist(), keys)
+        rng = random.Random(length)
+        pairs = [(rng.randrange(length), rng.randrange(length)) for _ in range(2000)]
+        for a, b in pairs + [(0, length - 1), (length - 1, 0)]:
+            lo, hi = min(a, b), max(a, b)
+            assert kernel.range_min(a, b) == lo + int(np.argmin(keys[lo:hi + 1])), (a, b)
+
+
 class TestEulerTourLca:
     def check(self, size, children, root, parent, pairs):
         tb = EulerTourLca(size, children, root)
@@ -321,7 +350,10 @@ class TestEulerTourLca:
             got = tb.lca(a, b)
             assert opcount.snapshot() - start <= bound
             assert got == brute_lca(parent, a, b), (a, b)
-            assert tb.range_min(tb.first[a], tb.first[b]) == got, (a, b)
+            # the kernel gives the position of the smallest key between the first visits
+            lo, hi = sorted((tb.first[a], tb.first[b]))
+            at = tb.range_min(tb.first[a], tb.first[b])
+            assert lo <= at <= hi and tb.seq[at] == min(tb.seq[lo:hi + 1]), (a, b)
             assert tb.is_ancestor(a, b) == brute_is_ancestor(parent, a, b), (a, b)
             assert tb.is_ancestor(b, a) == brute_is_ancestor(parent, b, a), (a, b)
 
@@ -398,11 +430,13 @@ class TestEulerTourLca:
             EulerTourLca.from_degrees(np.array(degrees, dtype=np.int64))
 
     def test_space_counts_held_arrays(self):
-        # root 1 with child 2: tour 1 2 1, one block, so four packed keys of
-        # 1 depth bit + 2 node bits, and first/enter/exit for slots 0..2 at
-        # the 3 bits of a tour time up to 4
+        # root 1 with child 2: tour 1 2 1, one block, so three packed keys of
+        # 1 depth bit + 2 node bits, one sparse entry at the 2 bits of a tour
+        # index up to 2, and first/enter/exit for slots 0..2 at the 3 bits of
+        # a tour time up to 4
         tb = EulerTourLca(2, [[], [2], []], 1)
-        assert tb.space_bits() == 4 * 3 + 3 * 3 * 3
+        assert tb.space_bits() == 3 * 3 + 2 + 3 * 3 * 3
+        assert list(tb._sparse) == [0]
 
 
 def stable_ranks(values) -> np.ndarray:
