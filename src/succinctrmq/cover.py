@@ -261,6 +261,32 @@ def default_params(n: int) -> int:
     return max(8, math.ceil(lg * lg))
 
 
+# A Zaks key's 1-bits are its shape's nodes in preorder, and its 0-bits close
+# their left subtrees in inorder (see `ShapeTable.from_zaks`): a node whose
+# 1-bit rises from excess L has its left subtree end at the first 0-bit after
+# it that falls back to L, and every bit between stays above L.
+
+def _key_inorder(key: tuple[np.ndarray, np.ndarray], t3: int) -> int:
+    """The shape inorder position of shape preorder t3: the 0-bits up to the
+    one that closes its left subtree."""
+    bits, after = key
+    p = int(np.flatnonzero(bits)[t3 - 1])
+    level = int(after[p]) - 1
+    z = p + int(np.argmax(after[p:] == level))
+    return (z + 1 - level) // 2
+
+
+def _key_preorder(key: tuple[np.ndarray, np.ndarray], s: int) -> int:
+    """The shape preorder of shape inorder position s: the 1-bits up to its
+    node's, the last 1-bit before the s-th 0-bit that rises from that 0-bit's
+    excess."""
+    bits, after = key
+    z = int(np.flatnonzero(bits == 0)[s - 1])
+    level = int(after[z])
+    p = int(np.flatnonzero(bits[:z] & (after[:z] == level + 1))[-1])
+    return (p + 2 + level) // 2
+
+
 class TreeCover:
     """Queryable one-tier cover; immutable after construction.
 
@@ -330,25 +356,31 @@ class TreeCover:
     # The RMQ path works on (micro k, shape inorder position) pairs, which its
     # own layers produce and take: select gives them, LCA takes two and gives
     # one, and rank takes that.  The tau-name methods check a name and
-    # translate its shape preorder through the micro's table at the edge.
+    # translate its shape preorder through the micro's shape at the edge.
 
     def nodeselect_inorder(self, i: int) -> TauName:
         k, s = self.select_inorder(i)
-        return _tau(TauName, (1, k, self._table(k).in2pre[s]))
+        return _tau(TauName, (1, k, _key_preorder(self._key(k), s)))
 
     def lca(self, u: TauName, v: TauName) -> TauName:
         ku, kv = self._k(u), self._k(v)
-        k, s = self.lca_k(ku, self._inorder(ku, u[2]), kv, self._inorder(kv, v[2]))
-        return _tau(TauName, (1, k, self._table(k).in2pre[s]))
+        key_u = self._key(ku)
+        key_v = key_u if kv == ku else self._key(kv)
+        k, s = self.lca_k(ku, _key_inorder(key_u, u[2]), kv, _key_inorder(key_v, v[2]))
+        key = key_u if k == ku else key_v if k == kv else self._key(k)
+        return _tau(TauName, (1, k, _key_preorder(key, s)))
 
     def noderank_inorder(self, name: TauName) -> int:
         k = self._k(name)
-        return self.rank_inorder(k, self._inorder(k, name[2]))
+        return self.rank_inorder(k, _key_inorder(self._key(k), name[2]))
 
-    def _inorder(self, k: int, t3: int) -> int:
-        """The shape inorder position of micro k's shape preorder t3, by a
-        search of its table's in2pre (no query makes one)."""
-        return self._table(k).in2pre.index(t3)
+    def _key(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Micro k's Zaks key, read from its type's `TYPR` record, and the
+        key's excess after each bit, which `_key_inorder` and
+        `_key_preorder` translate shape positions by.  No query calls the
+        tau-name methods, so nothing is cached."""
+        bits = self.registry.zaks_bits(self.type_of[k]).astype(np.intc)
+        return bits, np.cumsum(2 * bits - 1)
 
     def _table(self, k: int):
         """The lookup table of micro k's type, built on first use."""
@@ -434,7 +466,9 @@ class TreeCover:
         with opcount.uncounted():
             for j in range(a, b):
                 s, p = self.p_in[j], self.p_pos[j]
-                if table.in2pre[s] != p or not table.is_leaf(s):
+                # a leaf's preorder is its inorder position plus its left
+                # depth, as its left subtree is empty
+                if s + table.ld[s] != p or not table.is_leaf(s):
                     raise ValueError(f"micro {k}: portal {p} is not a leaf at its inorder "
                                      f"position {s}")
             ends = [0, *self.p_in[a:b], self.shape_size[k] + 1]

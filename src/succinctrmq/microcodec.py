@@ -26,7 +26,7 @@ from .bits import VariableCellArray
 from .serial import DecodeError
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequences,
                        subtree_sizes, zaks_arrays)
-from .trees import BlockMinLca, _position_code
+from .trees import BlockMinLca, _level_type
 
 MODE_FIXED = "fixed"
 MODE_ENTROPY = "entropy"
@@ -37,56 +37,85 @@ HUFFMAN_LENGTH_LIMIT = 128  # two machine words
 
 
 class ShapeTable(BlockMinLca):
-    """Per-type lookup table: the shape's preorder ids in inorder (`in2pre`)
-    and the sparse table of its block minima, which give the in-micro LCA.
+    """Per-type lookup table: the shape's left depths in inorder (`ld`) and
+    the sparse table of their block minima, which give the in-micro LCA.
 
-    `in2pre` is 1-based (slot 0 holds 0), of item type 'H' when the shape has
-    fewer than 65535 nodes and 'i' otherwise; it fixes the shape.  The LCA of
-    two nodes is the node of smallest preorder in the inorder range between
-    them: every node of that range lies in the LCA's subtree, and the LCA
-    comes first in it.  So the table is a `BlockMinLca` over in2pre, and
+    A node's left depth is the number of left edges on its path from the
+    root.  `ld` is 1-based (slot 0 holds 0), of item type 'B' when every
+    left depth is below 256, 'H' below 65536 and 'i' otherwise; it fixes the
+    shape.  The LCA of the nodes at inorder positions a and b is the
+    leftmost smallest left depth between them: every node of that range lies
+    in the LCA's subtree, those before the LCA in its left subtree, which
+    are deeper, and those after it in its right subtree, which are no
+    shallower.  So the table is a `BlockMinLca` over ld, and
     `range_min(ia, ib)` is the inorder position of the LCA of the nodes at
-    inorder positions ia and ib.  Nothing else is held: inorder rank needs
-    only that position, and leafness (`is_leaf`) is read off in2pre: a
-    node's inorder neighbour on a side where it has a child lies in that
-    child's subtree, later in preorder, and on a side where it has none is
-    an ancestor, earlier in preorder.
+    inorder positions ia and ib, as in the excess-sequence RMQ of Fischer &
+    Heun (SICOMP 2011).  Nothing else is held: inorder rank needs only that
+    position, leafness (`is_leaf`) is read off ld, and so is a leaf's
+    preorder, which is its inorder position plus its left depth.
     """
 
     __slots__ = ("n",)
-    in2pre = BlockMinLca.seq  # another name for the same slot
+    ld = BlockMinLca.seq  # another name for the same slot
 
     def __init__(self, ls: np.ndarray, ld: np.ndarray):
         """ls, ld: left-subtree sizes and left depths in preorder."""
         n = len(ls)
         if n == 0:
             raise DecodeError("an empty shape has no lookup table")
-        code = _position_code(n + 1)
-        pre = np.arange(1, n + 1)
-        # slot 0 holds 0, below every preorder id: no scan reaches it, block
-        # 0's minimum is never read (the sparse table serves inner blocks),
-        # and `is_leaf` reads it as position 1's left neighbour, before every
-        # node in preorder
-        in2pre = np.zeros(n + 1, dtype=code)
-        in2pre[pre + ls - ld] = pre  # inorder = preorder + left size - left depth
-        self.n = n
-        super().__init__(array(code, in2pre.tobytes()), in2pre)
+        depth = np.zeros(n + 1, dtype=np.int64)
+        depth[np.arange(1, n + 1) + ls - ld] = ld  # inorder = preorder + left size - left depth
+        self._install(depth)
 
     @classmethod
     def from_zaks(cls, bits) -> "ShapeTable":
-        return cls(*zaks_arrays(bits))
+        """The table of the shape whose Zaks sequence is `bits`, in a few
+        linear passes.  With excess +1 per 1-bit and -1 per 0-bit, the k-th
+        0-bit closes the left subtree of the k-th node in inorder (the empty
+        slots and the nodes alternate in inorder), and the excess after it is
+        that node's left depth.  The final 0 closes the root's right spine."""
+        b = np.asarray(bits)
+        if not len(b):
+            raise DecodeError("empty Zaks stream")
+        if ((b != 0) & (b != 1)).any():
+            raise DecodeError("Zaks stream holds a value other than 0 or 1")
+        b = b.astype(_level_type(len(b)))
+        after = np.cumsum(2 * b - 1, dtype=b.dtype)
+        if after[-1] != -1 or after[:-1].min(initial=0) < 0:
+            raise DecodeError("not a single complete Zaks sequence")
+        if len(b) == 1:
+            raise DecodeError("an empty shape has no lookup table")
+        depth = np.zeros(len(b) // 2 + 1, dtype=b.dtype)
+        depth[1:] = after[b == 0][:-1]
+        self = cls.__new__(cls)
+        self._install(depth)
+        return self
+
+    def _install(self, depth: np.ndarray) -> None:
+        """depth: slot 0, which holds 0, then the left depth of each inorder
+        position.  No query range reaches slot 0, block 0's minimum is never
+        read (the sparse table serves inner blocks), and `is_leaf` reads slot
+        0 as position 1's left neighbour, which is never deeper than it."""
+        top = int(depth.max())
+        code = "B" if top < 0x100 else "H" if top < 0x10000 else "i"
+        self.n = len(depth) - 1
+        super().__init__(array(code, depth.astype(code).tobytes()), depth)
 
     def is_leaf(self, s: int) -> bool:
-        """Whether the node at inorder position s is a leaf: both its inorder
-        neighbours come before it in preorder."""
-        in2pre = self.in2pre
-        p = in2pre[s]
-        return in2pre[s - 1] < p and (s == self.n or in2pre[s + 1] < p)
+        """Whether the node at inorder position s is a leaf.  A node's
+        inorder predecessor lies in its left subtree, deeper, iff it has a
+        left child, and is otherwise an ancestor it hangs right of, no
+        deeper; its successor lies in its right subtree, no shallower, iff it
+        has a right child, and is otherwise an ancestor it hangs left of,
+        shallower."""
+        ld = self.ld
+        d = ld[s]
+        return ld[s - 1] <= d and (s == self.n or ld[s + 1] < d)
 
     def space_bits(self) -> int:
-        """Designed table footprint (reported, not asserted): in2pre and the
-        sparse table, each entry as wide as a position."""
-        return self.n.bit_length() * (len(self.in2pre) + len(self._sparse))
+        """The held widths: each left depth at its item type's width and
+        each sparse-table entry at the position width."""
+        return 8 * (len(self.ld) * self.ld.itemsize + len(self._sparse) * self._sparse.itemsize)
 
 
 class TypeRegistry:

@@ -129,6 +129,13 @@ def _level_type(length: int):
     return np.int32 if length <= np.iinfo(np.int32).max else np.int64
 
 
+# past its budget, pointer jumping goes on while a round resolves at least
+# 1/SHRINK of the live entries: a round costs an entry about a tenth of what
+# the sequential walk does, and a share that doubles each round ends within
+# lg SHRINK + 1 rounds
+SHRINK = 512
+
+
 def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
     """For each position i >= 1 of the intc array `rk`, the nearest j < i with
     rk[j] <= rk[i]; rk[0] must be below every other entry, and slot 0 of the
@@ -137,12 +144,14 @@ def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
     Pointer jumping (Berkman, Schieber & Vishkin, J. Algorithms 1993): every
     unresolved i repeats near[i] <- near[near[i]] while rk[near[i]] > rk[i],
     and all of rk between near[i] and i stays above rk[i].  Long chains of
-    resolved pointers make some inputs need O(n) rounds, so once the rounds
-    have touched 2n entries, or after 64 rounds, the rest finish in increasing
-    i by the sequential walk from near[i] along final pointers, whose steps
-    total at most n.  The walk reads rk and the pointers in place, at 4 bytes
-    an entry, and takes the unresolved entries and their ranks as Python ints
-    CHUNK at a time.
+    resolved pointers make some inputs need O(n) rounds.  So once the rounds
+    have touched 2n entries, they go on only while each round resolves at
+    least 1/SHRINK of the live entries, as where long runs still double their
+    pointers (a sawtooth's falling teeth, read right to left); past that, or
+    after 64 rounds, the rest finish in increasing i by the sequential walk
+    from near[i] along final pointers, whose steps total at most n.  The walk
+    reads rk and the pointers in place, at 4 bytes an entry, and takes the
+    unresolved entries and their ranks as Python ints CHUNK at a time.
     """
     n = len(rk) - 1
     near = np.arange(-1, n, dtype=np.intc)
@@ -152,8 +161,9 @@ def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
     for _ in range(64):
         up = near[live]
         jump = rk[up] > rk[live]
+        was = live.size
         live = live[jump]
-        if not live.size or budget <= 0:
+        if not live.size or (budget <= 0 and (was - live.size) * SHRINK < was):
             break
         budget -= live.size
         near[live] = near[up[jump]]
@@ -427,11 +437,11 @@ class BlockMinLca:
         self._sparse = array(code, np.concatenate(levels).astype(code).tobytes())
 
     def range_min(self, ia: int, ib: int) -> int:
-        """The position of the smallest entry of seq between positions ia and
-        ib, in either order.  It charges ib - ia + 2 within one block,
-        2 BLOCK + 2 across two, and 2 BLOCK + 6 where it reads the sparse
-        table: the entries it scans, two sparse entries and the two entries
-        of seq they name, and the two reads of a node's position that
+        """The position of the leftmost smallest entry of seq between
+        positions ia and ib, in either order.  It charges ib - ia + 2 within
+        one block, 2 BLOCK + 2 across two, and 2 BLOCK + 6 where it reads the
+        sparse table: the entries it scans, two sparse entries and the two
+        entries of seq they name, and the two reads of a node's position that
         `EulerTourLca.lca` makes (a micro's table is given positions)."""
         if ia > ib:
             ia, ib = ib, ia
@@ -452,7 +462,9 @@ class BlockMinLca:
             opcount.add(2 * block + 6)
             if vq < vp:
                 p, vp = q, vq
-            if vp < best:
+            # the leftmost of equal minima: the left block's, then the
+            # middle's, then the right block's
+            if vp < left and vp <= right:
                 return p
         else:
             opcount.add(2 * block + 2)

@@ -19,6 +19,7 @@ from succinctrmq.microcodec import (
     encode_types,
 )
 from succinctrmq import opcount
+from succinctrmq.rmq import RmqIndex
 from succinctrmq.serial import DecodeError
 from succinctrmq.treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, encode_body, encode_zaks,
                                   subtree_sizes, zaks_arrays)
@@ -88,12 +89,22 @@ class TestMicroTypeKey:
         assert back.to_bytes() == reg.to_bytes()
 
 
+def inorder_left_depths(t):
+    """Slot 0 (0), then the left edges on each node's root path, in inorder:
+    a reference walked down the parent pointers of `t`."""
+    ld = [0] * (t.n + 1)
+    for v in range(2, t.n + 1):
+        p = t.parent[v]
+        ld[v] = ld[p] + (t.left[p] == v)
+    return [0] + [ld[t.id_at_inorder[s]] for s in range(1, t.n + 1)]
+
+
 def check_table(table, t, pairs):
-    """The table agrees with the BinaryTree reference: in2pre, which fixes
-    the shape, and the LCA of each (a, b) in pairs, addressed by inorder
-    position."""
+    """The table agrees with the BinaryTree reference: the inorder left
+    depths, which fix the shape, and the LCA of each (a, b) in pairs,
+    addressed by inorder position."""
     assert table.n == t.n
-    assert list(table.in2pre) == list(t.id_at_inorder)  # fixes the shape
+    assert list(table.ld) == inorder_left_depths(t)  # fixes the shape
     for a, b in pairs:
         assert table.range_min(t.inorder_of[a], t.inorder_of[b]) == t.inorder_of[t.lca(a, b)], \
             (a, b)
@@ -108,14 +119,15 @@ class TestShapeTable:
     def test_tables_match_direct_computation(self, seed):
         t = sample_random_bst(random.Random(seed).randint(1, 60), seed)
         table = ShapeTable.from_zaks(encode_zaks(t))
-        assert list(table.in2pre) == list(t.id_at_inorder)  # same shape
+        assert list(table.ld) == inorder_left_depths(t)  # same shape
         at = t.inorder_of
         for v in range(1, t.n + 1):
             # the subtree of v is the set of nodes whose LCA with v is v
             assert sum(table.range_min(at[v], at[u]) == at[v] for u in range(1, t.n + 1)) \
                 == t.st[v]
-            assert table.in2pre[at[v]] == v
             assert table.is_leaf(at[v]) == is_leaf(t, v)
+            if is_leaf(t, v):  # a leaf's preorder, as a portal's first-use check reads it
+                assert at[v] + table.ld[at[v]] == v
         for a in range(1, t.n + 1):
             for b in range(a, t.n + 1):
                 assert table.range_min(at[a], at[b]) == at[t.lca(a, b)]
@@ -125,7 +137,7 @@ class TestShapeTable:
         for type_id in range(len(cov.registry)):
             table = cov.registry.table(type_id)
             shape = BinaryTree.from_shape(zaks_shape(cov.registry.zaks_bits(type_id)))
-            assert list(table.in2pre) == list(shape.id_at_inorder)
+            assert list(table.ld) == inorder_left_depths(shape)
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_every_small_shape_all_pairs(self, size):
@@ -135,8 +147,23 @@ class TestShapeTable:
             check_table(table, t, [(a, b) for a in nodes for b in nodes])
 
     @pytest.mark.parametrize("size", range(1, 8))
+    def test_constructors_agree_every_small_shape(self, size):
+        """The table scattered from preorder left sizes and depths (as
+        `TypeArray.decode_type` builds it) equals the one read off the Zaks
+        excess, and both answer as the BinaryTree does."""
+        nodes = range(1, size + 1)
+        for t in enumerate_shapes(size):
+            zaks = encode_zaks(t)
+            table = ShapeTable.from_zaks(zaks)
+            scattered = ShapeTable(*zaks_arrays(zaks))
+            assert scattered.ld == table.ld and scattered._sparse == table._sparse
+            for s in nodes:
+                assert scattered.is_leaf(s) == table.is_leaf(s) == is_leaf(t, t.id_at_inorder[s])
+            check_table(scattered, t, [(a, b) for a in nodes for b in nodes])
+
+    @pytest.mark.parametrize("size", range(1, 8))
     def test_leaf_predicate_every_small_shape(self, size):
-        # a portal's first-use check reads leafness off in2pre alone
+        # a portal's first-use check reads leafness off the left depths alone
         for t in enumerate_shapes(size):
             table = ShapeTable.from_zaks(encode_zaks(t))
             assert [table.is_leaf(s) for s in range(1, size + 1)] == \
@@ -171,15 +198,47 @@ class TestShapeTable:
             assert 0 < worst <= bound
 
     @pytest.mark.parametrize("n, code", [(65534, "H"), (65535, "i")])
-    @pytest.mark.parametrize("shape", ["bst", "right_path"])
+    @pytest.mark.parametrize("shape", ["bst", "right_path", "reverse"])
     def test_item_type_boundary(self, n, code, shape):
-        """A shape below 65535 nodes holds 'H' arrays, a larger one 'i' arrays."""
-        t = sample_random_bst(n, 11) if shape == "bst" else right_path(n)
+        """A shape below 65535 nodes holds 'H' sparse positions, a larger one
+        'i' positions.  Left depths are 'B' below 256 and 'H' below 65536: a
+        random shape's and a right path's fit 'B', and those of a left path,
+        the Cartesian tree of a decreasing input, reach n - 1."""
+        t = {"bst": lambda: sample_random_bst(n, 11), "right_path": lambda: right_path(n),
+             "reverse": lambda: build_cartesian(range(n, 0, -1))}[shape]()
         table = ShapeTable.from_zaks(encode_zaks(t))
-        assert {table.in2pre.typecode, table._sparse.typecode} == {code}
+        assert table._sparse.typecode == code
+        assert table.ld.typecode == ("H" if shape == "reverse" else "B")
         rng = random.Random(n)
         pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(100)]
         check_table(table, t, pairs + [(1, n), (n, 1), (n, n)])
+
+    @pytest.mark.parametrize("n, code", [(256, "B"), (257, "H"), (65536, "H"), (65537, "i")])
+    def test_left_depth_item_type(self, n, code):
+        """A left path of n nodes has left depths 0 .. n - 1: 'B' entries
+        up to 255, 'H' up to 65535 and 'i' past that."""
+        t = left_path(n)
+        table = ShapeTable.from_zaks(encode_zaks(t))
+        assert table.ld.typecode == code
+        assert table.ld[1] == n - 1 and table.ld[n] == 0
+        check_table(table, t, [(1, n), (n, 1), (n // 2, n), (1, 1)])
+
+    def test_reverse_input_micro_holds_16_bit_depths(self):
+        """A decreasing input's micros are left paths; one of more than 256
+        nodes has left depths past 255, held as 'H', and queries into it
+        still answer."""
+        n = 2000
+        values = list(range(n, 0, -1))
+        idx = RmqIndex.from_bytes(RmqIndex.build(values, micro_b=300).to_bytes())
+        sizes = idx.cover.shape_size[1:]
+        assert max(sizes) > 256
+        for k, size in enumerate(sizes, start=1):
+            table = idx.cover.registry.table(idx.cover.type_of[k])
+            assert table.ld.typecode == ("H" if size > 256 else "B"), (k, size)
+        rng = random.Random(n)
+        for _ in range(200):
+            i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
+            assert idx.query(i, j) == j
 
     @pytest.mark.parametrize("bits", [[1, 0], [1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 0, 1],
                                       [1, 0, 0, 1, 0, 0], [0], [0, 0], [], [1, 2, 0]],
@@ -209,7 +268,8 @@ class TestShapeTable:
         # 1001 entries make 32 blocks: sparse levels of 32, 31, 29, 25, 17 and 1
         blocks = -(-1001 // ShapeTable.BLOCK)
         assert len(table._sparse) == sum(blocks - (1 << k) + 1 for k in range(blocks.bit_length()))
-        assert table.space_bits() == (len(table.in2pre) + len(table._sparse)) * (1000).bit_length()
+        # left depths of a random 1000-node shape fit 8 bits; positions take 16
+        assert table.space_bits() == 8 * len(table.ld) + 16 * len(table._sparse)
 
 
 def shape_ids(trees, ids):
@@ -331,7 +391,7 @@ class TestTypeArray:
             table = ta.decode_type(i, shape_size=m.shape_size)
             want = cov.registry.table(cov.type_of[i])
             assert table.n == want.n
-            assert table.in2pre == want.in2pre  # fixes the shape
+            assert table.ld == want.ld  # fixes the shape
 
     def test_fixed_mode_lengths(self):
         _, cov = build_fixture_cover(n=800, seed=2)

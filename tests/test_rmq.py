@@ -319,13 +319,15 @@ def test_huffman_load_no_larger_than_entropy():
 
 
 class TestTableMemory:
-    """Every type's lookup table built: each holds in2pre and one array of
-    sparse-table positions, 16 bits per entry."""
+    """Every type's lookup table built: each holds the shape's inorder left
+    depths, 8 bits per entry here, and one array of sparse-table positions,
+    16 bits per entry."""
 
-    # bits per element at n = 2 * 10^5, 452 tables; they measured 24.9 with
-    # in2pre and its block-minimum positions, and 69.6 when a table also
+    # bits per element at n = 2 * 10^5, 452 tables; they measured 16.3 with
+    # 8-bit left depths and their block-minimum positions, 24.9 when a table
+    # held 16-bit in2pre in place of the left depths, and 69.6 when it also
     # held pre2in, left sizes and one array per sparse level
-    BOUND = 30
+    BOUND = 19.5
 
     def test_every_table_built(self):
         n = 200_000
@@ -667,4 +669,4 @@ class TestTypePayloadChecks:
         idx = self.load(sections)
         for i, m in enumerate(idx.cover.micros_by_k, start=1):
             table = idx.type_array.decode_type(i, m.shape_size)
-            assert table.in2pre == idx.cover.registry.table(m.type_id).in2pre
+            assert table.ld == idx.cover.registry.table(m.type_id).ld

@@ -348,8 +348,8 @@ class TestZaks:
 def check_left_depths(t):
     """`zaks_arrays` gives each node's left depth, the left edges on its path
     from the root (a left child is one deeper than its parent), and so its
-    inorder position, preorder + left size - left depth, which a lookup
-    table's in2pre is built from."""
+    inorder position, preorder + left size - left depth, at which
+    `TypeArray.decode_type` places each left depth in a lookup table."""
     ld = [0] * (t.n + 1)
     for v in range(2, t.n + 1):  # parents come first in preorder
         p = t.parent[v]

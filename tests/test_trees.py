@@ -340,6 +340,30 @@ class TestBlockMinLca:
             lo, hi = min(a, b), max(a, b)
             assert kernel.range_min(a, b) == lo + int(np.argmin(keys[lo:hi + 1])), (a, b)
 
+    @pytest.mark.parametrize("at", [(100, 170), (20, 100), (20, 100, 170), (20, 170),
+                                    (40, 100), (40, 100, 170), (33, 63), (159, 170)],
+                             ids=["middle-right", "left-middle", "all-three", "left-right",
+                                  "two-in-middle", "middle-twice-right", "middle-block-ends",
+                                  "right-block-start"])
+    def test_equal_minima_give_the_leftmost(self, at):
+        """A query from block 0 to block 5 scans a left partial block, reads
+        the sparse table for blocks 1 .. 4 and scans a right partial block;
+        of equal minima in any of them it returns the leftmost."""
+        keys = np.full(6 * BlockMinLca.BLOCK, 5)
+        keys[list(at)] = 1
+        kernel = BlockMinLca(keys.tolist(), keys)
+        assert kernel.range_min(10, 180) == at[0]
+        assert kernel.range_min(180, 10) == at[0]
+
+    @pytest.mark.parametrize("length", [65, 200, 1000])
+    def test_range_min_ties_to_the_leftmost(self, length):
+        keys = np.random.default_rng(length).integers(0, 4, size=length)
+        kernel = BlockMinLca(keys.tolist(), keys)
+        rng = random.Random(length)
+        for _ in range(2000):
+            lo, hi = sorted((rng.randrange(length), rng.randrange(length)))
+            assert kernel.range_min(lo, hi) == lo + int(np.argmin(keys[lo:hi + 1])), (lo, hi)
+
 
 class TestEulerTourLca:
     def check(self, size, children, root, parent, pairs):
