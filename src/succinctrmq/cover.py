@@ -29,6 +29,7 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
+from .treecode import zaks_excess
 from .trees import CHUNK, BinaryTree, EulerTourLca, _children, _nearest_smaller_left
 
 
@@ -379,8 +380,7 @@ class TreeCover:
         key's excess after each bit, which `_key_inorder` and
         `_key_preorder` translate shape positions by.  No query calls the
         tau-name methods, so nothing is cached."""
-        bits = self.registry.zaks_bits(self.type_of[k]).astype(np.intc)
-        return bits, np.cumsum(2 * bits - 1)
+        return zaks_excess(self.registry.zaks_bits(self.type_of[k]))
 
     def _table(self, k: int):
         """The lookup table of micro k's type, built on first use."""

@@ -25,8 +25,8 @@ import numpy as np
 from .bits import VariableCellArray
 from .serial import DecodeError
 from .treecode import (SELECTOR_SIZECODE, SELECTOR_ZAKS, decode_body, encode_size_sequences,
-                       subtree_sizes, zaks_arrays)
-from .trees import BlockMinLca, _level_type
+                       subtree_sizes, zaks_arrays, zaks_excess)
+from .trees import BlockMinLca
 
 MODE_FIXED = "fixed"
 MODE_ENTROPY = "entropy"
@@ -74,15 +74,7 @@ class ShapeTable(BlockMinLca):
         0-bit closes the left subtree of the k-th node in inorder (the empty
         slots and the nodes alternate in inorder), and the excess after it is
         that node's left depth.  The final 0 closes the root's right spine."""
-        b = np.asarray(bits)
-        if not len(b):
-            raise DecodeError("empty Zaks stream")
-        if ((b != 0) & (b != 1)).any():
-            raise DecodeError("Zaks stream holds a value other than 0 or 1")
-        b = b.astype(_level_type(len(b)))
-        after = np.cumsum(2 * b - 1, dtype=b.dtype)
-        if after[-1] != -1 or after[:-1].min(initial=0) < 0:
-            raise DecodeError("not a single complete Zaks sequence")
+        b, after = zaks_excess(bits)
         if len(b) == 1:
             raise DecodeError("an empty shape has no lookup table")
         depth = np.zeros(len(b) // 2 + 1, dtype=b.dtype)

@@ -400,6 +400,27 @@ def encode_left_sizes(t: BinaryTree) -> list[int]:
     return encode_size_sequence(t.st[1:], t.ls[1:])
 
 
+def _excess(bits) -> tuple[np.ndarray, np.ndarray]:
+    """A stream of Zaks bits as an array of the narrowest level type, and its
+    excess after each bit (+1 per 1-bit, -1 per 0-bit)."""
+    b = np.asarray(bits)
+    if not len(b):
+        raise DecodeError("empty Zaks stream")
+    if ((b != 0) & (b != 1)).any():
+        raise DecodeError("Zaks stream holds a value other than 0 or 1")
+    b = b.astype(_level_type(len(b)))
+    return b, np.cumsum(2 * b - 1, dtype=b.dtype)
+
+
+def zaks_excess(bits) -> tuple[np.ndarray, np.ndarray]:
+    """`_excess` of one complete Zaks sequence: the excess stays at or above
+    0 until the last bit takes it to -1."""
+    b, after = _excess(bits)
+    if after[-1] != -1 or after[:-1].min(initial=0) < 0:
+        raise DecodeError("not a single complete Zaks sequence")
+    return b, after
+
+
 def zaks_arrays(bits, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     """Preorder left-subtree sizes and left depths (int64 arrays) of the tree
     whose Zaks sequence is `bits`, without building it, in one stable sort of
@@ -424,18 +445,11 @@ def zaks_arrays(bits, sizes=None) -> tuple[np.ndarray, np.ndarray]:
     alternate.  A 1-bit's node is numbered by the 1s before it in the whole
     stream.
     """
-    b = np.asarray(bits)
-    if not len(b):
-        raise DecodeError("empty Zaks stream")
-    if ((b != 0) & (b != 1)).any():
-        raise DecodeError("Zaks stream holds a value other than 0 or 1")
-    b = b.astype(_level_type(len(b)))
-    after = np.cumsum(2 * b - 1, dtype=b.dtype)
-    if sizes is None:  # the query path's case, kept to its few passes
-        if after[-1] != -1 or after[:-1].min(initial=0) < 0:
-            raise DecodeError("not a single complete Zaks sequence")
+    if sizes is None:
+        b, after = zaks_excess(bits)
         order, local = np.argsort(after - b, kind="stable")[1:], after
     else:
+        b, after = _excess(bits)
         sizes = np.asarray(sizes, dtype=np.int64)
         if sizes.min(initial=1) < 1 or sizes.sum() != len(b):
             raise ValueError(f"sizes do not split {len(b)} bits into Zaks sequences")
