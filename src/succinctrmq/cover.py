@@ -8,9 +8,10 @@ portals.  Farzan & Munro (Algorithmica 2014) add a second tier of larger
 trees because their micros have Theta(lg n) nodes; with n / lg^2 n micros, a
 global lg n-bit field per micro already costs o(n) bits, so one tier suffices.
 Nodes are addressed by tau-names (1, micro index, micro-local shape
-preorder); a run-compressed map, read off the Euler tour of the ordinal tree
-of all micro roots, takes global inorder positions to tau-names (the
-preorder map, which RMQ never reads, is derived the same way on first use),
+inorder position).  Farzan & Munro name a node by its micro-local preorder;
+here the position is shape inorder, because the query path works in shape
+inorder.  A run-compressed map, read off the Euler tour of the ordinal tree
+of all micro roots, takes global inorder positions to tau-names,
 portal-offset arithmetic maps them back, and cross-component LCA runs on the
 micro-root tree.
 """
@@ -29,7 +30,6 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
-from .treecode import zaks_excess
 from .trees import CHUNK, BinaryTree, EulerTourLca, _children, _nearest_smaller_left
 
 
@@ -218,9 +218,11 @@ def verify_decomposition(t: BinaryTree, B: int, d: Decomposition) -> dict:
 # ---------------------------------------------------------------------------
 
 class TauName(NamedTuple):
-    """(1, micro tree k, micro-local shape preorder).  A tau-name keeps the
-    fields of a two-tier cover's names; this cover has one tier, so t1 is 1
-    for every node and t2 is the micro's k."""
+    """(1, micro tree k, micro-local shape inorder position).  A tau-name
+    keeps the fields of a two-tier cover's names; this cover has one tier, so
+    t1 is 1 for every node and t2 is the micro's k.  (t2, t3) is the pair
+    that `TreeCover.select_inorder`, `lca_k` and `rank_inorder` pass between
+    them."""
 
     t1: int
     t2: int
@@ -238,7 +240,7 @@ class MicroView(NamedTuple):
     shape_size: int  # members plus portal leaves
     root_ld: int  # global left depth of the micro's root
     type_id: int
-    portals: tuple  # (shape position, members under the edge, child k) each
+    portals: tuple  # (shape inorder position, members under the edge, child k) each
 
 
 # The packed columns of each cover section, in file order; FORMAT.md, "RmqIndex
@@ -262,32 +264,6 @@ def default_params(n: int) -> int:
     return max(8, math.ceil(lg * lg))
 
 
-# A Zaks key's 1-bits are its shape's nodes in preorder, and its 0-bits close
-# their left subtrees in inorder (see `ShapeTable.from_zaks`): a node whose
-# 1-bit rises from excess L has its left subtree end at the first 0-bit after
-# it that falls back to L, and every bit between stays above L.
-
-def _key_inorder(key: tuple[np.ndarray, np.ndarray], t3: int) -> int:
-    """The shape inorder position of shape preorder t3: the 0-bits up to the
-    one that closes its left subtree."""
-    bits, after = key
-    p = int(np.flatnonzero(bits)[t3 - 1])
-    level = int(after[p]) - 1
-    z = p + int(np.argmax(after[p:] == level))
-    return (z + 1 - level) // 2
-
-
-def _key_preorder(key: tuple[np.ndarray, np.ndarray], s: int) -> int:
-    """The shape preorder of shape inorder position s: the 1-bits up to its
-    node's, the last 1-bit before the s-th 0-bit that rises from that 0-bit's
-    excess."""
-    bits, after = key
-    z = int(np.flatnonzero(bits == 0)[s - 1])
-    level = int(after[z])
-    p = int(np.flatnonzero(bits[:z] & (after[:z] == level + 1))[-1])
-    return (p + 2 + level) // 2
-
-
 class TreeCover:
     """Queryable one-tier cover; immutable after construction.
 
@@ -297,7 +273,7 @@ class TreeCover:
     micro-root tree."""
 
     __slots__ = (
-        "n", "micro_B", "registry", "tb", "c_in", "_preorder_runs",
+        "n", "micro_B", "registry", "tb", "c_in",
         # per micro tree k: nonzero once k has passed the first-use check
         "_checked",
         # per micro tree k, and its portals p_off[k] .. p_off[k + 1] - 1
@@ -323,64 +299,20 @@ class TreeCover:
             raise ValueError(f"shape position {t3} out of range")
         return k
 
-    def nodeselect_preorder(self, p: int) -> TauName:
-        if not 1 <= p <= self.n:
-            raise IndexError(f"preorder index {p} out of range 1..{self.n}")
-        c, run_k, run_t3 = self._preorder_runs or self._derive_preorder_runs()
-        r, base = c.pred1(p)
-        opcount.add(3)
-        return TauName(1, run_k[r - 1], run_t3[r - 1] + (p - base))
-
-    def _derive_preorder_runs(self) -> tuple:
-        """The preorder position map, which RMQ never reads and files do not
-        store, derived on first use from the portals' shape preorder."""
-        enter, exit_ = (np.asarray(x, dtype=np.int64) for x in (self.tb.enter, self.tb.exit))
-        self._preorder_runs = _runs(self.n, np.asarray(self.p_off[1:], dtype=np.int64),
-                                    np.asarray(self.shape_size[1:], dtype=np.int64),
-                                    enter[1:], exit_[np.asarray(self.p_child)], self.p_pos)
-        return self._preorder_runs
-
-    def noderank_preorder(self, name: TauName) -> int:
-        k = self._k(name)
-        t3 = name[2]
-        a, b = self.p_off[k], self.p_off[k + 1]
-        if t3 in self.p_pos[a:b]:
-            raise ValueError(f"shape position {t3} is a portal copy, not a node")
-        # the portal-copy check and the preorder each read every portal
-        opcount.add(2 * (b - a))
-        g = self.root_pre[k] - 1 + t3
-        for j in range(a, b):  # a portal leaf stands for p_size members
-            if self.p_pos[j] < t3:
-                g += self.p_size[j] - 1
-        return g
-
     # The RMQ path works on (micro k, shape inorder position) pairs, which its
     # own layers produce and take: select gives them, LCA takes two and gives
-    # one, and rank takes that.  The tau-name methods check a name and
-    # translate its shape preorder through the micro's shape at the edge.
+    # one, and rank takes that.  A tau-name is that pair behind a 1, so the
+    # tau-name methods check a name and call the same layers.
 
     def nodeselect_inorder(self, i: int) -> TauName:
-        k, s = self.select_inorder(i)
-        return _tau(TauName, (1, k, _key_preorder(self._key(k), s)))
+        return _tau(TauName, (1, *self.select_inorder(i)))
 
     def lca(self, u: TauName, v: TauName) -> TauName:
         ku, kv = self._k(u), self._k(v)
-        key_u = self._key(ku)
-        key_v = key_u if kv == ku else self._key(kv)
-        k, s = self.lca_k(ku, _key_inorder(key_u, u[2]), kv, _key_inorder(key_v, v[2]))
-        key = key_u if k == ku else key_v if k == kv else self._key(k)
-        return _tau(TauName, (1, k, _key_preorder(key, s)))
+        return _tau(TauName, (1, *self.lca_k(ku, u[2], kv, v[2])))
 
     def noderank_inorder(self, name: TauName) -> int:
-        k = self._k(name)
-        return self.rank_inorder(k, _key_inorder(self._key(k), name[2]))
-
-    def _key(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Micro k's Zaks key, read from its type's `TYPR` record, and the
-        key's excess after each bit, which `_key_inorder` and
-        `_key_preorder` translate shape positions by.  No query calls the
-        tau-name methods, so nothing is cached."""
-        return zaks_excess(self.registry.zaks_bits(self.type_of[k]))
+        return self.rank_inorder(self._k(name), name[2])
 
     def _table(self, k: int):
         """The lookup table of micro k's type, built on first use."""
@@ -510,7 +442,7 @@ class TreeCover:
     def micros_by_k(self) -> list[MicroView]:
         """A read-only row view of every micro tree, in k order."""
         off = self.p_off
-        ports = [tuple(zip(self.p_pos[a:b], self.p_size[a:b], self.p_child[a:b]))
+        ports = [tuple(zip(self.p_in[a:b], self.p_size[a:b], self.p_child[a:b]))
                  for a, b in zip(off[1:], off[2:])]
         return [MicroView(*row) for row in zip(
             range(1, len(ports) + 1), self.root_pre[1:], self.shape_size[1:], self.root_ld[1:],
@@ -598,7 +530,6 @@ class TreeCover:
             elif name in _OFFSETS:
                 name, col = _OFFSETS[name], np.append((0, 0), np.cumsum(col))
             setattr(self, name, compact_array(col))
-        self._preorder_runs = None
         ports = np.asarray(cols["p_count"], dtype=np.int64)
         micros = len(ports)
         self._checked = bytearray(micros + 1)
@@ -633,9 +564,9 @@ class TreeCover:
 
 
 def _runs(n: int, p_off, sizes, enter, leave, positions) -> tuple:
-    """A position map, run-compressed: the run starts as a bit vector, and
-    each run's micro and shape position.  It is read from every portal's
-    shape position in one order, inorder or preorder, listed as `p_pos` is;
+    """The inorder position map, run-compressed: the run starts as a bit
+    vector, and each run's micro and shape inorder position.  It is read from
+    every portal's shape inorder position, in (micro, position) order;
     micro k's portals are p_off[k - 1] .. p_off[k] - 1, its shape size is
     sizes[k - 1], and the micro-root tree's Euler tour enters it at time
     enter[k - 1] and leaves portal j's child at leave[j].

@@ -438,11 +438,23 @@ class BlockMinLca:
 
     def range_min(self, ia: int, ib: int) -> int:
         """The position of the leftmost smallest entry of seq between
-        positions ia and ib, in either order.  It charges ib - ia + 2 within
-        one block, 2 BLOCK + 2 across two, and 2 BLOCK + 6 where it reads the
-        sparse table: the entries it scans, two sparse entries and the two
-        entries of seq they name, and the two reads of a node's position that
-        `EulerTourLca.lca` makes (a micro's table is given positions)."""
+        positions ia and ib, in either order.  The charge counts each entry
+        of seq scanned once (finding the minimum's position rescans entries
+        already counted) and is meant to cover the two reads of a node's
+        position that `EulerTourLca.lca` makes first.  The reads of
+        `EulerTourLca.lca` against the charge, per case:
+
+        * within one block: ib - ia + 1 entries and the two position reads,
+          ib - ia + 3 reads, charged ib - ia + 2, one short;
+        * across two adjacent blocks: at most 2 BLOCK entries and the two
+          position reads, charged 2 BLOCK + 2;
+        * with blocks between: at most 2 BLOCK entries, two sparse entries,
+          the two entries of seq they name and the two position reads,
+          charged 2 BLOCK + 6.
+
+        A micro's table is given positions, so it makes two reads fewer in
+        each case under the same charge.  The golden op-count digests pin
+        these charges."""
         if ia > ib:
             ia, ib = ib, ia
         seq = self.seq

@@ -29,22 +29,24 @@ from test_trees import FIG_ARRAY, adversarial_ranks, sawtooth
 
 
 def sweep_maps(t, cov):
-    """All four rank/select maps against the pointer tree, every node."""
+    """The inorder rank/select maps against the pointer tree, every node:
+    each name's micro is its node's component in `decompose`, which the
+    cover's packing must reproduce."""
+    comp = decompose(t, max(1, cov.micro_B - 2)).comp_of
     for p in range(1, t.n + 1):
-        name = cov.nodeselect_preorder(p)
-        assert cov.noderank_preorder(name) == p
         i = t.inorder_of[p]
+        name = cov.nodeselect_inorder(i)
+        assert name.t2 == comp[p]
         assert cov.noderank_inorder(name) == i
-        assert cov.nodeselect_inorder(i) == name
 
 
 def sweep_lca(t, cov, rng, pairs):
     for _ in range(pairs):
         a = rng.randint(1, t.n)
         b = rng.randint(1, t.n)
-        u = cov.nodeselect_preorder(a)
-        v = cov.nodeselect_preorder(b)
-        assert cov.noderank_preorder(cov.lca(u, v)) == t.lca(a, b)
+        u = cov.nodeselect_inorder(t.inorder_of[a])
+        v = cov.nodeselect_inorder(t.inorder_of[b])
+        assert cov.noderank_inorder(cov.lca(u, v)) == t.inorder_of[t.lca(a, b)]
 
 
 class TestDecompose:
@@ -97,8 +99,8 @@ class TestDecompose:
 class TestBuildCoverBasics:
     def test_single_node(self):
         cov = build_cover(build_cartesian([1]))
-        assert cov.nodeselect_preorder(1) == TauName(1, 1, 1)
-        assert cov.noderank_preorder(TauName(1, 1, 1)) == 1
+        assert cov.nodeselect_inorder(1) == TauName(1, 1, 1)
+        assert cov.noderank_inorder(TauName(1, 1, 1)) == 1
         assert cov.micro_count() == 1
 
     def test_whole_tree_in_one_micro(self):
@@ -111,13 +113,17 @@ class TestBuildCoverBasics:
         for seed in range(5):
             t = sample_random_bst(200, seed)
             cov = build_cover(t, micro_b=4)
-            assert cov.nodeselect_preorder(1) == TauName(1, 1, 1)
+            name = cov.nodeselect_inorder(t.inorder_of[1])
+            # the root is micro 1's, and the first node of its shape in
+            # inorder with left depth 0
+            ld = cov.registry.table(cov.type_of[1]).ld
+            assert name == TauName(1, 1, ld.index(0, 1))
 
     def test_right_path_last_node(self):
         t = right_path(300)
         cov = build_cover(t, micro_b=6)
-        name = cov.nodeselect_preorder(300)
-        assert cov.noderank_preorder(name) == 300
+        name = cov.nodeselect_inorder(t.inorder_of[300])
+        assert cov.noderank_inorder(name) == t.inorder_of[300] == 300
         assert name.t1 == 1 and name.t2 == cov.micro_count()
 
     def test_random_2000_all_nodes_reachable(self):
@@ -125,7 +131,7 @@ class TestBuildCoverBasics:
         cov = build_cover(t, micro_b=8)
         seen = set()
         for p in range(1, 2001):
-            name = cov.nodeselect_preorder(p)
+            name = cov.nodeselect_inorder(t.inorder_of[p])
             assert name not in seen
             seen.add(name)
         sweep_maps(t, cov)
@@ -134,13 +140,13 @@ class TestBuildCoverBasics:
         t = sample_random_bst(100, 2)
         cov = build_cover(t, micro_b=4)
         with pytest.raises(ValueError):
-            cov.noderank_preorder(TauName(999, 1, 1))
+            cov.noderank_inorder(TauName(999, 1, 1))
         with pytest.raises(ValueError):
-            cov.noderank_preorder(TauName(1, 999, 1))
+            cov.noderank_inorder(TauName(1, 999, 1))
         with pytest.raises(ValueError):
-            cov.noderank_preorder(TauName(1, 1, 999))
+            cov.noderank_inorder(TauName(1, 1, 999))
         with pytest.raises(IndexError):
-            cov.nodeselect_preorder(0)
+            cov.nodeselect_inorder(0)
         with pytest.raises(IndexError):
             cov.nodeselect_inorder(101)
 
@@ -149,10 +155,10 @@ class TestBuildCoverBasics:
         cov = build_cover(t, micro_b=5)
         hit = False
         for m in cov.micros_by_k:
-            for pos, _, _ in m.portals:
+            for pos, _, _ in m.portals:  # shape inorder positions, as p_in
                 hit = True
                 name = TauName(1, m.k, pos)
-                for call in (cov.noderank_preorder, cov.noderank_inorder,
+                for call in (cov.noderank_inorder,
                              lambda x: cov.lca(x, cov.nodeselect_inorder(1))):
                     with pytest.raises(ValueError):
                         call(name)
@@ -175,13 +181,15 @@ class TestFixtureCover:
 
     def test_inorder_root(self, fig):
         t, cov = fig
-        name = cov.nodeselect_inorder(19)
-        assert cov.noderank_preorder(name) == 1
+        assert t.inorder_of[1] == 19
+        name = cov.nodeselect_inorder(t.inorder_of[1])
+        assert name.t2 == 1
+        assert cov.noderank_inorder(name) == 19
 
     def test_inorder_five(self, fig):
         t, cov = fig
-        name = cov.nodeselect_inorder(5)
-        assert cov.noderank_preorder(name) == 4
+        assert t.inorder_of[4] == 5
+        name = cov.nodeselect_inorder(t.inorder_of[4])
         assert cov.noderank_inorder(name) == 5
 
     def test_lca_neighbors(self, fig):
@@ -241,11 +249,12 @@ class TestOracleEquivalence:
         trees += [complete_tree(7), zigzag_path(128), caterpillar(128)]
         for t in trees:
             cov = build_cover(t, micro_b=3)
+            at = t.inorder_of
             for a in range(1, t.n + 1):
-                ua = cov.nodeselect_preorder(a)
+                ua = cov.nodeselect_inorder(at[a])
                 for b in range(a, t.n + 1):
-                    ub = cov.nodeselect_preorder(b)
-                    assert cov.noderank_preorder(cov.lca(ua, ub)) == t.lca(a, b)
+                    ub = cov.nodeselect_inorder(at[b])
+                    assert cov.noderank_inorder(cov.lca(ua, ub)) == at[t.lca(a, b)]
 
 
 def reloaded(cov):
@@ -253,7 +262,8 @@ def reloaded(cov):
 
 
 class TestLoadedCover:
-    """Files hold no preorder map: a loaded cover derives it on first use."""
+    """A loaded cover derives the inorder map's runs from the portals' shape
+    inorder positions and answers as the built one."""
 
     def test_random_bst(self):
         t = sample_random_bst(1500, 21)
@@ -276,17 +286,7 @@ class TestLoadedCover:
     def test_derived_runs_are_maximal(self):
         t = sample_random_bst(3000, 22)
         cov = reloaded(build_cover(t, micro_b=8))
-        c, run_k, run_t3 = cov._derive_preorder_runs()
-        starts = c.positions()
-        assert len(starts) == len(run_k) == len(run_t3)
-        # the stored inorder map names every node; a preorder run breaks exactly
-        # where the micro changes or the shape position fails to step by one
-        names = [cov.nodeselect_inorder(t.inorder_of[p]) for p in range(1, t.n + 1)]
-        assert names == [cov.nodeselect_preorder(p) for p in range(1, t.n + 1)]
-        breaks = [1] + [p for p in range(2, t.n + 1)
-                        if names[p - 1][:2] != names[p - 2][:2]
-                        or names[p - 1].t3 != names[p - 2].t3 + 1]
-        assert breaks == starts
+        assert len(cov.c_in.positions()) == len(cov.run_k) == len(cov.run_t3)
         # the inorder map's runs break exactly where the micro changes or the
         # shape inorder position fails to step by one
         cells = [cov.select_inorder(i) for i in range(1, t.n + 1)]

@@ -153,6 +153,27 @@ class TestLcaMicroTable:
         assert sum(index.cover._checked) > 50
         assert ops() == first
 
+    def test_tau_names_take_the_query_path(self, blob, monkeypatch):
+        # a tau-name is the query path's (micro, shape inorder position)
+        # pair, so the tau-name methods read no Zaks key and build no table
+        # that the same queries did not
+        index = RmqIndex.from_bytes(blob)
+        rng = random.Random(24)
+        queries = [tuple(sorted(rng.sample(range(1, 3001), 2))) for _ in range(300)]
+        queries += [(i, i) for i in (1, 1500, 3000)]
+        want = [index.query(i, j) for i, j in queries]
+        c = index.cover
+        built = c.registry.tables_built()
+
+        def no_key(type_id):
+            raise AssertionError(f"read the Zaks key of type {type_id}")
+
+        monkeypatch.setattr(c.registry, "zaks_bits", no_key)
+        got = [c.noderank_inorder(c.lca(c.nodeselect_inorder(i), c.nodeselect_inorder(j)))
+               for i, j in queries]
+        assert got == want
+        assert c.registry.tables_built() == built
+
 
 class TestOracles:
     def test_examples(self):
