@@ -10,10 +10,11 @@ global lg n-bit field per micro already costs o(n) bits, so one tier suffices.
 Nodes are addressed by tau-names (1, micro index, micro-local shape
 inorder position).  Farzan & Munro name a node by its micro-local preorder;
 here the position is shape inorder, because the query path works in shape
-inorder.  A run-compressed map, read off the Euler tour of the ordinal tree
-of all micro roots, takes global inorder positions to tau-names,
-portal-offset arithmetic maps them back, and cross-component LCA runs on the
-micro-root tree.
+inorder.  The query path names a node by its run of the run-compressed
+inorder position map, read off the Euler tour of the ordinal tree of all
+micro roots: the LCA micro is the least micro, in the micro-root tree's
+preorder, among the runs between two nodes, and rank is a run's start plus an
+offset.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
-from .trees import CHUNK, BinaryTree, EulerTourLca, _children, _nearest_smaller_left
+from .trees import (CHUNK, BinaryTree, BlockMinLca, _children, _nearest_smaller_left,
+                    tour_from_degrees)
 
 
 class CoverError(ValueError):
@@ -220,9 +222,9 @@ def verify_decomposition(t: BinaryTree, B: int, d: Decomposition) -> dict:
 class TauName(NamedTuple):
     """(1, micro tree k, micro-local shape inorder position).  A tau-name
     keeps the fields of a two-tier cover's names; this cover has one tier, so
-    t1 is 1 for every node and t2 is the micro's k.  (t2, t3) is the pair
-    that `TreeCover.select_inorder`, `lca_k` and `rank_inorder` pass between
-    them."""
+    t1 is 1 for every node and t2 is the micro's k.  The query path's
+    layers (`TreeCover.select_inorder`, `lca_run` and `rank_inorder`) pass
+    (run, t3) pairs between them, the run being one of micro t2's."""
 
     t1: int
     t2: int
@@ -270,17 +272,18 @@ class TreeCover:
     Every field is a column, per micro tree (1-based), per portal or per run:
     an owning `array` of the narrowest integer type.  Micro trees are
     numbered k = 1.. in root preorder, which is also the preorder of the
-    micro-root tree."""
+    micro-root tree.  Runs are numbered r = 1.. in inorder; run r starts at
+    c_in's r-th 1-bit."""
 
     __slots__ = (
-        "n", "micro_B", "registry", "tb", "c_in",
+        "n", "micro_B", "registry", "c_in",
         # per micro tree k: nonzero once k has passed the first-use check
         "_checked",
         # per micro tree k, and its portals p_off[k] .. p_off[k + 1] - 1
         "root_pre", "shape_size", "root_ld", "type_of", "p_off", "p_pos", "p_in", "p_size",
-        "p_child",
-        # per run of the inorder position map, whose starts are c_in's 1-bits
-        "run_k", "run_t3",
+        "p_child", "k_run",
+        # per run of the inorder position map (slot 0 unused)
+        "run_in", "run_k", "run_t3", "run_next", "run_min",
     )
 
     def __init__(self):
@@ -288,31 +291,40 @@ class TreeCover:
 
     # ---- queries ----------------------------------------------------------
 
-    def _k(self, name) -> int:
-        """The micro tree k of a tau-name, checking that each part is in range."""
-        t1, k, t3 = name
+    # The RMQ path works on (run r, shape inorder position) pairs, which its
+    # own layers produce and take: select gives them, LCA takes two and gives
+    # one, and rank takes that.  A tau-name (1, k, s) is the same node named
+    # by its micro, so the tau-name methods check a name, find its run and
+    # call the same layers.
+
+    def _pair(self, name) -> tuple[int, int]:
+        """The (run, shape inorder position) pair of a tau-name, checking that
+        each part is in range and that it names a node, not a portal copy."""
+        t1, k, s = name
         if t1 != 1:
             raise ValueError(f"t1 is {t1}, not 1: the cover has one tier")
         if not 1 <= k <= self.micro_count():
             raise ValueError(f"no micro tree {k}")
-        if not 1 <= t3 <= self.shape_size[k]:
-            raise ValueError(f"shape position {t3} out of range")
-        return k
-
-    # The RMQ path works on (micro k, shape inorder position) pairs, which its
-    # own layers produce and take: select gives them, LCA takes two and gives
-    # one, and rank takes that.  A tau-name is that pair behind a 1, so the
-    # tau-name methods check a name and call the same layers.
+        if not 1 <= s <= self.shape_size[k]:
+            raise ValueError(f"shape position {s} out of range")
+        if s in self.p_in[self.p_off[k]:self.p_off[k + 1]]:
+            raise ValueError(f"shape inorder position {s} is a portal copy, not a node")
+        r = self.k_run[k]
+        while (after := self.run_next[r]) and self.run_t3[after] <= s:
+            r = after
+        return r, s
 
     def nodeselect_inorder(self, i: int) -> TauName:
-        return _tau(TauName, (1, *self.select_inorder(i)))
+        r, s = self.select_inorder(i)
+        return _tau(TauName, (1, self.run_k[r], s))
 
     def lca(self, u: TauName, v: TauName) -> TauName:
-        ku, kv = self._k(u), self._k(v)
-        return _tau(TauName, (1, *self.lca_k(ku, u[2], kv, v[2])))
+        u, v = sorted((self._pair(u), self._pair(v)))
+        r, s = self.lca_run(*u, *v)
+        return _tau(TauName, (1, self.run_k[r], s))
 
     def noderank_inorder(self, name: TauName) -> int:
-        return self.rank_inorder(self._k(name), name[2])
+        return self.rank_inorder(*self._pair(name))
 
     def _table(self, k: int):
         """The lookup table of micro k's type, built on first use."""
@@ -320,113 +332,102 @@ class TreeCover:
         return self.registry.tables.get(type_id) or self.registry.table(type_id)
 
     def select_inorder(self, i: int) -> tuple[int, int]:
-        """(micro k, shape inorder position) of the node of inorder rank i;
-        it reads no lookup table."""
+        """(run, shape inorder position) of the node of inorder rank i: the
+        run that holds it, and its offset there from the run's first shape
+        position; it reads no lookup table."""
         if not 1 <= i <= self.n:
             raise IndexError(f"inorder index {i} out of range 1..{self.n}")
         r, base = self.c_in.pred1(i)
-        opcount.add(4)
-        return self.run_k[r - 1], self.run_t3[r - 1] + (i - base)
+        opcount.add(1)
+        return r, self.run_t3[r] + (i - base)
 
-    def rank_inorder(self, k: int, s: int) -> int:
-        """Global inorder rank of the node at shape inorder position s of
-        micro k; it reads no lookup table.  Before micro k's subtree in
-        inorder come root_pre - 1 - root_ld nodes (the root's global preorder
-        less one, less its left depth), and before the node inside it come
-        s - 1 shape nodes, of which each portal leaf stands for p_size
-        members.  One walk over the micro's portals (at most two) checks that
-        s is not a portal and adds the members of those before it."""
-        g = self.root_pre[k] - 1 - self.root_ld[k] + s
-        j = a = self.p_off[k]
-        b = self.p_off[k + 1]
-        p_in, size = self.p_in, self.p_size
-        while j < b:
-            p = p_in[j]
-            if p < s:
-                g += size[j] - 1
-            elif p == s:
-                raise ValueError(f"shape inorder position {s} is a portal copy, not a node")
-            j += 1
-        # the loop, p_in and p_size per portal, and root_pre, root_ld and the
-        # two offsets
-        opcount.add(3 * (b - a) + 4)
-        return g
+    def rank_inorder(self, r: int, s: int) -> int:
+        """Global inorder rank of the node at shape inorder position s of run
+        r: the run's first member's rank plus s's offset from the run's first
+        shape position.  It reads no lookup table."""
+        opcount.add(2)
+        return self.run_in[r] + s - self.run_t3[r]
 
-    def lca_k(self, ku: int, u_in: int, kv: int, v_in: int) -> tuple[int, int]:
-        """(micro k, shape inorder position) of the LCA of the node at shape
-        inorder position u_in of micro ku and the one at v_in of micro kv;
-        ValueError if either is a portal leaf.  Only micro k's lookup table
-        is read, and the first time a micro is k, it is checked against the
-        cover."""
-        off, p_in = self.p_off, self.p_in
-        a, b = off[ku], off[ku + 1]
-        c, d = off[kv], off[kv + 1]
-        for s, lo, hi in ((u_in, a, b), (v_in, c, d)):
-            if lo < hi and s in p_in[lo:hi]:
-                raise ValueError(f"shape inorder position {s} is a portal copy, not a node")
-        ops = b - a + d - c  # the portal-copy checks
-        if ku == kv:
-            k, x, y = ku, u_in, v_in
+    def lca_run(self, ru: int, su: int, rv: int, sv: int) -> tuple[int, int]:
+        """(run, shape inorder position) of the LCA of the nodes at (ru, su)
+        and (rv, sv), the first at or before the second in inorder.  Only the
+        LCA micro's lookup table is read, and the first time a micro is the
+        LCA micro, it is checked against the cover.
+
+        Every node between u and v in inorder lies in the subtree of their
+        LCA w, so in w's micro k or below it, and w lies between them; as
+        micros are numbered in the micro-root tree's preorder, k is the
+        least micro among runs ru .. rv, and its leftmost run r is k's first
+        run there.  Inside k, the LCA is the leftmost least left depth
+        between x and y (`ShapeTable`), for any x from the portal toward u
+        (or u itself) to w, and any y from w to the portal toward v (or v):
+        x is u if r is ru, and otherwise r's first position, just past the
+        portal whose subtree holds u; y is v if k's last run at or before rv
+        is rv, and otherwise that run's last position, just before the
+        portal whose subtree holds v.  A micro has at most three runs, one
+        per stretch between its portals."""
+        t3, nxt = self.run_t3, self.run_next
+        if ru == rv:
+            r, x, y = ru, su, sv
+            k = self.run_k[r]
+            ops = 0
         else:
-            k = self.tb.lca(ku, kv)
-            if k == ku or k == kv:
-                # k's root is an ancestor of the other micro: meet inside k,
-                # at the portal toward the other
-                x, other = (u_in, kv) if k == ku else (v_in, ku)
-                y, ops_y = self._portal_toward(k, other)
-                ops += ops_y
-            else:  # both entry points are portals of the meeting micro
-                x, ops_x = self._portal_toward(k, ku)
-                y, ops_y = self._portal_toward(k, kv)
-                ops += ops_x + ops_y
+            r = self.run_min.range_min(ru, rv)
+            k = self.run_k[r]
+            x = su if r == ru else t3[r]
+            last, after = r, nxt[r]
+            ops = 2
+            while after and after <= rv:
+                last, after = after, nxt[after]
+                ops += 1
+            if last == rv:
+                y = sv
+            else:  # before the next run's first position, or the shape's end
+                y = (t3[after] if after else self.shape_size[k] + 1) - 2
+                ops += 1
         table = self._table(k)
         if not self._checked[k]:
             self._check_micro(k, table)
-        opcount.add(ops)
-        return k, table.range_min(x, y)
+        s = table.range_min(x, y)
+        # the run of k that holds s: r or a later one
+        while (after := nxt[r]) and t3[after] <= s:
+            r = after
+            ops += 2
+        opcount.add(ops + 4)  # run_k, type_of, and the two reads that end the walk
+        return r, s
 
     def _check_micro(self, k: int, table) -> None:
         """Check micro k against its shape, or raise ValueError: each portal's
         shape preorder is a leaf of the shape at its portal's inorder
-        position, and the first member of each stretch between them (in shape
-        inorder) makes the select(rank) round trip, which ties the micro's
-        left depth and position map to the shape.  Like the table build, the
-        check is not a query's work and charges no operations.  The flag is
-        set only after the check passes, so concurrent readers at worst check
-        twice."""
+        position, and each of k's runs (derived from `PCAS`) starts where
+        `MICR` places its first member s: before micro k's subtree in inorder
+        come root_pre - 1 - root_ld nodes (the root's global preorder less
+        one, less its left depth), and before s inside it come s - 1 shape
+        nodes, of which each portal leaf stands for p_size members.  Like the
+        table build, the check is not a query's work and charges no
+        operations.  The flag is set only after the check passes, so
+        concurrent readers at worst check twice."""
         a, b = self.p_off[k], self.p_off[k + 1]
-        with opcount.uncounted():
-            for j in range(a, b):
-                s, p = self.p_in[j], self.p_pos[j]
-                # a leaf's preorder is its inorder position plus its left
-                # depth, as its left subtree is empty
-                if s + table.ld[s] != p or not table.is_leaf(s):
-                    raise ValueError(f"micro {k}: portal {p} is not a leaf at its inorder "
-                                     f"position {s}")
-            ends = [0, *self.p_in[a:b], self.shape_size[k] + 1]
-            for s, stop in zip(ends, ends[1:]):
-                if s + 1 < stop:  # the stretch s + 1 .. stop - 1 has members
-                    at = self.rank_inorder(k, s + 1)
-                    if not 1 <= at <= self.n or self.select_inorder(at) != (k, s + 1):
-                        raise ValueError(f"micro {k}: its member at shape inorder position "
-                                         f"{s + 1} ranks {at}, which selects elsewhere")
+        p_in = self.p_in
+        for j in range(a, b):
+            s, p = p_in[j], self.p_pos[j]
+            # a leaf's preorder is its inorder position plus its left depth,
+            # as its left subtree is empty
+            if s + table.ld[s] != p or not table.is_leaf(s):
+                raise ValueError(f"micro {k}: portal {p} is not a leaf at its inorder "
+                                 f"position {s}")
+        before = self.root_pre[k] - 1 - self.root_ld[k]
+        j, r = a, self.k_run[k]
+        while r:
+            s = self.run_t3[r]
+            while j < b and p_in[j] < s:
+                before += self.p_size[j] - 1
+                j += 1
+            if self.run_in[r] != before + s:
+                raise ValueError(f"micro {k}: its member at shape inorder position {s} ranks "
+                                 f"{before + s}, but its run starts at {self.run_in[r]}")
+            r = self.run_next[r]
         self._checked[k] = 1
-
-    def _portal_toward(self, k: int, k_target: int) -> tuple[int, int]:
-        """Shape inorder position of micro k's portal whose child micro is
-        k_target or one of its ancestors, and the operations spent: a portal
-        read and a two-read ancestor test per portal tried."""
-        enter, exit_ = self.tb.enter, self.tb.exit
-        e, x = enter[k_target], exit_[k_target]
-        child = self.p_child
-        j = a = self.p_off[k]
-        b = self.p_off[k + 1]
-        while j < b:
-            c = child[j]
-            if enter[c] <= e and x <= exit_[c]:
-                return self.p_in[j], 3 * (j - a + 1)
-            j += 1
-        raise AssertionError("portal descent failed")  # pragma: no cover
 
     # ---- reporting ---------------------------------------------------------
 
@@ -450,20 +451,24 @@ class TreeCover:
 
     def space_bits(self) -> dict:
         """Designed widths, in bits: each stored column at its packed width,
-        plus what a load rebuilds (the micro-root tree and the columns derived
-        from it, the inorder map's runs among them, each at the width it
-        would pack at, and the run starts' rank directory).  Built lookup
-        tables have a separate budget."""
+        plus what a load derives from them: the inorder map's runs (their
+        starts as c_in and as a column, micro, first shape position and next
+        run of the same micro, and c_in's rank directory), the range-minimum
+        table over the runs' micros at its held widths, and the per-micro and
+        per-portal columns the first-use check reads, each derived column at
+        the width it would pack at.  Built lookup tables have a separate
+        budget."""
         cols = self._columns()
         packed = {tag: sum(len(cols[x]) * column_width(cols[x]) for x in names)
                   for tag, names in _SECTIONS}
-        derived = (self.c_in.positions(), self.run_k, self.run_t3, self.p_child, self.p_size,
-                   self.root_pre[1:])
+        # run_min holds run_k as its sequence, and counts it
+        derived = (self.c_in.positions(), self.run_in, self.run_t3, self.run_next, self.k_run,
+                   self.p_child, self.p_size, self.root_pre)
         return {
             "per_micro_tables": packed[b"MICR"],
             "pca_inorder": packed[b"PCAS"] + self.c_in.space_bits()["directory"],
-            "micro_root_tree": self.tb.space_bits() + sum(len(x) * column_width(x)
-                                                          for x in derived),
+            "micro_root_tree": self.run_min.space_bits() + sum(len(x) * column_width(x)
+                                                                 for x in derived),
             "lookup_tables_built": self.registry.tables_space_bits(),
         }
 
@@ -520,10 +525,11 @@ class TreeCover:
 
     def _install(self, cols: dict[str, np.ndarray]) -> None:
         """Hold the stored columns as compact arrays and derive the rest
-        (FORMAT.md, "RmqIndex (version 9)"): the micro-root tree, whose
-        preorder degree sequence is the portal counts, and from it each
-        portal's child micro and global member count, each micro root's
-        global preorder and the inorder position map."""
+        (FORMAT.md, "RmqIndex (version 9)"): from the micro-root tree's
+        Euler tour, whose preorder degree sequence is the portal counts, the
+        inorder position map's runs and their micros' range minima, each
+        portal's child micro and global member count, and each micro root's
+        global preorder.  The tour itself is not held."""
         for name, col in cols.items():
             if name in _ONE_BASED:
                 col = np.append(0, col)
@@ -534,11 +540,25 @@ class TreeCover:
         micros = len(ports)
         self._checked = bytearray(micros + 1)
         p_off = np.append(0, np.cumsum(ports))
-        self.tb, child = EulerTourLca.from_degrees(ports)
+        enter, exit_, child = tour_from_degrees(ports)
         self.p_child = compact_array(child)
-        enter, exit_ = (np.asarray(x, dtype=np.int64) for x in (self.tb.enter, self.tb.exit))
-        self.c_in, self.run_k, self.run_t3 = _runs(self.n, p_off, cols["shape_size"], enter[1:],
-                                                   exit_[child], cols["p_in"])
+        start, run_k, run_t3 = _runs(p_off, cols["shape_size"], enter[1:], exit_[child],
+                                     cols["p_in"])
+        self.c_in = CompressedBitVec.from_positions(self.n, start)
+        self.run_in, self.run_k, self.run_t3 = (compact_array(np.append(0, x))
+                                                for x in (start, run_k, run_t3))
+        # each micro's runs in inorder, linked: its first run, and each run's
+        # next of the same micro (0 after the last)
+        runs = np.argsort(run_k, kind="stable") + 1
+        same = np.flatnonzero(np.diff(run_k[runs - 1]) == 0)
+        nxt = np.zeros(len(start) + 1, dtype=np.int64)
+        nxt[runs[same]] = runs[same + 1]
+        self.run_next = compact_array(nxt)
+        first = np.delete(runs, same + 1)
+        self.k_run = compact_array(np.append(0, first))  # run_k[first] is 1 .. micros
+        # the range minima of the runs' micros give the LCA micro; no range
+        # reaches slot 0
+        self.run_min = BlockMinLca(self.run_k, np.append(0, run_k))
 
         # a portal into micro c stands for the members of the micros in c's
         # subtree, k in c .. c + size - 1, a range read off the Euler tour
@@ -563,9 +583,9 @@ class TreeCover:
         self.root_pre = compact_array(root_pre)
 
 
-def _runs(n: int, p_off, sizes, enter, leave, positions) -> tuple:
-    """The inorder position map, run-compressed: the run starts as a bit
-    vector, and each run's micro and shape inorder position.  It is read from
+def _runs(p_off, sizes, enter, leave, positions) -> tuple:
+    """The inorder position map, run-compressed: each run's start, micro
+    and first shape inorder position, in inorder.  It is read from
     every portal's shape inorder position, in (micro, position) order;
     micro k's portals are p_off[k - 1] .. p_off[k] - 1, its shape size is
     sizes[k - 1], and the micro-root tree's Euler tour enters it at time
@@ -597,8 +617,7 @@ def _runs(n: int, p_off, sizes, enter, leave, positions) -> tuple:
     size = (stop - start)[by_time]
     keep = np.flatnonzero(size)
     runs, size = by_time[keep], size[keep]
-    return (CompressedBitVec.from_positions(n, np.cumsum(size) - size + 1),
-            compact_array(micro[runs]), compact_array(start[runs]))
+    return np.cumsum(size) - size + 1, micro[runs], start[runs]
 
 
 def _check_columns(n: int, c: dict[str, np.ndarray], registry: TypeRegistry) -> None:

@@ -104,11 +104,6 @@ class ShapeTable(BlockMinLca):
         d = ld[s]
         return ld[s - 1] <= d and (s == self.n or ld[s + 1] < d)
 
-    def space_bits(self) -> int:
-        """The held widths: each left depth at its item type's width and
-        each sparse-table entry at the position width."""
-        return 8 * (len(self.ld) * self.ld.itemsize + len(self._sparse) * self._sparse.itemsize)
-
 
 class TypeRegistry:
     """Micro-tree types with lazily built lookup tables.

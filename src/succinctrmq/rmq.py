@@ -68,26 +68,29 @@ class RmqIndex:
     def query(self, i: int, j: int) -> int:
         """Leftmost index of the minimum in positions i..j (1-based).
 
-        Inorder select maps i and j to (micro, shape inorder position) pairs
-        without a lookup table; the LCA meets them in one micro and reads
-        that micro's table alone, building it on first use, and gives the
-        LCA's pair, whose inorder rank comes from the micro's portals without
-        a table.  So a query builds at most one table.
+        Inorder select maps i and j to (run, shape inorder position) pairs
+        on the runs of the inorder position map, without a lookup table.  The
+        LCA micro is the micro of the leftmost least micro-root-tree depth
+        among the runs between the two; the LCA reads that micro's table
+        alone, building it on first use, and gives the LCA's pair, whose
+        inorder rank is its run's start plus its offset into the run.  So a
+        query builds at most one table.
 
-        The load derives the micro-root tree and the columns that follow
-        from it, so those cannot contradict each other, but it does not check
-        what depends on a micro's shape: that a portal position is a leaf of
-        it, or that a child micro's left depth matches it.  The first time a
-        micro is the LCA micro, its table is checked against the cover.  A
-        query that meets a contradiction, as a `ValueError` on its path or an
-        answer outside [i, j], raises DecodeError."""
+        The load derives the runs and the columns that follow from the
+        micro-root tree, so those cannot contradict each other, but it does
+        not check what depends on a micro's shape: that a portal position is
+        a leaf of it, or that a micro's left depth and portals place its
+        runs where the inorder map has them.  The first time a micro is the
+        LCA micro, its table is checked against the cover.  A query that
+        meets a contradiction, as a `ValueError` on its path or an answer
+        outside [i, j], raises DecodeError."""
         if not 1 <= i <= j <= self.n:
             raise IndexError(f"invalid range ({i},{j}) for n={self.n}")
         c = self.cover
         try:
-            ku, u = c.select_inorder(i)
-            kv, v = c.select_inorder(j)
-            at = c.rank_inorder(*c.lca_k(ku, u, kv, v))
+            ru, u = c.select_inorder(i)
+            rv, v = c.select_inorder(j)
+            at = c.rank_inorder(*c.lca_run(ru, u, rv, v))
         except DecodeError:
             raise
         except ValueError as exc:

@@ -438,30 +438,24 @@ class BlockMinLca:
 
     def range_min(self, ia: int, ib: int) -> int:
         """The position of the leftmost smallest entry of seq between
-        positions ia and ib, in either order.  The charge counts each entry
-        of seq scanned once (finding the minimum's position rescans entries
-        already counted) and is meant to cover the two reads of a node's
-        position that `EulerTourLca.lca` makes first.  The reads of
-        `EulerTourLca.lca` against the charge, per case:
+        positions ia and ib, in either order.  The charge is the reads, each
+        entry of seq scanned counted once (finding the minimum's position
+        rescans entries already counted), per case:
 
-        * within one block: ib - ia + 1 entries and the two position reads,
-          ib - ia + 3 reads, charged ib - ia + 2, one short;
-        * across two adjacent blocks: at most 2 BLOCK entries and the two
-          position reads, charged 2 BLOCK + 2;
-        * with blocks between: at most 2 BLOCK entries, two sparse entries,
-          the two entries of seq they name and the two position reads,
-          charged 2 BLOCK + 6.
+        * within one block, or across two adjacent blocks: the ib - ia + 1
+          entries, all scanned;
+        * with blocks between: the entries of the two partial blocks, two
+          sparse entries and the two entries of seq they name, at most
+          2 BLOCK + 4.
 
-        A micro's table is given positions, so it makes two reads fewer in
-        each case under the same charge.  The golden op-count digests pin
-        these charges."""
+        The golden op-count digests pin these charges."""
         if ia > ib:
             ia, ib = ib, ia
         seq = self.seq
         block = self.BLOCK
         ba, bb = ia // block, ib // block
         if ba == bb:
-            opcount.add(ib - ia + 2)
+            opcount.add(ib - ia + 1)
             return seq.index(min(seq[ia:ib + 1]), ia)
         lo = bb * block
         left, right = min(seq[ia:(ba + 1) * block]), min(seq[lo:ib + 1])
@@ -471,7 +465,7 @@ class BlockMinLca:
             level = k * (self._blocks + 1) - (1 << k) + 1
             p, q = self._sparse[level + ba + 1], self._sparse[level + bb - (1 << k)]
             vp, vq = seq[p], seq[q]
-            opcount.add(2 * block + 6)
+            opcount.add(ib - lo - ia + (ba + 1) * block + 5)
             if vq < vp:
                 p, vp = q, vq
             # the leftmost of equal minima: the left block's, then the
@@ -479,137 +473,65 @@ class BlockMinLca:
             if vp < left and vp <= right:
                 return p
         else:
-            opcount.add(2 * block + 2)
+            opcount.add(ib - ia + 1)
         # a scanned partial block holds the minimum: the first entry equal to
         # it from that scan's start
         return seq.index(best, ia if left <= right else lo)
 
-
-class EulerTourLca(BlockMinLca):
-    """Constant-time LCA and ancestor tests over a rooted ordinal tree.
-
-    The sequence is the Euler tour, one packed key ``(depth << 32) | node``
-    per entry and held as a list (a list slice scans faster than an array
-    slice), so the smallest key in a range names the shallowest node there;
-    a node's position is its first visit.
-    """
-
-    __slots__ = ("first", "enter", "exit")
-
-    def __init__(self, size: int, children, root: int):
-        """children: list of child-id lists, indexed 1..size."""
-        euler = array("i")
-        depth = array("i", [0]) * (size + 1)
-        first = array("i", [0]) * (size + 1)
-        enter = array("i", [0]) * (size + 1)
-        exit_ = array("i", [0]) * (size + 1)
-        timer = 1
-        enter[root] = 1
-        stack = [(root, iter(children[root]))]
-        while stack:
-            v, kids = stack[-1]
-            euler.append(v)
-            c = next(kids, 0)
-            if c:
-                timer += 1
-                enter[c] = timer
-                first[c] = len(euler)
-                depth[c] = depth[v] + 1
-                stack.append((c, iter(children[c])))
-            else:
-                timer += 1
-                exit_[v] = timer
-                stack.pop()
-        tour = np.frombuffer(euler, dtype=np.intc).astype(np.int64)
-        keys = (np.frombuffer(depth, dtype=np.intc).astype(np.int64)[tour] << 32) | tour
-        self._install(first, enter, exit_, keys)
-
-    @classmethod
-    def from_degrees(cls, degrees) -> tuple["EulerTourLca", np.ndarray]:
-        """The structure for the ordinal tree whose preorder degree sequence
-        is `degrees` (ids 1..size are its preorder, children in id order),
-        and the child of each child slot, in (parent, slot) order; ValueError
-        if `degrees` is no tree's.  A few numpy passes and one stable sort of
-        16-bit levels (wider past 16383 nodes).
-
-        In preorder, each node takes the top slot of a stack of open slots
-        and then pushes its own, last slot first.  Write node k as a query,
-        one 1-bit per slot (last slot first) and a 0-bit, at which node k + 1
-        takes the slot on top; less the queries, that is DFUDS without its
-        leading 1 (Benoit, Demaine, Munro, Raman, Raman & Rao, Algorithmica
-        2005).  With excess +1 per 1-bit and -1 per 0-bit, give each 1-bit the
-        level "excess before it" and each 0-bit "excess after it", as
-        `treecode.zaks_arrays` does, and node k's query one less than the
-        excess before it.  Sorted stably by level, the next 0-bit after a
-        slot's 1 is where its child takes it, and the next 0-bit after node
-        k's query is where the node past k's subtree takes the slot under the
-        one k took.  With C_k subtrees ended before node k, k has depth
-        k - 1 - C_k, enters the tour at k + C_k and leaves it 2 st_k - 1 later,
-        for subtree size st_k."""
-        d = np.asarray(degrees, dtype=np.int64)
-        size = len(d)
-        open_after = 1 + np.cumsum(d - 1)  # slots open after each node
-        if not size or d.min() < 0 or open_after[:-1].min(initial=1) < 1 or open_after[-1]:
-            raise ValueError("degrees are not a tree's preorder degree sequence")
-        p_off = np.append(0, np.cumsum(d))
-        query = 2 * np.arange(size) + p_off[:-1]  # where node k's entries start, k 0-based
-        step = np.ones(3 * size - 1, dtype=_level_type(2 * size - 1))  # 1-bits
-        step[query] = 0
-        step[query + d + 1] = -1  # 0-bits
-        level = np.cumsum(step, dtype=step.dtype) - (step == 1)
-        level[query] -= 1
-        order = np.argsort(level, kind="stable")
-        zeros = np.flatnonzero(step[order] < 0)  # the last entry in level order is a 0-bit
-        takes = np.empty(len(step), dtype=np.int64)
-        takes[query + d + 1] = np.arange(2, size + 2)  # the node that takes at each 0-bit
-        taker = np.empty(len(step), dtype=np.int64)  # ... and at the next 0-bit
-        taker[order] = takes[order[np.repeat(zeros, np.diff(zeros, prepend=-1))]]
-        end = taker[query]  # the node past each subtree
-        ones = np.flatnonzero(step == 1)
-        m = np.repeat(np.arange(1, size + 1), d)  # each 1-bit's node
-        child = np.empty(size - 1, dtype=np.int64)
-        child[np.repeat(query + d + p_off[:-1], d) - ones] = taker[ones]  # last slot first
-        parent = np.zeros(size + 1, dtype=np.int64)
-        parent[taker[ones]] = m
-        k = np.arange(1, size + 1)
-        ended = np.cumsum(np.bincount(end, minlength=size + 1))[1:size + 1]  # C_1 .. C_size
-        depth = k - 1 - ended
-        enter = k + ended
-        exit_ = enter + 2 * (end - k) - 1
-        tour = np.empty(2 * size, dtype=np.int64)
-        tour[enter - 1] = (depth << 32) | k
-        tour[exit_ - 1] = ((depth - 1) << 32) | parent[1:]
-        self = cls.__new__(cls)
-        self._install(*(_int_array(np.append(0, x)) for x in (enter - 1, enter, exit_)),
-                      tour[:-1])
-        return self, child
-
-    def _install(self, first: array, enter: array, exit_: array, keys: np.ndarray) -> None:
-        # in any stretch of the tour, the entries of least depth name one node
-        super().__init__(keys.tolist(), keys >> 32)
-        self.first = first
-        self.enter = enter
-        self.exit = exit_
-
-    def lca(self, a: int, b: int) -> int:
-        """The LCA of nodes a and b: the node of the smallest key between
-        their first visits, whose reads `range_min` charges."""
-        return self.seq[self.range_min(self.first[a], self.first[b])] & 0xFFFFFFFF
-
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True iff a is an ancestor of b (or a == b)."""
-        opcount.add(2)
-        return self.enter[a] <= self.enter[b] and self.exit[b] <= self.exit[a]
-
     def space_bits(self) -> int:
-        """Designed widths of the held arrays: the packed tour keys at depth +
-        node bits per entry, the block sparse table at the width of a tour
-        index, and first/enter/exit at the width of a tour time."""
-        size = len(self.first) - 1
-        key_w = max(1, (max(self.seq) >> 32).bit_length()) + max(1, size.bit_length())
-        sparse = len(self._sparse) * max(1, (len(self.seq) - 1).bit_length())
-        times = 3 * (size + 1) * max(1, (2 * size).bit_length())
-        return len(self.seq) * key_w + sparse + times
+        """The held widths: each entry of seq, an array, at its item type's
+        width and each sparse-table entry at the position width."""
+        return 8 * (len(self.seq) * self.seq.itemsize + len(self._sparse) * self._sparse.itemsize)
+
+
+def tour_from_degrees(degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Euler tour of the ordinal tree whose preorder degree sequence is
+    `degrees` (ids 1..size are its preorder, children in id order): each
+    node's enter and exit times (the root's are 1 and 2 size), each indexed
+    by id with 0 in slot 0, and the child of each child slot, in (parent,
+    slot) order; ValueError if `degrees` is no tree's.  A few numpy
+    passes and one stable sort of 16-bit levels (wider past 16383 nodes).
+
+    In preorder, each node takes the top slot of a stack of open slots and
+    then pushes its own, last slot first.  Write node k as a query, one 1-bit
+    per slot (last slot first) and a 0-bit, at which node k + 1 takes the
+    slot on top; less the queries, that is DFUDS without its leading 1
+    (Benoit, Demaine, Munro, Raman, Raman & Rao, Algorithmica 2005).  With
+    excess +1 per 1-bit and -1 per 0-bit, give each 1-bit the level "excess
+    before it" and each 0-bit "excess after it", as `treecode.zaks_arrays`
+    does, and node k's query one less than the excess before it.  Sorted
+    stably by level, the next 0-bit after a slot's 1 is where its child takes
+    it, and the next 0-bit after node k's query is where the node past k's
+    subtree takes the slot under the one k took.  With C_k subtrees ended
+    before node k, k enters the tour at k + C_k (k - 1 steps down and C_k
+    up before it) and leaves it 2 st_k - 1 later, for subtree size st_k."""
+    d = np.asarray(degrees, dtype=np.int64)
+    size = len(d)
+    open_after = 1 + np.cumsum(d - 1)  # slots open after each node
+    if not size or d.min() < 0 or open_after[:-1].min(initial=1) < 1 or open_after[-1]:
+        raise ValueError("degrees are not a tree's preorder degree sequence")
+    p_off = np.append(0, np.cumsum(d))
+    query = 2 * np.arange(size) + p_off[:-1]  # where node k's entries start, k 0-based
+    step = np.ones(3 * size - 1, dtype=_level_type(2 * size - 1))  # 1-bits
+    step[query] = 0
+    step[query + d + 1] = -1  # 0-bits
+    level = np.cumsum(step, dtype=step.dtype) - (step == 1)
+    level[query] -= 1
+    order = np.argsort(level, kind="stable")
+    zeros = np.flatnonzero(step[order] < 0)  # the last entry in level order is a 0-bit
+    takes = np.empty(len(step), dtype=np.int64)
+    takes[query + d + 1] = np.arange(2, size + 2)  # the node that takes at each 0-bit
+    taker = np.empty(len(step), dtype=np.int64)  # ... and at the next 0-bit
+    taker[order] = takes[order[np.repeat(zeros, np.diff(zeros, prepend=-1))]]
+    end = taker[query]  # the node past each subtree
+    ones = np.flatnonzero(step == 1)
+    child = np.empty(size - 1, dtype=np.int64)
+    child[np.repeat(query + d + p_off[:-1], d) - ones] = taker[ones]  # last slot first
+    k = np.arange(1, size + 1)
+    ended = np.cumsum(np.bincount(end, minlength=size + 1))[1:size + 1]  # C_1 .. C_size
+    enter = k + ended
+    exit_ = enter + 2 * (end - k) - 1
+    return np.append(0, enter), np.append(0, exit_), child
 
 
 def caterpillar(n: int) -> BinaryTree:

@@ -15,6 +15,7 @@ from succinctrmq.cover import (
     default_params,
     verify_decomposition,
 )
+from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
 from succinctrmq.trees import (
     build_cartesian,
     caterpillar,
@@ -159,7 +160,8 @@ class TestBuildCoverBasics:
                 hit = True
                 name = TauName(1, m.k, pos)
                 for call in (cov.noderank_inorder,
-                             lambda x: cov.lca(x, cov.nodeselect_inorder(1))):
+                             lambda x: cov.lca(x, cov.nodeselect_inorder(1)),
+                             lambda x: cov.lca(cov.nodeselect_inorder(cov.n), x)):
                     with pytest.raises(ValueError):
                         call(name)
         assert hit
@@ -286,14 +288,27 @@ class TestLoadedCover:
     def test_derived_runs_are_maximal(self):
         t = sample_random_bst(3000, 22)
         cov = reloaded(build_cover(t, micro_b=8))
-        assert len(cov.c_in.positions()) == len(cov.run_k) == len(cov.run_t3)
+        assert list(cov.run_in[1:]) == cov.c_in.positions()
+        assert len(cov.run_in) == len(cov.run_k) == len(cov.run_t3) == len(cov.run_next)
         # the inorder map's runs break exactly where the micro changes or the
         # shape inorder position fails to step by one
-        cells = [cov.select_inorder(i) for i in range(1, t.n + 1)]
+        cells = [cov.nodeselect_inorder(i) for i in range(1, t.n + 1)]
         breaks = [1] + [i for i in range(2, t.n + 1)
-                        if cells[i - 1][0] != cells[i - 2][0]
-                        or cells[i - 1][1] != cells[i - 2][1] + 1]
+                        if cells[i - 1].t2 != cells[i - 2].t2
+                        or cells[i - 1].t3 != cells[i - 2].t3 + 1]
         assert breaks == cov.c_in.positions()
+
+    def test_runs_link_each_micro_in_inorder(self):
+        t = sample_random_bst(3000, 23)
+        for cov in (build_cover(t, micro_b=4), reloaded(build_cover(t, micro_b=4))):
+            runs = {}
+            for r in range(1, len(cov.run_k)):
+                runs.setdefault(cov.run_k[r], []).append(r)
+            assert sorted(runs) == list(range(1, cov.micro_count() + 1))
+            for k, mine in runs.items():
+                assert 1 <= len(mine) <= 3
+                assert cov.k_run[k] == mine[0]
+                assert [cov.run_next[r] for r in mine] == mine[1:] + [0]
 
 
 def brute_derived(t, cov) -> dict:
@@ -304,7 +319,7 @@ def brute_derived(t, cov) -> dict:
     n = t.n
     micro = [0] * (n + 1)
     for i in range(1, n + 1):
-        micro[t.id_at_inorder[i]] = cov.select_inorder(i)[0]
+        micro[t.id_at_inorder[i]] = cov.run_k[cov.select_inorder(i)[0]]
     roots = [v for v in range(1, n + 1) if v == 1 or micro[t.parent[v]] != micro[v]]
     assert [micro[r] for r in roots] == list(range(1, len(roots) + 1))
     children = [[] for _ in range(len(roots) + 1)]
@@ -337,6 +352,42 @@ class TestDerivedColumns:
             got = {"p_child": list(cov.p_child), "p_size": list(cov.p_size),
                    "root_pre": list(cov.root_pre[1:])}
             assert got == want
+
+
+class TestMacroLca:
+    """The LCA micro of two nodes is the least micro, in the micro-root
+    tree's preorder, among the runs between theirs: every node between the
+    two lies in their LCA's subtree, so in its micro or below it, and a
+    micro precedes its subtree's other micros in preorder.  `RmqIndex.query`
+    takes the leftmost run of that micro."""
+
+    INPUTS = {**adversarial_arrays(2000),
+              "ties": np.random.default_rng(4).integers(0, 4, 2000).tolist(),
+              "perm": np.random.default_rng(5).permutation(2000).tolist()}
+
+    @pytest.mark.parametrize("micro_b", [4, None], ids=["4", "default"])
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_least_micro_among_runs_is_the_lca_micro(self, name, micro_b):
+        values = self.INPUTS[name]
+        t = build_cartesian(values)
+        index = RmqIndex.from_bytes(RmqIndex.build(values, micro_b=micro_b).to_bytes())
+        cov = index.cover
+        comp = decompose(t, max(1, cov.micro_B - 2)).comp_of
+        runs = len(cov.run_k) - 1
+        ends = [*cov.run_in[1:], t.n + 1]  # run r holds inorder positions ends[r - 1] .. ends[r] - 1
+        rng = random.Random(runs)
+        if runs * runs <= 1500:
+            pairs = [(a, b) for a in range(1, runs + 1) for b in range(a, runs + 1)]
+        else:
+            pairs = [tuple(sorted(rng.sample(range(1, runs + 1), 2))) for _ in range(1500)]
+        for ra, rb in pairs:
+            a, b = (t.id_at_inorder[rng.randrange(ends[r - 1], ends[r])] for r in (ra, rb))
+            r = cov.run_min.range_min(ra, rb)
+            assert cov.run_k[r] == comp[t.lca(a, b)], (ra, rb)
+            assert r == ra + int(np.argmin(cov.run_k[ra:rb + 1])), (ra, rb)
+        oracle = OracleRmq(values, "sparse")
+        queries = [tuple(sorted((rng.randint(1, t.n), rng.randint(1, t.n)))) for _ in range(2000)]
+        assert [index.query(i, j) for i, j in queries] == [oracle.query(i, j) for i, j in queries]
 
 
 class TestSpaceAccounting:
@@ -484,7 +535,7 @@ class TestCoverPartition:
             # more than two portals
             micro = [0] * (t.n + 1)
             for i in range(1, t.n + 1):
-                micro[t.id_at_inorder[i]] = cov.select_inorder(i)[0]
+                micro[t.id_at_inorder[i]] = cov.run_k[cov.select_inorder(i)[0]]
             assert micro[1:] == list(d.comp_of)[1:]
             assert max(np.diff(cov.p_off[1:]), default=0) <= 2
 

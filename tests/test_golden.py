@@ -10,8 +10,9 @@ payload (FORMAT.md); a change to any of them means a different file, not
 just a different way of building the same one.
 A loaded index writes back the bytes it was read from.
 The answer digests were recorded from the query path before it was
-flattened; the operation-count digests were recorded when the cover lost
-its second tier, whose portal walk every inorder rank paid.  Both hold for
+flattened; the operation-count digests were recorded when the query path
+moved onto the runs of the inorder position map, with no Euler tour and no
+portal walk, and each range minimum came to charge exactly its reads.  Both hold for
 a built index and for the same index reloaded from its bytes.
 The organ-pipe digests were recorded before the Cartesian tree and the cover
 were built by numpy kernels; on that input the nearest-smaller-value kernel
@@ -109,13 +110,13 @@ def digest(values: list[int]) -> str:
 # takes select through the plain bit vector, the others through the sparse one.
 GOLDEN_QUERIES = [
     ("perm", None, CompressedBitVec.SPARSE, "c6b2bc5ae1a1977f374dfe4a05c6c6ea1a9ef63e",
-     "2802fe3aedd76e7691eed9cc7587c3ef7a0859c9"),
+     "201d21fd5dc8437f38546bbc3f81dec99ae19f67"),
     ("perm", 4, CompressedBitVec.DENSE, "c6b2bc5ae1a1977f374dfe4a05c6c6ea1a9ef63e",
-     "2a61fbf44be4b8fbeab48066d0715cc670d85543"),
+     "adac6cbad11bc8cae000e093341963a4a07fcbca"),
     ("ties", None, None, "cd95f6121e1013a98d6410d6a4d805ca06ce8885",
-     "e004cfaa6ded58ad11d345883fff7a3f31feb019"),
+     "db53a33c7d045d9dc4075b7f6fe21e723d3ec82a"),
     ("organ", None, None, "42d2e9a52bb4975a7f731de9fc5b9113557e70e0",
-     "3ce19eea8e3f97b5e0cd0547408cc2fbea938435"),
+     "353ee627777cdd4d9d9749fb623e525cf6448fb4"),
 ]
 
 

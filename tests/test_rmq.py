@@ -124,8 +124,8 @@ class TestLcaMicroTable:
         rng = random.Random(22)
         while True:  # endpoints in two micros that meet in a third, all of distinct types
             i, j = sorted(rng.sample(range(1, 3001), 2))
-            (ku, u), (kv, v) = c.select_inorder(i), c.select_inorder(j)
-            k = c.lca_k(ku, u, kv, v)[0]
+            (ru, u), (rv, v) = c.select_inorder(i), c.select_inorder(j)
+            ku, kv, k = (c.run_k[r] for r in (ru, rv, c.lca_run(ru, u, rv, v)[0]))
             if len({c.type_of[x] for x in (ku, kv, k)}) == 3:
                 break
         index = RmqIndex.from_bytes(blob)
@@ -154,9 +154,9 @@ class TestLcaMicroTable:
         assert ops() == first
 
     def test_tau_names_take_the_query_path(self, blob, monkeypatch):
-        # a tau-name is the query path's (micro, shape inorder position)
-        # pair, so the tau-name methods read no Zaks key and build no table
-        # that the same queries did not
+        # a tau-name names the query path's (run, shape inorder position)
+        # pair by its micro, so the tau-name methods read no Zaks key and
+        # build no table that the same queries did not
         index = RmqIndex.from_bytes(blob)
         rng = random.Random(24)
         queries = [tuple(sorted(rng.sample(range(1, 3001), 2))) for _ in range(300)]
@@ -311,6 +311,18 @@ def test_loaded_footprint(index_1e6):
     gc.collect()
     bits = deep_size(loaded) * 8 / loaded.n
     assert bits <= 8.0, f"{bits:.2f} bits/elem resident after load"
+
+
+def test_loaded_cover_footprint(index_1e6):
+    """A fresh load's cover, less its type registry, holds the inorder map's
+    runs, their range-minimum table and the per-micro columns, and no
+    Euler tour of the micro-root tree: at most 1 bit per element (0.75
+    measured; 2.02 when it held the tour's keys and their sparse table,
+    1.45 of that)."""
+    cover = RmqIndex.from_bytes(index_1e6.to_bytes()).cover
+    gc.collect()
+    bits = (deep_size(cover) - deep_size(cover.registry)) * 8 / cover.n
+    assert bits <= 1.0, f"{bits:.2f} bits/elem held by the cover after load"
 
 
 def test_warm_footprint(index_1e6):

@@ -12,7 +12,6 @@ from succinctrmq.trees import (
     BinaryTree,
     BlockMinLca,
     ENTROPY_RATE_LIMIT,
-    EulerTourLca,
     build_cartesian,
     caterpillar,
     complete_tree,
@@ -24,6 +23,7 @@ from succinctrmq.trees import (
     sample_random_bst,
     shape_probability,
     subtree_entropy,
+    tour_from_degrees,
     _nearest_smaller_left,
     zigzag_path,
 )
@@ -355,6 +355,19 @@ class TestBlockMinLca:
         assert kernel.range_min(10, 180) == at[0]
         assert kernel.range_min(180, 10) == at[0]
 
+    @pytest.mark.parametrize("ia,ib,reads", [(5, 5, 1), (3, 20, 18), (20, 40, 21), (40, 20, 21),
+                                             (20, 100, 12 + 5 + 4), (10, 180, 22 + 21 + 4)],
+                             ids=["one-entry", "one-block", "adjacent", "adjacent-swapped",
+                                  "one-between", "four-between"])
+    def test_charge_is_the_reads(self, ia, ib, reads):
+        """Each entry scanned once, and with blocks between, two sparse
+        entries and the two entries of seq they name."""
+        keys = np.random.default_rng(ia).permutation(6 * BlockMinLca.BLOCK)
+        kernel = BlockMinLca(keys.tolist(), keys)
+        start = opcount.snapshot()
+        kernel.range_min(ia, ib)
+        assert opcount.snapshot() - start == reads
+
     @pytest.mark.parametrize("length", [65, 200, 1000])
     def test_range_min_ties_to_the_leftmost(self, length):
         keys = np.random.default_rng(length).integers(0, 4, size=length)
@@ -366,58 +379,10 @@ class TestBlockMinLca:
 
 
 class TestEulerTourLca:
-    def check(self, size, children, root, parent, pairs):
-        tb = EulerTourLca(size, children, root)
-        bound = 2 * EulerTourLca.BLOCK + 6
-        for a, b in pairs:
-            start = opcount.snapshot()
-            got = tb.lca(a, b)
-            assert opcount.snapshot() - start <= bound
-            assert got == brute_lca(parent, a, b), (a, b)
-            # the kernel gives the position of the smallest key between the first visits
-            lo, hi = sorted((tb.first[a], tb.first[b]))
-            at = tb.range_min(tb.first[a], tb.first[b])
-            assert lo <= at <= hi and tb.seq[at] == min(tb.seq[lo:hi + 1]), (a, b)
-            assert tb.is_ancestor(a, b) == brute_is_ancestor(parent, a, b), (a, b)
-            assert tb.is_ancestor(b, a) == brute_is_ancestor(parent, b, a), (a, b)
-
-    @staticmethod
-    def pairs(size, seed, count=3000):
-        if size * size <= count:
-            return [(a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
-        rng = random.Random(seed)
-        return [(rng.randint(1, size), rng.randint(1, size)) for _ in range(count)]
-
-    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64, 65, 66, 1000])
-    def test_random_ordinal_trees(self, size):
-        for seed in range(3):
-            children, root, parent = random_ordinal_tree(size, 100 * size + seed)
-            self.check(size, children, root, parent, self.pairs(size, seed))
-
-    def test_path(self):
-        size = 3000
-        labels = list(range(1, size + 1))
-        random.Random(5).shuffle(labels)
-        parent = [0] * (size + 1)
-        children = [[] for _ in range(size + 1)]
-        for up, down in zip(labels, labels[1:]):
-            parent[down] = up
-            children[up].append(down)
-        pairs = self.pairs(size, 6)
-        pairs += [(labels[0], labels[-1]), (labels[-1], labels[0]), (labels[-1], labels[-1])]
-        self.check(size, children, labels[0], parent, pairs)
-
-    def test_star(self):
-        leaves = 500
-        size = leaves + 1
-        root = 250
-        others = [v for v in range(1, size + 1) if v != root]
-        parent = [0] * (size + 1)
-        for v in others:
-            parent[v] = root
-        children = [[] for _ in range(size + 1)]
-        children[root] = others[::-1]
-        self.check(size, children, root, parent, self.pairs(size, 7))
+    """`tour_from_degrees` on ordinal trees renumbered in preorder: its times
+    nest as ancestry does, and of the nodes visited between two nodes' first
+    visits, the least in preorder is their LCA, the fact the cover's
+    run-micro minimum rests on."""
 
     @staticmethod
     def preorder_children(children, root):
@@ -433,15 +398,81 @@ class TestEulerTourLca:
             kids[new[v]] = [new[c] for c in children[v]]
         return kids
 
+    @staticmethod
+    def walked(kids):
+        """Enter and exit times by a walk of the tour: the root enters at 1,
+        and each step into or out of a node takes one time."""
+        size = len(kids) - 1
+        enter, exit_ = [0] * (size + 1), [0] * (size + 1)
+        timer = enter[1] = 1
+        stack = [(1, iter(kids[1]))]
+        while stack:
+            _, rest = stack[-1]
+            timer += 1
+            c = next(rest, 0)
+            if c:
+                enter[c] = timer
+                stack.append((c, iter(kids[c])))
+            else:
+                exit_[stack.pop()[0]] = timer
+        return enter, exit_
+
+    def check(self, children, root, pairs):
+        kids = self.preorder_children(children, root)
+        size = len(kids) - 1
+        enter, exit_, child = tour_from_degrees(np.array([len(x) for x in kids[1:]]))
+        parent = [0] * (size + 1)
+        for v in range(1, size + 1):
+            for c in kids[v]:
+                parent[c] = v
+        # the node visited at each tour time: a node when the tour enters it,
+        # and its parent when the tour leaves it
+        visit = np.zeros(2 * size + 1, dtype=np.int64)
+        visit[enter[1:]] = np.arange(1, size + 1)
+        visit[exit_[child]] = np.array(parent)[child]
+        for a, b in pairs:
+            lo, hi = sorted((enter[a], enter[b]))
+            w = visit[lo:hi + 1].min()
+            assert w == brute_lca(parent, a, b), (a, b)
+            nested = enter[a] <= enter[b] and exit_[b] <= exit_[a]
+            assert nested == brute_is_ancestor(parent, a, b), (a, b)
+
+    @staticmethod
+    def pairs(size, seed, count=3000):
+        if size * size <= count:
+            return [(a, b) for a in range(1, size + 1) for b in range(1, size + 1)]
+        rng = random.Random(seed)
+        return [(rng.randint(1, size), rng.randint(1, size)) for _ in range(count)]
+
+    @pytest.mark.parametrize("size", [1, 2, 31, 32, 33, 64, 65, 66, 1000])
+    def test_random_ordinal_trees(self, size):
+        for seed in range(3):
+            children, root, _ = random_ordinal_tree(size, 100 * size + seed)
+            self.check(children, root, self.pairs(size, seed))
+
+    def test_path(self):
+        size = 3000
+        children = [[v + 1] for v in range(size)] + [[]]
+        pairs = self.pairs(size, 6) + [(1, size), (size, 1), (size, size)]
+        self.check(children, 1, pairs)
+
+    def test_star(self):
+        leaves = 500
+        size = leaves + 1
+        root = 250
+        others = [v for v in range(1, size + 1) if v != root]
+        children = [[] for _ in range(size + 1)]
+        children[root] = others[::-1]
+        self.check(children, root, self.pairs(size, 7))
+
     @pytest.mark.parametrize("size", [1, 2, 33, 1000, 17000])
     def test_from_degrees_matches_tour(self, size):
         # past 16383 nodes the levels no longer fit 16 bits
         children, root, _ = random_ordinal_tree(size, size)
         kids = self.preorder_children(children, root)
-        walked = EulerTourLca(size, kids, 1)
-        direct, child = EulerTourLca.from_degrees(np.array([len(x) for x in kids[1:]]))
-        for name in ("first", "enter", "exit", "seq", "_sparse"):
-            assert getattr(direct, name) == getattr(walked, name), name
+        *times, child = tour_from_degrees(np.array([len(x) for x in kids[1:]]))
+        for name, direct, walked in zip(("enter", "exit"), times, self.walked(kids)):
+            assert direct.tolist() == walked, name
         assert child.tolist() == [c for x in kids for c in x]
 
     @pytest.mark.parametrize("degrees", [[], [0, 0], [1, 0, 1, 0], [1, 1], [2, 0],
@@ -451,16 +482,7 @@ class TestEulerTourLca:
                                   "negative"])  # the last would pass the other checks
     def test_from_degrees_rejects_other_sequences(self, degrees):
         with pytest.raises(ValueError, match="degree sequence"):
-            EulerTourLca.from_degrees(np.array(degrees, dtype=np.int64))
-
-    def test_space_counts_held_arrays(self):
-        # root 1 with child 2: tour 1 2 1, one block, so three packed keys of
-        # 1 depth bit + 2 node bits, one sparse entry at the 2 bits of a tour
-        # index up to 2, and first/enter/exit for slots 0..2 at the 3 bits of
-        # a tour time up to 4
-        tb = EulerTourLca(2, [[], [2], []], 1)
-        assert tb.space_bits() == 3 * 3 + 2 + 3 * 3 * 3
-        assert list(tb._sparse) == [0]
+            tour_from_degrees(np.array(degrees, dtype=np.int64))
 
 
 def stable_ranks(values) -> np.ndarray:
