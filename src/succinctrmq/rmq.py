@@ -24,9 +24,8 @@ FORMAT_VERSION = 9  # FORMAT.md, "RmqIndex"
 _TAGS = frozenset((b"RMET", b"CMET", b"MICR", b"PCAS", b"TYPR"))
 _CODEC_TAGS = {codec: _TAGS | {b"TARR"} if codec == MODE_ENTROPY else _TAGS for codec in MODES}
 
-# what `RmqIndex.build` times, in order: ranking the values and building the
-# Cartesian tree's spans, the tree cover, encoding the micro types, the spot
-# check
+# what `RmqIndex.build` times, in order: building the Cartesian tree's spans
+# from the keys, the tree cover, encoding the micro types, the spot check
 BUILD_PHASES = ("cartesian", "cover", "encode_types", "validate")
 
 

@@ -136,31 +136,38 @@ def _level_type(length: int):
 SHRINK = 512
 
 
-def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
+def _nearest_smaller_left(rk: np.ndarray, strict: bool = False) -> np.ndarray:
     """For each position i >= 1 of the intc array `rk`, the nearest j < i with
-    rk[j] <= rk[i]; rk[0] must be below every other entry, and slot 0 of the
-    result is 0.
+    rk[j] <= rk[i], or with rk[j] < rk[i] if `strict`; rk[0] must be below
+    every other entry, and slot 0 of the result is 0.
 
     Pointer jumping (Berkman, Schieber & Vishkin, J. Algorithms 1993): every
-    unresolved i repeats near[i] <- near[near[i]] while rk[near[i]] > rk[i],
-    and all of rk between near[i] and i stays above rk[i].  Long chains of
-    resolved pointers make some inputs need O(n) rounds.  So once the rounds
-    have touched 2n entries, they go on only while each round resolves at
-    least 1/SHRINK of the live entries, as where long runs still double their
-    pointers (a sawtooth's falling teeth, read right to left); past that, or
-    after 64 rounds, the rest finish in increasing i by the sequential walk
-    from near[i] along final pointers, whose steps total at most n.  The walk
-    reads rk and the pointers in place, at 4 bytes an entry, and takes the
-    unresolved entries and their ranks as Python ints CHUNK at a time.
+    unresolved i repeats near[i] <- near[near[i]] while rk[near[i]] is above
+    rk[i], and all of rk between near[i] and i stays above rk[i].  In the
+    first round every pointer is still its left neighbour, so that round
+    reads rk by slices, with no gathers.  Long chains of resolved pointers
+    make some inputs need O(n) rounds.  So once the rounds have touched 2n
+    entries, they go on only while each round resolves at least 1/SHRINK of
+    the live entries, as where long runs still double their pointers (a
+    sawtooth's falling teeth, read right to left); past that, or after 64
+    more rounds, the rest finish in increasing i by the sequential walk
+    from near[i] along final pointers, whose steps total at most n.  The
+    walk reads rk and the pointers in place, at 4 bytes an entry, and takes
+    the unresolved entries and their keys as Python ints CHUNK at a time.
     """
     n = len(rk) - 1
+    above = np.greater_equal if strict else np.greater
+    jump = above(rk[:-1], rk[1:])
+    live = np.flatnonzero(jump).astype(np.intc)
+    live += 1
     near = np.arange(-1, n, dtype=np.intc)
     near[0] = 0
-    live = np.arange(1, n + 1, dtype=np.intc)
-    budget = 2 * n
+    near[1:] -= jump  # to near[i - 1] = i - 2: position 1, above rk[0], never jumps
+    del jump
+    budget = 2 * n - live.size
     for _ in range(64):
         up = near[live]
-        jump = rk[up] > rk[live]
+        jump = above(rk[up], rk[live])
         was = live.size
         live = live[jump]
         if not live.size or (budget <= 0 and (was - live.size) * SHRINK < was):
@@ -170,7 +177,8 @@ def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
     r, nr = memoryview(rk), memoryview(near)
     for at in range(0, live.size, CHUNK):
         part = live[at:at + CHUNK]
-        for i, ri in zip(part.tolist(), rk.take(part).tolist()):
+        # strict stops only below ri: on integers, r[j] >= ri is r[j] > ri - 1
+        for i, ri in zip(part.tolist(), (rk.take(part) - strict).tolist()):
             j = nr[i]
             while r[j] > ri:
                 j = nr[j]
@@ -179,25 +187,29 @@ def _nearest_smaller_left(rk: np.ndarray) -> np.ndarray:
 
 
 def _spans(rk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Cartesian tree of the distinct non-negative ranks rk[1..n], whose
-    positions are its inorder, as its spans: two intc arrays `lo` and `st`
-    over preorder ids (slot 0 is 0), where node p's subtree has st[p] nodes
-    at inorder positions lo[p] + 1 .. lo[p] + st[p].  rk[0] and rk[n + 1]
-    must be -1.
+    """The Cartesian tree of the non-negative keys rk[1..n], whose positions
+    are its inorder and whose equal keys break to the leftmost, as its
+    spans: two intc arrays `lo` and `st` over preorder ids (slot 0 is 0),
+    where node p's subtree has st[p] nodes at inorder positions lo[p] + 1 ..
+    lo[p] + st[p].  rk[0] and rk[n + 1] must be -1.
 
-    `_nearest_smaller_left` finds each position's nearest smaller rank to the
-    left (L), and again on the reversed ranks to the right (R); the subtree
-    of position i then spans L+1..R-1.  Its preorder id is L + 1 plus its
-    left depth, the number of its ancestors right of it, which are the
-    positions j > i with L_j < i.  Every j <= i has L_j < i, so one count of
-    the L values below i, less i, gives the left depth: no sort.
+    `_nearest_smaller_left` finds each position's nearest key to the left
+    that is not larger (L), and on the reversed keys the nearest smaller one
+    to the right (R); the subtree of position i then spans L+1..R-1, so an
+    equal key to its left is its ancestor and one to its right is in its
+    subtree.  Its preorder id is L + 1 plus its left depth, the number of its
+    ancestors right of it, which are the positions j > i with L_j < i.
+    Every j <= i has L_j < i, so one count of the L values below i, less i,
+    gives the left depth: no sort.
     """
     n = len(rk) - 2
     lo = _nearest_smaller_left(rk[:n + 1])[1:]
-    st = n - _nearest_smaller_left(rk[:0:-1])[:0:-1] - lo  # R - L - 1
-    below = np.cumsum(np.bincount(lo, minlength=n), dtype=np.intc)  # [i - 1]: the L values below i
-    pre = lo + below - np.arange(n, dtype=np.intc)
-    del below
+    # counted before the right pass: the count's two int64 arrays then raise
+    # the build's peak RSS less
+    pre = np.cumsum(np.bincount(lo, minlength=n), dtype=np.intc)  # [i - 1]: the L values below i
+    pre -= np.arange(n, dtype=np.intc)
+    pre += lo
+    st = n - _nearest_smaller_left(rk[:0:-1], strict=True)[:0:-1] - lo  # R - L - 1
     spans = np.zeros((2, n + 1), dtype=np.intc)
     spans[0, pre] = lo
     spans[1, pre] = st
@@ -251,11 +263,12 @@ def order_keys(values) -> np.ndarray:
 
     Integer and exactly representable float inputs stay numeric; anything
     else (mixed types, integers beyond 64 bits, strings) becomes an object
-    array, which numpy orders with Python's comparisons.
+    array, which numpy orders with Python's comparisons.  A NaN, which is
+    neither below nor above anything, raises ValueError.
     """
     if isinstance(values, np.ndarray):
         if values.ndim == 1 and values.dtype.kind in "biufO":
-            return values
+            return _no_nan(values)
         values = values.tolist()
     vals = values if isinstance(values, list) else list(values)
     try:
@@ -266,19 +279,46 @@ def order_keys(values) -> np.ndarray:
         kind = arr.dtype.kind
         if kind in "biu" or (kind == "f" and all(
                 isinstance(v, float) or -(1 << 53) <= v <= 1 << 53 for v in vals)):
-            return arr
+            return _no_nan(arr)
     keys = np.empty(len(vals), dtype=object)
     keys[:] = vals
+    return _no_nan(keys)
+
+
+def _no_nan(keys: np.ndarray) -> np.ndarray:
+    """`keys`, or ValueError naming its first NaN: a float for which
+    `isnan` holds, or an object that is not equal to itself."""
+    kind = keys.dtype.kind
+    if kind in "fO":
+        nan = np.flatnonzero(np.isnan(keys) if kind == "f" else keys != keys)
+        if nan.size:
+            raise ValueError(f"values[{nan[0]}] is NaN, which has no order")
     return keys
+
+
+# the widest range of integer keys that `cartesian_spans` compares as they
+# are: keys less their minimum then lie in 0 .. 2^31 - 2, above the -1
+# sentinels, in an intc
+KEY_RANGE = np.iinfo(np.intc).max - 1
 
 
 def cartesian_spans(values) -> tuple[np.ndarray, np.ndarray]:
     """The spans (see `_spans`) of the Cartesian tree of `values`: root at
     the minimum, left/right subtrees on the subarrays, equal keys broken to
-    the leftmost minimum.  The node at inorder position i is values[i-1]."""
+    the leftmost minimum.  The node at inorder position i is values[i-1].
+
+    Integer or bool keys whose range is at most KEY_RANGE are compared as
+    they are, less their minimum; floats, objects and wider integers by
+    their stable ranks, which order them the same."""
     keys = order_keys(values)
-    rk = np.full(len(keys) + 2, -1, dtype=np.intc)  # -1: below every rank, at both ends
-    rk[1:-1][np.argsort(keys, kind="stable")] = np.arange(len(keys), dtype=np.intc)
+    rk = np.full(len(keys) + 2, -1, dtype=np.intc)  # -1: below every key, at both ends
+    kind = keys.dtype.kind
+    low = int(keys.min()) if kind in "biu" and len(keys) else None
+    if low is not None and int(keys.max()) - low <= KEY_RANGE:  # Python ints: no overflow
+        np.subtract(keys, low, out=rk[1:-1], dtype=np.uint64 if kind == "u" else np.int64,
+                    casting="unsafe")
+    else:
+        rk[1:-1][np.argsort(keys, kind="stable")] = np.arange(len(keys), dtype=np.intc)
     return _spans(rk)
 
 

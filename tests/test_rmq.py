@@ -37,6 +37,16 @@ class TestBuild:
         with pytest.raises(ValueError):
             RmqIndex.build([])
 
+    @pytest.mark.parametrize("values", [
+        [1.5, float("nan"), 0.5, float("nan")],
+        np.array([1.5, np.nan, 0.5, np.nan]),
+        np.array([2**70, float("nan"), "x", float("nan")], dtype=object),
+    ], ids=["list", "float-array", "object-array"])
+    def test_nan_rejected(self, values):
+        # a NaN is neither below nor above any key, so it has no leftmost minimum
+        with pytest.raises(ValueError, match=r"values\[1\] is NaN"):
+            RmqIndex.build(values)
+
     def test_unknown_codec(self):
         with pytest.raises(ValueError):
             RmqIndex.build([1, 2], codec="zip")

@@ -6,13 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from succinctrmq import opcount
+from succinctrmq import opcount, trees
 from succinctrmq.rmq import adversarial_arrays
 from succinctrmq.trees import (
     BinaryTree,
     BlockMinLca,
     ENTROPY_RATE_LIMIT,
+    KEY_RANGE,
     build_cartesian,
+    cartesian_spans,
     caterpillar,
     complete_tree,
     enumerate_shapes,
@@ -25,6 +27,7 @@ from succinctrmq.trees import (
     subtree_entropy,
     tour_from_degrees,
     _nearest_smaller_left,
+    _spans,
     zigzag_path,
 )
 
@@ -516,9 +519,11 @@ def with_sentinel(ranks) -> np.ndarray:
     return np.concatenate(([-1], ranks)).astype(np.intc)
 
 
-def scan_nearest_smaller(rk) -> list[int]:
-    """For each i >= 1, the nearest j < i with rk[j] <= rk[i], by a plain scan."""
-    return [0] + [next(j for j in range(i - 1, -1, -1) if rk[j] <= rk[i])
+def scan_nearest_smaller(rk, strict=False) -> list[int]:
+    """For each i >= 1, the nearest j < i with rk[j] <= rk[i] (rk[j] < rk[i]
+    if `strict`), by a plain scan."""
+    return [0] + [next(j for j in range(i - 1, -1, -1)
+                       if (rk[j] < rk[i] if strict else rk[j] <= rk[i]))
                   for i in range(1, len(rk))]
 
 
@@ -534,10 +539,11 @@ def walk_nearest_smaller(rk) -> list[int]:
     return near
 
 
-def traced_nearest_smaller(rk):
-    """`_nearest_smaller_left(rk)`, the number of times it gathered rk by an
-    index array, and whether it read rk as a list (the sequential walk does).
-    Each pointer-jumping round gathers twice."""
+def traced_nearest_smaller(rk, strict=False):
+    """`_nearest_smaller_left(rk, strict)`, the number of times it gathered
+    rk by an index array, and whether it read rk as a list (the sequential
+    walk does).  The first round reads slices; each later round gathers
+    twice."""
     log = {"gathers": 0, "walked": False}
 
     class Traced(np.ndarray):
@@ -550,7 +556,7 @@ def traced_nearest_smaller(rk):
             log["walked"] = True
             return self.view(np.ndarray).tolist()
 
-    near = _nearest_smaller_left(rk.view(Traced))
+    near = _nearest_smaller_left(rk.view(Traced), strict)
     return near, log["gathers"], log["walked"]
 
 
@@ -607,6 +613,94 @@ class TestNearestSmallerLeft:
         near, gathers, walked = traced_nearest_smaller(rk)
         assert walked and gathers == 2 * 64
         assert near.tolist() == walk_nearest_smaller(rk)
+
+    def test_strict_stops_only_below(self):
+        rng = np.random.default_rng(8)
+        for n in (1, 2, 10, 300, 3000):
+            rk = with_sentinel(rng.integers(0, 4, n))
+            assert (_nearest_smaller_left(rk, strict=True).tolist()
+                    == scan_nearest_smaller(rk, strict=True))
+        for name, ranks in adversarial_ranks(1000).items():
+            for rk in (with_sentinel(ranks), with_sentinel(ranks[::-1])):
+                assert (_nearest_smaller_left(rk, strict=True).tolist()
+                        == scan_nearest_smaller(rk, strict=True)), name
+        # ties in an organ pipe: the walk, too, passes over equal entries
+        rk = with_sentinel(adversarial_arrays(2000)["organ_pipe"][::-1])
+        near, _, walked = traced_nearest_smaller(rk, strict=True)
+        assert walked and near.tolist() == scan_nearest_smaller(rk, strict=True)
+
+
+def tree_spans(values) -> list[list[int]]:
+    """`_spans` over the stable ranks of `values`."""
+    rk = np.append(with_sentinel(stable_ranks(values)), -1).astype(np.intc)
+    return [a.tolist() for a in _spans(rk)]
+
+
+class TestSpansFromKeys:
+    """`cartesian_spans` compares integer keys of a range up to KEY_RANGE as
+    they are, and ranks the others; either way the spans are those of the
+    stable ranks."""
+
+    RNG = np.random.default_rng(9)
+    TOP = np.iinfo(np.int64).max
+    INPUTS = {
+        "ties": RNG.integers(0, 4, 500),
+        "negative": RNG.integers(-50, 3, 500).tolist(),
+        "bool-list": [bool(x) for x in RNG.integers(0, 2, 300)],
+        "bool-array": RNG.integers(0, 2, 300).astype(bool),
+        "int8": RNG.integers(-128, 128, 500).astype(np.int8),
+        "uint8": RNG.integers(0, 256, 500).astype(np.uint8),
+        "uint64-above-int64": np.uint64(TOP) + RNG.integers(1, 40, 500).astype(np.uint64),
+        "int64-extremes": RNG.choice([-TOP - 1, -TOP, 0, TOP - 1, TOP], 500),
+        "range-2^31-2": RNG.choice([-7, -7 + KEY_RANGE, 5], 500),
+        "range-2^31-1": RNG.choice([-7, -6 + KEY_RANGE, 5], 500),
+        "signed-zeros-infinities": RNG.choice([0.0, -0.0, np.inf, -np.inf, 1.5], 500),
+        "big-ints": [2**70 - x for x in RNG.integers(0, 3, 300).tolist()],
+        "strings": [str(x) for x in RNG.integers(0, 30, 300)],
+        "one": [3],
+        "two": [4, 4],
+        "two-falling": np.array([4, -1]),
+    }
+
+    @pytest.mark.parametrize("name", list(INPUTS))
+    def test_spans_of_stable_ranks(self, name):
+        values = self.INPUTS[name]
+        assert [a.tolist() for a in cartesian_spans(values)] == tree_spans(values)
+
+    @pytest.mark.parametrize("name", ["ties", "negative", "bool-list", "bool-array", "int8",
+                                      "uint8", "uint64-above-int64", "range-2^31-2", "one"])
+    def test_integer_keys_sort_nothing(self, name, monkeypatch):
+        values = self.INPUTS[name]
+        seen = []
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("cartesian_spans sorted integer keys")
+
+        def record(rk):
+            seen.append(rk.copy())
+            return spans(rk)
+
+        spans = trees._spans
+        monkeypatch.setattr(trees.np, "argsort", no_sort)
+        monkeypatch.setattr(trees, "_spans", record)
+        cartesian_spans(values)
+        monkeypatch.undo()
+        keys = [int(v) for v in values]
+        assert seen[0].tolist() == [-1, *(k - min(keys) for k in keys), -1]
+
+    @pytest.mark.parametrize("name", ["int64-extremes", "range-2^31-1",
+                                      "signed-zeros-infinities", "big-ints", "strings"])
+    def test_other_keys_rank(self, name, monkeypatch):
+        sorts = []
+        argsort = np.argsort
+
+        def counted(*args, **kwargs):
+            sorts.append(kwargs.get("kind"))
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(trees.np, "argsort", counted)
+        cartesian_spans(self.INPUTS[name])
+        assert sorts == ["stable"]
 
 
 class TestBuildTimeBound:
