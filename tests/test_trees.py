@@ -672,6 +672,7 @@ class TestSpansFromKeys:
     def test_integer_keys_sort_nothing(self, name, monkeypatch):
         values = self.INPUTS[name]
         seen = []
+        spans = trees._spans
 
         def no_sort(*args, **kwargs):
             raise AssertionError("cartesian_spans sorted integer keys")
@@ -680,7 +681,6 @@ class TestSpansFromKeys:
             seen.append(rk.copy())
             return spans(rk)
 
-        spans = trees._spans
         monkeypatch.setattr(trees.np, "argsort", no_sort)
         monkeypatch.setattr(trees, "_spans", record)
         cartesian_spans(values)
