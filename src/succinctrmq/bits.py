@@ -181,12 +181,6 @@ class BitVec:
     def rank0(self, i: int) -> int:
         return self.rank(0, i)
 
-    def pred1(self, i: int) -> tuple[int, int]:
-        """(r, select1(r)) for r = rank1(i): the 1-bits up to i and the position
-        of the last of them."""
-        r = self.rank(1, i)
-        return r, self.select(1, r)
-
     def select(self, alpha: int, k: int) -> int:
         """Smallest i with rank_alpha(i) = k.  O(log n) binary search, charged
         as two operations per search step and per word scanned, plus one per
@@ -347,20 +341,6 @@ class CompressedBitVec:
 
     def rank0(self, i: int) -> int:
         return self.rank(0, i)
-
-    def pred1(self, i: int) -> tuple[int, int]:
-        """(r, select1(r)) for r = rank1(i), in one call that charges what
-        rank1 and select1 charge; ValueError if no 1-bit is at or before i."""
-        if self._mode == self.DENSE:
-            return self._bv.pred1(i)
-        if not 0 <= i <= self.n:
-            raise IndexError(f"rank index {i} out of range 0..{self.n}")
-        blk = i >> _SPARSE_BLOCK_SHIFT
-        r = bisect_right(self._pos, i, self._block_rank[blk], self._block_rank[blk + 1])
-        if not r:
-            raise ValueError("select: no 0-th 1-bit")
-        opcount.add(12)  # rank1's 11 plus select1's single read
-        return r, self._pos[r - 1]
 
     def select(self, alpha: int, k: int) -> int:
         if self._mode == self.DENSE:

@@ -31,7 +31,7 @@ from .bits import (CompressedBitVec, VariableCellArray, column_width, compact_ar
                    read_column)
 from .microcodec import TypeRegistry
 from .serial import DecodeError, Reader
-from .trees import (CHUNK, BinaryTree, BlockMinLca, _children, _nearest_smaller_left,
+from .trees import (CHUNK, BinaryTree, PrefixSuffixMinLca, _children, _nearest_smaller_left,
                     tour_from_degrees)
 
 
@@ -333,13 +333,17 @@ class TreeCover:
 
     def select_inorder(self, i: int) -> tuple[int, int]:
         """(run, shape inorder position) of the node of inorder rank i: the
-        run that holds it, and its offset there from the run's first shape
-        position; it reads no lookup table."""
+        run that holds it, numbered by the count of run starts up to i, and
+        the run's first shape position plus i's offset from the run's start;
+        it reads no lookup table.  ValueError if no run starts at or before
+        i."""
         if not 1 <= i <= self.n:
             raise IndexError(f"inorder index {i} out of range 1..{self.n}")
-        r, base = self.c_in.pred1(i)
-        opcount.add(1)
-        return r, self.run_t3[r] + (i - base)
+        r = self.c_in.rank1(i)
+        if not r:
+            raise ValueError(f"no run starts at or before inorder position {i}")
+        opcount.add(2)  # run_in and run_t3
+        return r, self.run_t3[r] + (i - self.run_in[r])
 
     def rank_inorder(self, r: int, s: int) -> int:
         """Global inorder rank of the node at shape inorder position s of run
@@ -358,14 +362,18 @@ class TreeCover:
         LCA w, so in w's micro k or below it, and w lies between them; as
         micros are numbered in the micro-root tree's preorder, k is the
         least micro among runs ru .. rv, and its leftmost run r is k's first
-        run there.  Inside k, the LCA is the leftmost least left depth
-        between x and y (`ShapeTable`), for any x from the portal toward u
+        run there.  `run_min` finds r with no scan across blocks: at most
+        four candidate positions and the four micros they name.  Inside k,
+        the LCA is the leftmost least left depth between x and y
+        (`ShapeTable`), for any x from the portal toward u
         (or u itself) to w, and any y from w to the portal toward v (or v):
         x is u if r is ru, and otherwise r's first position, just past the
         portal whose subtree holds u; y is v if k's last run at or before rv
         is rv, and otherwise that run's last position, just before the
-        portal whose subtree holds v.  A micro has at most three runs, one
-        per stretch between its portals."""
+        portal whose subtree holds v; the table scans at most two partial
+        blocks of left depths, as prefix and suffix minima would add at least
+        16 bits per shape node to its 8-bit left depths.  A micro has at most
+        three runs, one per stretch between its portals."""
         t3, nxt = self.run_t3, self.run_next
         if ru == rv:
             r, x, y = ru, su, sv
@@ -558,7 +566,7 @@ class TreeCover:
         self.k_run = compact_array(np.append(0, first))  # run_k[first] is 1 .. micros
         # the range minima of the runs' micros give the LCA micro; no range
         # reaches slot 0
-        self.run_min = BlockMinLca(self.run_k, np.append(0, run_k))
+        self.run_min = PrefixSuffixMinLca(self.run_k, np.append(0, run_k))
 
         # a portal into micro c stands for the members of the micros in c's
         # subtree, k in c .. c + size - 1, a range read off the Euler tour

@@ -52,7 +52,11 @@ class ShapeTable(BlockMinLca):
     inorder positions ia and ib, as in the excess-sequence RMQ of Fischer &
     Heun (SICOMP 2011).  Nothing else is held: inorder rank needs only that
     position, leafness (`is_leaf`) is read off ld, and so is a leaf's
-    preorder, which is its inorder position plus its left depth.
+    preorder, which is its inorder position plus its left depth.  The table
+    keeps the base kernel, which scans partial blocks, and not
+    `trees.PrefixSuffixMinLca`: its prefix and suffix minima would add at
+    least 16 bits per shape node (two in-block offsets of a byte) to an `ld`
+    of 8 bits, and the tables are most of a warm index's resident memory.
     """
 
     __slots__ = ("n",)

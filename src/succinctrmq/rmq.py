@@ -68,12 +68,15 @@ class RmqIndex:
         """Leftmost index of the minimum in positions i..j (1-based).
 
         Inorder select maps i and j to (run, shape inorder position) pairs
-        on the runs of the inorder position map, without a lookup table.  The
-        LCA micro is the micro of the leftmost least micro-root-tree depth
-        among the runs between the two; the LCA reads that micro's table
-        alone, building it on first use, and gives the LCA's pair, whose
-        inorder rank is its run's start plus its offset into the run.  So a
-        query builds at most one table.
+        on the runs of the inorder position map, without a lookup table: a
+        rank on the run starts and a read of the run's start.  The LCA micro
+        is the micro of the leftmost least micro-root-tree preorder among the
+        runs between the two, found with no scan across blocks of runs (at
+        most four candidate positions and the micros they name).  The LCA
+        reads that micro's table alone, building it on first use, which
+        scans at most two partial blocks of the shape's left depths, and
+        gives the LCA's pair, whose inorder rank is its run's start plus its
+        offset into the run.  So a query builds at most one table.
 
         The load derives the runs and the columns that follow from the
         micro-root tree, so those cannot contradict each other, but it does

@@ -439,6 +439,14 @@ def _position_code(length: int) -> str:
     return "H" if length <= 0xFFFF else "i"
 
 
+def _with_positions(keys: np.ndarray) -> np.ndarray:
+    """Each key with its position in the low 32 bits: their minima give the
+    leftmost position of a smallest key."""
+    packed = keys.astype(np.int64) << 32
+    packed |= np.arange(len(keys))
+    return packed
+
+
 class BlockMinLca:
     """Constant-time LCA as the position of a range minimum over a sequence.
 
@@ -459,10 +467,7 @@ class BlockMinLca:
     def __init__(self, seq, keys: np.ndarray):
         """keys: one integer in 0 .. 2^31 - 1 per entry of seq, whose
         smallest in any range lies where a smallest entry of seq does."""
-        # each key with its position in the low 32 bits: their minima give
-        # the leftmost position of a smallest key
-        packed = keys.astype(np.int64) << 32
-        packed |= np.arange(len(keys))
+        packed = _with_positions(keys)
         level = np.minimum.reduceat(packed, np.arange(0, len(keys), self.BLOCK))
         m = len(level)
         levels = [level]
@@ -488,7 +493,11 @@ class BlockMinLca:
           sparse entries and the two entries of seq they name, at most
           2 BLOCK + 4.
 
-        The golden op-count digests pin these charges."""
+        A single position is its own answer, one read.  The golden op-count
+        digests pin these charges."""
+        if ia == ib:
+            opcount.add(1)
+            return ia
         if ia > ib:
             ia, ib = ib, ia
         seq = self.seq
@@ -522,6 +531,78 @@ class BlockMinLca:
         """The held widths: each entry of seq, an array, at its item type's
         width and each sparse-table entry at the position width."""
         return 8 * (len(self.seq) * self.seq.itemsize + len(self._sparse) * self._sparse.itemsize)
+
+
+class PrefixSuffixMinLca(BlockMinLca):
+    """`BlockMinLca` that answers a range across blocks with no scan.
+
+    Two more arrays of positions, one entry per entry of seq: `_suf[i]`, the
+    leftmost smallest entry from i to its block's end, and `_pre[i]`, the
+    leftmost smallest from its block's start to i.  A range across blocks is
+    then the leftmost smallest of at most four candidates: `_suf` at its
+    start, the two sparse entries of the blocks between, and `_pre` at its
+    end (Bender & Farach-Colton, LATIN 2000; Fischer & Heun, SICOMP 2011).
+    A range inside one block is scanned as in the base.  The arrays cost two
+    positions per entry, which is little over the cover's few runs but would
+    add at least 16 bits per node (two in-block offsets of a byte) to a
+    lookup table's 8-bit left depths, so `ShapeTable` keeps the base kernel.
+    """
+
+    __slots__ = ("_pre", "_suf")
+
+    def __init__(self, seq, keys: np.ndarray):
+        super().__init__(seq, keys)
+        n, block = len(keys), self.BLOCK
+        # the last block padded with keys above every real one
+        packed = np.full(self._blocks * block, np.iinfo(np.int64).max)
+        packed[:n] = _with_positions(keys)
+        rows = packed.reshape(-1, block)
+        pre = np.minimum.accumulate(rows, axis=1).ravel()[:n]
+        suf = np.minimum.accumulate(rows[:, ::-1], axis=1)[:, ::-1].ravel()[:n]
+        code = _position_code(n)
+        # narrowing keeps the low bits, the positions
+        self._pre, self._suf = (array(code, x.astype(code).tobytes()) for x in (pre, suf))
+
+    def range_min(self, ia: int, ib: int) -> int:
+        """The position of the leftmost smallest entry of seq between
+        positions ia and ib, in either order.  The charge is the reads:
+
+        * within one block: as in the base, the ib - ia + 1 entries scanned;
+        * across two adjacent blocks: `_suf[ia]`, `_pre[ib]` and the two
+          entries of seq they name, 4;
+        * with blocks between: those and two sparse entries with the two
+          entries of seq they name, 8."""
+        if ia > ib:
+            ia, ib = ib, ia
+        block = self.BLOCK
+        ba, bb = ia // block, ib // block
+        if ba == bb:
+            return BlockMinLca.range_min(self, ia, ib)
+        seq = self.seq
+        p, q = self._suf[ia], self._pre[ib]
+        vp, vq = seq[p], seq[q]
+        if bb > ba + 1:
+            # the base's sparse lookup, inlined: a shared method adds a call
+            # to every query's run-level minimum
+            k = (bb - ba - 1).bit_length() - 1
+            level = k * (self._blocks + 1) - (1 << k) + 1
+            m, m2 = self._sparse[level + ba + 1], self._sparse[level + bb - (1 << k)]
+            vm, vm2 = seq[m], seq[m2]
+            opcount.add(8)
+            if vm2 < vm:
+                m, vm = m2, vm2
+            if vm < vp:
+                p, vp = m, vm
+        else:
+            opcount.add(4)
+        # the leftmost of equal minima: the left block's, then the middle's,
+        # then the right block's
+        return q if vq < vp else p
+
+    def space_bits(self) -> int:
+        """The base's held widths and each prefix and suffix position at the
+        position width."""
+        return super().space_bits() + 8 * (len(self._pre) + len(self._suf)) * self._pre.itemsize
 
 
 def tour_from_degrees(degrees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

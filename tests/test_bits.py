@@ -3,7 +3,6 @@ import random
 import numpy as np
 import pytest
 
-from succinctrmq import opcount
 from succinctrmq.bits import (BitVec, CompressedBitVec, PiecewiseConstantArray, VariableCellArray,
                               compact_array, pack_column, read_column)
 from succinctrmq.serial import DecodeError, Reader
@@ -67,30 +66,6 @@ class TestAccessRankSelect:
             vec101101.select(1, 5)
         with pytest.raises(ValueError):
             vec101101.select(0, 3)
-
-    @pytest.mark.parametrize("n,density,mode", [(1, 1.0, CompressedBitVec.DENSE),
-                                                (65, 0.5, CompressedBitVec.DENSE),
-                                                (2000, 0.9, CompressedBitVec.DENSE),
-                                                (5000, 0.01, CompressedBitVec.SPARSE)])
-    def test_pred1_is_rank_then_select(self, n, density, mode):
-        rng = random.Random(77 + n)
-        bits = [1] + [1 if rng.random() < density else 0 for _ in range(n - 1)]
-        compressed = CompressedBitVec(bits)
-        assert compressed.mode == mode
-        for v in (BitVec(bits), compressed):
-            for i in range(1, n + 1):
-                start = opcount.snapshot()
-                r = v.rank1(i)
-                want = (r, v.select1(r))
-                charged = opcount.snapshot() - start
-                start = opcount.snapshot()
-                assert v.pred1(i) == want
-                assert opcount.snapshot() - start == charged
-            with pytest.raises(IndexError):
-                v.pred1(n + 1)
-        for v in (BitVec([0, 1]), CompressedBitVec.from_positions(2000, [1000])):
-            with pytest.raises(ValueError):
-                v.pred1(1)  # no 1-bit at or before position 1
 
     @pytest.mark.parametrize("n,density", [(1, 0.5), (63, 0.5), (64, 0.5), (65, 0.5),
                                            (511, 0.9), (513, 0.1), (4096, 0.01),

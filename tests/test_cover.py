@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from succinctrmq import cover
+from succinctrmq.bits import CompressedBitVec
 from succinctrmq.cover import (
     CoverError,
     TauName,
@@ -16,6 +17,7 @@ from succinctrmq.cover import (
     verify_decomposition,
 )
 from succinctrmq.rmq import OracleRmq, RmqIndex, adversarial_arrays
+from succinctrmq.serial import DecodeError
 from succinctrmq.trees import (
     build_cartesian,
     caterpillar,
@@ -150,6 +152,20 @@ class TestBuildCoverBasics:
             cov.nodeselect_inorder(0)
         with pytest.raises(IndexError):
             cov.nodeselect_inorder(101)
+
+    @pytest.mark.parametrize("micro_b,mode", [(4, CompressedBitVec.DENSE),
+                                              (None, CompressedBitVec.SPARSE)],
+                             ids=["dense", "sparse"])
+    def test_no_run_start_before_a_position(self, micro_b, mode):
+        """Select ranks a position among the run starts; a cover with no run
+        starting at or before it contradicts itself, and the query says so."""
+        index = RmqIndex.build(np.random.default_rng(8).permutation(20000).tolist(),
+                               micro_b=micro_b)
+        cov = index.cover
+        cov.c_in = CompressedBitVec.from_positions(cov.n, cov.c_in.positions()[1:])
+        assert cov.c_in.mode == mode
+        with pytest.raises(DecodeError, match="no run starts at or before inorder position 1"):
+            index.query(1, 2)
 
     def test_portal_positions_rejected(self):
         t = sample_random_bst(400, 3)

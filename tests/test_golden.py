@@ -10,10 +10,12 @@ payload (FORMAT.md); a change to any of them means a different file, not
 just a different way of building the same one.
 A loaded index writes back the bytes it was read from.
 The answer digests were recorded from the query path before it was
-flattened; the operation-count digests were recorded when the query path
-moved onto the runs of the inorder position map, with no Euler tour and no
-portal walk, and each range minimum came to charge exactly its reads.  Both hold for
-a built index and for the same index reloaded from its bytes.
+flattened; the operation-count digests were recorded when the range minimum
+over the runs came to read in-block prefix and suffix minima in place of
+scanning partial blocks, and inorder select to read the run start in place of
+selecting it, on the query path over the runs of the inorder position map,
+where each range minimum charges exactly its reads.  Both hold for a built
+index and for the same index reloaded from its bytes.
 The organ-pipe digests were recorded before the Cartesian tree and the cover
 were built by numpy kernels; on that input the nearest-smaller-value kernel
 ends on its work budget and finishes by its sequential walk.
@@ -110,13 +112,13 @@ def digest(values: list[int]) -> str:
 # takes select through the plain bit vector, the others through the sparse one.
 GOLDEN_QUERIES = [
     ("perm", None, CompressedBitVec.SPARSE, "c6b2bc5ae1a1977f374dfe4a05c6c6ea1a9ef63e",
-     "201d21fd5dc8437f38546bbc3f81dec99ae19f67"),
+     "5f677d921e0d75e87310bb82acc28a4b4cc277bb"),
     ("perm", 4, CompressedBitVec.DENSE, "c6b2bc5ae1a1977f374dfe4a05c6c6ea1a9ef63e",
-     "adac6cbad11bc8cae000e093341963a4a07fcbca"),
+     "13cc16987bef06d6bfddeadad5c8b40acf68b010"),
     ("ties", None, None, "cd95f6121e1013a98d6410d6a4d805ca06ce8885",
-     "db53a33c7d045d9dc4075b7f6fe21e723d3ec82a"),
+     "db49b7aa56622a11fe6eb61425accaa977e6ec95"),
     ("organ", None, None, "42d2e9a52bb4975a7f731de9fc5b9113557e70e0",
-     "353ee627777cdd4d9d9749fb623e525cf6448fb4"),
+     "ac093fcd005196398ba9c93f793ff7c47f5f0275"),
 ]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import time
+from array import array
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from succinctrmq.trees import (
     BlockMinLca,
     ENTROPY_RATE_LIMIT,
     KEY_RANGE,
+    PrefixSuffixMinLca,
     build_cartesian,
     cartesian_spans,
     caterpillar,
@@ -379,6 +381,69 @@ class TestBlockMinLca:
         for _ in range(2000):
             lo, hi = sorted((rng.randrange(length), rng.randrange(length)))
             assert kernel.range_min(lo, hi) == lo + int(np.argmin(keys[lo:hi + 1])), (lo, hi)
+
+
+def min_sequences(length: int) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(length)
+    return {"permutation": rng.permutation(length), "ties": rng.integers(0, 4, size=length),
+            "sorted": np.arange(length), "reverse": np.arange(length)[::-1].copy(),
+            "constant": np.full(length, 7)}
+
+
+class TestPrefixSuffixMinLca:
+    """The kernel with in-block prefix and suffix minima: a range across
+    blocks compares at most four candidates, and must give what the
+    scanning base gives."""
+
+    @pytest.mark.parametrize("length", [1, 2, 31, 32, 33, 64, 65, 97, 200])
+    def test_every_pair_is_the_leftmost_argmin(self, length):
+        for name, keys in min_sequences(length).items():
+            seq = keys.tolist()
+            kernel, base = PrefixSuffixMinLca(seq, keys), BlockMinLca(seq, keys)
+            for lo in range(length):
+                for hi in range(lo, length):
+                    want = lo + int(np.argmin(keys[lo:hi + 1]))
+                    for a, b in ((lo, hi), (hi, lo)):
+                        assert kernel.range_min(a, b) == want == base.range_min(a, b), \
+                            (name, a, b)
+
+    @pytest.mark.parametrize("at", [(20, 100), (100, 140), (20, 140), (20, 100, 140),
+                                    (40, 100), (70, 90), (20, 25), (135, 140)],
+                             ids=["suffix-middle", "middle-prefix", "suffix-prefix", "all-three",
+                                  "middle-two-entries", "middle-shared-block", "suffix-twice",
+                                  "prefix-twice"])
+    def test_equal_minima_give_the_leftmost(self, at):
+        """From 10 to 150: the suffix of block 0, blocks 1 .. 3 from two
+        overlapping sparse entries (blocks 1 .. 2 and 2 .. 3), and the prefix
+        of block 4; and from the start of a minimum's block to the end of
+        the next, a suffix and a prefix alone."""
+        keys = np.full(5 * PrefixSuffixMinLca.BLOCK, 5)
+        keys[list(at)] = 1
+        kernel = PrefixSuffixMinLca(keys.tolist(), keys)
+        assert kernel.range_min(10, 150) == at[0]
+        assert kernel.range_min(150, 10) == at[0]
+        lo = at[0] // 32 * 32
+        assert kernel.range_min(lo, min(lo + 63, len(keys) - 1)) == at[0]
+
+    @pytest.mark.parametrize("ia,ib,reads", [(5, 5, 1), (3, 20, 18), (20, 40, 4), (40, 20, 4),
+                                             (20, 100, 8), (10, 180, 8)],
+                             ids=["one-entry", "one-block", "adjacent", "adjacent-swapped",
+                                  "one-between", "four-between"])
+    def test_charge_is_the_reads(self, ia, ib, reads):
+        """Each entry scanned once within a block; across blocks the suffix
+        and prefix positions and the entries they name, and with blocks
+        between also two sparse entries and the entries they name."""
+        keys = np.random.default_rng(ia).permutation(6 * PrefixSuffixMinLca.BLOCK)
+        kernel = PrefixSuffixMinLca(keys.tolist(), keys)
+        start = opcount.snapshot()
+        kernel.range_min(ia, ib)
+        assert opcount.snapshot() - start == reads
+
+    def test_space_counts_the_prefix_and_suffix_positions(self):
+        keys = np.random.default_rng(3).permutation(200)
+        seq = array("H", keys.tolist())
+        extra = PrefixSuffixMinLca(seq, keys).space_bits() - BlockMinLca(seq, keys).space_bits()
+        assert extra == 2 * 200 * 16
 
 
 class TestEulerTourLca:
